@@ -3,16 +3,16 @@
 A ball of radius R is the closed subgraph induced on all points at word
 distance <= R from the basepoint: every edge with both endpoints inside
 the ball is present, including edges between two boundary vertices.
-Each geometric edge is stored once per unordered generator pair
-{s, s^-1}, labeled by the smaller index of the pair.
+The ball stores the graph as its labeled transition table u -> s_i.u;
+the edge list, one edge per unordered generator pair {s, s^-1} labeled
+by the smaller index of the pair, is derived from it.
 """
 
 from __future__ import annotations
 
-import json
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from bisect import bisect_left
+from dataclasses import dataclass, field, replace
+from typing import Iterable
 
 from .actions import PairPoint, Point, PointedAction, point_label
 from .groups import GroupElement, SymmetricGenSet
@@ -39,46 +39,44 @@ class ArityMismatchError(BallError):
     """Generator count or pairing differs between two balls."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class GraphBall:
     """Radius-R portion of an orbital graph around a basepoint.
 
     ``witness[v]`` is a group element mapping the basepoint to vertex v.
     Vertices are indexed in BFS discovery order, so index 0 is the
     basepoint and distances are non-decreasing along the index.
+
+    ``table`` is the flat transition table, one row of |S| entries per
+    vertex: ``table[u * len(gens) + i]`` is the index of s_i.u, or -1 when
+    that point lies outside the ball; ``build_ball`` leaves no -1 in rows at
+    distance < R, and ``simplify`` masks the edges it drops to -1.
+    ``edges`` is derived from the table in O(n |S|) on every access, so
+    code inside loops reads ``table``.
     """
 
     action: PointedAction
     gens: SymmetricGenSet
     radius: int
-    points: list[Point]
-    dist: list[int]
-    edges: list[tuple[int, int, int]]
-    witness: list[GroupElement]
+    points: tuple[Point, ...]
+    dist: tuple[int, ...]
+    table: tuple[int, ...] = field(repr=False)
+    witness: tuple[GroupElement, ...] = field(repr=False)
     basepoint_index: int = 0
     index: dict = field(default_factory=dict, repr=False)
 
     def __len__(self) -> int:
         return len(self.points)
 
-    def vertex_index(self, p: Point) -> int:
-        return self.index[p]
-
-    def sphere(self, r: int) -> list[int]:
-        return [v for v, d in enumerate(self.dist) if d == r]
-
-    def ball_indices(self, r: int) -> list[int]:
-        return [v for v, d in enumerate(self.dist) if d <= r]
-
-    def adjacency(self, labels: Optional[set[int]] = None) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in self.points]
-        for u, v, g in self.edges:
-            if labels is not None and g not in labels:
-                continue
-            adj[u].append(v)
-            if u != v:
-                adj[v].append(u)
-        return adj
+    @property
+    def edges(self) -> list[tuple[int, int, int]]:
+        """(u, v, label) by u, then label, for each entry (u, label) -> v
+        whose label is the smaller of its pair, or an involution and u <= v."""
+        pairing = self.gens.pairing
+        ngens = len(pairing)
+        return [(u, v, i) for u in range(len(self.points))
+                for i, v in enumerate(self.table[u * ngens:(u + 1) * ngens])
+                if v >= 0 and (i < pairing[i] or (i == pairing[i] and u <= v))]
 
 
 def build_ball(action: PointedAction, gens: SymmetricGenSet, radius: int,
@@ -91,78 +89,47 @@ def build_ball(action: PointedAction, gens: SymmetricGenSet, radius: int,
     gen_elements = gens.elements
     pairing = gens.pairing
     ngens = len(gen_elements)
+    unset_row = [None] * ngens
 
     points = [action.basepoint]
     index = {action.basepoint: 0}
     index_get = index.get
     dist = [0]
     witness = [action.group.identity()]
-    # trans[u][i] = target of generator i at u; None = not yet computed
-    # during the sweep, outside the ball once the sweep is complete.  Each
-    # geometric edge is act-computed once: the paired reverse transition is
-    # filled in for free.
-    trans: list[list[Optional[int]]] = [[None] * ngens]
-
-    frontier = deque([0])
-    while frontier:
-        u = frontier.popleft()
-        if dist[u] == radius:
-            continue
-        row = trans[u]
+    # None = not yet computed.  Each geometric edge is act-computed once:
+    # the paired reverse transition is filled in for free.  Rows are filled
+    # in BFS order; a radius-R row adds no vertex and marks outside as -1.
+    table: list = unset_row[:]
+    u = 0
+    while u < len(points):
         pu = points[u]
-        du1 = dist[u] + 1
+        base = u * ngens
         for i in range(ngens):
-            if row[i] is not None:
+            if table[base + i] is not None:
                 continue
             q = act(gen_elements[i], pu)
             v = index_get(q)
             if v is None:
+                if dist[u] == radius:
+                    table[base + i] = -1
+                    continue
                 if len(points) >= max_vertices:
                     raise BallOverflowError(max_vertices, dist[u])
                 v = len(points)
                 index[q] = v
                 points.append(q)
-                dist.append(du1)
+                dist.append(dist[u] + 1)
                 witness.append(mul(gen_elements[i], witness[u]))
-                trans.append([None] * ngens)
-                frontier.append(v)
-            row[i] = v
-            back = trans[v]
-            j = pairing[i]
-            if back[j] is None:
-                back[j] = u
+                table.extend(unset_row)
+            table[base + i] = v
+            back = v * ngens + pairing[i]
+            if table[back] is None:
+                table[back] = u
+        u += 1
 
-    # boundary pass: transitions of radius-R vertices that stay inside the
-    # ball (interior rows are already complete)
-    for u in range(len(points)):
-        if dist[u] < radius:
-            continue
-        row = trans[u]
-        pu = points[u]
-        for i in range(ngens):
-            if row[i] is not None:
-                continue
-            v = index_get(act(gen_elements[i], pu))
-            row[i] = v
-            if v is not None:
-                back = trans[v]
-                j = pairing[i]
-                if back[j] is None:
-                    back[j] = u
-
-    edges: list[tuple[int, int, int]] = []
-    for u in range(len(points)):
-        row = trans[u]
-        for i in range(ngens):
-            v = row[i]
-            if v is None:
-                continue
-            j = pairing[i]
-            if i < j or (i == j and u <= v):
-                edges.append((u, v, i))
-
-    return GraphBall(action=action, gens=gens, radius=radius, points=points,
-                     dist=dist, edges=edges, witness=witness, index=index)
+    return GraphBall(action=action, gens=gens, radius=radius,
+                     points=tuple(points), dist=tuple(dist), table=tuple(table),
+                     witness=tuple(witness), index=index)
 
 
 # ---------------------------------------------------------------------------
@@ -209,15 +176,21 @@ class CutResult:
 def delete_and_split(ball: GraphBall, removed: Iterable[int]) -> CutResult:
     """Components of the ball minus the given vertex indices."""
     removed_set = frozenset(removed)
+    n = len(ball.points)
     for v in removed_set:
-        if not 0 <= v < len(ball.points):
+        if not 0 <= v < n:
             raise BallError(f"vertex index {v} out of range")
-    uf = UnionFind(len(ball.points))
-    for u, v, _ in ball.edges:
-        if u not in removed_set and v not in removed_set:
-            uf.union(u, v)
+    table = ball.table
+    ngens = len(ball.gens)
+    uf = UnionFind(n)
+    for u in range(n):
+        if u in removed_set:
+            continue
+        for v in table[u * ngens:(u + 1) * ngens]:
+            if v > u and v not in removed_set:
+                uf.union(u, v)
     groups: dict[int, list[int]] = {}
-    for v in range(len(ball.points)):
+    for v in range(n):
         if v in removed_set:
             continue
         groups.setdefault(uf.find(v), []).append(v)
@@ -229,36 +202,24 @@ def delete_and_split(ball: GraphBall, removed: Iterable[int]) -> CutResult:
 
 
 def simplify(ball: GraphBall) -> GraphBall:
-    """Drop loops and collapse parallel edges (first label kept)."""
+    """Drop loops and collapse parallel edges (first label kept), masking
+    each dropped edge to -1 at both ends of the table."""
+    pairing = ball.gens.pairing
+    ngens = len(pairing)
+    table = list(ball.table)
     seen: set[tuple[int, int]] = set()
-    edges: list[tuple[int, int, int]] = []
     for u, v, g in ball.edges:
-        if u == v:
-            continue
         key = (u, v) if u < v else (v, u)
-        if key in seen:
+        if u != v and key not in seen:
+            seen.add(key)
             continue
-        seen.add(key)
-        edges.append((u, v, g))
-    return GraphBall(action=ball.action, gens=ball.gens, radius=ball.radius,
-                     points=ball.points, dist=ball.dist, edges=edges,
-                     witness=ball.witness, basepoint_index=ball.basepoint_index,
-                     index=ball.index)
+        table[u * ngens + g] = -1
+        table[v * ngens + pairing[g]] = -1
+    return replace(ball, table=tuple(table))
 
 
 # ---------------------------------------------------------------------------
 # pointed labeled isomorphism
-
-
-def _transition_table(ball: GraphBall, radius: int) -> dict[tuple[int, int], int]:
-    table: dict[tuple[int, int], int] = {}
-    pairing = ball.gens.pairing
-    for u, v, g in ball.edges:
-        if ball.dist[u] > radius or ball.dist[v] > radius:
-            continue
-        table[(u, g)] = v
-        table[(v, pairing[g])] = u
-    return table
 
 
 def pointed_labeled_isomorphic(a: GraphBall, b: GraphBall) -> bool:
@@ -266,21 +227,24 @@ def pointed_labeled_isomorphic(a: GraphBall, b: GraphBall) -> bool:
 
     Orbital graphs are deterministic under each generator, and both balls
     are BFS-ordered, so two balls are pointed-labeled isomorphic exactly
-    when their vertex counts, distances and generator transition tables
-    coincide after truncation to the common radius.
+    when their vertex counts, distances and transition tables coincide
+    after truncation to the common radius.
     """
     if len(a.gens) != len(b.gens) or a.gens.pairing != b.gens.pairing:
         raise ArityMismatchError(
             f"generator arity/pairing mismatch: {len(a.gens)}/{a.gens.pairing} "
             f"vs {len(b.gens)}/{b.gens.pairing}")
     r = min(a.radius, b.radius)
-    na = sum(1 for d in a.dist if d <= r)
-    nb = sum(1 for d in b.dist if d <= r)
-    if na != nb:
+    na = bisect_left(a.dist, r + 1)
+    if na != bisect_left(b.dist, r + 1) or a.dist[:na] != b.dist[:na]:
         return False
-    if a.dist[:na] != b.dist[:nb]:
-        return False
-    return _transition_table(a, r) == _transition_table(b, r)
+    rows = na * len(a.gens)
+
+    def truncated(ball: GraphBall) -> list[int]:
+        # a target beyond the common radius reads as outside the ball
+        return [v if v < na else -1 for v in ball.table[:rows]]
+
+    return truncated(a) == truncated(b)
 
 
 # ---------------------------------------------------------------------------
@@ -317,10 +281,6 @@ def to_json_dict(ball: GraphBall) -> dict:
         "dist": list(ball.dist),
         "edges": [[u, v, g] for u, v, g in ball.edges],
     }
-
-
-def to_json(ball: GraphBall) -> str:
-    return json.dumps(to_json_dict(ball), indent=2)
 
 
 def to_dot(ball: GraphBall, name: str = "ball") -> str:

@@ -18,6 +18,7 @@ from typing import Optional
 from . import __version__
 from .actions import PairPoint, point_label, RULE_ACTIONS
 from .balls import (
+    DEFAULT_VERTEX_BUDGET,
     BallOverflowError,
     build_ball,
     delete_and_split,
@@ -26,7 +27,7 @@ from .balls import (
     to_dot,
     to_json_dict,
 )
-from .dsl import ElaborationError, SpecError, elaborate, parse_spec
+from .dsl import SpecError, elaborate, parse_spec
 from .ends import (
     IntModQuotient,
     coordinate_split,
@@ -45,27 +46,61 @@ from .groups import (
 from .actions import ActionError, TrivialSubgroup, translation_action
 from .wreath import WreathGroup, imprimitive_action
 
-DEFAULT_BUDGET = 2_000_000
 BUDGET_ENV = "ENDSLAB_BUDGET"
+
+
+class UsageError(Exception):
+    """A bad command line or environment setting (exit code 2)."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises UsageError instead of printing the usage and exiting."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
+def _int_at_least(low: int):
+    """argparse type: an integer >= low."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return value
+    return parse
+
+
+radius_arg = _int_at_least(0)
+budget_arg = _int_at_least(1)
 
 
 def resolve_budget(flag_value: Optional[int]) -> int:
     if flag_value is not None:
         return flag_value
     env = os.environ.get(BUDGET_ENV)
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise SystemExit(f"{BUDGET_ENV} must be an integer, got {env!r}")
-    return DEFAULT_BUDGET
+    if not env:
+        return DEFAULT_VERTEX_BUDGET
+    try:
+        return budget_arg(env)
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError(f"{BUDGET_ENV}: {exc}") from None
 
 
 def parse_k_values(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(part) for part in text.split(",")]
+    """Inner radii from "1..4" or "1,2,4": a non-empty list of k >= 0."""
+    lo, sep, hi = text.partition("..")
+    try:
+        ks = (list(range(int(lo), int(hi) + 1)) if sep
+              else [int(part) for part in text.split(",")])
+    except ValueError:
+        ks = []
+    if not ks or min(ks) < 0:
+        raise argparse.ArgumentTypeError(
+            f'expected radii >= 0 as "1..4" or "1,2,4", got {text!r}')
+    return ks
 
 
 def load_spec(text: str):
@@ -88,20 +123,28 @@ def cmd_ball(args) -> int:
 
 
 def cmd_ends(args) -> int:
+    if max(args.k) >= args.K:
+        raise UsageError(f"max inner radius {max(args.k)} must be smaller than "
+                         f"the outer radius --K {args.K}")
     action, gens = load_spec(args.spec)
-    profile = ends_profile(action, gens, parse_k_values(args.k), args.K,
+    profile = ends_profile(action, gens, args.k, args.K,
                            resolve_budget(args.budget))
     print(profile.to_json())
     return 0
 
 
-def cmd_leaves(args) -> int:
+def _leaf_ball(args, command: str):
+    """The ball of a wreath spec under its imprimitive action."""
     action, gens = load_spec(args.spec)
-    if isinstance(action.group, WreathGroup) and not isinstance(
-            action.basepoint, PairPoint):
-        # a bare wreath spec: report on its imprimitive action
+    if not isinstance(action.group, WreathGroup):
+        raise UsageError(f"{command} needs a wreath-product spec")
+    if not isinstance(action.basepoint, PairPoint):
         action = imprimitive_action(action.group, action.group.orbit_reps[0])
-    ball = build_ball(action, gens, args.radius, resolve_budget(args.budget))
+    return build_ball(action, gens, args.radius, resolve_budget(args.budget))
+
+
+def cmd_leaves(args) -> int:
+    ball = _leaf_ball(args, "leaves")
     leaves = leaf_decomposition(ball)
     report = {
         "radius": args.radius,
@@ -136,13 +179,8 @@ def _check_quotient(args) -> list[tuple[bool, str]]:
 
 
 def _check_leaf_disconnect(args) -> list[tuple[bool, str]]:
-    action, gens = load_spec(args.spec)
-    group = action.group
-    if not isinstance(group, WreathGroup):
-        raise ElaborationError("leaf-disconnect needs a wreath-product spec")
-    if not isinstance(action.basepoint, PairPoint):
-        action = imprimitive_action(group, group.orbit_reps[0])
-    ball = build_ball(action, gens, args.radius, resolve_budget(args.budget))
+    ball = _leaf_ball(args, "leaf-disconnect")
+    group = ball.action.group
     x0 = group.orbit_reps[0]
     leaves = leaf_decomposition(ball)
     results = []
@@ -203,8 +241,9 @@ def _check_complete_graph(args) -> list[tuple[bool, str]]:
         gens = nonidentity_gens(group)
         ball = build_ball(translation_action(group), gens, 1)
         n = group.order()
-        simple = simplify(ball)
-        pairs = {frozenset((u, v)) for u, v, _ in simple.edges}
+        # simplify masks loops, so every table entry left is an edge u-v
+        pairs = {frozenset((e // len(gens), v))
+                 for e, v in enumerate(simplify(ball).table) if v >= 0}
         expected = {frozenset((u, v)) for u in range(n) for v in range(u + 1, n)}
         ok = len(ball) == n and pairs == expected
         results.append((ok, f"Cayley({group}; all non-identity elements) ball "
@@ -235,7 +274,7 @@ def cmd_fixtures(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="endslab",
         description="orbital/Schreier graph balls and ends estimation for "
                     "finitely generated groups")
@@ -245,36 +284,37 @@ def build_parser() -> argparse.ArgumentParser:
     p_ball = sub.add_parser("ball", help="materialize a graph ball")
     p_ball.add_argument("--spec", required=True, help='e.g. "Z^2" or '
                         '"wreath(C(2), Z, translation)"')
-    p_ball.add_argument("--radius", type=int, required=True)
+    p_ball.add_argument("--radius", type=radius_arg, required=True)
     p_ball.add_argument("--format", choices=("json", "dot"), default="json")
     p_ball.add_argument("--output", "-o")
-    p_ball.add_argument("--budget", type=int)
+    p_ball.add_argument("--budget", type=budget_arg)
     p_ball.set_defaults(func=cmd_ball)
 
     p_ends = sub.add_parser("ends", help="compute an ends profile")
     p_ends.add_argument("--spec", required=True)
-    p_ends.add_argument("--k", required=True, help='inner radii, "1..4" or "1,2,4"')
+    p_ends.add_argument("--k", type=parse_k_values, required=True,
+                        help='inner radii, "1..4" or "1,2,4"')
     p_ends.add_argument("--K", type=int, required=True, help="outer radius")
-    p_ends.add_argument("--budget", type=int)
+    p_ends.add_argument("--budget", type=budget_arg)
     p_ends.set_defaults(func=cmd_ends)
 
     p_leaves = sub.add_parser("leaves", help="leaf decomposition of an "
                                              "imprimitive ball")
     p_leaves.add_argument("--spec", required=True)
-    p_leaves.add_argument("--radius", type=int, required=True)
-    p_leaves.add_argument("--budget", type=int)
+    p_leaves.add_argument("--radius", type=radius_arg, required=True)
+    p_leaves.add_argument("--budget", type=budget_arg)
     p_leaves.set_defaults(func=cmd_leaves)
 
     p_verify = sub.add_parser("verify", help="run a named structural check")
     p_verify.add_argument("check", choices=("quotient", "leaf-disconnect",
                                             "three-segment-path", "complete-graph"))
     p_verify.add_argument("--spec", default="wreath(C(3), C(2), regular)")
-    p_verify.add_argument("--radius", type=int, default=None)
+    p_verify.add_argument("--radius", type=radius_arg, default=None)
     p_verify.add_argument("--modulus", type=int, default=4)
     p_verify.add_argument("--cut-radius", type=int, default=2)
     p_verify.add_argument("--pairs", type=int, default=20)
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--budget", type=int)
+    p_verify.add_argument("--budget", type=budget_arg)
     p_verify.set_defaults(func=cmd_verify)
 
     p_fix = sub.add_parser("fixtures", help="list built-in rule actions")
@@ -289,22 +329,28 @@ VERIFY_DEFAULT_RADII = {
 }
 
 
+# exit code for each error a command reports as one line: 2 for usage and
+# parse errors, 1 for a computation that cannot finish
+EXIT_CODES = {
+    UsageError: 2,
+    SpecError: 2,
+    BallOverflowError: 1,
+    ActionError: 1,
+    GroupError: 1,
+}
+
+
 def cli_main(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    if getattr(args, "radius", None) is None and args.command == "verify":
-        args.radius = VERIFY_DEFAULT_RADII.get(args.check, 8)
-    try:
+        args = build_parser().parse_args(argv)
+        if args.command == "verify" and args.radius is None:
+            args.radius = VERIFY_DEFAULT_RADII.get(args.check, 8)
         return args.func(args)
-    except (SpecError,) as exc:
+    except SystemExit as exc:  # --help and --version
+        return exc.code if isinstance(exc.code, int) else 2
+    except tuple(EXIT_CODES) as exc:
         print(f"endslab: {exc}", file=sys.stderr)
-        return 2
-    except (BallOverflowError, ActionError, GroupError) as exc:
-        print(f"endslab: {exc}", file=sys.stderr)
-        return 1
+        return next(code for cls, code in EXIT_CODES.items() if isinstance(exc, cls))
 
 
 def main() -> None:

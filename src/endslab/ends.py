@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
@@ -102,21 +103,22 @@ def _row_for_k(ball: GraphBall, k: int) -> tuple[int, ...]:
     """One profile row: sweep K' upward, adding edges as they enter range."""
     n = len(ball.points)
     dist = ball.dist
+    table = ball.table
+    ngens = len(ball.gens)
+    # an edge u-v with v > u enters range at dist[v] >= dist[u] (BFS order)
     by_radius: dict[int, list[tuple[int, int]]] = {}
-    for u, v, _ in ball.edges:
-        if dist[u] >= k and dist[v] >= k:
-            by_radius.setdefault(max(dist[u], dist[v]), []).append((u, v))
-    spheres: dict[int, list[int]] = {}
-    for v in range(n):
-        spheres.setdefault(dist[v], []).append(v)
+    for u in range(bisect_left(dist, k), n):
+        for v in table[u * ngens:(u + 1) * ngens]:
+            if v > u:
+                by_radius.setdefault(dist[v], []).append((u, v))
     uf = UnionFind(n)
     counts = []
     for outer in range(k, ball.radius + 1):
         for u, v in by_radius.get(outer, ()):
             uf.union(u, v)
         if outer > k:
-            roots = {uf.find(v) for v in spheres.get(outer, ())}
-            counts.append(len(roots))
+            sphere = range(bisect_left(dist, outer), bisect_left(dist, outer + 1))
+            counts.append(len({uf.find(v) for v in sphere}))
     return tuple(counts)
 
 
@@ -206,25 +208,10 @@ def augment_cut(ball: GraphBall, cut: Iterable[int], orbit_gens: SymmetricGenSet
 
 
 def orbit_subgraph(ball: GraphBall, v: int, gen_indices: Iterable[int]) -> frozenset[int]:
-    """Component of v inside the ball using only edges of the given labels.
-
-    Indices are closed under the inverse pairing, since edges carry the
-    representative index of their {s, s^-1} pair.
-    """
-    allowed = set()
-    for i in gen_indices:
-        allowed.add(i)
-        allowed.add(ball.gens.pair_of(i))
-    adj = ball.adjacency(labels=allowed)
-    seen = {v}
-    frontier = deque([v])
-    while frontier:
-        u = frontier.popleft()
-        for w in adj[u]:
-            if w not in seen:
-                seen.add(w)
-                frontier.append(w)
-    return frozenset(seen)
+    """Component of v inside the ball using only edges of the given labels,
+    each walked both ways (the labels are closed under the inverse pairing)."""
+    return frozenset(_restricted_bfs(ball, v, _with_inverses(ball, gen_indices),
+                                     frozenset()))
 
 
 # ---------------------------------------------------------------------------
@@ -309,25 +296,48 @@ class PathFailure:
     injective: bool
 
 
+def _with_inverses(ball: GraphBall, gen_indices: Iterable[int]) -> set[int]:
+    return {j for i in gen_indices for j in (i, ball.gens.pair_of(i))}
+
+
+def _neighbours(ball: GraphBall, u: int, labels: set[int]) -> list[tuple[int, int]]:
+    """(v, i) for each entry (u, i) -> v with i in labels, ordered by where
+    its edge stands in ``ball.edges``: BFS predecessors, and so the paths
+    found, follow that order."""
+    table = ball.table
+    pairing = ball.gens.pairing
+    base = u * len(pairing)
+    keyed = []
+    for i in labels:
+        v = table[base + i]
+        if v >= 0:
+            j = pairing[i]
+            # the edge is listed from row u with label i, or from row v with j
+            key = (u, i) if i < j or (i == j and u <= v) else (v, j)
+            keyed.append((key, v, i))
+    return [(v, i) for _, v, i in sorted(keyed)]
+
+
 def _restricted_bfs(ball: GraphBall, start: int, labels: set[int],
-                    cut: frozenset[int]) -> dict[int, int]:
-    """Predecessor map of the BFS over allowed labels avoiding the cut."""
-    adj = ball.adjacency(labels=labels)
-    pred = {start: start}
+                    cut: frozenset[int]) -> dict[int, tuple[int, int]]:
+    """BFS over allowed labels avoiding the cut: v -> (predecessor, label),
+    in discovery order."""
+    pred = {start: (start, -1)}
     frontier = deque([start])
     while frontier:
         u = frontier.popleft()
-        for v in adj[u]:
+        for v, i in _neighbours(ball, u, labels):
             if v not in pred and v not in cut:
-                pred[v] = u
+                pred[v] = (u, i)
                 frontier.append(v)
     return pred
 
 
-def _path_from(pred: dict[int, int], start: int, goal: int) -> tuple[int, ...]:
+def _path_from(pred: dict[int, tuple[int, int]], start: int,
+               goal: int) -> tuple[int, ...]:
     path = [goal]
     while path[-1] != start:
-        path.append(pred[path[-1]])
+        path.append(pred[path[-1]][0])
     return tuple(reversed(path))
 
 
@@ -345,38 +355,20 @@ def three_segment_path(ball: GraphBall, x: int, y: int, cut: Iterable[int],
     if x in cut_set or y in cut_set:
         raise EndsError("endpoints must survive the cut")
     group = ball.action.group
-    h_labels = set()
-    for i in sd.h_gen_indices:
-        h_labels.add(i)
-        h_labels.add(ball.gens.pair_of(i))
-    n_labels = set()
-    for i in sd.n_gen_indices:
-        n_labels.add(i)
-        n_labels.add(ball.gens.pair_of(i))
+    h_labels = _with_inverses(ball, sd.h_gen_indices)
+    n_labels = _with_inverses(ball, sd.n_gen_indices)
 
     g_xy = group.multiply(ball.witness[y], group.inverse(ball.witness[x]))
     _, h0 = sd.split(g_xy)
     h0_inv = group.inverse(h0)
 
     # BFS over Gamma_x^H minus the cut, tracking the pure-H element to each z
-    adj_h: dict[int, list[tuple[int, int]]] = {}
-    for u, v, g in ball.edges:
-        if g in h_labels:
-            adj_h.setdefault(u, []).append((v, g))
-            if u != v:
-                adj_h.setdefault(v, []).append((u, ball.gens.pair_of(g)))
+    pred_h = _restricted_bfs(ball, x, h_labels, cut_set)
+    order = list(pred_h)
     h_elem = {x: group.identity()}
-    pred_h = {x: x}
-    order = [x]
-    frontier = deque([x])
-    while frontier:
-        u = frontier.popleft()
-        for v, g in adj_h.get(u, ()):
-            if v not in h_elem and v not in cut_set:
-                h_elem[v] = group.multiply(ball.gens.elements[g], h_elem[u])
-                pred_h[v] = u
-                order.append(v)
-                frontier.append(v)
+    for v in order[1:]:
+        u, g = pred_h[v]
+        h_elem[v] = group.multiply(ball.gens.elements[g], h_elem[u])
 
     z_prime_points = {}
     missing_from_ball = False

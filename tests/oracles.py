@@ -229,3 +229,39 @@ def grid_path_exists(start, goal, radius: int, blocked) -> bool:
                 seen.add(v)
                 frontier.append(v)
     return False
+
+
+# ---------------------------------------------------------------------------
+# orbital-graph edge lists straight from act
+
+
+def act_edges(points, gen_elements, pairing, act) -> list:
+    """(u, v, label) for every s_label.p_u inside ``points``, one per edge.
+
+    An edge is listed from the entry whose label is the smaller of its
+    pair, or from the smaller end when the label is an involution;
+    entries are visited by u, then label.
+    """
+    where = {p: v for v, p in enumerate(points)}
+    edges = []
+    for u, p in enumerate(points):
+        for i, s in enumerate(gen_elements):
+            v = where.get(act(s, p))
+            if v is None:
+                continue
+            j = pairing[i]
+            if i < j or (i == j and u <= v):
+                edges.append((u, v, i))
+    return edges
+
+
+def simple_edges(edges) -> list:
+    """Edge list without loops and repeated pairs (first label kept)."""
+    seen = set()
+    out = []
+    for u, v, g in edges:
+        key = frozenset((u, v))
+        if u != v and key not in seen:
+            seen.add(key)
+            out.append((u, v, g))
+    return out

@@ -82,7 +82,7 @@ def test_trivial_subgroup_matches_translation():
         ball_c = build_ball(coset_action(group, TrivialSubgroup()), gens, 3)
         assert len(ball_t) == len(ball_c)
         assert ball_t.dist == ball_c.dist
-        assert [p.rep for p in ball_c.points] == ball_t.points
+        assert tuple(p.rep for p in ball_c.points) == ball_t.points
 
 
 def test_sym3_coset_action_against_enumeration():

@@ -4,8 +4,10 @@ import random
 import pytest
 
 from endslab.actions import (
+    ActionError,
     PairPoint,
     Sublattice,
+    TrivialSubgroup,
     coset_action,
     rule_action,
     translation_action,
@@ -22,15 +24,18 @@ from endslab.balls import (
     to_dot,
     to_json_dict,
 )
+from endslab.dsl import SpecError, elaborate, parse_spec
 from endslab.groups import (
     Cyclic,
     CyclicInt,
     FreeAbelian,
     FreeGroup,
     IntVector,
+    SymmetricGenSet,
     SymmetricGroup,
     make_gen_set,
     nonidentity_gens,
+    perm_parity,
 )
 from endslab.wreath import (
     WreathGroup,
@@ -39,7 +44,8 @@ from endslab.wreath import (
     standard_wreath_gens,
 )
 
-from oracles import diamond_count, f2_words_up_to
+from oracles import act_edges, diamond_count, f2_words_up_to, simple_edges
+from test_dsl import random_spec
 
 
 def ball_of(group, radius, gens=None):
@@ -171,19 +177,86 @@ def random_fixture_balls():
     ]
 
 
-def test_cut_results_stable_under_simplify_and_edge_order():
+def test_cut_results_stable_under_simplify():
     rng = random.Random(31)
     for ball in random_fixture_balls():
         cut_vertices = rng.sample(range(len(ball)), min(4, len(ball) // 3))
         base = delete_and_split(ball, cut_vertices)
         assert delete_and_split(simplify(ball), cut_vertices) == base
-        shuffled_edges = ball.edges[:]
-        rng.shuffle(shuffled_edges)
-        permuted = type(ball)(
-            action=ball.action, gens=ball.gens, radius=ball.radius,
-            points=ball.points, dist=ball.dist, edges=shuffled_edges,
-            witness=ball.witness, index=ball.index)
-        assert delete_and_split(permuted, cut_vertices) == base
+
+
+def generated_spec_balls(count=120, radius=3):
+    """Balls of seeded generated specs; specs that are refused are skipped."""
+    rng = random.Random(11)
+    balls = []
+    for _ in range(count):
+        try:
+            action, gens = elaborate(random_spec(rng))
+            balls.append(build_ball(action, gens, radius, max_vertices=5000))
+        except (SpecError, ActionError, NotImplementedError):
+            continue
+    return balls
+
+
+def check_table(ball):
+    ngens = len(ball.gens)
+    pairing = ball.gens.pairing
+    table = ball.table
+    assert len(table) == len(ball) * ngens
+    for e, v in enumerate(table):
+        u, i = divmod(e, ngens)
+        if v < 0:
+            assert v == -1 and ball.dist[u] == ball.radius
+            continue
+        assert table[v * ngens + pairing[i]] == u
+        assert abs(ball.dist[u] - ball.dist[v]) <= 1
+
+
+def test_table_matches_act_oracle():
+    balls = random_fixture_balls() + generated_spec_balls()
+    assert len(balls) > 20
+    for ball in balls:
+        check_table(ball)
+        assert ball.edges == act_edges(ball.points, ball.gens.elements,
+                                       ball.gens.pairing, ball.action.act)
+        validate_ball(ball)
+
+
+def sign_quotient_ball():
+    """The Sym(3) -> C(2) sign quotient before simplify: both transpositions
+    map to 1, so the two vertices are joined by a doubled edge."""
+    gens = SymmetricGroup(3).standard_gens()
+    images = tuple(CyclicInt(2, perm_parity(g)) for g in gens.elements)
+    q_gens = SymmetricGenSet(images, gens.pairing, gens.names)
+    return build_ball(coset_action(Cyclic(2), TrivialSubgroup()), q_gens, 2)
+
+
+def spec_ball(text, radius):
+    action, gens = elaborate(parse_spec(text))
+    return build_ball(action, gens, radius)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_ball(translation_action(Cyclic(4)),
+                       make_gen_set(Cyclic(4), [CyclicInt(4, 1), CyclicInt(4, 0)],
+                                    allow_identity=True), 4),
+    lambda: build_ball(translation_action(FreeAbelian(1)),
+                       make_gen_set(FreeAbelian(1), [IntVector((1,)),
+                                                     IntVector((-1,))]), 3),
+    lambda: spec_ball("Z / 2 with gens {1, 2}", 3),
+    sign_quotient_ball,
+], ids=["loops", "doubled", "coset-loops-and-double", "sign-quotient"])
+def test_simplify_masks_table(make):
+    ball = make()
+    slim = simplify(ball)
+    assert slim.edges == simple_edges(ball.edges) != ball.edges
+    # dropped edges are masked at both ends, kept ones are untouched
+    kept = {(u, g) for u, v, g in slim.edges}
+    kept |= {(v, ball.gens.pairing[g]) for u, v, g in slim.edges}
+    ngens = len(ball.gens)
+    for e, v in enumerate(slim.table):
+        assert v == (ball.table[e] if divmod(e, ngens) in kept else -1)
+    assert slim.points == ball.points and slim.dist == ball.dist
 
 
 def test_pointed_labeled_isomorphic_quotient_example():

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from endslab.cli import cli_main, parse_k_values
 
 
@@ -117,3 +119,37 @@ def test_budget_env_override(capsys, monkeypatch):
 def test_version_flag(capsys):
     code, out, _ = run(capsys, "--version")
     assert code == 0
+
+
+# argv, environment, expected exit code: every refusal is one line on stderr
+ERROR_CASES = [
+    (["ends", "--spec", "Z", "--k", "1..20", "--K", "5"], {}, 2),
+    (["ends", "--spec", "Z", "--k", "4", "--K", "4"], {}, 2),
+    (["ball", "--spec", "Z", "--radius", "-1"], {}, 2),
+    (["leaves", "--spec", "wreath(C(3), C(2), regular)", "--radius", "-1"], {}, 2),
+    (["ends", "--spec", "Z", "--k", "a..b", "--K", "6"], {}, 2),
+    (["ends", "--spec", "Z", "--k", "1,,2", "--K", "6"], {}, 2),
+    (["ends", "--spec", "Z", "--k", "3..1", "--K", "6"], {}, 2),
+    (["ball", "--spec", "Z", "--radius", "3", "--budget", "0"], {}, 2),
+    (["ball", "--spec", "Z", "--radius", "3", "--budget", "-3"], {}, 2),
+    (["ball", "--spec", "Z", "--radius", "3"], {"ENDSLAB_BUDGET": "abc"}, 2),
+    (["ball", "--spec", "Z", "--radius", "3"], {"ENDSLAB_BUDGET": "0"}, 2),
+    (["leaves", "--spec", "Z", "--radius", "2"], {}, 2),
+    (["ball", "--spec", "Z"], {}, 2),
+    (["ball", "--spec", "F(2)", "--radius", "5", "--budget", "10"], {}, 1),
+    (["verify", "quotient", "--modulus", "0"], {}, 1),
+]
+
+
+@pytest.mark.parametrize("argv, env, expected", ERROR_CASES,
+                         ids=[" ".join(argv) + "".join(f" {k}={v}" for k, v in env.items())
+                              for argv, env, _ in ERROR_CASES])
+def test_error_exit_codes(capsys, monkeypatch, argv, env, expected):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    code, out, err = run(capsys, *argv)
+    assert code == expected
+    assert out == ""
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("endslab: ")

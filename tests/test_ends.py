@@ -26,6 +26,7 @@ from endslab.ends import (
     three_segment_path,
     wreath_split,
 )
+from endslab.ends import _neighbours
 from endslab.groups import (
     Cyclic,
     CyclicInt,
@@ -304,6 +305,28 @@ def test_three_segment_failure_report():
     assert isinstance(res, PathFailure)
     assert res.reason in ("ball_too_small", "candidates_exhausted")
     assert res.candidates_checked > 0
+
+
+def test_neighbour_order_follows_edge_list():
+    # BFS predecessors, and so the paths three_segment_path returns, follow
+    # the order in which ball.edges lists the edges at each vertex
+    w, wgens = lamplighter(2)
+    z3 = FreeAbelian(3)
+    doubled = make_gen_set(Cyclic(5), [CyclicInt(5, 1), CyclicInt(5, 1),
+                                       CyclicInt(5, 2)])
+    for ball in (build_ball(translation_action(z3), z3.standard_gens(), 3),
+                 build_ball(translation_action(w), wgens, 4),
+                 build_ball(translation_action(Cyclic(5)), doubled, 2)):
+        pairing = ball.gens.pairing
+        for labels in ({0, pairing[0]}, set(range(len(pairing)))):
+            expected = [[] for _ in range(len(ball))]
+            for u, v, g in ball.edges:
+                if g in labels and u != v:
+                    expected[u].append((v, g))
+                    expected[v].append((u, pairing[g]))
+            for u in range(len(ball)):
+                got = [(v, i) for v, i in _neighbours(ball, u, labels) if v != u]
+                assert got == expected[u]
 
 
 def test_wreath_split_partition():
