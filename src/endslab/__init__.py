@@ -23,12 +23,8 @@ from .groups import (
     SymmetricGenSet,
     SymmetricGroup,
     Torus,
-    identity,
-    inverse,
     make_gen_set,
-    multiply,
     nonidentity_gens,
-    standard_gens,
 )
 from .actions import (
     ActionError,
@@ -57,8 +53,6 @@ from .wreath import (
     imprimitive_coset_action,
     lamplighter,
     standard_wreath_gens,
-    wreath_inverse,
-    wreath_multiply,
 )
 from .balls import (
     ArityMismatchError,

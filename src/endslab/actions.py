@@ -25,7 +25,6 @@ from .groups import (
     Perm,
     SymmetricGenSet,
     element_label,
-    sort_key,
 )
 
 Point = Any
@@ -208,7 +207,7 @@ def _mulclose(group: Group, gens: Iterable[GroupElement], cap: int) -> list[Grou
                         f"subgroup closure exceeded {cap} elements")
                 seen.add(y)
                 frontier.append(y)
-    return sorted(seen, key=sort_key)
+    return sorted(seen, key=group.sort_key)
 
 
 class CosetSpace:
@@ -239,7 +238,7 @@ class CosetSpace:
             self._members = members
 
             def reduce_finite(g):
-                return min((mul(g, h) for h in members), key=sort_key)
+                return min((mul(g, h) for h in members), key=group.sort_key)
 
             self._reduce = reduce_finite
         else:

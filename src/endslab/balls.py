@@ -283,8 +283,8 @@ def to_json_dict(ball: GraphBall) -> dict:
     }
 
 
-def to_dot(ball: GraphBall, name: str = "ball") -> str:
-    lines = [f"graph {name} {{"]
+def to_dot(ball: GraphBall) -> str:
+    lines = ["graph ball {"]
     for v, p in enumerate(ball.points):
         shape = ", shape=doublecircle" if v == ball.basepoint_index else ""
         lines.append(f'  v{v} [label="{point_label(p)}"{shape}];')

@@ -103,20 +103,19 @@ def parse_k_values(text: str) -> list[int]:
     return ks
 
 
-def load_spec(text: str):
-    return elaborate(parse_spec(text))
-
-
 def cmd_ball(args) -> int:
-    action, gens = load_spec(args.spec)
+    action, gens = elaborate(parse_spec(args.spec))
     ball = build_ball(action, gens, args.radius, resolve_budget(args.budget))
     if args.format == "dot":
         out = to_dot(ball)
     else:
         out = json.dumps(to_json_dict(ball), indent=2)
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(out + "\n")
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(out + "\n")
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.output}: {exc.strerror}") from None
     else:
         print(out)
     return 0
@@ -126,7 +125,7 @@ def cmd_ends(args) -> int:
     if max(args.k) >= args.K:
         raise UsageError(f"max inner radius {max(args.k)} must be smaller than "
                          f"the outer radius --K {args.K}")
-    action, gens = load_spec(args.spec)
+    action, gens = elaborate(parse_spec(args.spec))
     profile = ends_profile(action, gens, args.k, args.K,
                            resolve_budget(args.budget))
     print(profile.to_json())
@@ -135,7 +134,7 @@ def cmd_ends(args) -> int:
 
 def _leaf_ball(args, command: str):
     """The ball of a wreath spec under its imprimitive action."""
-    action, gens = load_spec(args.spec)
+    action, gens = elaborate(parse_spec(args.spec))
     if not isinstance(action.group, WreathGroup):
         raise UsageError(f"{command} needs a wreath-product spec")
     if not isinstance(action.basepoint, PairPoint):
@@ -223,6 +222,9 @@ def _check_three_segment(args) -> list[tuple[bool, str]]:
     survivors = [v for v in range(len(ball))
                  if ball.dist[v] <= margin
                  and abs(ball.points[v].coords[0]) > args.cut_radius]
+    if len(survivors) < 2:
+        raise UsageError(f"--cut-radius {args.cut_radius} leaves fewer than two endpoints"
+                         f" within --radius {args.radius}; need 2 * cut + 3 <= radius")
     ok_all = True
     for _ in range(args.pairs):
         x, y = rng.sample(survivors, 2)
@@ -310,9 +312,9 @@ def build_parser() -> argparse.ArgumentParser:
                                             "three-segment-path", "complete-graph"))
     p_verify.add_argument("--spec", default="wreath(C(3), C(2), regular)")
     p_verify.add_argument("--radius", type=radius_arg, default=None)
-    p_verify.add_argument("--modulus", type=int, default=4)
-    p_verify.add_argument("--cut-radius", type=int, default=2)
-    p_verify.add_argument("--pairs", type=int, default=20)
+    p_verify.add_argument("--modulus", type=_int_at_least(1), default=4)
+    p_verify.add_argument("--cut-radius", type=radius_arg, default=2)
+    p_verify.add_argument("--pairs", type=_int_at_least(1), default=20)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--budget", type=budget_arg)
     p_verify.set_defaults(func=cmd_verify)

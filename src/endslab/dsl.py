@@ -513,9 +513,11 @@ def _elaborate_group(g: GroupAst) -> Group:
     if g.kind == "Sym":
         return SymmetricGroup(g.n)
     if g.kind == "wreath":
+        if "wreath" in (g.base.kind, g.top.kind):
+            raise ElaborationError("nested wreath products are not supported")
         base = _elaborate_group(g.base)
         top = _elaborate_group(g.top)
-        top_action = _elaborate_action(top, g.top_action, inside_wreath=True)
+        top_action = _elaborate_action(top, g.top_action)
         return WreathGroup(base, top, top_action, (top_action.basepoint,))
     raise ElaborationError(f"unknown group kind {g.kind!r}")
 
@@ -583,8 +585,7 @@ def _element_from_item(group: Group, item: GenItem) -> GroupElement:
     raise ElaborationError(f"unknown generator item {item!r}")
 
 
-def _elaborate_action(group: Group, a: ActionAst,
-                      inside_wreath: bool = False) -> PointedAction:
+def _elaborate_action(group: Group, a: ActionAst) -> PointedAction:
     if a.kind in ("translation", "regular"):
         return translation_action(group)
     if a.kind == "coset":

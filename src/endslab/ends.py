@@ -297,7 +297,7 @@ class PathFailure:
 
 
 def _with_inverses(ball: GraphBall, gen_indices: Iterable[int]) -> set[int]:
-    return {j for i in gen_indices for j in (i, ball.gens.pair_of(i))}
+    return {j for i in gen_indices for j in (i, ball.gens.pairing[i])}
 
 
 def _neighbours(ball: GraphBall, u: int, labels: set[int]) -> list[tuple[int, int]]:

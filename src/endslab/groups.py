@@ -120,24 +120,6 @@ class ModVector:
 GroupElement = Any
 
 
-def _check_same_family(a, b) -> None:
-    if type(a) is not type(b):
-        raise FamilyMismatchError(
-            f"cannot combine {type(a).__name__} with {type(b).__name__}")
-    if isinstance(a, FreeWord) and a.rank != b.rank:
-        raise FamilyMismatchError(f"free ranks differ: {a.rank} vs {b.rank}")
-    if isinstance(a, IntVector) and len(a.coords) != len(b.coords):
-        raise FamilyMismatchError(
-            f"vector lengths differ: {len(a.coords)} vs {len(b.coords)}")
-    if isinstance(a, CyclicInt) and a.modulus != b.modulus:
-        raise FamilyMismatchError(f"moduli differ: {a.modulus} vs {b.modulus}")
-    if isinstance(a, Perm) and len(a.image) != len(b.image):
-        raise FamilyMismatchError(
-            f"permutation degrees differ: {len(a.image)} vs {len(b.image)}")
-    if isinstance(a, ModVector) and a.moduli != b.moduli:
-        raise FamilyMismatchError(f"torus moduli differ: {a.moduli} vs {b.moduli}")
-
-
 def reduce_letters(letters: Sequence[int]) -> tuple[int, ...]:
     """Freely reduce a letter sequence (cancel adjacent l, -l pairs)."""
     out: list[int] = []
@@ -149,72 +131,45 @@ def reduce_letters(letters: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
+# Trusted constructors for values a family's law computes from members:
+# such a value is a member, so ``__post_init__`` is not run again.  Each
+# sets its fields by name; a generic loop over ``__slots__`` costs more
+# than the check it skips.
+_new = object.__new__
+_set = object.__setattr__
+
+
 def _raw_freeword(rank: int, letters: tuple[int, ...]) -> FreeWord:
-    # internal fast constructor for letter sequences already known reduced
-    w = object.__new__(FreeWord)
-    object.__setattr__(w, "rank", rank)
-    object.__setattr__(w, "letters", letters)
+    w = _new(FreeWord)
+    _set(w, "rank", rank)
+    _set(w, "letters", letters)
     return w
 
 
-def _freeword_mul(a: FreeWord, b: FreeWord) -> FreeWord:
-    # both inputs reduced, so cancellation happens only at the seam
-    x, y = a.letters, b.letters
-    i, j, ny = len(x), 0, len(y)
-    while i > 0 and j < ny and x[i - 1] == -y[j]:
-        i -= 1
-        j += 1
-    return _raw_freeword(a.rank, x[:i] + y[j:])
+def _raw_intvector(coords: tuple[int, ...]) -> IntVector:
+    v = _new(IntVector)
+    _set(v, "coords", coords)
+    return v
 
 
-def multiply(a: GroupElement, b: GroupElement) -> GroupElement:
-    """Canonical-form product a*b for the base families."""
-    _check_same_family(a, b)
-    if isinstance(a, FreeWord):
-        return _freeword_mul(a, b)
-    if isinstance(a, IntVector):
-        return IntVector(tuple(x + y for x, y in zip(a.coords, b.coords)))
-    if isinstance(a, CyclicInt):
-        return CyclicInt(a.modulus, (a.value + b.value) % a.modulus)
-    if isinstance(a, Perm):
-        return Perm(tuple(a.image[i] for i in b.image))
-    if isinstance(a, ModVector):
-        return ModVector(a.moduli,
-                         tuple((x + y) % m for x, y, m in zip(a.coords, b.coords, a.moduli)))
-    raise FamilyMismatchError(f"unsupported element type {type(a).__name__}")
+def _raw_cyclicint(modulus: int, value: int) -> CyclicInt:
+    c = _new(CyclicInt)
+    _set(c, "modulus", modulus)
+    _set(c, "value", value)
+    return c
 
 
-def inverse(a: GroupElement) -> GroupElement:
-    """Inverse element for the base families."""
-    if isinstance(a, FreeWord):
-        return _raw_freeword(a.rank, tuple(-l for l in reversed(a.letters)))
-    if isinstance(a, IntVector):
-        return IntVector(tuple(-x for x in a.coords))
-    if isinstance(a, CyclicInt):
-        return CyclicInt(a.modulus, (-a.value) % a.modulus)
-    if isinstance(a, Perm):
-        img = [0] * len(a.image)
-        for i, j in enumerate(a.image):
-            img[j] = i
-        return Perm(tuple(img))
-    if isinstance(a, ModVector):
-        return ModVector(a.moduli, tuple((-x) % m for x, m in zip(a.coords, a.moduli)))
-    raise FamilyMismatchError(f"unsupported element type {type(a).__name__}")
+def _raw_perm(image: tuple[int, ...]) -> Perm:
+    p = _new(Perm)
+    _set(p, "image", image)
+    return p
 
 
-def sort_key(a: GroupElement):
-    """Total order within one family; used for canonical coset representatives."""
-    if isinstance(a, FreeWord):
-        return (len(a.letters), a.letters)
-    if isinstance(a, IntVector):
-        return a.coords
-    if isinstance(a, CyclicInt):
-        return a.value
-    if isinstance(a, Perm):
-        return a.image
-    if isinstance(a, ModVector):
-        return a.coords
-    raise FamilyMismatchError(f"no sort key for {type(a).__name__}")
+def _raw_modvector(moduli: tuple[int, ...], coords: tuple[int, ...]) -> ModVector:
+    v = _new(ModVector)
+    _set(v, "moduli", moduli)
+    _set(v, "coords", coords)
+    return v
 
 
 def element_label(a: GroupElement) -> str:
@@ -301,9 +256,6 @@ class SymmetricGenSet:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def pair_of(self, i: int) -> int:
-        return self.pairing[i]
-
 
 def make_gen_set(group: "Group",
                  items: Sequence[GroupElement],
@@ -372,6 +324,10 @@ class Group:
     def standard_gens(self) -> SymmetricGenSet:
         raise NotImplementedError
 
+    def sort_key(self, a: GroupElement):
+        """Total order on elements; used for canonical coset representatives."""
+        raise NotImplementedError
+
     def order(self) -> Optional[int]:
         """Group order, or None when infinite."""
         return None
@@ -381,15 +337,22 @@ class Group:
 
 
 class _BaseFamily(Group):
+    """A base family: the checked entry points of its law.
+
+    ``multiply`` and ``inverse`` check membership once per operand, then
+    apply the family's ``_mul``/``_inv``, which take members and build
+    their result with a trusted constructor.
+    """
+
     def multiply(self, a, b):
         if not (self.contains(a) and self.contains(b)):
             raise FamilyMismatchError(f"operands do not belong to {self}")
-        return multiply(a, b)
+        return self._mul(a, b)
 
     def inverse(self, a):
         if not self.contains(a):
             raise FamilyMismatchError(f"operand does not belong to {self}")
-        return inverse(a)
+        return self._inv(a)
 
 
 @dataclass(frozen=True)
@@ -403,13 +366,23 @@ class FreeGroup(_BaseFamily):
     def identity(self):
         return FreeWord(self.rank, ())
 
-    def multiply(self, a, b):
-        if not (self.contains(a) and self.contains(b)):
-            raise FamilyMismatchError(f"operands do not belong to {self}")
-        return _freeword_mul(a, b)
-
     def contains(self, a):
         return isinstance(a, FreeWord) and a.rank == self.rank
+
+    def _mul(self, a, b):
+        # both inputs reduced, so cancellation happens only at the seam
+        x, y = a.letters, b.letters
+        i, j, ny = len(x), 0, len(y)
+        while i > 0 and j < ny and x[i - 1] == -y[j]:
+            i -= 1
+            j += 1
+        return _raw_freeword(self.rank, x[:i] + y[j:])
+
+    def _inv(self, a):
+        return _raw_freeword(self.rank, tuple(-l for l in reversed(a.letters)))
+
+    def sort_key(self, a):
+        return (len(a.letters), a.letters)
 
     def letter(self, i: int, power: int = 1) -> FreeWord:
         """The i-th letter (0-based) or its inverse."""
@@ -442,6 +415,15 @@ class FreeAbelian(_BaseFamily):
 
     def contains(self, a):
         return isinstance(a, IntVector) and len(a.coords) == self.rank
+
+    def _mul(self, a, b):
+        return _raw_intvector(tuple(x + y for x, y in zip(a.coords, b.coords)))
+
+    def _inv(self, a):
+        return _raw_intvector(tuple(-x for x in a.coords))
+
+    def sort_key(self, a):
+        return a.coords
 
     def unit(self, i: int, sign: int = 1) -> IntVector:
         coords = [0] * self.rank
@@ -478,15 +460,24 @@ class Cyclic(_BaseFamily):
     def contains(self, a):
         return isinstance(a, CyclicInt) and a.modulus == self.modulus
 
+    def _mul(self, a, b):
+        return _raw_cyclicint(self.modulus, (a.value + b.value) % self.modulus)
+
+    def _inv(self, a):
+        return _raw_cyclicint(self.modulus, -a.value % self.modulus)
+
+    def sort_key(self, a):
+        return a.value
+
     def standard_gens(self):
         n = self.modulus
         one = CyclicInt(n, 1 % n)
         if one == self.identity():
             # trivial group: the only "generator" is the identity, kept flagged
             return SymmetricGenSet((one,), (0,), ("+1",), frozenset({0}))
-        if inverse(one) == one:
+        if self._inv(one) == one:
             return SymmetricGenSet((one,), (0,), ("+1",))
-        return SymmetricGenSet((one, inverse(one)), (1, 0), ("+1", "-1"))
+        return SymmetricGenSet((one, self._inv(one)), (1, 0), ("+1", "-1"))
 
     def order(self):
         return self.modulus
@@ -511,6 +502,18 @@ class SymmetricGroup(_BaseFamily):
 
     def contains(self, a):
         return isinstance(a, Perm) and len(a.image) == self.degree
+
+    def _mul(self, a, b):
+        return _raw_perm(tuple(map(a.image.__getitem__, b.image)))
+
+    def _inv(self, a):
+        img = [0] * self.degree
+        for i, j in enumerate(a.image):
+            img[j] = i
+        return _raw_perm(tuple(img))
+
+    def sort_key(self, a):
+        return a.image
 
     def transposition(self, i: int, j: int) -> Perm:
         img = list(range(self.degree))
@@ -554,6 +557,17 @@ class Torus(_BaseFamily):
     def contains(self, a):
         return isinstance(a, ModVector) and a.moduli == self.moduli
 
+    def _mul(self, a, b):
+        return _raw_modvector(self.moduli, tuple(
+            (x + y) % m for x, y, m in zip(a.coords, b.coords, self.moduli)))
+
+    def _inv(self, a):
+        return _raw_modvector(self.moduli,
+                              tuple(-x % m for x, m in zip(a.coords, self.moduli)))
+
+    def sort_key(self, a):
+        return a.coords
+
     def unit(self, i: int, sign: int = 1) -> ModVector:
         coords = [0] * len(self.moduli)
         coords[i] = (1 if sign > 0 else -1) % self.moduli[i]
@@ -579,21 +593,13 @@ class Torus(_BaseFamily):
         return "T(" + ",".join(map(str, self.moduli)) + ")"
 
 
-def identity(group: Group) -> GroupElement:
-    return group.identity()
-
-
-def standard_gens(group: Group) -> SymmetricGenSet:
-    return group.standard_gens()
-
-
 def nonidentity_gens(group: Group) -> SymmetricGenSet:
     """All non-identity elements of a finite group as one symmetric set."""
     if group.order() is None:
         raise GroupError(f"{group} is infinite; cannot form the full generating set")
     ident = group.identity()
     elements = [g for g in group.elements() if g != ident]
-    elements.sort(key=sort_key)
+    elements.sort(key=group.sort_key)
     seen: set[GroupElement] = set()
     items = []
     for g in elements:

@@ -9,7 +9,7 @@ support coordinates through its action on X.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .actions import (
     CosetSpace,
@@ -50,19 +50,23 @@ def wreath_label(a: WreathElement) -> str:
     return f"({sup}; {element_label(a.head)})"
 
 
+# points explored per orbit representative when checking that the
+# representatives lie in distinct top-orbits
+ORBIT_CHECK_BUDGET = 1000
+
+
 class WreathGroup(Group):
     """base wr_X top, where X is the point set of ``top_action``.
 
     ``orbit_reps`` holds one chosen point per top-orbit; distinctness of
-    the orbits is checked by BFS up to ``check_budget`` points (orbit
-    discovery on an infinite X is only semi-decidable, so the check is
-    an upper bound, not a proof).
+    the orbits is checked by BFS from each representative under the
+    top group's standard generators, up to ``ORBIT_CHECK_BUDGET`` points
+    (orbit discovery on an infinite X is only semi-decidable, so the
+    check is an upper bound, not a proof).
     """
 
     def __init__(self, base: Group, top: Group, top_action: PointedAction,
-                 orbit_reps: Iterable[Point],
-                 top_gens: Optional[SymmetricGenSet] = None,
-                 check_budget: int = 1000):
+                 orbit_reps: Iterable[Point]):
         if top_action.group is not top and top_action.group != top:
             raise WreathError("top_action must be an action of the top group")
         self.base = base
@@ -71,9 +75,9 @@ class WreathGroup(Group):
         self.orbit_reps = tuple(orbit_reps)
         if not self.orbit_reps:
             raise WreathError("at least one orbit representative is required")
-        gens = top_gens if top_gens is not None else top.standard_gens()
+        gens = top.standard_gens()
         for i, rep in enumerate(self.orbit_reps):
-            reach = orbit_of_point(top_action, rep, gens.elements, check_budget)
+            reach = orbit_of_point(top_action, rep, gens.elements, ORBIT_CHECK_BUDGET)
             for other in self.orbit_reps[i + 1:]:
                 if other in reach.points:
                     raise WreathError(
@@ -138,14 +142,6 @@ class WreathGroup(Group):
         return f"{self.base} wr {self.top}"
 
 
-def wreath_multiply(w: WreathGroup, a: WreathElement, b: WreathElement) -> WreathElement:
-    return w.multiply(a, b)
-
-
-def wreath_inverse(w: WreathGroup, a: WreathElement) -> WreathElement:
-    return w.inverse(a)
-
-
 def standard_wreath_gens(w: WreathGroup, base_gens: SymmetricGenSet,
                          top_gens: SymmetricGenSet) -> SymmetricGenSet:
     """Generators (delta at each orbit rep, per base generator) plus top generators."""
@@ -157,14 +153,14 @@ def standard_wreath_gens(w: WreathGroup, base_gens: SymmetricGenSet,
         k = len(elements)
         for i, s in enumerate(base_gens.elements):
             elements.append(w.delta(rep, s))
-            pairing.append(k + base_gens.pair_of(i))
+            pairing.append(k + base_gens.pairing[i])
             names.append(f"d({point_label(rep)}:{base_gens.names[i]})")
             if i in base_gens.identity_indices:
                 identity_idx.add(k + i)
     k = len(elements)
     for i, t in enumerate(top_gens.elements):
         elements.append(w.top_element(t))
-        pairing.append(k + top_gens.pair_of(i))
+        pairing.append(k + top_gens.pairing[i])
         names.append(f"h({top_gens.names[i]})")
         if i in top_gens.identity_indices:
             identity_idx.add(k + i)

@@ -301,6 +301,6 @@ def test_criterion_12_property_suites(profiles):
 
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0
-    report(12, f"group axioms (1000 triples x 6 families), action axioms "
+    report(12, f"group axioms (1000 triples x {len(ALL_GROUPS) + 1} groups), action axioms "
                f"(500 x 6 actions), profile monotonicity, 200 DSL round "
                f"trips ({elapsed:.1f}s)")

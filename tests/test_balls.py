@@ -193,7 +193,7 @@ def generated_spec_balls(count=120, radius=3):
         try:
             action, gens = elaborate(random_spec(rng))
             balls.append(build_ball(action, gens, radius, max_vertices=5000))
-        except (SpecError, ActionError, NotImplementedError):
+        except (SpecError, ActionError):
             continue
     return balls
 

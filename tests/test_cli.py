@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import endslab
 from endslab.cli import cli_main, parse_k_values
 
 
@@ -137,7 +142,15 @@ ERROR_CASES = [
     (["leaves", "--spec", "Z", "--radius", "2"], {}, 2),
     (["ball", "--spec", "Z"], {}, 2),
     (["ball", "--spec", "F(2)", "--radius", "5", "--budget", "10"], {}, 1),
-    (["verify", "quotient", "--modulus", "0"], {}, 1),
+    (["verify", "quotient", "--modulus", "0"], {}, 2),
+    (["verify", "three-segment-path", "--cut-radius", "20"], {}, 2),
+    (["verify", "three-segment-path", "--cut-radius", "-3"], {}, 2),
+    (["verify", "three-segment-path", "--pairs", "-1"], {}, 2),
+    (["ball", "--spec", "Z", "--radius", "1", "--output", "/dev/null/x"], {}, 2),
+    (["ball", "--spec", "wreath(C(5), wreath(Z^2, Z, translation), translation)",
+      "--radius", "2"], {}, 2),
+    (["ball", "--spec", "wreath(wreath(C(2), Z, translation), Z, translation)",
+      "--radius", "2"], {}, 2),
 ]
 
 
@@ -153,3 +166,17 @@ def test_error_exit_codes(capsys, monkeypatch, argv, env, expected):
     assert "Traceback" not in err
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("endslab: ")
+
+
+def test_module_entry_point_exit_code():
+    # main() passes cli_main's code to sys.exit in a fresh interpreter
+    src = str(Path(endslab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "endslab.cli", "ball", "--spec", "Z",
+                           "--radius", "-1"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1

@@ -241,9 +241,9 @@ def segment_labels(ball, path):
 
 
 def validate_three_segment(ball, cut, sd, res):
-    h_labels = set(sd.h_gen_indices) | {ball.gens.pair_of(i)
+    h_labels = set(sd.h_gen_indices) | {ball.gens.pairing[i]
                                         for i in sd.h_gen_indices}
-    n_labels = set(sd.n_gen_indices) | {ball.gens.pair_of(i)
+    n_labels = set(sd.n_gen_indices) | {ball.gens.pairing[i]
                                         for i in sd.n_gen_indices}
     for seg, allowed in ((res.to_z, h_labels), (res.z_to_zp, n_labels),
                          (res.zp_to_y, h_labels)):

@@ -15,8 +15,6 @@ from endslab.wreath import (
     imprimitive_coset_action,
     lamplighter,
     standard_wreath_gens,
-    wreath_inverse,
-    wreath_multiply,
 )
 from endslab.actions import Sublattice, TrivialSubgroup
 
@@ -49,7 +47,7 @@ def test_multiplication_against_definition_table(n, m):
     elements = finite_wreath_elements(n, m)
     for a, b in product(elements, repeat=2):
         expected = to_library(w, n, m, finite_wreath_multiply(n, m, a, b))
-        got = wreath_multiply(w, to_library(w, n, m, a), to_library(w, n, m, b))
+        got = w.multiply(to_library(w, n, m, a), to_library(w, n, m, b))
         assert got == expected, (a, b)
 
 
@@ -57,7 +55,7 @@ def test_same_site_merge():
     w, _ = regular_wreath(2, 2)
     x0 = w.top_action.basepoint
     d = w.delta(x0, CyclicInt(2, 1))
-    assert wreath_multiply(w, d, d) == w.identity()  # s^2 = 1 in C(2)
+    assert w.multiply(d, d) == w.identity()  # s^2 = 1 in C(2)
 
 
 def test_shifted_delta_law():
@@ -67,7 +65,7 @@ def test_shifted_delta_law():
     s = CyclicInt(2, 1)
     t = w.top_element(CyclicInt(2, 1))
     d = w.delta(x0, s)
-    prod = wreath_multiply(w, t, d)
+    prod = w.multiply(t, d)
     moved = w.top_action.act(t.head, x0)
     assert prod == WreathElement(frozenset([(moved, s)]), t.head)
 
@@ -75,7 +73,7 @@ def test_shifted_delta_law():
     x0 = lamp.top_action.basepoint
     t = lamp.top_element(IntVector((1,)))
     d = lamp.delta(x0, CyclicInt(2, 1))
-    prod = wreath_multiply(lamp, t, d)
+    prod = lamp.multiply(t, d)
     assert prod == WreathElement(frozenset([(IntVector((1,)), CyclicInt(2, 1))]),
                                  IntVector((1,)))
 
@@ -83,17 +81,17 @@ def test_shifted_delta_law():
 def test_inverse_examples():
     w, _ = regular_wreath(3, 2)
     t = w.top_element(CyclicInt(2, 1))
-    assert wreath_inverse(w, t) == w.top_element(CyclicInt(2, 1))
+    assert w.inverse(t) == w.top_element(CyclicInt(2, 1))
     d = w.delta(w.top_action.basepoint, CyclicInt(3, 1))
-    assert wreath_inverse(w, d) == w.delta(w.top_action.basepoint, CyclicInt(3, 2))
+    assert w.inverse(d) == w.delta(w.top_action.basepoint, CyclicInt(3, 2))
 
     lamp, _ = lamplighter(2)
     a = WreathElement(frozenset([(IntVector((0,)), CyclicInt(2, 1))]),
                       IntVector((1,)))
-    inv = wreath_inverse(lamp, a)
+    inv = lamp.inverse(a)
     assert inv == WreathElement(frozenset([(IntVector((-1,)), CyclicInt(2, 1))]),
                                 IntVector((-1,)))
-    assert wreath_multiply(lamp, a, inv) == lamp.identity()
+    assert lamp.multiply(a, inv) == lamp.identity()
 
 
 def sample_wreath_element(w, rng, sites):
