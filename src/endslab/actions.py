@@ -189,25 +189,16 @@ def lattice_reduce(hnf: tuple[tuple[int, ...], ...], coords: tuple[int, ...]) ->
 
 
 def _mulclose(group: Group, gens: Iterable[GroupElement], cap: int) -> list[GroupElement]:
-    """All products of the generators (and their inverses), BFS order."""
+    """All products of the generators (and their inverses), in ``sort_key`` order."""
     seeds = []
     for g in gens:
         if not group.contains(g):
             raise UnsupportedSubgroupError(f"{g!r} is not an element of {group}")
         seeds.extend([g, group.inverse(g)])
-    seen = {group.identity()}
-    frontier = deque(seen)
-    while frontier:
-        x = frontier.popleft()
-        for g in seeds:
-            y = group.multiply(g, x)
-            if y not in seen:
-                if len(seen) >= cap:
-                    raise UnsupportedSubgroupError(
-                        f"subgroup closure exceeded {cap} elements")
-                seen.add(y)
-                frontier.append(y)
-    return sorted(seen, key=group.sort_key)
+    closure = orbit_of_point(translation_action(group), group.identity(), seeds, cap)
+    if closure.truncated:
+        raise UnsupportedSubgroupError(f"subgroup closure exceeded {cap} elements")
+    return sorted(closure.points, key=group.sort_key)
 
 
 class CosetSpace:

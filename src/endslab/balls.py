@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
-from typing import Iterable
+from functools import cached_property
+from typing import ClassVar, Iterable
 
 from .actions import PairPoint, Point, PointedAction, point_label
 from .groups import GroupElement, SymmetricGenSet
@@ -43,7 +44,6 @@ class ArityMismatchError(BallError):
 class GraphBall:
     """Radius-R portion of an orbital graph around a basepoint.
 
-    ``witness[v]`` is a group element mapping the basepoint to vertex v.
     Vertices are indexed in BFS discovery order, so index 0 is the
     basepoint and distances are non-decreasing along the index.
 
@@ -61,9 +61,8 @@ class GraphBall:
     points: tuple[Point, ...]
     dist: tuple[int, ...]
     table: tuple[int, ...] = field(repr=False)
-    witness: tuple[GroupElement, ...] = field(repr=False)
-    basepoint_index: int = 0
-    index: dict = field(default_factory=dict, repr=False)
+    index: dict = field(repr=False)
+    basepoint_index: ClassVar[int] = 0
 
     def __len__(self) -> int:
         return len(self.points)
@@ -78,6 +77,27 @@ class GraphBall:
                 for i, v in enumerate(self.table[u * ngens:(u + 1) * ngens])
                 if v >= 0 and (i < pairing[i] or (i == pairing[i] and u <= v))]
 
+    @cached_property
+    def witness(self) -> tuple[GroupElement, ...]:
+        """``witness[v]`` is a group element mapping the basepoint to vertex v.
+
+        Read off the table on first access.  The first entry (u, i) in row
+        order that points to v is the one that discovered v (rows fill in
+        label order, and an entry filled from its pair points to an earlier
+        vertex), so w[u] is known and w[v] = s_i.w[u].  On a simplified
+        ball that entry may carry a kept parallel label instead.
+        """
+        group = self.action.group
+        mul = group.multiply
+        elements = self.gens.elements
+        ngens = len(elements)
+        w = [group.identity()] + [None] * (len(self.points) - 1)
+        for e, v in enumerate(self.table):
+            if v >= 0 and w[v] is None:
+                u, i = divmod(e, ngens)
+                w[v] = mul(elements[i], w[u])
+        return tuple(w)
+
 
 def build_ball(action: PointedAction, gens: SymmetricGenSet, radius: int,
                max_vertices: int = DEFAULT_VERTEX_BUDGET) -> GraphBall:
@@ -85,7 +105,6 @@ def build_ball(action: PointedAction, gens: SymmetricGenSet, radius: int,
     if radius < 0:
         raise BallError(f"radius must be >= 0, got {radius}")
     act = action.act
-    mul = action.group.multiply
     gen_elements = gens.elements
     pairing = gens.pairing
     ngens = len(gen_elements)
@@ -95,7 +114,6 @@ def build_ball(action: PointedAction, gens: SymmetricGenSet, radius: int,
     index = {action.basepoint: 0}
     index_get = index.get
     dist = [0]
-    witness = [action.group.identity()]
     # None = not yet computed.  Each geometric edge is act-computed once:
     # the paired reverse transition is filled in for free.  Rows are filled
     # in BFS order; a radius-R row adds no vertex and marks outside as -1.
@@ -119,7 +137,6 @@ def build_ball(action: PointedAction, gens: SymmetricGenSet, radius: int,
                 index[q] = v
                 points.append(q)
                 dist.append(dist[u] + 1)
-                witness.append(mul(gen_elements[i], witness[u]))
                 table.extend(unset_row)
             table[base + i] = v
             back = v * ngens + pairing[i]
@@ -129,7 +146,7 @@ def build_ball(action: PointedAction, gens: SymmetricGenSet, radius: int,
 
     return GraphBall(action=action, gens=gens, radius=radius,
                      points=tuple(points), dist=tuple(dist), table=tuple(table),
-                     witness=tuple(witness), index=index)
+                     index=index)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,16 @@ import sys
 from typing import Optional
 
 from . import __version__
-from .actions import PairPoint, point_label, RULE_ACTIONS
+from .actions import (
+    RULE_ACTIONS,
+    ActionError,
+    PairPoint,
+    TrivialSubgroup,
+    UnknownRuleActionError,
+    UnsupportedSubgroupError,
+    point_label,
+    translation_action,
+)
 from .balls import (
     DEFAULT_VERTEX_BUDGET,
     BallOverflowError,
@@ -43,7 +52,6 @@ from .groups import (
     SymmetricGroup,
     nonidentity_gens,
 )
-from .actions import ActionError, TrivialSubgroup, translation_action
 from .wreath import WreathGroup, imprimitive_action
 
 BUDGET_ENV = "ENDSLAB_BUDGET"
@@ -332,10 +340,14 @@ VERIFY_DEFAULT_RADII = {
 
 
 # exit code for each error a command reports as one line: 2 for usage and
-# parse errors, 1 for a computation that cannot finish
+# parse errors (a spec the action layer rejects included), 1 for a
+# computation that cannot finish.  The first isinstance match wins, so
+# subclasses come before ActionError.
 EXIT_CODES = {
     UsageError: 2,
     SpecError: 2,
+    UnknownRuleActionError: 2,
+    UnsupportedSubgroupError: 2,
     BallOverflowError: 1,
     ActionError: 1,
     GroupError: 1,
@@ -356,7 +368,15 @@ def cli_main(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(cli_main(sys.argv[1:]))
+    try:
+        code = cli_main(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe (``endslab ball ... | head``): send
+        # the unwritten output to devnull so the exit flush cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

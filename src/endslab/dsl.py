@@ -273,11 +273,7 @@ class _Parser:
     def parse_source(self) -> tuple[Optional[GroupAst], ActionAst]:
         kw = self.keyword()
         if kw == "rule":
-            self.advance()
-            self.expect("(")
-            name = self.expect("IDENT", "a rule action name").value
-            self.expect(")")
-            return None, ActionAst("rule", rule_name=name)
+            return None, self.parse_rule()
         if kw == "imprimitive":
             self.advance()
             self.expect("(")
@@ -326,11 +322,7 @@ class _Parser:
             self.advance()
             return ActionAst(kw)
         if kw == "rule":
-            self.advance()
-            self.expect("(")
-            name = self.expect("IDENT", "a rule action name").value
-            self.expect(")")
-            return ActionAst("rule", rule_name=name)
+            return self.parse_rule()
         if kw == "coset":
             self.advance()
             self.expect("(")
@@ -338,6 +330,14 @@ class _Parser:
             self.expect(")")
             return ActionAst("coset", coset=coset)
         self.error(("'translation'", "'regular'", "'rule'", "'coset'"))
+
+    def parse_rule(self) -> ActionAst:
+        """rule "(" IDENT ")", from the 'rule' keyword on."""
+        self.advance()
+        self.expect("(")
+        name = self.expect("IDENT", "a rule action name").value
+        self.expect(")")
+        return ActionAst("rule", rule_name=name)
 
     def parse_coset(self) -> CosetAst:
         t = self.cur
@@ -359,11 +359,7 @@ class _Parser:
 
     def parse_vector(self) -> tuple[int, ...]:
         self.expect("[")
-        coords = [int(self.expect("INT", "an integer").value)]
-        while self.accept(","):
-            coords.append(int(self.expect("INT", "an integer").value))
-        self.expect("]")
-        return tuple(coords)
+        return self.parse_vector_tail()
 
     def parse_basis_or_vector(self) -> tuple[tuple[int, ...], ...]:
         self.expect("[")
@@ -373,11 +369,15 @@ class _Parser:
                 rows.append(self.parse_vector())
             self.expect("]")
             return tuple(rows)
+        return (self.parse_vector_tail(),)
+
+    def parse_vector_tail(self) -> tuple[int, ...]:
+        """INT ("," INT)* "]", after the opening bracket."""
         coords = [int(self.expect("INT", "an integer").value)]
         while self.accept(","):
             coords.append(int(self.expect("INT", "an integer").value))
         self.expect("]")
-        return (tuple(coords),)
+        return tuple(coords)
 
     def parse_item_list(self) -> tuple[GenItem, ...]:
         self.expect("{")

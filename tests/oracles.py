@@ -265,3 +265,22 @@ def simple_edges(edges) -> list:
             seen.add(key)
             out.append((u, v, g))
     return out
+
+
+def bfs_witnesses(action, gens, radius: int) -> tuple:
+    """Witness of each vertex of the radius-R ball, in BFS order, from a
+    plain act-based BFS that multiplies s_i.w[u] when s_i.u is discovered."""
+    mul = action.group.multiply
+    points = [action.basepoint]
+    dist = {action.basepoint: 0}
+    witness = [action.group.identity()]
+    for u, p in enumerate(points):
+        if dist[p] == radius:
+            continue
+        for s in gens.elements:
+            q = action.act(s, p)
+            if q not in dist:
+                dist[q] = dist[p] + 1
+                points.append(q)
+                witness.append(mul(s, witness[u]))
+    return tuple(witness)

@@ -44,7 +44,13 @@ from endslab.wreath import (
     standard_wreath_gens,
 )
 
-from oracles import act_edges, diamond_count, f2_words_up_to, simple_edges
+from oracles import (
+    act_edges,
+    bfs_witnesses,
+    diamond_count,
+    f2_words_up_to,
+    simple_edges,
+)
 from test_dsl import random_spec
 
 
@@ -69,9 +75,11 @@ def validate_ball(ball):
         if ball.dist[v] < ball.radius:
             for i in range(len(ball.gens)):
                 assert (v, i) in present or (v, pairing[i]) in present
-    for v in range(len(ball)):
-        assert act(ball.witness[v], ball.points[ball.basepoint_index]) == \
-            ball.points[v]
+    # a simplified ball may read a witness through a kept parallel label
+    base = ball.points[ball.basepoint_index]
+    for b in (ball, simplify(ball)):
+        for v in range(len(b)):
+            assert act(b.witness[v], base) == b.points[v]
 
 
 def test_z_ball_is_a_path():
@@ -220,6 +228,31 @@ def test_table_matches_act_oracle():
         assert ball.edges == act_edges(ball.points, ball.gens.elements,
                                        ball.gens.pairing, ball.action.act)
         validate_ball(ball)
+
+
+def test_witness_matches_bfs_oracle():
+    balls = random_fixture_balls() + generated_spec_balls()
+    for ball in balls:
+        assert ball.witness == bfs_witnesses(ball.action, ball.gens, ball.radius)
+
+
+def test_build_ball_makes_no_multiply(monkeypatch):
+    # rule(f2_four_ends) acts letter by letter, so every multiply counted
+    # here is one the ball itself makes
+    calls = []
+    multiply = FreeGroup.multiply
+
+    def counting(self, a, b):
+        calls.append(1)
+        return multiply(self, a, b)
+
+    monkeypatch.setattr(FreeGroup, "multiply", counting)
+    ball = build_ball(rule_action("f2_four_ends"), FreeGroup(2).standard_gens(), 8)
+    assert len(calls) == 0
+    witness = ball.witness
+    assert len(calls) == len(ball) - 1
+    assert ball.witness is witness
+    assert len(calls) == len(ball) - 1
 
 
 def sign_quotient_ball():

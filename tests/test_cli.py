@@ -151,6 +151,11 @@ ERROR_CASES = [
       "--radius", "2"], {}, 2),
     (["ball", "--spec", "wreath(wreath(C(2), Z, translation), Z, translation)",
       "--radius", "2"], {}, 2),
+    (["ball", "--spec", "rule(nope)", "--radius", "2"], {}, 2),
+    (["ball", "--spec", "F(2) / {a}", "--radius", "2"], {}, 2),
+    (["ball", "--spec", "Z / {1}", "--radius", "2"], {}, 2),
+    (["ball", "--spec", "Z^2 / [1]", "--radius", "2"], {}, 2),
+    (["ball", "--spec", "wreath(C(2), Z, coset({1}))", "--radius", "2"], {}, 2),
 ]
 
 
@@ -168,15 +173,38 @@ def test_error_exit_codes(capsys, monkeypatch, argv, env, expected):
     assert len(lines) == 1 and lines[0].startswith("endslab: ")
 
 
+def module_env():
+    """Environment in which ``python -m endslab.cli`` imports this checkout."""
+    src = str(Path(endslab.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_module_entry_point_exit_code():
     # main() passes cli_main's code to sys.exit in a fresh interpreter
-    src = str(Path(endslab.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-m", "endslab.cli", "ball", "--spec", "Z",
                            "--radius", "-1"],
-                          capture_output=True, text=True, env=env, timeout=60)
+                          capture_output=True, text=True, env=module_env(), timeout=60)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.splitlines()) == 1
+
+
+def test_closed_stdout_is_not_a_traceback():
+    # the R=7 DOT export is larger than a pipe buffer, so the writer is
+    # still printing when the reader closes its end
+    proc = subprocess.Popen([sys.executable, "-m", "endslab.cli", "ball", "--spec",
+                             "F(2)", "--radius", "7", "--format", "dot"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=module_env())
+    try:
+        assert proc.stdout.readline() == b"graph ball {\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 1
+    assert "Traceback" not in err.decode()
+    assert err == b""
