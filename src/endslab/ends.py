@@ -79,8 +79,13 @@ class EndsProfile:
     budget: int
 
     def entry(self, k: int, outer: int) -> int:
-        row = self.matrix[self.k_values.index(k)]
-        return row[outer - k - 1]
+        if k not in self.k_values:
+            raise EndsError(f"k={k} is not in the profile; k values are "
+                            f"{list(self.k_values)}")
+        if not k < outer <= self.outer_radius:
+            raise EndsError(f"outer radius {outer} for k={k} must lie in "
+                            f"{k + 1}..{self.outer_radius}")
+        return self.matrix[self.k_values.index(k)][outer - k - 1]
 
     def stabilized(self) -> tuple[int, ...]:
         return tuple(row[-1] for row in self.matrix)
@@ -99,27 +104,63 @@ class EndsProfile:
         return json.dumps(self.to_json_dict(), indent=2)
 
 
-def _row_for_k(ball: GraphBall, k: int) -> tuple[int, ...]:
-    """One profile row: sweep K' upward, adding edges as they enter range."""
-    n = len(ball.points)
+class _Shell(NamedTuple):
+    """The edges of sphere S_r that reach no further out, as offsets into
+    their spheres.  ``up[j]`` is the first neighbour of vertex j in S_{r-1}
+    (every vertex at r >= 1 keeps the edge that discovered it, also after
+    ``simplify``), ``back`` holds its further edges to S_{r-1} as pairs
+    (j, i), and ``inner`` the edges (j, j') with j < j' inside S_r."""
+
+    up: list[int]
+    back: list[tuple[int, int]]
+    inner: list[tuple[int, int]]
+
+
+def _shell(ball: GraphBall, r: int) -> _Shell:
     dist = ball.dist
     table = ball.table
     ngens = len(ball.gens)
-    # an edge u-v with v > u enters range at dist[v] >= dist[u] (BFS order)
-    by_radius: dict[int, list[tuple[int, int]]] = {}
-    for u in range(bisect_left(dist, k), n):
-        for v in table[u * ngens:(u + 1) * ngens]:
-            if v > u:
-                by_radius.setdefault(dist[v], []).append((u, v))
-    uf = UnionFind(n)
-    counts = []
-    for outer in range(k, ball.radius + 1):
-        for u, v in by_radius.get(outer, ()):
-            uf.union(u, v)
-        if outer > k:
-            sphere = range(bisect_left(dist, outer), bisect_left(dist, outer + 1))
-            counts.append(len({uf.find(v) for v in sphere}))
-    return tuple(counts)
+    prev = bisect_left(dist, r - 1)
+    lo = bisect_left(dist, r)
+    hi = bisect_left(dist, r + 1)
+    up, back, inner = [], [], []
+    for v in range(lo, hi):
+        first = -1
+        for w in table[v * ngens:(v + 1) * ngens]:
+            # every edge joins equal or adjacent spheres (-1: outside the ball)
+            if w < 0 or w >= hi:
+                continue
+            if w >= lo:
+                if w > v:
+                    inner.append((v - lo, w - lo))
+            elif first < 0:
+                first = w - prev
+            else:
+                back.append((v - lo, w - prev))
+        up.append(first)
+    return _Shell(up, back, inner)
+
+
+def _partition(start: list[int], classes: int,
+               links: list[tuple[int, int]]) -> tuple[int, ...]:
+    """Merge the linked pairs among ``classes`` classes, then give vertex j
+    of a sphere the class of ``start[j]``, numbered by first occurrence."""
+    if links:
+        uf = UnionFind(classes)
+        for a, b in links:
+            uf.union(a, b)
+        start = [uf.find(x) for x in start]
+    number = {x: n for n, x in enumerate(dict.fromkeys(start))}
+    return tuple(map(number.__getitem__, start))
+
+
+def _step(labels: tuple[int, ...], shell: _Shell) -> tuple[int, ...]:
+    """The partition of S_r by connectivity in the annulus k..r, from
+    ``labels``, that of S_{r-1} in the annulus k..r-1, and S_r's shell."""
+    start = list(map(labels.__getitem__, shell.up))
+    links = [(start[j], labels[i]) for j, i in shell.back]
+    links += [(start[j], start[j2]) for j, j2 in shell.inner]
+    return _partition(start, max(labels, default=-1) + 1, links)
 
 
 def _decide_verdict(k_values: Sequence[int], matrix: Sequence[Sequence[int]]) -> Verdict:
@@ -153,7 +194,29 @@ def profile_from_ball(ball: GraphBall, k_values: Iterable[int],
         raise EndsError(
             f"max inner radius {ks[-1]} must be smaller than the outer radius "
             f"{ball.radius}")
-    matrix = tuple(_row_for_k(ball, k) for k in ks)
+    # One outward sweep.  Every edge joins equal or adjacent spheres, so the
+    # partition of S_{r+1} for k follows from that of S_r and S_{r+1}'s
+    # shell alone; k whose partitions coincide share every later entry, and
+    # each distinct partition is stepped once per sphere.
+    rows: dict[int, list[int]] = {k: [] for k in ks}
+    groups: dict[tuple[int, ...], list[int]] = {}
+    shell = _shell(ball, ks[0])
+    for r in range(ks[0], ball.radius):
+        if r in rows:
+            # k enters at r = k with S_k split by its own edges only
+            size = len(shell.up)
+            entering = _partition(list(range(size)), size, shell.inner)
+            groups.setdefault(entering, []).append(r)
+        shell = _shell(ball, r + 1)
+        stepped: dict[tuple[int, ...], list[int]] = {}
+        for labels, members in groups.items():
+            nxt = _step(labels, shell)
+            count = max(nxt, default=-1) + 1
+            for k in members:
+                rows[k].append(count)
+            stepped.setdefault(nxt, []).extend(members)
+        groups = stepped
+    matrix = tuple(tuple(rows[k]) for k in ks)
     for row in matrix:
         for a, b in zip(row, row[1:]):
             if b > a:

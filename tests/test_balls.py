@@ -193,16 +193,20 @@ def test_cut_results_stable_under_simplify():
         assert delete_and_split(simplify(ball), cut_vertices) == base
 
 
-def generated_spec_balls(count=120, radius=3):
-    """Balls of seeded generated specs; specs that are refused are skipped."""
+def generated_spec_balls(count=100, radius=3, max_draws=400):
+    """Balls of the first ``count`` seeded generated specs that elaborate;
+    refused specs are skipped, drawing on until ``count`` balls are built."""
     rng = random.Random(11)
     balls = []
-    for _ in range(count):
+    for _ in range(max_draws):
+        if len(balls) == count:
+            break
         try:
             action, gens = elaborate(random_spec(rng))
             balls.append(build_ball(action, gens, radius, max_vertices=5000))
         except (SpecError, ActionError):
             continue
+    assert len(balls) == count, f"{len(balls)} balls from {max_draws} draws"
     return balls
 
 

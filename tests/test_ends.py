@@ -8,7 +8,7 @@ from endslab.actions import (
     rule_action,
     translation_action,
 )
-from endslab.balls import BallOverflowError, build_ball
+from endslab.balls import BallOverflowError, build_ball, simplify
 from endslab.ends import (
     CyclicDivisorQuotient,
     DiagonalLatticeQuotient,
@@ -52,6 +52,7 @@ from oracles import (
     f2_words_up_to,
     int_line_graph,
 )
+from test_balls import generated_spec_balls, random_fixture_balls, spec_ball
 
 
 def assert_monotone(profile):
@@ -146,6 +147,42 @@ def test_profile_preconditions():
         profile_from_ball(ball, [])
     with pytest.raises(EndsError):
         profile_from_ball(ball, [-1])
+
+
+def oracle_profile(ball, k_values):
+    adj = {v: set() for v in range(len(ball))}
+    for u, v, _ in ball.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return ends_matrix(adj, dict(enumerate(ball.dist)), k_values, ball.radius)
+
+
+def test_profile_matches_component_oracle():
+    w, wgens = lamplighter(2)
+    hand_picked = [spec_ball(text, radius) for text, radius in (
+        ("Z^2", 14),
+        ("Z^3", 7),
+        ("Z^2 with gens {[1, 0], [0, 1], [1, 1]}", 10),  # edges inside spheres
+        ("Z^2 / [5, 0]", 20),
+        ("rule(f2_four_ends)", 12),
+        ("C(6)", 5),  # empty outer spheres
+    )] + [build_ball(head_projection_action(w), wgens, 10)]
+    for ball in random_fixture_balls() + generated_spec_balls() + hand_picked:
+        ks = range(ball.radius)
+        matrix = profile_from_ball(ball, ks).matrix
+        assert matrix == oracle_profile(ball, ks)
+        # k swept together share partitions; none may leak into another row
+        assert matrix == tuple(profile_from_ball(ball, [k]).matrix[0] for k in ks)
+        assert profile_from_ball(simplify(ball), ks).matrix == matrix
+
+
+def test_profile_entry_rejects_out_of_range():
+    f2 = FreeGroup(2)
+    p = ends_profile(translation_action(f2), f2.standard_gens(), range(1, 5), 6)
+    assert p.entry(2, 3) == p.entry(2, 6) == 12
+    for k, outer in ((2, 2), (2, 1), (2, 7), (5, 6), (0, 1)):
+        with pytest.raises(EndsError):
+            p.entry(k, outer)
 
 
 def test_budget_overflow_propagates():
