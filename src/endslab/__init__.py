@@ -29,10 +29,14 @@ from .groups import (
 from .actions import (
     ActionError,
     CosetPoint,
+    CyclicDivisorQuotient,
+    DiagonalLatticeQuotient,
     GeneratedSubgroup,
+    IntModQuotient,
     OrbitResult,
     PairPoint,
     PointedAction,
+    SignQuotient,
     Sublattice,
     TrivialSubgroup,
     UnknownRuleActionError,
@@ -70,14 +74,10 @@ from .balls import (
 )
 from .ends import (
     AugmentResult,
-    CyclicDivisorQuotient,
-    DiagonalLatticeQuotient,
     EndsError,
     EndsProfile,
-    IntModQuotient,
     PathFailure,
     SemidirectSplit,
-    SignQuotient,
     ThreeSegmentPath,
     Verdict,
     augment_cut,

@@ -4,16 +4,18 @@ A :class:`PointedAction` bundles an acting group, a total action function
 and a basepoint.  Points are plain hashable values: group elements (for
 translation actions), :class:`CosetPoint` (coset actions with canonical
 representatives), :class:`PairPoint` (imprimitive wreath actions) and
-small tuples for the built-in rule actions.
+small tuples for the built-in rule actions.  Subgroup specs state their
+coset laws, quotient specs their image, kernel and lift.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, ClassVar, Iterable
 
 from .groups import (
+    Cyclic,
     CyclicInt,
     FreeAbelian,
     FreeGroup,
@@ -24,7 +26,10 @@ from .groups import (
     ModVector,
     Perm,
     SymmetricGenSet,
+    SymmetricGroup,
+    Torus,
     element_label,
+    perm_parity,
 )
 
 Point = Any
@@ -108,7 +113,12 @@ def trivial_action(group: Group, point: Point = 0) -> PointedAction:
 
 @dataclass(frozen=True)
 class TrivialSubgroup:
-    """The trivial subgroup of any family; cosets are the elements themselves."""
+    """The trivial subgroup of any family, generated by no elements."""
+
+    gens: ClassVar[tuple[GroupElement, ...]] = ()
+
+    def coset_law(self, group: Group):
+        return (str(group), "trivial"), lambda g: g
 
 
 @dataclass(frozen=True)
@@ -117,12 +127,28 @@ class Sublattice:
 
     basis: tuple[tuple[int, ...], ...]
 
+    def coset_law(self, group: Group):
+        if not isinstance(group, FreeAbelian):
+            raise UnsupportedSubgroupError(f"Sublattice requires a free abelian group; "
+                                           f"supported cases: {SUPPORTED_SUBGROUPS}")
+        hnf = hermite_normal_form(self.basis, group.rank)
+        return (str(group), "lattice", hnf), lambda g: IntVector(lattice_reduce(hnf, g.coords))
+
 
 @dataclass(frozen=True)
 class GeneratedSubgroup:
     """Subgroup of a finite group given by a generator list."""
 
     gens: tuple[GroupElement, ...]
+
+    def coset_law(self, group: Group):
+        if group.order() is None:
+            raise UnsupportedSubgroupError(f"GeneratedSubgroup requires a finite group; "
+                                           f"supported cases: {SUPPORTED_SUBGROUPS}")
+        members = _mulclose(group, self.gens, cap=group.order())
+        mul, key = group.multiply, group.sort_key
+        return ((str(group), "gen", tuple(members)),
+                lambda g: min((mul(g, h) for h in members), key=key))
 
 
 SUPPORTED_SUBGROUPS = (
@@ -188,13 +214,17 @@ def lattice_reduce(hnf: tuple[tuple[int, ...], ...], coords: tuple[int, ...]) ->
     return tuple(v)
 
 
-def _mulclose(group: Group, gens: Iterable[GroupElement], cap: int) -> list[GroupElement]:
-    """All products of the generators (and their inverses), in ``sort_key`` order."""
-    seeds = []
+def _check_members(group: Group, gens: Iterable[GroupElement]) -> None:
     for g in gens:
         if not group.contains(g):
             raise UnsupportedSubgroupError(f"{g!r} is not an element of {group}")
-        seeds.extend([g, group.inverse(g)])
+
+
+def _mulclose(group: Group, gens: Iterable[GroupElement], cap: int) -> list[GroupElement]:
+    """All products of the generators (and their inverses), in ``sort_key`` order."""
+    gens = tuple(gens)
+    _check_members(group, gens)
+    seeds = [x for g in gens for x in (g, group.inverse(g))]
     closure = orbit_of_point(translation_action(group), group.identity(), seeds, cap)
     if closure.truncated:
         raise UnsupportedSubgroupError(f"subgroup closure exceeded {cap} elements")
@@ -202,40 +232,16 @@ def _mulclose(group: Group, gens: Iterable[GroupElement], cap: int) -> list[Grou
 
 
 class CosetSpace:
-    """Left cosets gK with a canonical, decidable representative map."""
+    """Left cosets gK with a canonical, decidable representative map; the
+    subgroup spec's ``coset_law`` gives the space's key and that map."""
 
     def __init__(self, group: Group, spec):
-        self.group = group
-        self.spec = spec
-        if isinstance(spec, TrivialSubgroup):
-            self.key = (str(group), "trivial")
-            self._reduce = lambda g: g
-        elif isinstance(spec, Sublattice):
-            if not isinstance(group, FreeAbelian):
-                raise UnsupportedSubgroupError(
-                    f"Sublattice requires a free abelian group; supported cases: "
-                    f"{SUPPORTED_SUBGROUPS}")
-            hnf = hermite_normal_form(spec.basis, group.rank)
-            self.key = (str(group), "lattice", hnf)
-            self._reduce = lambda g: IntVector(lattice_reduce(hnf, g.coords))
-        elif isinstance(spec, GeneratedSubgroup):
-            if group.order() is None:
-                raise UnsupportedSubgroupError(
-                    f"GeneratedSubgroup requires a finite group; supported cases: "
-                    f"{SUPPORTED_SUBGROUPS}")
-            members = _mulclose(group, spec.gens, cap=group.order())
-            self.key = (str(group), "gen", tuple(members))
-            mul = group.multiply
-            self._members = members
-
-            def reduce_finite(g):
-                return min((mul(g, h) for h in members), key=group.sort_key)
-
-            self._reduce = reduce_finite
-        else:
+        if not hasattr(spec, "coset_law"):
             raise UnsupportedSubgroupError(
                 f"unsupported subgroup spec {spec!r}; supported cases: "
                 f"{SUPPORTED_SUBGROUPS}")
+        self.group = group
+        self.key, self._reduce = spec.coset_law(group)
 
     def reduce(self, g: GroupElement) -> CosetPoint:
         return CosetPoint(self._reduce(g), self.key)
@@ -252,6 +258,122 @@ def coset_action(group: Group, subgroup_spec) -> PointedAction:
     space = CosetSpace(group, subgroup_spec)
     return PointedAction(group, space.act, space.basepoint(),
                          label=f"{group} on cosets")
+
+
+# ---------------------------------------------------------------------------
+# quotient specifications
+
+
+class QuotientSpec:
+    """A quotient map pi: G -> Q = G/N onto a finite group.  Each spec
+    states its source G, its quotient Q with the element map, generators
+    of the kernel N, and a lift of each element of Q to G."""
+
+    def preimage(self, group: Group, subgroup_spec):
+        """Subgroup spec over ``group`` for pi^-1(K), K <= Q given by
+        generators: it is generated by N's generators and the lifts of K's."""
+        source = self.source()
+        if group != source:
+            raise UnsupportedSubgroupError(f"{type(self).__name__} needs {source}")
+        k_gens = getattr(subgroup_spec, "gens", None)
+        if k_gens is None:
+            raise UnsupportedSubgroupError(
+                f"unsupported K spec {subgroup_spec!r} for quotient {self!r}")
+        _check_members(self.quotient()[0], k_gens)
+        gens = self.kernel_gens() + tuple(map(self.lift, k_gens))
+        if isinstance(source, FreeAbelian):
+            return Sublattice(tuple(g.coords for g in gens))
+        return GeneratedSubgroup(gens)
+
+
+@dataclass(frozen=True)
+class IntModQuotient(QuotientSpec):
+    """Z -> Z/n."""
+
+    n: int
+
+    def source(self):
+        return FreeAbelian(1)
+
+    def quotient(self):
+        return Cyclic(self.n), lambda g: CyclicInt(self.n, g.coords[0] % self.n)
+
+    def kernel_gens(self):
+        return (IntVector((self.n,)),)
+
+    def lift(self, q):
+        return IntVector((q.value,))
+
+
+@dataclass(frozen=True)
+class DiagonalLatticeQuotient(QuotientSpec):
+    """Z^k -> Z/d1 x ... x Z/dk (quotient by the diagonal lattice)."""
+
+    moduli: tuple[int, ...]
+
+    def source(self):
+        return FreeAbelian(len(self.moduli))
+
+    def quotient(self):
+        moduli = self.moduli
+        return (Torus(moduli),
+                lambda g: ModVector(moduli, tuple(c % m for c, m in zip(g.coords, moduli))))
+
+    def kernel_gens(self):
+        k = len(self.moduli)
+        return tuple(IntVector(tuple(m if i == j else 0 for j in range(k)))
+                     for i, m in enumerate(self.moduli))
+
+    def lift(self, q):
+        return IntVector(q.coords)
+
+
+@dataclass(frozen=True)
+class CyclicDivisorQuotient(QuotientSpec):
+    """C(n) -> C(d) for d | n."""
+
+    n: int
+    d: int
+
+    def source(self):
+        return Cyclic(self.n)
+
+    def quotient(self):
+        quotient = Cyclic(self.d)
+        if self.n % self.d != 0:
+            raise UnsupportedSubgroupError(f"{self.d} does not divide {self.n}")
+        return quotient, lambda g: CyclicInt(self.d, g.value % self.d)
+
+    def kernel_gens(self):
+        return (CyclicInt(self.n, self.d % self.n),)
+
+    def lift(self, q):
+        return CyclicInt(self.n, q.value)
+
+
+@dataclass(frozen=True)
+class SignQuotient(QuotientSpec):
+    """Sym(n) -> C(2) by parity."""
+
+    n: int
+
+    def source(self):
+        return SymmetricGroup(self.n)
+
+    def quotient(self):
+        return Cyclic(2), lambda g: CyclicInt(2, perm_parity(g))
+
+    def kernel_gens(self):
+        # the 3-cycles (i i+1 i+2) generate the alternating group
+        return tuple(Perm(tuple(range(i)) + (i + 1, i + 2, i) + tuple(range(i + 3, self.n)))
+                     for i in range(self.n - 2))
+
+    def lift(self, q):
+        # 1 lifts to (0 1), or to the identity in Sym(1), which has no odd element
+        img = list(range(self.n))
+        if q.value:
+            img[:2] = img[1::-1]
+        return Perm(tuple(img))
 
 
 # ---------------------------------------------------------------------------

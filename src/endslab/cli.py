@@ -9,6 +9,7 @@ structural checks), fixtures (list built-in rule actions).  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -19,6 +20,7 @@ from . import __version__
 from .actions import (
     RULE_ACTIONS,
     ActionError,
+    IntModQuotient,
     PairPoint,
     TrivialSubgroup,
     UnknownRuleActionError,
@@ -38,7 +40,6 @@ from .balls import (
 )
 from .dsl import SpecError, elaborate, parse_spec
 from .ends import (
-    IntModQuotient,
     coordinate_split,
     ends_profile,
     quotient_schreier_pair,
@@ -283,6 +284,7 @@ def cmd_fixtures(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="endslab",

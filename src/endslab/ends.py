@@ -17,15 +17,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .actions import (
-    GeneratedSubgroup,
-    PointedAction,
-    Sublattice,
-    TrivialSubgroup,
-    UnsupportedSubgroupError,
-    coset_action,
-    orbit_of_point,
-)
+from .actions import PointedAction, UnsupportedSubgroupError, coset_action, orbit_of_point
 from .balls import (
     DEFAULT_VERTEX_BUDGET,
     GraphBall,
@@ -34,20 +26,7 @@ from .balls import (
     pointed_labeled_isomorphic,
     simplify,
 )
-from .groups import (
-    Cyclic,
-    CyclicInt,
-    FreeAbelian,
-    Group,
-    GroupElement,
-    IntVector,
-    ModVector,
-    Perm,
-    SymmetricGenSet,
-    SymmetricGroup,
-    Torus,
-    perm_parity,
-)
+from .groups import FreeAbelian, Group, GroupElement, IntVector, SymmetricGenSet
 from .wreath import WreathElement, WreathGroup
 
 
@@ -467,119 +446,10 @@ def three_segment_path(ball: GraphBall, x: int, y: int, cut: Iterable[int],
 # quotient pairs (loop/multi-edge insensitivity of Schreier graphs)
 
 
-@dataclass(frozen=True)
-class IntModQuotient:
-    """Z -> Z/n."""
-
-    n: int
-
-
-@dataclass(frozen=True)
-class DiagonalLatticeQuotient:
-    """Z^k -> Z/d1 x ... x Z/dk (quotient by the diagonal lattice)."""
-
-    moduli: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class CyclicDivisorQuotient:
-    """C(n) -> C(d) for d | n."""
-
-    n: int
-    d: int
-
-
-@dataclass(frozen=True)
-class SignQuotient:
-    """Sym(n) -> C(2) by parity."""
-
-    n: int
-
-
 class QuotientPair(NamedTuple):
     source_ball: GraphBall
     quotient_ball: GraphBall
     isomorphic: bool
-
-
-def _quotient_data(group: Group, quotient_spec):
-    """(quotient group, element homomorphism) for a supported quotient."""
-    if isinstance(quotient_spec, IntModQuotient):
-        if group != FreeAbelian(1):
-            raise UnsupportedSubgroupError("IntModQuotient applies to Z only")
-        n = quotient_spec.n
-        return Cyclic(n), lambda g: CyclicInt(n, g.coords[0] % n)
-    if isinstance(quotient_spec, DiagonalLatticeQuotient):
-        moduli = quotient_spec.moduli
-        if group != FreeAbelian(len(moduli)):
-            raise UnsupportedSubgroupError(
-                f"DiagonalLatticeQuotient needs Z^{len(moduli)}")
-        return (Torus(moduli),
-                lambda g: ModVector(moduli, tuple(c % m for c, m
-                                                  in zip(g.coords, moduli))))
-    if isinstance(quotient_spec, CyclicDivisorQuotient):
-        n, d = quotient_spec.n, quotient_spec.d
-        if group != Cyclic(n):
-            raise UnsupportedSubgroupError(f"CyclicDivisorQuotient needs C({n})")
-        if n % d != 0:
-            raise UnsupportedSubgroupError(f"{d} does not divide {n}")
-        return Cyclic(d), lambda g: CyclicInt(d, g.value % d)
-    if isinstance(quotient_spec, SignQuotient):
-        if group != SymmetricGroup(quotient_spec.n):
-            raise UnsupportedSubgroupError(f"SignQuotient needs Sym({quotient_spec.n})")
-        return Cyclic(2), lambda g: CyclicInt(2, perm_parity(g))
-    raise UnsupportedSubgroupError(
-        f"unsupported quotient spec {quotient_spec!r}; supported: IntModQuotient, "
-        f"DiagonalLatticeQuotient, CyclicDivisorQuotient, SignQuotient")
-
-
-def _preimage_spec(group: Group, quotient_spec, subgroup_spec):
-    """Subgroup spec over the source group for the preimage of K."""
-    if isinstance(quotient_spec, IntModQuotient):
-        n = quotient_spec.n
-        if isinstance(subgroup_spec, TrivialSubgroup):
-            return Sublattice(((n,),))
-        if isinstance(subgroup_spec, GeneratedSubgroup):
-            g = n
-            for el in subgroup_spec.gens:
-                g = math.gcd(g, el.value)
-            return Sublattice(((g if g else n,),))
-    if isinstance(quotient_spec, DiagonalLatticeQuotient):
-        moduli = quotient_spec.moduli
-        k = len(moduli)
-        diag = tuple(tuple(m if i == j else 0 for j in range(k))
-                     for i, m in enumerate(moduli))
-        if isinstance(subgroup_spec, TrivialSubgroup):
-            return Sublattice(diag)
-        if isinstance(subgroup_spec, GeneratedSubgroup):
-            lifts = tuple(el.coords for el in subgroup_spec.gens)
-            return Sublattice(diag + lifts)
-    if isinstance(quotient_spec, CyclicDivisorQuotient):
-        n, d = quotient_spec.n, quotient_spec.d
-        if isinstance(subgroup_spec, TrivialSubgroup):
-            return GeneratedSubgroup((CyclicInt(n, d % n),))
-        if isinstance(subgroup_spec, GeneratedSubgroup):
-            e = d
-            for el in subgroup_spec.gens:
-                e = math.gcd(e, el.value)
-            return GeneratedSubgroup((CyclicInt(n, (e if e else d) % n),))
-    if isinstance(quotient_spec, SignQuotient):
-        n = quotient_spec.n
-        if isinstance(subgroup_spec, TrivialSubgroup):
-            if n < 3:
-                return TrivialSubgroup()
-            cycles = []
-            for i in range(n - 2):
-                img = list(range(n))
-                img[i], img[i + 1], img[i + 2] = img[i + 1], img[i + 2], img[i]
-                cycles.append(Perm(tuple(img)))
-            return GeneratedSubgroup(tuple(cycles))
-        if isinstance(subgroup_spec, GeneratedSubgroup):
-            if any(el.value == 1 for el in subgroup_spec.gens):
-                return GeneratedSubgroup(tuple(SymmetricGroup(n).standard_gens().elements))
-            return _preimage_spec(group, quotient_spec, TrivialSubgroup())
-    raise UnsupportedSubgroupError(
-        f"unsupported K spec {subgroup_spec!r} for quotient {quotient_spec!r}")
 
 
 def quotient_schreier_pair(group: Group, quotient_spec, subgroup_spec,
@@ -591,11 +461,15 @@ def quotient_schreier_pair(group: Group, quotient_spec, subgroup_spec,
     verdict; loops and parallel edges created by the projection are
     collapsed first, so the verdict reflects the underlying simple graphs.
     """
-    quotient_group, hom = _quotient_data(group, quotient_spec)
-    source_spec = _preimage_spec(group, quotient_spec, subgroup_spec)
+    if not hasattr(quotient_spec, "preimage"):
+        raise UnsupportedSubgroupError(
+            f"unsupported quotient spec {quotient_spec!r}; supported: IntModQuotient, "
+            f"DiagonalLatticeQuotient, CyclicDivisorQuotient, SignQuotient")
+    source_spec = quotient_spec.preimage(group, subgroup_spec)
     source_ball = build_ball(coset_action(group, source_spec), gens, radius,
                              max_vertices)
-    images = tuple(hom(g) for g in gens.elements)
+    quotient_group, image = quotient_spec.quotient()
+    images = tuple(map(image, gens.elements))
     q_ident = quotient_group.identity()
     q_gens = SymmetricGenSet(images, gens.pairing, gens.names,
                              frozenset(i for i, g in enumerate(images)

@@ -59,10 +59,11 @@ class WreathGroup(Group):
     """base wr_X top, where X is the point set of ``top_action``.
 
     ``orbit_reps`` holds one chosen point per top-orbit; distinctness of
-    the orbits is checked by BFS from each representative under the
-    top group's standard generators, up to ``ORBIT_CHECK_BUDGET`` points
-    (orbit discovery on an infinite X is only semi-decidable, so the
-    check is an upper bound, not a proof).
+    the orbits is checked by a BFS from each representative but the last
+    that looks for the later ones, under the top group's standard
+    generators and up to ``ORBIT_CHECK_BUDGET`` points (orbit discovery on
+    an infinite X is only semi-decidable, so the check is an upper bound,
+    not a proof).
     """
 
     def __init__(self, base: Group, top: Group, top_action: PointedAction,
@@ -76,7 +77,7 @@ class WreathGroup(Group):
         if not self.orbit_reps:
             raise WreathError("at least one orbit representative is required")
         gens = top.standard_gens()
-        for i, rep in enumerate(self.orbit_reps):
+        for i, rep in enumerate(self.orbit_reps[:-1]):
             reach = orbit_of_point(top_action, rep, gens.elements, ORBIT_CHECK_BUDGET)
             for other in self.orbit_reps[i + 1:]:
                 if other in reach.points:

@@ -6,6 +6,7 @@ element classes, BFS and union-find code paths.
 """
 
 from collections import deque
+from fractions import Fraction
 from itertools import product
 
 
@@ -284,3 +285,54 @@ def bfs_witnesses(action, gens, radius: int) -> tuple:
                 points.append(q)
                 witness.append(mul(s, witness[u]))
     return tuple(witness)
+
+
+# ---------------------------------------------------------------------------
+# preimages under a quotient map, by enumeration
+
+
+def closure(gens, op, identity) -> set:
+    """The subgroup of a finite group generated by ``gens`` under ``op``."""
+    members = {identity}
+    frontier = deque(members)
+    while frontier:
+        x = frontier.popleft()
+        for g in gens:
+            y = op(g, x)
+            if y not in members:
+                members.add(y)
+                frontier.append(y)
+    return members
+
+
+def preimage_members(elements, image, k_gens, op, identity) -> set:
+    """The g in ``elements`` whose image lies in the subgroup of the
+    quotient (law ``op``) generated by ``k_gens``."""
+    k = closure(k_gens, op, identity)
+    return {g for g in elements if image(g) in k}
+
+
+def inversion_parity(perm) -> int:
+    """0 for an even permutation in one-line notation, 1 for an odd one."""
+    n = len(perm)
+    return sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n)) % 2
+
+
+def determinant(rows) -> int:
+    """Exact determinant of a square integer matrix, by elimination over
+    the rationals."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    n = len(m)
+    det = Fraction(1)
+    for c in range(n):
+        p = next((r for r in range(c, n) if m[r][c] != 0), None)
+        if p is None:
+            return 0
+        if p != c:
+            m[c], m[p] = m[p], m[c]
+            det = -det
+        det *= m[c][c]
+        for r in range(c + 1, n):
+            f = m[r][c] / m[c][c]
+            m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+    return int(det)

@@ -12,6 +12,7 @@ import pytest
 
 from endslab.actions import (
     GeneratedSubgroup,
+    IntModQuotient,
     PairPoint,
     TrivialSubgroup,
     coset_action,
@@ -22,7 +23,6 @@ from endslab.actions import (
 from endslab.balls import build_ball, delete_and_split, simplify
 from endslab.dsl import parse_spec, print_spec
 from endslab.ends import (
-    IntModQuotient,
     ThreeSegmentPath,
     coordinate_split,
     ends_profile,

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 
 import pytest
@@ -5,7 +7,11 @@ import pytest
 from endslab.actions import (
     ActionError,
     CosetSpace,
+    CyclicDivisorQuotient,
+    DiagonalLatticeQuotient,
     GeneratedSubgroup,
+    IntModQuotient,
+    SignQuotient,
     Sublattice,
     TrivialSubgroup,
     UnknownRuleActionError,
@@ -28,11 +34,20 @@ from endslab.groups import (
     FreeGroup,
     FreeWord,
     IntVector,
+    ModVector,
     Perm,
     SymmetricGroup,
 )
 
-from oracles import components, cross_graph, sym3_left_cosets
+from oracles import (
+    closure,
+    components,
+    cross_graph,
+    determinant,
+    inversion_parity,
+    preimage_members,
+    sym3_left_cosets,
+)
 
 
 def test_translation_examples():
@@ -203,3 +218,54 @@ def test_trivial_action_single_point():
     action = trivial_action(c3)
     res = orbit(action, c3.standard_gens(), 10)
     assert len(res) == 1
+
+
+def _k_spec(gens):
+    gens = tuple(gens)
+    return GeneratedSubgroup(gens) if gens else TrivialSubgroup()
+
+
+def _members(group, spec):
+    """The elements of the subgroup: those in the basepoint's coset."""
+    space = CosetSpace(group, spec)
+    base = space.basepoint()
+    return [g for g in group.elements() if space.reduce(g) == base]
+
+
+def test_preimage_matches_enumeration_oracle():
+    # finite sources: pi^-1(K) enumerated straight from the map
+    for n, d in ((6, 3), (12, 4), (8, 8), (6, 1), (30, 6)):
+        q = CyclicDivisorQuotient(n, d)
+        for k in ((), (d // 2,), (2 % d, 3 % d)):
+            spec = q.preimage(Cyclic(n), _k_spec(CyclicInt(d, v) for v in k))
+            got = {g.value for g in _members(Cyclic(n), spec)}
+            assert got == preimage_members(range(n), lambda v: v % d, k,
+                                           lambda a, b: (a + b) % d, 0), (n, d, k)
+    for n in range(1, 6):
+        q = SignQuotient(n)
+        perms = list(itertools.permutations(range(n)))
+        for k in ((), (1,), (0,), (0, 1)):
+            spec = q.preimage(SymmetricGroup(n), _k_spec(CyclicInt(2, v) for v in k))
+            got = {g.image for g in _members(SymmetricGroup(n), spec)}
+            assert got == preimage_members(perms, inversion_parity, k,
+                                           lambda a, b: (a + b) % 2, 0), (n, k)
+    # Z^k sources: the lattice maps into <K> and has index |Q| / |<K>|
+    for moduli, ks in (((1,), ((), ((0,),))),
+                       ((4,), ((), ((2,),), ((1,), (2,)))),
+                       ((320,), ((), ((64,),), ((40,), (48,)))),
+                       ((2, 2), ((), ((1, 1),), ((1, 0), (0, 1)))),
+                       ((4, 6), ((), ((2, 3),), ((1, 0), (0, 4)))),
+                       ((3, 3, 2), ((), ((1, 1, 1),), ((0, 1, 0), (1, 0, 1))))):
+        rank = len(moduli)
+        q = IntModQuotient(moduli[0]) if rank == 1 else DiagonalLatticeQuotient(moduli)
+        for k in ks:
+            k_gens = (CyclicInt(moduli[0], v[0]) if rank == 1 else ModVector(moduli, v)
+                      for v in k)
+            spec = q.preimage(FreeAbelian(rank), _k_spec(k_gens))
+            hnf = hermite_normal_form(spec.basis, rank)
+            k_members = closure(k, lambda a, b: tuple(
+                (x + y) % m for x, y, m in zip(a, b, moduli)), (0,) * rank)
+            assert len(hnf) == rank, (moduli, k)
+            assert abs(determinant(hnf)) == math.prod(moduli) // len(k_members), (moduli, k)
+            for row in hnf:
+                assert tuple(c % m for c, m in zip(row, moduli)) in k_members

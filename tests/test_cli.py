@@ -208,3 +208,16 @@ def test_closed_stdout_is_not_a_traceback():
     assert proc.returncode == 1
     assert "Traceback" not in err.decode()
     assert err == b""
+
+
+def test_repeated_calls_match_fresh_processes(capsys):
+    # cli_main reuses one parser, so nothing a call sets may reach the next
+    for argv in (["verify", "quotient"],
+                 ["ball", "--spec", "Z", "--radius", "-1"],
+                 ["ends", "--spec", "Z", "--k", "1..3", "--K", "9"],
+                 ["verify", "complete-graph"]):
+        in_process = run(capsys, *argv)
+        proc = subprocess.run([sys.executable, "-m", "endslab.cli", *argv],
+                              capture_output=True, text=True, env=module_env(),
+                              timeout=60)
+        assert in_process == (proc.returncode, proc.stdout, proc.stderr), argv

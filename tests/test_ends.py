@@ -2,20 +2,21 @@ import random
 
 import pytest
 
+import endslab
 from endslab.actions import (
+    CyclicDivisorQuotient,
+    DiagonalLatticeQuotient,
     GeneratedSubgroup,
+    IntModQuotient,
+    SignQuotient,
     TrivialSubgroup,
     rule_action,
     translation_action,
 )
 from endslab.balls import BallOverflowError, build_ball, simplify
 from endslab.ends import (
-    CyclicDivisorQuotient,
-    DiagonalLatticeQuotient,
     EndsError,
-    IntModQuotient,
     PathFailure,
-    SignQuotient,
     ThreeSegmentPath,
     augment_cut,
     coordinate_split,
@@ -431,7 +432,7 @@ def test_quotient_sign():
     assert len(pair.quotient_ball.edges) == 1
 
 
-def test_quotient_unsupported_specs():
+def test_quotient_unsupported_specs(monkeypatch):
     z = FreeAbelian(1)
     with pytest.raises(UnsupportedSubgroupError):
         quotient_schreier_pair(z, CyclicDivisorQuotient(6, 3), TrivialSubgroup(),
@@ -439,3 +440,24 @@ def test_quotient_unsupported_specs():
     with pytest.raises(UnsupportedSubgroupError):
         quotient_schreier_pair(z, object(), TrivialSubgroup(),
                                z.standard_gens(), 3)
+    # a K generator outside the quotient group is refused before any ball
+    def no_ball(*args):
+        raise AssertionError("a ball was built for an ill-typed K")
+
+    monkeypatch.setattr(endslab.ends, "build_ball", no_ball)
+    for bad in (IntVector((1,)), CyclicInt(5, 1)):
+        with pytest.raises(UnsupportedSubgroupError, match="is not an element of C\\(4\\)"):
+            quotient_schreier_pair(z, IntModQuotient(4), GeneratedSubgroup((bad,)),
+                                   z.standard_gens(), 3)
+
+
+def test_quotient_specs_through_the_package_namespace():
+    # the calls bench/execute.py makes, through the top-level names
+    cases = ((endslab.FreeAbelian(1), endslab.IntModQuotient(6), 4),
+             (endslab.FreeAbelian(2), endslab.DiagonalLatticeQuotient((2, 3)), 4),
+             (endslab.Cyclic(12), endslab.CyclicDivisorQuotient(12, 4), 4),
+             (endslab.SymmetricGroup(4), endslab.SignQuotient(4), 3))
+    for group, q, radius in cases:
+        pair = endslab.quotient_schreier_pair(group, q, endslab.TrivialSubgroup(),
+                                              group.standard_gens(), radius)
+        assert pair.isomorphic, q
