@@ -113,31 +113,39 @@ def build_ball(action: PointedAction, gens: SymmetricGenSet, radius: int,
     points = [action.basepoint]
     index = {action.basepoint: 0}
     index_get = index.get
+    index_setdefault = index.setdefault
     dist = [0]
     # None = not yet computed.  Each geometric edge is act-computed once:
     # the paired reverse transition is filled in for free.  Rows are filled
     # in BFS order; a radius-R row adds no vertex and marks outside as -1.
+    # Each acted point is hashed once: an inner row inserts it with
+    # setdefault (a result of len(points) means it is new), and a radius-R
+    # row only looks it up, so no boundary point enters the index.
     table: list = unset_row[:]
     u = 0
     while u < len(points):
         pu = points[u]
         base = u * ngens
+        du = dist[u]
+        inner = du < radius
         for i in range(ngens):
             if table[base + i] is not None:
                 continue
             q = act(gen_elements[i], pu)
-            v = index_get(q)
-            if v is None:
-                if dist[u] == radius:
+            if inner:
+                n = len(points)
+                v = index_setdefault(q, n)
+                if v == n:
+                    if n >= max_vertices:
+                        raise BallOverflowError(max_vertices, du)
+                    points.append(q)
+                    dist.append(du + 1)
+                    table.extend(unset_row)
+            else:
+                v = index_get(q)
+                if v is None:
                     table[base + i] = -1
                     continue
-                if len(points) >= max_vertices:
-                    raise BallOverflowError(max_vertices, dist[u])
-                v = len(points)
-                index[q] = v
-                points.append(q)
-                dist.append(dist[u] + 1)
-                table.extend(unset_row)
             table[base + i] = v
             back = v * ngens + pairing[i]
             if table[back] is None:

@@ -1,7 +1,12 @@
 """Canonical computable representations of the base group families.
 
-Every element is an immutable value in a canonical form, so equality and
-hashing are structural.  The families implemented here are free groups
+Every element is an immutable value in a canonical form, so equality is
+structural.  Hashing is explicit for the values that hold signed ints
+(``FreeWord`` letters, ``IntVector`` coordinates) and collision-free on
+them: CPython has ``hash(-1) == hash(-2)``, so the generated hash would
+send two values that differ only by a -1 against a -2 to the same slot,
+and balls of free and free abelian groups would pay an ``__eq__`` call
+for each such pair.  The families implemented here are free groups
 (reduced words), free abelian groups (integer vectors), cyclic groups
 (residues), symmetric groups (permutations in one-line notation) and
 finite tori (integer vectors with per-coordinate moduli).  Wreath
@@ -56,6 +61,10 @@ class FreeWord:
                 raise InvalidParameterError(f"word {self.letters} is not reduced")
             prev = l
 
+    def __hash__(self):
+        # letters are never 0, so ~l is never -1 and no two letters share a hash
+        return hash(tuple([~l for l in self.letters]))
+
 
 @dataclass(frozen=True, slots=True)
 class IntVector:
@@ -66,6 +75,14 @@ class IntVector:
     def __post_init__(self):
         if len(self.coords) < 1:
             raise InvalidParameterError("integer vector needs at least one coordinate")
+
+    def __hash__(self):
+        # ~x would send 0 to -1.  Without a -1 the plain tuple has no colliding
+        # pair; with one, 2x is never -1, and the tag keeps the two forms apart
+        coords = self.coords
+        if -1 not in coords:
+            return hash(coords)
+        return hash((tuple([2 * x for x in coords]), None))
 
 
 @dataclass(frozen=True, slots=True)

@@ -6,9 +6,11 @@ import pytest
 from endslab.actions import (
     ActionError,
     PairPoint,
+    PointedAction,
     Sublattice,
     TrivialSubgroup,
     coset_action,
+    point_label,
     rule_action,
     translation_action,
 )
@@ -25,11 +27,13 @@ from endslab.balls import (
     to_json_dict,
 )
 from endslab.dsl import SpecError, elaborate, parse_spec
+from endslab.ends import profile_from_ball
 from endslab.groups import (
     Cyclic,
     CyclicInt,
     FreeAbelian,
     FreeGroup,
+    FreeWord,
     IntVector,
     SymmetricGenSet,
     SymmetricGroup,
@@ -124,6 +128,21 @@ def test_ball_overflow():
     with pytest.raises(BallOverflowError) as err:
         build_ball(translation_action(z), z.standard_gens(), 50, max_vertices=20)
     assert err.value.reached_radius < 50
+
+
+@pytest.mark.parametrize("group, radius", [(FreeGroup(2), 5), (FreeAbelian(2), 6)],
+                         ids=str)
+def test_budget_boundary_is_exact(group, radius):
+    size = len(ball_of(group, radius))
+    action, gens = translation_action(group), group.standard_gens()
+    ball = build_ball(action, gens, radius, max_vertices=size)
+    assert len(ball) == size
+    # the radius-R row only looks points up: no boundary point is indexed
+    assert len(ball.index) == len(ball)
+    assert all(ball.index[p] == i for i, p in enumerate(ball.points))
+    with pytest.raises(BallOverflowError) as err:
+        build_ball(action, gens, radius, max_vertices=size - 1)
+    assert err.value.reached_radius == radius - 1
 
 
 def test_delete_and_split_line():
@@ -257,6 +276,65 @@ def test_build_ball_makes_no_multiply(monkeypatch):
     assert len(calls) == len(ball) - 1
     assert ball.witness is witness
     assert len(calls) == len(ball) - 1
+
+
+def test_build_ball_hashes_each_acted_point_once(monkeypatch):
+    counts = {"eq": 0, "hash": 0, "act": 0}
+    eq, hash_ = FreeWord.__eq__, FreeWord.__hash__
+
+    def counting_eq(self, other):
+        counts["eq"] += 1
+        return eq(self, other)
+
+    def counting_hash(self):
+        counts["hash"] += 1
+        return hash_(self)
+
+    group = FreeGroup(2)
+    translation = translation_action(group)
+
+    def counting_act(g, p):
+        counts["act"] += 1
+        return translation.act(g, p)
+
+    action = PointedAction(group, counting_act, translation.basepoint)
+    monkeypatch.setattr(FreeWord, "__eq__", counting_eq)
+    monkeypatch.setattr(FreeWord, "__hash__", counting_hash)
+    ball = build_ball(action, group.standard_gens(), 8)
+    assert len(ball) == 1 + 4 * (3 ** 8 - 1) // 2
+    # distinct words never share a hash, so no lookup compares two words
+    assert counts["eq"] == 0
+    # one hash per acted point, plus the basepoint's own insert
+    assert counts["hash"] == counts["act"] + 1
+
+
+def hash_order_outputs(ball):
+    """Every output built from a ball that must not follow hash order."""
+    leaves = None
+    if isinstance(ball.points[0], PairPoint):
+        leaves = [(point_label(leaf), vs)
+                  for leaf, vs in leaf_decomposition(ball).items()]
+    return (json.dumps(to_json_dict(ball)), to_dot(ball), leaves,
+            profile_from_ball(ball, range(ball.radius)))
+
+
+def test_outputs_do_not_depend_on_hash_order(monkeypatch):
+    def build_all():
+        w, gens = lamplighter(2)
+        balls = [build_ball(translation_action(w), gens, 6)]
+        balls += [spec_ball(text, radius) for text, radius in (
+            ("wreath(Sym(3), Z, translation)", 4),
+            ("imprimitive(wreath(C(3), Z, translation))", 8),
+            ("Z^2 / [5, 0]", 12),
+        )]
+        return [hash_order_outputs(ball) for ball in balls]
+
+    shipped = build_all()
+    # another hash consistent with equality reorders every frozenset of
+    # words or vectors (wreath supports, orbits) without changing a value
+    monkeypatch.setattr(FreeWord, "__hash__", lambda self: hash((self.letters[::-1], 1)))
+    monkeypatch.setattr(IntVector, "__hash__", lambda self: hash((self.coords[::-1], 1)))
+    assert build_all() == shipped
 
 
 def sign_quotient_ball():

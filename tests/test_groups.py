@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from endslab.balls import build_ball
+from endslab.dsl import elaborate, parse_spec
 from endslab.groups import (
     Cyclic,
     CyclicInt,
@@ -183,6 +185,31 @@ def test_canonical_form_stability(group):
         for value in (group.multiply(a, b), group.inverse(a)):
             assert type(value)(*[getattr(value, f) for f in value.__dataclass_fields__]) \
                 == value
+
+
+@pytest.mark.parametrize("group", ALL_GROUPS, ids=str)
+def test_hash_agrees_with_equality(group):
+    rng = random.Random(11)
+    ident = group.identity()
+    for _ in range(50):
+        a = sample_element(group, rng)
+        # multiply/inverse build their results with the trusted constructors
+        rebuilt = type(a)(*[getattr(a, f) for f in a.__dataclass_fields__])
+        for value in (rebuilt, group.multiply(a, ident), group.multiply(ident, a),
+                      group.inverse(group.inverse(a))):
+            assert value == a and hash(value) == hash(a)
+
+
+@pytest.mark.parametrize("text, radius", [
+    ("F(2)", 8), ("F(3)", 5), ("Z^2", 30), ("Z^3", 10),
+    ("wreath(C(2), Z, translation)", 8), ("wreath(C(2), Z^2, translation)", 5),
+    ("Z^2 / [5, 0]", 20),
+])
+def test_ball_points_have_distinct_hashes(text, radius):
+    # hash(-1) == hash(-2) in CPython: signed letters and coordinates
+    # must not inherit that collision
+    ball = build_ball(*elaborate(parse_spec(text)), radius)
+    assert len({hash(p) for p in ball.points}) == len(ball)
 
 
 def test_nonidentity_gens_finite_groups():
