@@ -1,8 +1,14 @@
 """Computable left group actions on countable point sets.
 
 A :class:`PointedAction` bundles an acting group, a total action function
-and a basepoint.  Points are plain hashable values: group elements (for
-translation actions), :class:`CosetPoint` (coset actions with canonical
+and a basepoint.  ``act`` is checked: it rejects an element outside the
+group and a point outside the action's point set.  ``step`` is the same
+law for operands already known to be members; a BFS checks its
+generators once with ``group.contains`` and then only steps, since its
+basepoint is a point and every later point is a ``step`` result.
+
+Points are plain hashable values: group elements (for translation
+actions), :class:`CosetPoint` (coset actions with canonical
 representatives), :class:`PairPoint` (imprimitive wreath actions) and
 small tuples for the built-in rule actions.  Subgroup specs state their
 coset laws, quotient specs their image, kernel and lift.
@@ -11,12 +17,14 @@ coset laws, quotient specs their image, kernel and lift.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Any, Callable, ClassVar, Iterable
+from dataclasses import dataclass, field
+from typing import Any, Callable, ClassVar, Iterable, Optional
 
 from .groups import (
+    ELEMENT_LABELS,
     Cyclic,
     CyclicInt,
+    FamilyMismatchError,
     FreeAbelian,
     FreeGroup,
     FreeWord,
@@ -28,7 +36,6 @@ from .groups import (
     SymmetricGenSet,
     SymmetricGroup,
     Torus,
-    element_label,
     perm_parity,
 )
 
@@ -54,6 +61,11 @@ class CosetPoint:
     rep: Any
     space_key: Any
 
+    def __hash__(self):
+        # points that meet in one index share their space's key, and hashing
+        # the key would hash every member of a generated subgroup again
+        return hash(self.rep)
+
 
 @dataclass(frozen=True, slots=True)
 class PairPoint:
@@ -65,31 +77,62 @@ class PairPoint:
 
 @dataclass(frozen=True)
 class PointedAction:
-    """A computable left action of ``group`` with a distinguished basepoint."""
+    """A computable left action of ``group`` with a distinguished basepoint.
+
+    ``act`` checks its operands; ``step`` (``act`` when not given) applies
+    the law to a member of ``group`` and a point of the action.
+    """
 
     group: Group
     act: Callable[[GroupElement, Point], Point]
     basepoint: Point
     label: str = ""
+    step: Optional[Callable[[GroupElement, Point], Point]] = field(
+        default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.step is None:
+            object.__setattr__(self, "step", self.act)
 
     def __str__(self):
         return self.label or f"action of {self.group}"
 
 
-def point_label(p: Point) -> str:
-    if isinstance(p, CosetPoint):
-        return point_label(p.rep)
-    if isinstance(p, PairPoint):
-        return f"({point_label(p.leaf)}, {point_label(p.pos)})"
-    if isinstance(p, (FreeWord, IntVector, CyclicInt, Perm, ModVector)):
-        return element_label(p)
-    from .wreath import WreathElement, wreath_label  # local import, avoids a cycle
+def check_members(group: Group, elements: Iterable[GroupElement]) -> None:
+    """Raise the ``multiply`` mismatch error unless every element is a member."""
+    for g in elements:
+        if not group.contains(g):
+            raise FamilyMismatchError(f"operands do not belong to {group}")
 
-    if isinstance(p, WreathElement):
-        return wreath_label(p)
-    if isinstance(p, tuple):
-        return "(" + ",".join(point_label(x) for x in p) + ")"
-    return str(p)
+
+def checked_act(group: Group, law: Callable[[GroupElement, Point], Point]):
+    """``law`` behind a membership check of its group operand."""
+    contains = group.contains
+
+    def act(g: GroupElement, p: Point) -> Point:
+        if not contains(g):
+            raise FamilyMismatchError(f"operands do not belong to {group}")
+        return law(g, p)
+    return act
+
+
+def point_label(p: Point) -> str:
+    label = POINT_LABELS.get(type(p))
+    return str(p) if label is None else label(p)
+
+
+def _tuple_label(p: tuple) -> str:
+    return "(" + ",".join(map(point_label, p)) + ")"
+
+
+# label of each point class, looked up by exact type; endslab.wreath adds
+# its elements
+POINT_LABELS: dict[type, Callable[[Any], str]] = {
+    CosetPoint: lambda p: point_label(p.rep),
+    PairPoint: lambda p: f"({point_label(p.leaf)}, {point_label(p.pos)})",
+    tuple: _tuple_label,
+    **ELEMENT_LABELS,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +142,7 @@ def point_label(p: Point) -> str:
 def translation_action(group: Group) -> PointedAction:
     """The group acting on itself by left multiplication, based at the identity."""
     return PointedAction(group, group.multiply, group.identity(),
-                         label=f"{group} on itself")
+                         label=f"{group} on itself", step=group._mul)
 
 
 def trivial_action(group: Group, point: Point = 0) -> PointedAction:
@@ -145,10 +188,8 @@ class GeneratedSubgroup:
         if group.order() is None:
             raise UnsupportedSubgroupError(f"GeneratedSubgroup requires a finite group; "
                                            f"supported cases: {SUPPORTED_SUBGROUPS}")
-        members = _mulclose(group, self.gens, cap=group.order())
-        mul, key = group.multiply, group.sort_key
-        return ((str(group), "gen", tuple(members)),
-                lambda g: min((mul(g, h) for h in members), key=key))
+        members = tuple(_mulclose(group, self.gens, cap=group.order()))
+        return (str(group), "gen", members), group._min_product(members)
 
 
 SUPPORTED_SUBGROUPS = (
@@ -214,7 +255,7 @@ def lattice_reduce(hnf: tuple[tuple[int, ...], ...], coords: tuple[int, ...]) ->
     return tuple(v)
 
 
-def _check_members(group: Group, gens: Iterable[GroupElement]) -> None:
+def _check_subgroup_gens(group: Group, gens: Iterable[GroupElement]) -> None:
     for g in gens:
         if not group.contains(g):
             raise UnsupportedSubgroupError(f"{g!r} is not an element of {group}")
@@ -223,7 +264,7 @@ def _check_members(group: Group, gens: Iterable[GroupElement]) -> None:
 def _mulclose(group: Group, gens: Iterable[GroupElement], cap: int) -> list[GroupElement]:
     """All products of the generators (and their inverses), in ``sort_key`` order."""
     gens = tuple(gens)
-    _check_members(group, gens)
+    _check_subgroup_gens(group, gens)
     seeds = [x for g in gens for x in (g, group.inverse(g))]
     closure = orbit_of_point(translation_action(group), group.identity(), seeds, cap)
     if closure.truncated:
@@ -233,7 +274,8 @@ def _mulclose(group: Group, gens: Iterable[GroupElement], cap: int) -> list[Grou
 
 class CosetSpace:
     """Left cosets gK with a canonical, decidable representative map; the
-    subgroup spec's ``coset_law`` gives the space's key and that map."""
+    subgroup spec's ``coset_law`` gives the space's key and that map, which
+    takes members only."""
 
     def __init__(self, group: Group, spec):
         if not hasattr(spec, "coset_law"):
@@ -244,20 +286,27 @@ class CosetSpace:
         self.key, self._reduce = spec.coset_law(group)
 
     def reduce(self, g: GroupElement) -> CosetPoint:
+        if not self.group.contains(g):
+            raise FamilyMismatchError(f"operand does not belong to {self.group}")
         return CosetPoint(self._reduce(g), self.key)
 
     def basepoint(self) -> CosetPoint:
         return self.reduce(self.group.identity())
 
     def act(self, g: GroupElement, p: CosetPoint) -> CosetPoint:
+        if not isinstance(p, CosetPoint):
+            raise ActionError(f"{p!r} is not a coset of {self.group}")
         return CosetPoint(self._reduce(self.group.multiply(g, p.rep)), self.key)
+
+    def step(self, g: GroupElement, p: CosetPoint) -> CosetPoint:
+        return CosetPoint(self._reduce(self.group._mul(g, p.rep)), self.key)
 
 
 def coset_action(group: Group, subgroup_spec) -> PointedAction:
     """Action of the group on left cosets of the specified subgroup."""
     space = CosetSpace(group, subgroup_spec)
     return PointedAction(group, space.act, space.basepoint(),
-                         label=f"{group} on cosets")
+                         label=f"{group} on cosets", step=space.step)
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +328,7 @@ class QuotientSpec:
         if k_gens is None:
             raise UnsupportedSubgroupError(
                 f"unsupported K spec {subgroup_spec!r} for quotient {self!r}")
-        _check_members(self.quotient()[0], k_gens)
+        _check_subgroup_gens(self.quotient()[0], k_gens)
         gens = self.kernel_gens() + tuple(map(self.lift, k_gens))
         if isinstance(source, FreeAbelian):
             return Sublattice(tuple(g.coords for g in gens))
@@ -398,16 +447,28 @@ def _cross_letter(letter: int, p: tuple[int, int]) -> tuple[int, int]:
     return (axis, -m) if m < 0 else (axis + 1, m)
 
 
+def _on_four_rays(p) -> bool:
+    if p == (0, 0):
+        return True
+    return (type(p) is tuple and len(p) == 2 and p[0] in (0, 1, 2, 3)
+            and type(p[1]) is int and p[1] >= 1)
+
+
 def _f2_four_ends() -> PointedAction:
     group = FreeGroup(2)
 
-    def act(w: FreeWord, p: tuple[int, int]) -> tuple[int, int]:
+    def step(w: FreeWord, p: tuple[int, int]) -> tuple[int, int]:
         for letter in reversed(w.letters):
             p = _cross_letter(letter, p)
         return p
 
-    return PointedAction(group, act, (0, 0),
-                         label="F(2) on four rays glued at a core")
+    def law(w: FreeWord, p: tuple[int, int]) -> tuple[int, int]:
+        if not _on_four_rays(p):
+            raise ActionError(f"{p!r} is not a point of the four rays")
+        return step(w, p)
+
+    return PointedAction(group, checked_act(group, law), (0, 0),
+                         label="F(2) on four rays glued at a core", step=step)
 
 
 RULE_ACTIONS: dict[str, tuple[Callable[[], PointedAction], str]] = {
@@ -452,13 +513,18 @@ def orbit(action: PointedAction, gens: SymmetricGenSet, budget: int) -> OrbitRes
 
 def orbit_of_point(action: PointedAction, start: Point,
                    elements: Iterable[GroupElement], budget: int) -> OrbitResult:
+    """BFS orbit of ``start``: the elements are checked once, the start
+    point by one checked ``act``, and every later point comes from ``step``."""
     elements = tuple(elements)
+    check_members(action.group, elements)
+    action.act(action.group.identity(), start)
+    step = action.step
     seen = {start}
     frontier = deque(seen)
     while frontier:
         x = frontier.popleft()
         for g in elements:
-            y = action.act(g, x)
+            y = step(g, x)
             if y not in seen:
                 if len(seen) >= budget:
                     return OrbitResult(frozenset(seen), True)

@@ -5,7 +5,8 @@ distance <= R from the basepoint: every edge with both endpoints inside
 the ball is present, including edges between two boundary vertices.
 The ball stores the graph as its labeled transition table u -> s_i.u;
 the edge list, one edge per unordered generator pair {s, s^-1} labeled
-by the smaller index of the pair, is derived from it.
+by the smaller index of the pair, is derived from it.  A build checks
+its generators once and then applies the action's trusted ``step``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import ClassVar, Iterable
 
-from .actions import PairPoint, Point, PointedAction, point_label
+from .actions import PairPoint, Point, PointedAction, check_members, point_label
 from .groups import GroupElement, SymmetricGenSet
 
 DEFAULT_VERTEX_BUDGET = 2_000_000
@@ -85,10 +86,11 @@ class GraphBall:
         order that points to v is the one that discovered v (rows fill in
         label order, and an entry filled from its pair points to an earlier
         vertex), so w[u] is known and w[v] = s_i.w[u].  On a simplified
-        ball that entry may carry a kept parallel label instead.
+        ball that entry may carry a kept parallel label instead.  The
+        generators are checked members, so the products are trusted.
         """
         group = self.action.group
-        mul = group.multiply
+        mul = group._mul
         elements = self.gens.elements
         ngens = len(elements)
         w = [group.identity()] + [None] * (len(self.points) - 1)
@@ -101,11 +103,17 @@ class GraphBall:
 
 def build_ball(action: PointedAction, gens: SymmetricGenSet, radius: int,
                max_vertices: int = DEFAULT_VERTEX_BUDGET) -> GraphBall:
-    """Materialize the exact radius-R ball of the orbital graph."""
+    """Materialize the exact radius-R ball of the orbital graph.
+
+    Each generator is checked once with ``action.group.contains``; then
+    every point is the basepoint or a ``step`` result, so the build calls
+    only ``step``.
+    """
     if radius < 0:
         raise BallError(f"radius must be >= 0, got {radius}")
-    act = action.act
     gen_elements = gens.elements
+    check_members(action.group, gen_elements)
+    act = action.step
     pairing = gens.pairing
     ngens = len(gen_elements)
     unset_row = [None] * ngens

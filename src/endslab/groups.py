@@ -16,7 +16,9 @@ products live in :mod:`endslab.wreath`.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Iterator, Optional, Sequence
 
 LETTERS = "abcdefghijklmnopqrstuvwxyz"
@@ -189,24 +191,23 @@ def _raw_modvector(moduli: tuple[int, ...], coords: tuple[int, ...]) -> ModVecto
     return v
 
 
+def _word_label(a: FreeWord) -> str:
+    if not a.letters:
+        return "1"
+    return "".join(LETTERS[l - 1] if l > 0 else LETTERS[-l - 1].upper()
+                   for l in a.letters)
+
+
+def _vector_label(a: IntVector) -> str:
+    if len(a.coords) == 1:
+        return str(a.coords[0])
+    return "(" + ",".join(map(str, a.coords)) + ")"
+
+
 def element_label(a: GroupElement) -> str:
     """Short human-readable label (uppercase letter = inverse letter)."""
-    if isinstance(a, FreeWord):
-        if not a.letters:
-            return "1"
-        return "".join(LETTERS[l - 1] if l > 0 else LETTERS[-l - 1].upper()
-                       for l in a.letters)
-    if isinstance(a, IntVector):
-        if len(a.coords) == 1:
-            return str(a.coords[0])
-        return "(" + ",".join(map(str, a.coords)) + ")"
-    if isinstance(a, CyclicInt):
-        return str(a.value)
-    if isinstance(a, Perm):
-        return perm_cycle_notation(a)
-    if isinstance(a, ModVector):
-        return "(" + ",".join(map(str, a.coords)) + ")"
-    return str(a)
+    label = ELEMENT_LABELS.get(type(a))
+    return str(a) if label is None else label(a)
 
 
 def perm_cycle_notation(p: Perm) -> str:
@@ -223,6 +224,16 @@ def perm_cycle_notation(p: Perm) -> str:
             j = p.image[j]
         parts.append("(" + " ".join(map(str, cyc)) + ")")
     return "".join(parts) if parts else "()"
+
+
+# label of each element class, looked up by exact type
+ELEMENT_LABELS = {
+    FreeWord: _word_label,
+    IntVector: _vector_label,
+    CyclicInt: lambda a: str(a.value),
+    Perm: perm_cycle_notation,
+    ModVector: lambda a: "(" + ",".join(map(str, a.coords)) + ")",
+}
 
 
 def perm_parity(p: Perm) -> int:
@@ -324,15 +335,31 @@ def verify_gen_set(group: "Group", gens: SymmetricGenSet) -> None:
 
 
 class Group:
-    """A group family with fixed parameters: knows its law and identity."""
+    """A group family with fixed parameters: knows its law and identity.
+
+    ``multiply`` and ``inverse`` are the checked entry points of the law:
+    they check membership once per operand, then apply the family's
+    ``_mul``/``_inv``, which take members and build their result with a
+    trusted constructor.
+    """
 
     def identity(self) -> GroupElement:
         raise NotImplementedError
 
     def multiply(self, a: GroupElement, b: GroupElement) -> GroupElement:
-        raise NotImplementedError
+        if not (self.contains(a) and self.contains(b)):
+            raise FamilyMismatchError(f"operands do not belong to {self}")
+        return self._mul(a, b)
 
     def inverse(self, a: GroupElement) -> GroupElement:
+        if not self.contains(a):
+            raise FamilyMismatchError(f"operand does not belong to {self}")
+        return self._inv(a)
+
+    def _mul(self, a: GroupElement, b: GroupElement) -> GroupElement:
+        raise NotImplementedError
+
+    def _inv(self, a: GroupElement) -> GroupElement:
         raise NotImplementedError
 
     def contains(self, a: GroupElement) -> bool:
@@ -345,6 +372,12 @@ class Group:
         """Total order on elements; used for canonical coset representatives."""
         raise NotImplementedError
 
+    def _min_product(self, members: Sequence[GroupElement]):
+        """The map g -> least g*h over h in ``members`` by ``sort_key``, for
+        g and every h members: the canonical representative of gH."""
+        mul, key = self._mul, self.sort_key
+        return lambda g: min(map(partial(mul, g), members), key=key)
+
     def order(self) -> Optional[int]:
         """Group order, or None when infinite."""
         return None
@@ -353,27 +386,8 @@ class Group:
         raise GroupError(f"{self} is not finitely enumerable")
 
 
-class _BaseFamily(Group):
-    """A base family: the checked entry points of its law.
-
-    ``multiply`` and ``inverse`` check membership once per operand, then
-    apply the family's ``_mul``/``_inv``, which take members and build
-    their result with a trusted constructor.
-    """
-
-    def multiply(self, a, b):
-        if not (self.contains(a) and self.contains(b)):
-            raise FamilyMismatchError(f"operands do not belong to {self}")
-        return self._mul(a, b)
-
-    def inverse(self, a):
-        if not self.contains(a):
-            raise FamilyMismatchError(f"operand does not belong to {self}")
-        return self._inv(a)
-
-
 @dataclass(frozen=True)
-class FreeGroup(_BaseFamily):
+class FreeGroup(Group):
     rank: int
 
     def __post_init__(self):
@@ -420,7 +434,7 @@ class FreeGroup(_BaseFamily):
 
 
 @dataclass(frozen=True)
-class FreeAbelian(_BaseFamily):
+class FreeAbelian(Group):
     rank: int
 
     def __post_init__(self):
@@ -434,7 +448,7 @@ class FreeAbelian(_BaseFamily):
         return isinstance(a, IntVector) and len(a.coords) == self.rank
 
     def _mul(self, a, b):
-        return _raw_intvector(tuple(x + y for x, y in zip(a.coords, b.coords)))
+        return _raw_intvector(tuple(map(operator.add, a.coords, b.coords)))
 
     def _inv(self, a):
         return _raw_intvector(tuple(-x for x in a.coords))
@@ -464,7 +478,7 @@ class FreeAbelian(_BaseFamily):
 
 
 @dataclass(frozen=True)
-class Cyclic(_BaseFamily):
+class Cyclic(Group):
     modulus: int
 
     def __post_init__(self):
@@ -507,7 +521,7 @@ class Cyclic(_BaseFamily):
 
 
 @dataclass(frozen=True)
-class SymmetricGroup(_BaseFamily):
+class SymmetricGroup(Group):
     degree: int
 
     def __post_init__(self):
@@ -531,6 +545,14 @@ class SymmetricGroup(_BaseFamily):
 
     def sort_key(self, a):
         return a.image
+
+    def _min_product(self, members):
+        # itemgetter(*h.image) maps g.image to (g*h).image, and sort_key is the
+        # image, so the least image tuple is the least product: one Perm is built
+        if self.degree == 1:
+            return lambda g: g  # itemgetter of one index returns no tuple
+        getters = [operator.itemgetter(*h.image) for h in members]
+        return lambda g: _raw_perm(min([f(g.image) for f in getters]))
 
     def transposition(self, i: int, j: int) -> Perm:
         img = list(range(self.degree))
@@ -559,7 +581,7 @@ class SymmetricGroup(_BaseFamily):
 
 
 @dataclass(frozen=True)
-class Torus(_BaseFamily):
+class Torus(Group):
     """Product of cyclic groups Z/d1 x ... x Z/dk."""
 
     moduli: tuple[int, ...]
@@ -576,7 +598,7 @@ class Torus(_BaseFamily):
 
     def _mul(self, a, b):
         return _raw_modvector(self.moduli, tuple(
-            (x + y) % m for x, y, m in zip(a.coords, b.coords, self.moduli)))
+            map(operator.mod, map(operator.add, a.coords, b.coords), self.moduli)))
 
     def _inv(self, a):
         return _raw_modvector(self.moduli,

@@ -3,7 +3,10 @@
 An element is a pair (support, head): a finitely supported map
 X -> base group (stored without identity values, as a frozenset of
 items) together with a top-group element.  The top group permutes the
-support coordinates through its action on X.
+support coordinates through its action on X.  The trusted law ``_mul``
+moves coordinates with the top action's ``step``; the imprimitive,
+imprimitive-coset and head-projection actions step with the base
+``_mul`` and the top action's ``step`` too, behind a checked ``act``.
 """
 
 from __future__ import annotations
@@ -12,10 +15,13 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .actions import (
+    POINT_LABELS,
+    ActionError,
     CosetSpace,
     PairPoint,
     Point,
     PointedAction,
+    checked_act,
     orbit_of_point,
     point_label,
     translation_action,
@@ -50,6 +56,9 @@ def wreath_label(a: WreathElement) -> str:
     return f"({sup}; {element_label(a.head)})"
 
 
+POINT_LABELS[WreathElement] = wreath_label
+
+
 # points explored per orbit representative when checking that the
 # representatives lie in distinct top-orbits
 ORBIT_CHECK_BUDGET = 1000
@@ -64,6 +73,10 @@ class WreathGroup(Group):
     generators and up to ``ORBIT_CHECK_BUDGET`` points (orbit discovery on
     an infinite X is only semi-decidable, so the check is an upper bound,
     not a proof).
+
+    ``contains`` checks the head, each support value and each support
+    point, a point being whatever the top action's checked ``act`` accepts;
+    the inherited ``multiply``/``inverse`` check with it once per operand.
     """
 
     def __init__(self, base: Group, top: Group, top_action: PointedAction,
@@ -73,6 +86,8 @@ class WreathGroup(Group):
         self.base = base
         self.top = top
         self.top_action = top_action
+        self._base_identity = base.identity()
+        self._top_identity = top.identity()
         self.orbit_reps = tuple(orbit_reps)
         if not self.orbit_reps:
             raise WreathError("at least one orbit representative is required")
@@ -102,35 +117,56 @@ class WreathGroup(Group):
         return WreathElement(frozenset(), h)
 
     def contains(self, a) -> bool:
-        if not isinstance(a, WreathElement):
+        if not (isinstance(a, WreathElement) and self.top.contains(a.head)):
             return False
-        if not self.top.contains(a.head):
-            return False
-        return all(self.base.contains(v) and v != self.base.identity()
-                   for _, v in a.support)
+        base, ident = self.base, self._base_identity
+        return all(base.contains(v) and v != ident and self._is_point(p)
+                   for p, v in a.support)
 
-    def multiply(self, a: WreathElement, b: WreathElement) -> WreathElement:
+    def _is_point(self, p: Point) -> bool:
+        try:
+            self.top_action.act(self._top_identity, p)
+        except (GroupError, ActionError):
+            return False
+        return True
+
+    def _mul(self, a: WreathElement, b: WreathElement) -> WreathElement:
         # (f, g)(f', g') = (f * (g.f'), g g') with (g.f')(x) = f'(g^-1 x),
         # i.e. the entry of f' at x moves to g.x.
-        act = self.top_action.act
-        mul = self.base.multiply
-        ident = self.base.identity()
+        mul = self.base._mul
+        ident = self._base_identity
+        h = a.head
+        if h == self._top_identity:
+            # a delta generator's head moves nothing: merge its own entries
+            # into b's, a's value on the left
+            combined = dict(b.support)
+            for p, v in a.support:
+                w = mul(v, combined[p]) if p in combined else v
+                if w == ident:
+                    del combined[p]
+                else:
+                    combined[p] = w
+            return WreathElement(frozenset(combined.items()), b.head)
+        step = self.top_action.step
+        if not a.support:
+            # a top generator: b's entries move without meeting any of a's
+            return WreathElement(frozenset([(step(h, p), v) for p, v in b.support]),
+                                 self.top._mul(h, b.head))
         combined = dict(a.support)
         for p, v in b.support:
-            q = act(a.head, p)
+            q = step(h, p)
             w = mul(combined[q], v) if q in combined else v
             if w == ident:
-                combined.pop(q, None)
+                del combined[q]
             else:
                 combined[q] = w
-        return WreathElement(frozenset(combined.items()),
-                             self.top.multiply(a.head, b.head))
+        return WreathElement(frozenset(combined.items()), self.top._mul(h, b.head))
 
-    def inverse(self, a: WreathElement) -> WreathElement:
-        h_inv = self.top.inverse(a.head)
-        act = self.top_action.act
-        inv = self.base.inverse
-        support = frozenset((act(h_inv, p), inv(v)) for p, v in a.support)
+    def _inv(self, a: WreathElement) -> WreathElement:
+        h_inv = self.top._inv(a.head)
+        step = self.top_action.step
+        inv = self.base._inv
+        support = frozenset((step(h_inv, p), inv(v)) for p, v in a.support)
         return WreathElement(support, h_inv)
 
     def shift(self, h: GroupElement, a: WreathElement) -> WreathElement:
@@ -169,26 +205,30 @@ def standard_wreath_gens(w: WreathGroup, base_gens: SymmetricGenSet,
                            frozenset(identity_idx))
 
 
+def _imprimitive_law(act_top, act_leaf):
+    """(f, h).(l, x) = (f(h.x).l, h.x), moving x with ``act_top`` and the
+    leaf l with ``act_leaf``."""
+    def act(a: WreathElement, p: PairPoint) -> PairPoint:
+        x = act_top(a.head, p.pos)
+        leaf = p.leaf
+        for q, v in a.support:
+            if q == x:
+                leaf = act_leaf(v, leaf)
+                break
+        return PairPoint(leaf, x)
+    return act
+
+
 def imprimitive_action(w: WreathGroup, orbit_rep: Point) -> PointedAction:
     """Action on (base element, orbit point) pairs:
     (f, h).(g, x) = (f(h.x) * g, h.x)."""
     if orbit_rep not in w.orbit_reps:
         raise WreathError(f"{orbit_rep!r} is not one of the chosen orbit representatives")
-    act_top = w.top_action.act
-    mul = w.base.multiply
-
-    def act(a: WreathElement, p: PairPoint) -> PairPoint:
-        x = act_top(a.head, p.pos)
-        g = p.leaf
-        for q, v in a.support:
-            if q == x:
-                g = mul(v, g)
-                break
-        return PairPoint(g, x)
-
-    base_ident = w.base.identity()
-    return PointedAction(w, act, PairPoint(base_ident, orbit_rep),
-                         label=f"{w} imprimitive on {w.base} x orbit")
+    top = w.top_action
+    return PointedAction(w, checked_act(w, _imprimitive_law(top.act, w.base.multiply)),
+                         PairPoint(w.base.identity(), orbit_rep),
+                         label=f"{w} imprimitive on {w.base} x orbit",
+                         step=_imprimitive_law(top.step, w.base._mul))
 
 
 def imprimitive_coset_action(w: WreathGroup, subgroup_spec,
@@ -198,19 +238,11 @@ def imprimitive_coset_action(w: WreathGroup, subgroup_spec,
     if orbit_rep not in w.orbit_reps:
         raise WreathError(f"{orbit_rep!r} is not one of the chosen orbit representatives")
     space = CosetSpace(w.base, subgroup_spec)
-    act_top = w.top_action.act
-
-    def act(a: WreathElement, p: PairPoint) -> PairPoint:
-        x = act_top(a.head, p.pos)
-        leaf = p.leaf
-        for q, v in a.support:
-            if q == x:
-                leaf = space.act(v, leaf)
-                break
-        return PairPoint(leaf, x)
-
-    return PointedAction(w, act, PairPoint(space.basepoint(), orbit_rep),
-                         label=f"{w} imprimitive on cosets x orbit")
+    top = w.top_action
+    return PointedAction(w, checked_act(w, _imprimitive_law(top.act, space.act)),
+                         PairPoint(space.basepoint(), orbit_rep),
+                         label=f"{w} imprimitive on cosets x orbit",
+                         step=_imprimitive_law(top.step, space.step))
 
 
 def head_projection_action(w: WreathGroup) -> PointedAction:
@@ -220,13 +252,13 @@ def head_projection_action(w: WreathGroup) -> PointedAction:
     respect to the full base-sum subgroup; delta generators act trivially
     and only contribute loops.
     """
-    act_top = w.top_action.act
+    top = w.top_action
 
-    def act(a: WreathElement, x: Point) -> Point:
-        return act_top(a.head, x)
+    def law(act_top):
+        return lambda a, x: act_top(a.head, x)
 
-    return PointedAction(w, act, w.top_action.basepoint,
-                         label=f"{w} head projection")
+    return PointedAction(w, checked_act(w, law(top.act)), top.basepoint,
+                         label=f"{w} head projection", step=law(top.step))
 
 
 def lamplighter(n: int) -> tuple[WreathGroup, SymmetricGenSet]:

@@ -6,6 +6,7 @@ import pytest
 
 from endslab.actions import (
     ActionError,
+    CosetPoint,
     CosetSpace,
     CyclicDivisorQuotient,
     DiagonalLatticeQuotient,
@@ -30,6 +31,7 @@ from endslab.balls import build_ball
 from endslab.groups import (
     Cyclic,
     CyclicInt,
+    FamilyMismatchError,
     FreeAbelian,
     FreeGroup,
     FreeWord,
@@ -37,7 +39,9 @@ from endslab.groups import (
     ModVector,
     Perm,
     SymmetricGroup,
+    Torus,
 )
+from endslab.wreath import imprimitive_action, lamplighter
 
 from oracles import (
     closure,
@@ -269,3 +273,62 @@ def test_preimage_matches_enumeration_oracle():
             assert abs(determinant(hnf)) == math.prod(moduli) // len(k_members), (moduli, k)
             for row in hnf:
                 assert tuple(c % m for c, m in zip(row, moduli)) in k_members
+
+
+def test_public_act_rejects_foreign_operands():
+    z = FreeAbelian(1)
+    translation = translation_action(z)
+    with pytest.raises(FamilyMismatchError):
+        translation.act(FreeWord(1, (1,)), IntVector((0,)))
+    with pytest.raises(FamilyMismatchError):
+        translation.act(IntVector((1,)), IntVector((0, 0)))
+
+    coset = coset_action(SymmetricGroup(3), GeneratedSubgroup((Perm((1, 0, 2)),)))
+    with pytest.raises(FamilyMismatchError):
+        coset.act(Perm((1, 0)), coset.basepoint)
+    with pytest.raises(FamilyMismatchError):
+        coset.act(Perm((1, 0, 2)), CosetPoint(Perm((1, 0)), coset.basepoint.space_key))
+    with pytest.raises(ActionError):
+        coset.act(Perm((1, 0, 2)), Perm((1, 0, 2)))
+
+    w, gens = lamplighter(2)
+    imprimitive = imprimitive_action(w, w.orbit_reps[0])
+    for foreign in (IntVector((1,)), FreeWord(2, (1,))):
+        with pytest.raises(FamilyMismatchError):
+            imprimitive.act(foreign, imprimitive.basepoint)
+    # a wreath element of the wrong top group
+    other, _ = lamplighter(3)
+    with pytest.raises(FamilyMismatchError):
+        imprimitive.act(other.delta(other.orbit_reps[0], CyclicInt(3, 1)),
+                        imprimitive.basepoint)
+
+
+def test_rule_action_act_checks_word_and_point():
+    action = rule_action("f2_four_ends")
+    # a rank-3 word is not read as a word of F(2)
+    with pytest.raises(FamilyMismatchError):
+        action.act(FreeWord(3, (3,)), (0, 0))
+    with pytest.raises(FamilyMismatchError):
+        action.act(IntVector((1,)), (0, 0))
+    for off_graph in ((7, 3), (1, 0), (0, -2), (2,), "core", IntVector((0, 0))):
+        with pytest.raises(ActionError):
+            action.act(FreeWord(2, (1,)), off_graph)
+    assert action.act(FreeWord(2, (1,)), (0, 0)) == (1, 1)
+    assert action.step(FreeWord(2, (1,)), (0, 0)) == (1, 1)
+
+
+@pytest.mark.parametrize("group", [SymmetricGroup(n) for n in range(1, 7)]
+                         + [Cyclic(1), Cyclic(6), Cyclic(12), Torus((2, 3)), Torus((4, 4))],
+                         ids=str)
+def test_min_product_matches_checked_min(group):
+    rng = random.Random(str(group))
+    elements = sorted(group.elements(), key=group.sort_key)
+    for _ in range(4):
+        gens = rng.sample(elements, min(len(elements), rng.randrange(3)))
+        space = CosetSpace(group, GeneratedSubgroup(tuple(gens)))
+        members = space.key[2]
+        min_product = group._min_product(members)
+        for g in rng.sample(elements, min(len(elements), 40)):
+            want = min((group.multiply(g, h) for h in members), key=group.sort_key)
+            assert min_product(g) == want
+            assert space.reduce(g).rep == want

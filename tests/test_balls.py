@@ -1,3 +1,4 @@
+import functools
 import json
 import random
 
@@ -5,11 +6,13 @@ import pytest
 
 from endslab.actions import (
     ActionError,
+    GeneratedSubgroup,
     PairPoint,
     PointedAction,
     Sublattice,
     TrivialSubgroup,
     coset_action,
+    orbit_of_point,
     point_label,
     rule_action,
     translation_action,
@@ -31,10 +34,12 @@ from endslab.ends import profile_from_ball
 from endslab.groups import (
     Cyclic,
     CyclicInt,
+    FamilyMismatchError,
     FreeAbelian,
     FreeGroup,
     FreeWord,
     IntVector,
+    Perm,
     SymmetricGenSet,
     SymmetricGroup,
     make_gen_set,
@@ -43,7 +48,9 @@ from endslab.groups import (
 )
 from endslab.wreath import (
     WreathGroup,
+    head_projection_action,
     imprimitive_action,
+    imprimitive_coset_action,
     lamplighter,
     standard_wreath_gens,
 )
@@ -212,9 +219,11 @@ def test_cut_results_stable_under_simplify():
         assert delete_and_split(simplify(ball), cut_vertices) == base
 
 
+@functools.cache
 def generated_spec_balls(count=100, radius=3, max_draws=400):
     """Balls of the first ``count`` seeded generated specs that elaborate;
-    refused specs are skipped, drawing on until ``count`` balls are built."""
+    refused specs are skipped, drawing on until ``count`` balls are built.
+    Built once per test run; the balls are frozen, so the tests share them."""
     rng = random.Random(11)
     balls = []
     for _ in range(max_draws):
@@ -226,7 +235,7 @@ def generated_spec_balls(count=100, radius=3, max_draws=400):
         except (SpecError, ActionError):
             continue
     assert len(balls) == count, f"{len(balls)} balls from {max_draws} draws"
-    return balls
+    return tuple(balls)
 
 
 def check_table(ball):
@@ -244,7 +253,7 @@ def check_table(ball):
 
 
 def test_table_matches_act_oracle():
-    balls = random_fixture_balls() + generated_spec_balls()
+    balls = [*random_fixture_balls(), *generated_spec_balls()]
     assert len(balls) > 20
     for ball in balls:
         check_table(ball)
@@ -254,22 +263,22 @@ def test_table_matches_act_oracle():
 
 
 def test_witness_matches_bfs_oracle():
-    balls = random_fixture_balls() + generated_spec_balls()
+    balls = [*random_fixture_balls(), *generated_spec_balls()]
     for ball in balls:
         assert ball.witness == bfs_witnesses(ball.action, ball.gens, ball.radius)
 
 
 def test_build_ball_makes_no_multiply(monkeypatch):
-    # rule(f2_four_ends) acts letter by letter, so every multiply counted
-    # here is one the ball itself makes
+    # rule(f2_four_ends) acts letter by letter, so every product of the law
+    # counted here (checked multiply or trusted _mul) is one the ball makes
     calls = []
-    multiply = FreeGroup.multiply
+    mul = FreeGroup._mul
 
     def counting(self, a, b):
         calls.append(1)
-        return multiply(self, a, b)
+        return mul(self, a, b)
 
-    monkeypatch.setattr(FreeGroup, "multiply", counting)
+    monkeypatch.setattr(FreeGroup, "_mul", counting)
     ball = build_ball(rule_action("f2_four_ends"), FreeGroup(2).standard_gens(), 8)
     assert len(calls) == 0
     witness = ball.witness
@@ -306,6 +315,61 @@ def test_build_ball_hashes_each_acted_point_once(monkeypatch):
     assert counts["eq"] == 0
     # one hash per acted point, plus the basepoint's own insert
     assert counts["hash"] == counts["act"] + 1
+
+
+def stepping_balls():
+    """Balls whose actions step with a law of their own, beyond the fixtures:
+    a Sym(8) coset ball, an imprimitive coset ball and a head projection."""
+    w, wgens = lamplighter(2)
+    top = w.top_action
+    sym3_wreath = WreathGroup(SymmetricGroup(3), top.group, top, (top.basepoint,))
+    sym3_gens = standard_wreath_gens(sym3_wreath, SymmetricGroup(3).standard_gens(),
+                                     top.group.standard_gens())
+    swap = GeneratedSubgroup((Perm((1, 0, 2)),))
+    return [
+        spec_ball("Sym(8) / {(0 1 2 3 4 5 6 7)}", 5),
+        build_ball(imprimitive_coset_action(sym3_wreath, swap, top.basepoint),
+                   sym3_gens, 7),
+        build_ball(head_projection_action(w), wgens, 6),
+    ]
+
+
+def test_step_builds_the_act_ball():
+    # the same build through a copy of each action without step, so through
+    # the checked act alone, must give the same ball
+    for ball in [*random_fixture_balls(), *generated_spec_balls(), *stepping_balls()]:
+        a = ball.action
+        stepless = PointedAction(a.group, a.act, a.basepoint, a.label)
+        assert stepless.step is stepless.act
+        again = build_ball(stepless, ball.gens, ball.radius, max_vertices=5000)
+        assert again.points == ball.points
+        assert again.dist == ball.dist
+        assert again.table == ball.table
+
+
+def test_foreign_generator_is_refused_before_any_step():
+    group = FreeGroup(2)
+    translation = translation_action(group)
+    calls = []
+
+    def counting_step(g, p):
+        calls.append(1)
+        return translation.step(g, p)
+
+    action = PointedAction(group, translation.act, translation.basepoint,
+                           step=counting_step)
+    gens = group.standard_gens()
+    foreign = (FreeWord(3, (3,)), IntVector((1,)), Perm((1, 0)))
+    for x in foreign:
+        bad = SymmetricGenSet(gens.elements + (x,), gens.pairing + (len(gens),),
+                              gens.names + ("x",))
+        with pytest.raises(FamilyMismatchError, match="operands do not belong to F"):
+            build_ball(action, bad, 3)
+        with pytest.raises(FamilyMismatchError, match="operands do not belong to F"):
+            orbit_of_point(action, action.basepoint, bad.elements, 100)
+    assert calls == []
+    build_ball(action, gens, 2)
+    assert len(calls) > 0
 
 
 def hash_order_outputs(ball):

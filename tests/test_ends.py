@@ -168,7 +168,7 @@ def test_profile_matches_component_oracle():
         ("rule(f2_four_ends)", 12),
         ("C(6)", 5),  # empty outer spheres
     )] + [build_ball(head_projection_action(w), wgens, 10)]
-    for ball in random_fixture_balls() + generated_spec_balls() + hand_picked:
+    for ball in [*random_fixture_balls(), *generated_spec_balls(), *hand_picked]:
         ks = range(ball.radius)
         matrix = profile_from_ball(ball, ks).matrix
         assert matrix == oracle_profile(ball, ks)

@@ -5,7 +5,7 @@ import pytest
 
 from endslab.actions import PairPoint, check_action_axioms, orbit, translation_action, trivial_action
 from endslab.balls import build_ball
-from endslab.groups import Cyclic, CyclicInt, FreeAbelian, IntVector
+from endslab.groups import Cyclic, CyclicInt, FamilyMismatchError, FreeAbelian, IntVector
 from endslab.wreath import (
     WreathElement,
     WreathError,
@@ -259,3 +259,23 @@ def test_lamplighter_constructor():
     assert lamplighter2_ball_sizes(3) == [1, 4, 10, 22]
     assert sizes == [1, 4, 10, 22]
     assert all(a < b for a, b in zip(sizes, sizes[1:]))
+
+
+def test_multiply_and_inverse_reject_foreign_operands():
+    w, gens = lamplighter(2)
+    a = gens.elements[0]
+    for foreign in (IntVector((0,)), CyclicInt(2, 1), lamplighter(3)[1].elements[0]):
+        with pytest.raises(FamilyMismatchError):
+            w.multiply(a, foreign)
+        with pytest.raises(FamilyMismatchError):
+            w.multiply(foreign, a)
+        with pytest.raises(FamilyMismatchError):
+            w.inverse(foreign)
+    # a support point outside Z is not a point of the top action
+    bad_point = WreathElement(frozenset([(CyclicInt(2, 1), CyclicInt(2, 1))]), IntVector((0,)))
+    assert not w.contains(bad_point)
+    with pytest.raises(FamilyMismatchError):
+        w.multiply(a, bad_point)
+    with pytest.raises(FamilyMismatchError):
+        w.inverse(bad_point)
+
