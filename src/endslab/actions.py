@@ -1,11 +1,12 @@
 """Computable left group actions on countable point sets.
 
-A :class:`PointedAction` bundles an acting group, a total action function
-and a basepoint.  ``act`` is checked: it rejects an element outside the
-group and a point outside the action's point set.  ``step`` is the same
-law for operands already known to be members; a BFS checks its
-generators once with ``group.contains`` and then only steps, since its
-basepoint is a point and every later point is a ``step`` result.
+A :class:`PointedAction` bundles an acting group, the action's law
+``step``, a basepoint and ``is_point``, the test of its point set.  Each
+action states its law once: ``step`` trusts its operands, and the one
+checked ``act``, the same for every action, rejects an element outside
+the group and a value that fails ``is_point`` before it steps.  A BFS
+checks its generators once with ``group.contains`` and then only steps,
+since its basepoint is a point and every later point is a ``step`` result.
 
 Points are plain hashable values: group elements (for translation
 actions), :class:`CosetPoint` (coset actions with canonical
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, ClassVar, Iterable, Optional
+from typing import Any, Callable, ClassVar, Iterable
 
 from .groups import (
     ELEMENT_LABELS,
@@ -75,24 +76,31 @@ class PairPoint:
     pos: Any
 
 
+def _any_point(p: Point) -> bool:
+    """The point test of an action that accepts every value."""
+    return True
+
+
 @dataclass(frozen=True)
 class PointedAction:
     """A computable left action of ``group`` with a distinguished basepoint.
 
-    ``act`` checks its operands; ``step`` (``act`` when not given) applies
-    the law to a member of ``group`` and a point of the action.
+    ``step`` is the law: it applies a member of ``group`` to a point of the
+    action.  ``is_point`` tells the points from other values.
     """
 
     group: Group
-    act: Callable[[GroupElement, Point], Point]
+    step: Callable[[GroupElement, Point], Point]
     basepoint: Point
     label: str = ""
-    step: Optional[Callable[[GroupElement, Point], Point]] = field(
-        default=None, repr=False, compare=False)
+    is_point: Callable[[Point], bool] = field(
+        default=_any_point, repr=False, compare=False)
 
-    def __post_init__(self):
-        if self.step is None:
-            object.__setattr__(self, "step", self.act)
+    def act(self, g: GroupElement, p: Point) -> Point:
+        """``step`` behind a check of both operands."""
+        check_members(self.group, (g,))
+        check_point(self, p)
+        return self.step(g, p)
 
     def __str__(self):
         return self.label or f"action of {self.group}"
@@ -105,15 +113,10 @@ def check_members(group: Group, elements: Iterable[GroupElement]) -> None:
             raise FamilyMismatchError(f"operands do not belong to {group}")
 
 
-def checked_act(group: Group, law: Callable[[GroupElement, Point], Point]):
-    """``law`` behind a membership check of its group operand."""
-    contains = group.contains
-
-    def act(g: GroupElement, p: Point) -> Point:
-        if not contains(g):
-            raise FamilyMismatchError(f"operands do not belong to {group}")
-        return law(g, p)
-    return act
+def check_point(action: PointedAction, p: Point) -> None:
+    """Raise ``ActionError`` unless ``p`` is a point of the action."""
+    if not action.is_point(p):
+        raise ActionError(f"{p!r} is not a point of {action}")
 
 
 def point_label(p: Point) -> str:
@@ -141,13 +144,14 @@ POINT_LABELS: dict[type, Callable[[Any], str]] = {
 
 def translation_action(group: Group) -> PointedAction:
     """The group acting on itself by left multiplication, based at the identity."""
-    return PointedAction(group, group.multiply, group.identity(),
-                         label=f"{group} on itself", step=group._mul)
+    return PointedAction(group, group._mul, group.identity(),
+                         f"{group} on itself", group.contains)
 
 
 def trivial_action(group: Group, point: Point = 0) -> PointedAction:
     """The action on a single point (wreath products over a singleton)."""
-    return PointedAction(group, lambda g, x: x, point, label=f"{group} on a point")
+    return PointedAction(group, lambda g, x: x, point, f"{group} on a point",
+                         lambda x: x == point)
 
 
 # ---------------------------------------------------------------------------
@@ -293,10 +297,8 @@ class CosetSpace:
     def basepoint(self) -> CosetPoint:
         return self.reduce(self.group.identity())
 
-    def act(self, g: GroupElement, p: CosetPoint) -> CosetPoint:
-        if not isinstance(p, CosetPoint):
-            raise ActionError(f"{p!r} is not a coset of {self.group}")
-        return CosetPoint(self._reduce(self.group.multiply(g, p.rep)), self.key)
+    def is_point(self, p: Point) -> bool:
+        return isinstance(p, CosetPoint) and self.group.contains(p.rep)
 
     def step(self, g: GroupElement, p: CosetPoint) -> CosetPoint:
         return CosetPoint(self._reduce(self.group._mul(g, p.rep)), self.key)
@@ -305,8 +307,8 @@ class CosetSpace:
 def coset_action(group: Group, subgroup_spec) -> PointedAction:
     """Action of the group on left cosets of the specified subgroup."""
     space = CosetSpace(group, subgroup_spec)
-    return PointedAction(group, space.act, space.basepoint(),
-                         label=f"{group} on cosets", step=space.step)
+    return PointedAction(group, space.step, space.basepoint(),
+                         f"{group} on cosets", space.is_point)
 
 
 # ---------------------------------------------------------------------------
@@ -462,13 +464,8 @@ def _f2_four_ends() -> PointedAction:
             p = _cross_letter(letter, p)
         return p
 
-    def law(w: FreeWord, p: tuple[int, int]) -> tuple[int, int]:
-        if not _on_four_rays(p):
-            raise ActionError(f"{p!r} is not a point of the four rays")
-        return step(w, p)
-
-    return PointedAction(group, checked_act(group, law), (0, 0),
-                         label="F(2) on four rays glued at a core", step=step)
+    return PointedAction(group, step, (0, 0), "F(2) on four rays glued at a core",
+                         _on_four_rays)
 
 
 RULE_ACTIONS: dict[str, tuple[Callable[[], PointedAction], str]] = {
@@ -514,10 +511,10 @@ def orbit(action: PointedAction, gens: SymmetricGenSet, budget: int) -> OrbitRes
 def orbit_of_point(action: PointedAction, start: Point,
                    elements: Iterable[GroupElement], budget: int) -> OrbitResult:
     """BFS orbit of ``start``: the elements are checked once, the start
-    point by one checked ``act``, and every later point comes from ``step``."""
+    point by ``is_point``, and every later point comes from ``step``."""
     elements = tuple(elements)
     check_members(action.group, elements)
-    action.act(action.group.identity(), start)
+    check_point(action, start)
     step = action.step
     seen = {start}
     frontier = deque(seen)

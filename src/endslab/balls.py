@@ -6,7 +6,9 @@ the ball is present, including edges between two boundary vertices.
 The ball stores the graph as its labeled transition table u -> s_i.u;
 the edge list, one edge per unordered generator pair {s, s^-1} labeled
 by the smaller index of the pair, is derived from it.  A build checks
-its generators once and then applies the action's trusted ``step``.
+its generators once and then applies the action's law ``step``; it never
+calls the derived ``act``, whose point test ``is_point`` every ball
+point passes.
 """
 
 from __future__ import annotations

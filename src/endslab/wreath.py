@@ -3,10 +3,12 @@
 An element is a pair (support, head): a finitely supported map
 X -> base group (stored without identity values, as a frozenset of
 items) together with a top-group element.  The top group permutes the
-support coordinates through its action on X.  The trusted law ``_mul``
-moves coordinates with the top action's ``step``; the imprimitive,
-imprimitive-coset and head-projection actions step with the base
-``_mul`` and the top action's ``step`` too, behind a checked ``act``.
+support coordinates through its action on X, and the top action's
+``is_point`` decides which values are points of X.  The trusted law
+``_mul`` moves coordinates with the top action's ``step``.  The
+imprimitive, imprimitive-coset and head-projection actions state one law
+each, stepping with the base (or coset) ``step`` and the top action's
+``step``, and one point test built from the leaf's and the top action's.
 """
 
 from __future__ import annotations
@@ -16,12 +18,10 @@ from typing import Iterable
 
 from .actions import (
     POINT_LABELS,
-    ActionError,
     CosetSpace,
     PairPoint,
     Point,
     PointedAction,
-    checked_act,
     orbit_of_point,
     point_label,
     translation_action,
@@ -75,8 +75,8 @@ class WreathGroup(Group):
     not a proof).
 
     ``contains`` checks the head, each support value and each support
-    point, a point being whatever the top action's checked ``act`` accepts;
-    the inherited ``multiply``/``inverse`` check with it once per operand.
+    point with the top action's ``is_point``; the inherited
+    ``multiply``/``inverse`` check with it once per operand.
     """
 
     def __init__(self, base: Group, top: Group, top_action: PointedAction,
@@ -91,6 +91,8 @@ class WreathGroup(Group):
         self.orbit_reps = tuple(orbit_reps)
         if not self.orbit_reps:
             raise WreathError("at least one orbit representative is required")
+        for rep in self.orbit_reps:
+            self._check_point(rep)
         gens = top.standard_gens()
         for i, rep in enumerate(self.orbit_reps[:-1]):
             reach = orbit_of_point(top_action, rep, gens.elements, ORBIT_CHECK_BUDGET)
@@ -105,6 +107,7 @@ class WreathGroup(Group):
 
     def delta(self, point: Point, value: GroupElement) -> WreathElement:
         """The element supported at one point, with trivial head."""
+        self._check_point(point)
         if not self.base.contains(value):
             raise WreathError(f"{value!r} is not a base-group element")
         if value == self.base.identity():
@@ -120,15 +123,13 @@ class WreathGroup(Group):
         if not (isinstance(a, WreathElement) and self.top.contains(a.head)):
             return False
         base, ident = self.base, self._base_identity
-        return all(base.contains(v) and v != ident and self._is_point(p)
+        is_point = self.top_action.is_point
+        return all(base.contains(v) and v != ident and is_point(p)
                    for p, v in a.support)
 
-    def _is_point(self, p: Point) -> bool:
-        try:
-            self.top_action.act(self._top_identity, p)
-        except (GroupError, ActionError):
-            return False
-        return True
+    def _check_point(self, p: Point) -> None:
+        if not self.top_action.is_point(p):
+            raise WreathError(f"{p!r} is not a point of {self.top_action}")
 
     def _mul(self, a: WreathElement, b: WreathElement) -> WreathElement:
         # (f, g)(f', g') = (f * (g.f'), g g') with (g.f')(x) = f'(g^-1 x),
@@ -205,44 +206,44 @@ def standard_wreath_gens(w: WreathGroup, base_gens: SymmetricGenSet,
                            frozenset(identity_idx))
 
 
-def _imprimitive_law(act_top, act_leaf):
-    """(f, h).(l, x) = (f(h.x).l, h.x), moving x with ``act_top`` and the
-    leaf l with ``act_leaf``."""
-    def act(a: WreathElement, p: PairPoint) -> PairPoint:
-        x = act_top(a.head, p.pos)
+def _imprimitive(w: WreathGroup, orbit_rep: Point, leaf_step, is_leaf, leaf0,
+                 label: str) -> PointedAction:
+    """(f, h).(l, x) = (f(h.x).l, h.x), moving x with the top action's
+    ``step`` and the leaf l with ``leaf_step``; a point is a ``PairPoint``
+    whose leaf passes ``is_leaf`` and whose position is a point of X."""
+    if orbit_rep not in w.orbit_reps:
+        raise WreathError(f"{orbit_rep!r} is not one of the chosen orbit representatives")
+    top_step, is_pos = w.top_action.step, w.top_action.is_point
+
+    def step(a: WreathElement, p: PairPoint) -> PairPoint:
+        x = top_step(a.head, p.pos)
         leaf = p.leaf
         for q, v in a.support:
             if q == x:
-                leaf = act_leaf(v, leaf)
+                leaf = leaf_step(v, leaf)
                 break
         return PairPoint(leaf, x)
-    return act
+
+    def is_point(p: Point) -> bool:
+        return isinstance(p, PairPoint) and is_leaf(p.leaf) and is_pos(p.pos)
+
+    return PointedAction(w, step, PairPoint(leaf0, orbit_rep), label, is_point)
 
 
 def imprimitive_action(w: WreathGroup, orbit_rep: Point) -> PointedAction:
     """Action on (base element, orbit point) pairs:
     (f, h).(g, x) = (f(h.x) * g, h.x)."""
-    if orbit_rep not in w.orbit_reps:
-        raise WreathError(f"{orbit_rep!r} is not one of the chosen orbit representatives")
-    top = w.top_action
-    return PointedAction(w, checked_act(w, _imprimitive_law(top.act, w.base.multiply)),
-                         PairPoint(w.base.identity(), orbit_rep),
-                         label=f"{w} imprimitive on {w.base} x orbit",
-                         step=_imprimitive_law(top.step, w.base._mul))
+    return _imprimitive(w, orbit_rep, w.base._mul, w.base.contains, w.base.identity(),
+                        f"{w} imprimitive on {w.base} x orbit")
 
 
 def imprimitive_coset_action(w: WreathGroup, subgroup_spec,
                              orbit_rep: Point) -> PointedAction:
     """Imprimitive action with the leaf coordinate replaced by cosets:
     (f, h).(gK, x) = (f(h.x) gK, h.x)."""
-    if orbit_rep not in w.orbit_reps:
-        raise WreathError(f"{orbit_rep!r} is not one of the chosen orbit representatives")
     space = CosetSpace(w.base, subgroup_spec)
-    top = w.top_action
-    return PointedAction(w, checked_act(w, _imprimitive_law(top.act, space.act)),
-                         PairPoint(space.basepoint(), orbit_rep),
-                         label=f"{w} imprimitive on cosets x orbit",
-                         step=_imprimitive_law(top.step, space.step))
+    return _imprimitive(w, orbit_rep, space.step, space.is_point, space.basepoint(),
+                        f"{w} imprimitive on cosets x orbit")
 
 
 def head_projection_action(w: WreathGroup) -> PointedAction:
@@ -252,13 +253,9 @@ def head_projection_action(w: WreathGroup) -> PointedAction:
     respect to the full base-sum subgroup; delta generators act trivially
     and only contribute loops.
     """
-    top = w.top_action
-
-    def law(act_top):
-        return lambda a, x: act_top(a.head, x)
-
-    return PointedAction(w, checked_act(w, law(top.act)), top.basepoint,
-                         label=f"{w} head projection", step=law(top.step))
+    top_step = w.top_action.step
+    return PointedAction(w, lambda a, x: top_step(a.head, x), w.top_action.basepoint,
+                         f"{w} head projection", w.top_action.is_point)
 
 
 def lamplighter(n: int) -> tuple[WreathGroup, SymmetricGenSet]:

@@ -12,6 +12,8 @@ from endslab.actions import (
     DiagonalLatticeQuotient,
     GeneratedSubgroup,
     IntModQuotient,
+    PairPoint,
+    PointedAction,
     SignQuotient,
     Sublattice,
     TrivialSubgroup,
@@ -22,6 +24,7 @@ from endslab.actions import (
     hermite_normal_form,
     lattice_reduce,
     orbit,
+    orbit_of_point,
     point_label,
     rule_action,
     translation_action,
@@ -280,13 +283,14 @@ def test_public_act_rejects_foreign_operands():
     translation = translation_action(z)
     with pytest.raises(FamilyMismatchError):
         translation.act(FreeWord(1, (1,)), IntVector((0,)))
-    with pytest.raises(FamilyMismatchError):
+    # a foreign element is a mismatch, a foreign point is not a point
+    with pytest.raises(ActionError):
         translation.act(IntVector((1,)), IntVector((0, 0)))
 
     coset = coset_action(SymmetricGroup(3), GeneratedSubgroup((Perm((1, 0, 2)),)))
     with pytest.raises(FamilyMismatchError):
         coset.act(Perm((1, 0)), coset.basepoint)
-    with pytest.raises(FamilyMismatchError):
+    with pytest.raises(ActionError):
         coset.act(Perm((1, 0, 2)), CosetPoint(Perm((1, 0)), coset.basepoint.space_key))
     with pytest.raises(ActionError):
         coset.act(Perm((1, 0, 2)), Perm((1, 0, 2)))
@@ -301,6 +305,44 @@ def test_public_act_rejects_foreign_operands():
     with pytest.raises(FamilyMismatchError):
         imprimitive.act(other.delta(other.orbit_reps[0], CyclicInt(3, 1)),
                         imprimitive.basepoint)
+    # the leaf is checked even where no support entry lands on the position
+    away = IntVector((5,))
+    for g in (gens.elements[0], w.identity()):
+        with pytest.raises(ActionError):
+            imprimitive.act(g, PairPoint(CyclicInt(3, 1), away))
+        with pytest.raises(ActionError):
+            imprimitive.act(g, PairPoint(CyclicInt(2, 1), CyclicInt(2, 1)))
+    assert imprimitive.act(gens.elements[0], PairPoint(CyclicInt(2, 1), away)) == \
+        PairPoint(CyclicInt(2, 1), away)
+
+
+def test_trivial_action_act_checks_element_and_point():
+    action = trivial_action(Cyclic(3))
+    with pytest.raises(FamilyMismatchError):
+        action.act(IntVector((1,)), action.basepoint)
+    for other in (1, (0,), CyclicInt(3, 0), "0"):
+        with pytest.raises(ActionError):
+            action.act(CyclicInt(3, 1), other)
+    assert action.act(CyclicInt(3, 1), action.basepoint) == action.basepoint
+
+
+def test_orbit_of_point_refuses_a_foreign_start_before_any_step():
+    translation = translation_action(FreeAbelian(1))
+    calls = []
+
+    def counting_step(g, p):
+        calls.append(1)
+        return translation.step(g, p)
+
+    action = PointedAction(translation.group, counting_step, translation.basepoint,
+                           is_point=translation.is_point)
+    gens = translation.group.standard_gens().elements
+    for start in (IntVector((0, 0)), FreeWord(1, (1,)), (0,)):
+        with pytest.raises(ActionError, match="is not a point of"):
+            orbit_of_point(action, start, gens, 10)
+    assert calls == []
+    assert len(orbit_of_point(action, action.basepoint, gens, 10)) == 10
+    assert len(calls) > 0
 
 
 def test_rule_action_act_checks_word_and_point():

@@ -335,16 +335,26 @@ def stepping_balls():
 
 
 def test_step_builds_the_act_ball():
-    # the same build through a copy of each action without step, so through
-    # the checked act alone, must give the same ball
+    # the same build through a copy of each action whose law is the checked
+    # act, built with four positional arguments as a wrapping action is,
+    # must give the same ball
     for ball in [*random_fixture_balls(), *generated_spec_balls(), *stepping_balls()]:
         a = ball.action
-        stepless = PointedAction(a.group, a.act, a.basepoint, a.label)
-        assert stepless.step is stepless.act
-        again = build_ball(stepless, ball.gens, ball.radius, max_vertices=5000)
+        checked = PointedAction(a.group, a.act, a.basepoint, a.label)
+        again = build_ball(checked, ball.gens, ball.radius, max_vertices=5000)
         assert again.points == ball.points
         assert again.dist == ball.dist
         assert again.table == ball.table
+
+
+def test_every_ball_point_passes_the_point_test():
+    # a build only steps, so an over-strict is_point would break act alone
+    for ball in [*random_fixture_balls(), *generated_spec_balls(), *stepping_balls()]:
+        a = ball.action
+        assert all(map(a.is_point, ball.points)), a
+        for p in ball.points[:50]:
+            for s in ball.gens.elements:
+                assert a.act(s, p) == a.step(s, p)
 
 
 def test_foreign_generator_is_refused_before_any_step():
@@ -356,8 +366,8 @@ def test_foreign_generator_is_refused_before_any_step():
         calls.append(1)
         return translation.step(g, p)
 
-    action = PointedAction(group, translation.act, translation.basepoint,
-                           step=counting_step)
+    action = PointedAction(group, counting_step, translation.basepoint,
+                           is_point=group.contains)
     gens = group.standard_gens()
     foreign = (FreeWord(3, (3,)), IntVector((1,)), Perm((1, 0)))
     for x in foreign:

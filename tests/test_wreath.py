@@ -203,6 +203,17 @@ def test_imprimitive_transitive_and_axioms():
     check_action_axioms(action, elements, list(res.points))
 
 
+def test_delta_and_orbit_reps_must_be_points_of_x():
+    w, _ = lamplighter(2)
+    for bad in (CyclicInt(2, 1), IntVector((0, 0)), 0):
+        with pytest.raises(WreathError, match="is not a point of"):
+            w.delta(bad, CyclicInt(2, 1))
+        with pytest.raises(WreathError, match="is not a point of"):
+            WreathGroup(w.base, w.top, w.top_action, (bad,))
+    d = w.delta(IntVector((3,)), CyclicInt(2, 1))
+    assert w.contains(d)
+
+
 def test_imprimitive_bad_rep_rejected():
     w, _ = regular_wreath(3, 2)
     with pytest.raises(WreathError):
