@@ -155,7 +155,7 @@ def trivial_action(group: Group, point: Point = 0) -> PointedAction:
 
 
 # ---------------------------------------------------------------------------
-# subgroup specifications and coset spaces
+# subgroup specifications and coset actions
 
 
 @dataclass(frozen=True)
@@ -276,39 +276,28 @@ def _mulclose(group: Group, gens: Iterable[GroupElement], cap: int) -> list[Grou
     return sorted(closure.points, key=group.sort_key)
 
 
-class CosetSpace:
-    """Left cosets gK with a canonical, decidable representative map; the
-    subgroup spec's ``coset_law`` gives the space's key and that map, which
-    takes members only."""
-
-    def __init__(self, group: Group, spec):
-        if not hasattr(spec, "coset_law"):
-            raise UnsupportedSubgroupError(
-                f"unsupported subgroup spec {spec!r}; supported cases: "
-                f"{SUPPORTED_SUBGROUPS}")
-        self.group = group
-        self.key, self._reduce = spec.coset_law(group)
-
-    def reduce(self, g: GroupElement) -> CosetPoint:
-        if not self.group.contains(g):
-            raise FamilyMismatchError(f"operand does not belong to {self.group}")
-        return CosetPoint(self._reduce(g), self.key)
-
-    def basepoint(self) -> CosetPoint:
-        return self.reduce(self.group.identity())
-
-    def is_point(self, p: Point) -> bool:
-        return isinstance(p, CosetPoint) and self.group.contains(p.rep)
-
-    def step(self, g: GroupElement, p: CosetPoint) -> CosetPoint:
-        return CosetPoint(self._reduce(self.group._mul(g, p.rep)), self.key)
-
-
 def coset_action(group: Group, subgroup_spec) -> PointedAction:
-    """Action of the group on left cosets of the specified subgroup."""
-    space = CosetSpace(group, subgroup_spec)
-    return PointedAction(group, space.step, space.basepoint(),
-                         f"{group} on cosets", space.is_point)
+    """Action of the group on left cosets gK of the specified subgroup.
+
+    The subgroup spec's ``coset_law`` gives the space's key and the
+    canonical representative map, which takes members only; a point is a
+    ``CosetPoint`` whose representative is a member.
+    """
+    if not hasattr(subgroup_spec, "coset_law"):
+        raise UnsupportedSubgroupError(
+            f"unsupported subgroup spec {subgroup_spec!r}; supported cases: "
+            f"{SUPPORTED_SUBGROUPS}")
+    key, reduce = subgroup_spec.coset_law(group)
+    mul, contains = group._mul, group.contains
+
+    def step(g: GroupElement, p: CosetPoint) -> CosetPoint:
+        return CosetPoint(reduce(mul(g, p.rep)), key)
+
+    def is_point(p: Point) -> bool:
+        return isinstance(p, CosetPoint) and contains(p.rep)
+
+    return PointedAction(group, step, CosetPoint(reduce(group.identity()), key),
+                         f"{group} on cosets", is_point)
 
 
 # ---------------------------------------------------------------------------

@@ -55,7 +55,8 @@ class GraphBall:
     that point lies outside the ball; ``build_ball`` leaves no -1 in rows at
     distance < R, and ``simplify`` masks the edges it drops to -1.
     ``edges`` is derived from the table in O(n |S|) on every access, so
-    code inside loops reads ``table``.
+    code inside loops reads ``table``.  ``max_vertices`` is the vertex
+    budget the ball was built under.
     """
 
     action: PointedAction
@@ -65,6 +66,7 @@ class GraphBall:
     dist: tuple[int, ...]
     table: tuple[int, ...] = field(repr=False)
     index: dict = field(repr=False)
+    max_vertices: int
     basepoint_index: ClassVar[int] = 0
 
     def __len__(self) -> int:
@@ -164,7 +166,7 @@ def build_ball(action: PointedAction, gens: SymmetricGenSet, radius: int,
 
     return GraphBall(action=action, gens=gens, radius=radius,
                      points=tuple(points), dist=tuple(dist), table=tuple(table),
-                     index=index)
+                     index=index, max_vertices=max_vertices)
 
 
 # ---------------------------------------------------------------------------

@@ -114,7 +114,7 @@ def parse_k_values(text: str) -> list[int]:
 
 def cmd_ball(args) -> int:
     action, gens = elaborate(parse_spec(args.spec))
-    ball = build_ball(action, gens, args.radius, resolve_budget(args.budget))
+    ball = build_ball(action, gens, args.radius, args.budget)
     if args.format == "dot":
         out = to_dot(ball)
     else:
@@ -135,8 +135,7 @@ def cmd_ends(args) -> int:
         raise UsageError(f"max inner radius {max(args.k)} must be smaller than "
                          f"the outer radius --K {args.K}")
     action, gens = elaborate(parse_spec(args.spec))
-    profile = ends_profile(action, gens, args.k, args.K,
-                           resolve_budget(args.budget))
+    profile = ends_profile(action, gens, args.k, args.K, args.budget)
     print(profile.to_json())
     return 0
 
@@ -148,7 +147,7 @@ def _leaf_ball(args, command: str):
         raise UsageError(f"{command} needs a wreath-product spec")
     if not isinstance(action.basepoint, PairPoint):
         action = imprimitive_action(action.group, action.group.orbit_reps[0])
-    return build_ball(action, gens, args.radius, resolve_budget(args.budget))
+    return build_ball(action, gens, args.radius, args.budget)
 
 
 def cmd_leaves(args) -> int:
@@ -178,7 +177,7 @@ def _check_quotient(args) -> list[tuple[bool, str]]:
     group = FreeAbelian(1)
     pair = quotient_schreier_pair(group, IntModQuotient(args.modulus),
                                   TrivialSubgroup(), group.standard_gens(),
-                                  args.radius)
+                                  args.radius, args.budget)
     ok = pair.isomorphic
     return [(ok,
              f"Sch(Z, {args.modulus}Z; +-1) and Cayley(C({args.modulus}); +-1) "
@@ -222,7 +221,7 @@ def _check_three_segment(args) -> list[tuple[bool, str]]:
     group = FreeAbelian(2)
     gens = group.standard_gens()
     action = translation_action(group)
-    ball = build_ball(action, gens, args.radius, resolve_budget(args.budget))
+    ball = build_ball(action, gens, args.radius, args.budget)
     cut = [v for v in range(len(ball)) if ball.dist[v] <= args.cut_radius]
     sd = coordinate_split(group, gens, n_axes=(0,))
     rng = random.Random(args.seed)
@@ -250,7 +249,7 @@ def _check_complete_graph(args) -> list[tuple[bool, str]]:
     results = []
     for group in (Cyclic(5), SymmetricGroup(3)):
         gens = nonidentity_gens(group)
-        ball = build_ball(translation_action(group), gens, 1)
+        ball = build_ball(translation_action(group), gens, 1, args.budget)
         n = group.order()
         # simplify masks loops, so every table entry left is an edge u-v
         pairs = {frozenset((e // len(gens), v))
@@ -262,14 +261,21 @@ def _check_complete_graph(args) -> list[tuple[bool, str]]:
     return results
 
 
+# each verify check: its function and its default --radius (complete-graph
+# always builds radius 1)
+VERIFY_CHECKS = {
+    "quotient": (_check_quotient, 4),
+    "leaf-disconnect": (_check_leaf_disconnect, 8),
+    "three-segment-path": (_check_three_segment, 12),
+    "complete-graph": (_check_complete_graph, 1),
+}
+
+
 def cmd_verify(args) -> int:
-    checks = {
-        "quotient": _check_quotient,
-        "leaf-disconnect": _check_leaf_disconnect,
-        "three-segment-path": _check_three_segment,
-        "complete-graph": _check_complete_graph,
-    }
-    results = checks[args.check](args)
+    check, default_radius = VERIFY_CHECKS[args.check]
+    if args.radius is None:
+        args.radius = default_radius
+    results = check(args)
     failed = False
     for ok, message in results:
         print(f"{'PASS' if ok else 'FAIL'}: {message}")
@@ -318,8 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_leaves.set_defaults(func=cmd_leaves)
 
     p_verify = sub.add_parser("verify", help="run a named structural check")
-    p_verify.add_argument("check", choices=("quotient", "leaf-disconnect",
-                                            "three-segment-path", "complete-graph"))
+    p_verify.add_argument("check", choices=tuple(VERIFY_CHECKS))
     p_verify.add_argument("--spec", default="wreath(C(3), C(2), regular)")
     p_verify.add_argument("--radius", type=radius_arg, default=None)
     p_verify.add_argument("--modulus", type=_int_at_least(1), default=4)
@@ -332,13 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fix = sub.add_parser("fixtures", help="list built-in rule actions")
     p_fix.set_defaults(func=cmd_fixtures)
     return parser
-
-
-VERIFY_DEFAULT_RADII = {
-    "quotient": 4,
-    "leaf-disconnect": 8,
-    "three-segment-path": 12,
-}
 
 
 # exit code for each error a command reports as one line: 2 for usage and
@@ -359,8 +357,8 @@ EXIT_CODES = {
 def cli_main(argv) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if args.command == "verify" and args.radius is None:
-            args.radius = VERIFY_DEFAULT_RADII.get(args.check, 8)
+        if "budget" in args:
+            args.budget = resolve_budget(args.budget)
         return args.func(args)
     except SystemExit as exc:  # --help and --version
         return exc.code if isinstance(exc.code, int) else 2

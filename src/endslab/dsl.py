@@ -599,34 +599,29 @@ def _elaborate_action(group: Group, a: ActionAst) -> PointedAction:
     if a.kind == "imprimitive":
         if not isinstance(group, WreathGroup):
             raise ElaborationError("imprimitive(...) needs a wreath group")
-        return imprimitive_action(group, group.orbit_reps[0])
+        rep = group.orbit_reps[0]
+        if a.rep is not None:
+            # the representative is the point reached from the default one
+            # by the given top-group element
+            mover = _element_from_item(group.top, a.rep)
+            rep = group.top_action.act(mover, rep)
+            group = WreathGroup(group.base, group.top, group.top_action, (rep,))
+        return imprimitive_action(group, rep)
     raise ElaborationError(f"unknown action kind {a.kind!r}")
 
 
 def elaborate(ast: SpecAst) -> tuple[PointedAction, SymmetricGenSet]:
-    """Construct the action and generating set described by an AST."""
-    if ast.action.kind == "rule":
-        action = rule_action(ast.action.rule_name)
-        group = action.group
-    else:
-        group = _elaborate_group(ast.group)
-        if ast.action.kind == "imprimitive" and ast.action.rep is not None:
-            if not isinstance(group, WreathGroup):
-                raise ElaborationError("imprimitive(...) needs a wreath group")
-            # the representative is the point reached from the default one
-            # by the given top-group element
-            mover = _element_from_item(group.top, ast.action.rep)
-            rep = group.top_action.act(mover, group.top_action.basepoint)
-            group = WreathGroup(group.base, group.top, group.top_action, (rep,))
-        action = _elaborate_action(group, ast.action)
-
+    """Construct the action and generating set described by an AST; a bare
+    rule source passes no group, since the rule names its own."""
+    group = None if ast.action.kind == "rule" else _elaborate_group(ast.group)
+    action = _elaborate_action(group, ast.action)
+    group = action.group
     if isinstance(group, WreathGroup):
         if ast.gens.kind != "standard":
             raise ElaborationError(
                 "explicit generators for wreath products are not supported; "
                 "the standard wreath generators are used")
-        gens = standard_wreath_gens(group, group.base.standard_gens(),
-                                    group.top.standard_gens())
+        gens = standard_wreath_gens(group)
     elif ast.gens.kind == "standard":
         gens = group.standard_gens()
     else:

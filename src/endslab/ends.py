@@ -162,8 +162,7 @@ def _decide_verdict(k_values: Sequence[int], matrix: Sequence[Sequence[int]]) ->
     return at_most
 
 
-def profile_from_ball(ball: GraphBall, k_values: Iterable[int],
-                      budget: int = DEFAULT_VERTEX_BUDGET) -> EndsProfile:
+def profile_from_ball(ball: GraphBall, k_values: Iterable[int]) -> EndsProfile:
     ks = tuple(sorted(set(k_values)))
     if not ks:
         raise EndsError("at least one inner radius k is required")
@@ -200,15 +199,16 @@ def profile_from_ball(ball: GraphBall, k_values: Iterable[int],
         for a, b in zip(row, row[1:]):
             if b > a:
                 raise EndsError(f"monotonicity violated in profile row {row}")
-    return EndsProfile(ks, ball.radius, matrix, _decide_verdict(ks, matrix), budget)
+    return EndsProfile(ks, ball.radius, matrix, _decide_verdict(ks, matrix),
+                       ball.max_vertices)
 
 
 def ends_profile(action: PointedAction, gens: SymmetricGenSet,
                  k_values: Iterable[int], outer_radius: int,
                  max_vertices: int = DEFAULT_VERTEX_BUDGET) -> EndsProfile:
     """Build the radius-K ball and compute the full e(k, K') matrix."""
-    ball = build_ball(action, gens, outer_radius, max_vertices)
-    return profile_from_ball(ball, k_values, budget=max_vertices)
+    return profile_from_ball(build_ball(action, gens, outer_radius, max_vertices),
+                             k_values)
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,10 @@ X -> base group (stored without identity values, as a frozenset of
 items) together with a top-group element.  The top group permutes the
 support coordinates through its action on X, and the top action's
 ``is_point`` decides which values are points of X.  The trusted law
-``_mul`` moves coordinates with the top action's ``step``.  The
-imprimitive, imprimitive-coset and head-projection actions state one law
-each, stepping with the base (or coset) ``step`` and the top action's
-``step``, and one point test built from the leaf's and the top action's.
+``_mul`` moves coordinates with the top action's ``step``.  Both
+imprimitive actions pair a leaf action of the base group (on itself or
+on cosets) with the top action; the head projection steps with the top
+action alone.
 """
 
 from __future__ import annotations
@@ -18,10 +18,10 @@ from typing import Iterable
 
 from .actions import (
     POINT_LABELS,
-    CosetSpace,
     PairPoint,
     Point,
     PointedAction,
+    coset_action,
     orbit_of_point,
     point_label,
     translation_action,
@@ -180,9 +180,10 @@ class WreathGroup(Group):
         return f"{self.base} wr {self.top}"
 
 
-def standard_wreath_gens(w: WreathGroup, base_gens: SymmetricGenSet,
-                         top_gens: SymmetricGenSet) -> SymmetricGenSet:
-    """Generators (delta at each orbit rep, per base generator) plus top generators."""
+def standard_wreath_gens(w: WreathGroup) -> SymmetricGenSet:
+    """Generators (delta at each orbit rep, per standard base generator)
+    plus the standard top generators."""
+    base_gens, top_gens = w.base.standard_gens(), w.top.standard_gens()
     elements: list[WreathElement] = []
     pairing: list[int] = []
     names: list[str] = []
@@ -206,34 +207,36 @@ def standard_wreath_gens(w: WreathGroup, base_gens: SymmetricGenSet,
                            frozenset(identity_idx))
 
 
-def _imprimitive(w: WreathGroup, orbit_rep: Point, leaf_step, is_leaf, leaf0,
+def _imprimitive(w: WreathGroup, orbit_rep: Point, leaf: PointedAction,
                  label: str) -> PointedAction:
     """(f, h).(l, x) = (f(h.x).l, h.x), moving x with the top action's
-    ``step`` and the leaf l with ``leaf_step``; a point is a ``PairPoint``
-    whose leaf passes ``is_leaf`` and whose position is a point of X."""
+    ``step`` and l with the ``step`` of ``leaf``, an action of the base
+    group; a point is a ``PairPoint`` of a leaf point and a point of X,
+    and the basepoint is (leaf basepoint, ``orbit_rep``)."""
     if orbit_rep not in w.orbit_reps:
         raise WreathError(f"{orbit_rep!r} is not one of the chosen orbit representatives")
     top_step, is_pos = w.top_action.step, w.top_action.is_point
+    leaf_step, is_leaf = leaf.step, leaf.is_point
 
     def step(a: WreathElement, p: PairPoint) -> PairPoint:
         x = top_step(a.head, p.pos)
-        leaf = p.leaf
+        leaf_pt = p.leaf
         for q, v in a.support:
             if q == x:
-                leaf = leaf_step(v, leaf)
+                leaf_pt = leaf_step(v, leaf_pt)
                 break
-        return PairPoint(leaf, x)
+        return PairPoint(leaf_pt, x)
 
     def is_point(p: Point) -> bool:
         return isinstance(p, PairPoint) and is_leaf(p.leaf) and is_pos(p.pos)
 
-    return PointedAction(w, step, PairPoint(leaf0, orbit_rep), label, is_point)
+    return PointedAction(w, step, PairPoint(leaf.basepoint, orbit_rep), label, is_point)
 
 
 def imprimitive_action(w: WreathGroup, orbit_rep: Point) -> PointedAction:
     """Action on (base element, orbit point) pairs:
     (f, h).(g, x) = (f(h.x) * g, h.x)."""
-    return _imprimitive(w, orbit_rep, w.base._mul, w.base.contains, w.base.identity(),
+    return _imprimitive(w, orbit_rep, translation_action(w.base),
                         f"{w} imprimitive on {w.base} x orbit")
 
 
@@ -241,8 +244,7 @@ def imprimitive_coset_action(w: WreathGroup, subgroup_spec,
                              orbit_rep: Point) -> PointedAction:
     """Imprimitive action with the leaf coordinate replaced by cosets:
     (f, h).(gK, x) = (f(h.x) gK, h.x)."""
-    space = CosetSpace(w.base, subgroup_spec)
-    return _imprimitive(w, orbit_rep, space.step, space.is_point, space.basepoint(),
+    return _imprimitive(w, orbit_rep, coset_action(w.base, subgroup_spec),
                         f"{w} imprimitive on cosets x orbit")
 
 
@@ -268,5 +270,4 @@ def lamplighter(n: int) -> tuple[WreathGroup, SymmetricGenSet]:
     top = FreeAbelian(1)
     top_action = translation_action(top)
     w = WreathGroup(base, top, top_action, (top_action.basepoint,))
-    gens = standard_wreath_gens(w, base.standard_gens(), top.standard_gens())
-    return w, gens
+    return w, standard_wreath_gens(w)

@@ -170,8 +170,7 @@ def test_criterion_08_finite_wreath_enumeration():
         base, top = Cyclic(n), Cyclic(2)
         ta = translation_action(top)
         w = WreathGroup(base, top, ta, (ta.basepoint,))
-        gens = standard_wreath_gens(w, base.standard_gens(),
-                                    top.standard_gens())
+        gens = standard_wreath_gens(w)
         res = orbit(translation_action(w), gens, 1000)
         assert len(res) == expected and not res.truncated
         totals[n] = len(res)
@@ -184,7 +183,7 @@ def test_criterion_09_leaf_disconnection():
     base, top = Cyclic(3), Cyclic(2)
     ta = translation_action(top)
     w = WreathGroup(base, top, ta, (ta.basepoint,))
-    gens = standard_wreath_gens(w, base.standard_gens(), top.standard_gens())
+    gens = standard_wreath_gens(w)
     ball = build_ball(imprimitive_action(w, ta.basepoint), gens, 8)
     x0 = ta.basepoint
     leaves = {p.leaf for p in ball.points}

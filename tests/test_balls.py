@@ -323,8 +323,7 @@ def stepping_balls():
     w, wgens = lamplighter(2)
     top = w.top_action
     sym3_wreath = WreathGroup(SymmetricGroup(3), top.group, top, (top.basepoint,))
-    sym3_gens = standard_wreath_gens(sym3_wreath, SymmetricGroup(3).standard_gens(),
-                                     top.group.standard_gens())
+    sym3_gens = standard_wreath_gens(sym3_wreath)
     swap = GeneratedSubgroup((Perm((1, 0, 2)),))
     return [
         spec_ball("Sym(8) / {(0 1 2 3 4 5 6 7)}", 5),
@@ -491,7 +490,7 @@ def regular_wreath_ball(n=3, m=2, radius=8):
     base, top = Cyclic(n), Cyclic(m)
     ta = translation_action(top)
     w = WreathGroup(base, top, ta, (ta.basepoint,))
-    gens = standard_wreath_gens(w, base.standard_gens(), top.standard_gens())
+    gens = standard_wreath_gens(w)
     action = imprimitive_action(w, ta.basepoint)
     return w, gens, build_ball(action, gens, radius)
 

@@ -142,6 +142,9 @@ ERROR_CASES = [
     (["leaves", "--spec", "Z", "--radius", "2"], {}, 2),
     (["ball", "--spec", "Z"], {}, 2),
     (["ball", "--spec", "F(2)", "--radius", "5", "--budget", "10"], {}, 1),
+    (["verify", "quotient", "--budget", "1"], {}, 1),
+    (["verify", "complete-graph", "--budget", "1"], {}, 1),
+    (["verify", "quotient"], {"ENDSLAB_BUDGET": "1"}, 1),
     (["verify", "quotient", "--modulus", "0"], {}, 2),
     (["verify", "three-segment-path", "--cut-radius", "20"], {}, 2),
     (["verify", "three-segment-path", "--cut-radius", "-3"], {}, 2),
@@ -208,6 +211,16 @@ def test_closed_stdout_is_not_a_traceback():
     assert proc.returncode == 1
     assert "Traceback" not in err.decode()
     assert err == b""
+
+
+def test_readme_library_example_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("## Library example", 1)[1]
+    code = example.split("```python\n", 1)[1].split("```", 1)[0]
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=module_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["GROWING", "(4, 12, 36, 108)", "4"]
 
 
 def test_repeated_calls_match_fresh_processes(capsys):

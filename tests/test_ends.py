@@ -150,6 +150,17 @@ def test_profile_preconditions():
         profile_from_ball(ball, [-1])
 
 
+def test_profile_reports_the_budget_of_its_ball():
+    # a ball built under a small budget must not report the default one
+    z = FreeAbelian(1)
+    ball = build_ball(translation_action(z), z.standard_gens(), 5, max_vertices=500)
+    assert ball.max_vertices == 500
+    assert profile_from_ball(ball, [1]).budget == 500
+    assert profile_from_ball(simplify(ball), [1]).budget == 500
+    p = ends_profile(translation_action(z), z.standard_gens(), [1], 5, max_vertices=40)
+    assert p.to_json_dict()["budget"] == 40
+
+
 def oracle_profile(ball, k_values):
     adj = {v: set() for v in range(len(ball))}
     for u, v, _ in ball.edges:
@@ -225,7 +236,7 @@ def test_augment_cut_finite_orbits_closed():
     base, top = Cyclic(3), Cyclic(2)
     ta = translation_action(top)
     w = WreathGroup(base, top, ta, (ta.basepoint,))
-    gens = standard_wreath_gens(w, base.standard_gens(), top.standard_gens())
+    gens = standard_wreath_gens(w)
     ball = build_ball(imprimitive_action(w, ta.basepoint), gens, 8)
     h_gens = top_only(gens)
     res = augment_cut(ball, {0}, h_gens, finiteness_budget=100)

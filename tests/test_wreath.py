@@ -29,7 +29,7 @@ def regular_wreath(n, m):
     base, top = Cyclic(n), Cyclic(m)
     ta = translation_action(top)
     w = WreathGroup(base, top, ta, (ta.basepoint,))
-    gens = standard_wreath_gens(w, base.standard_gens(), top.standard_gens())
+    gens = standard_wreath_gens(w)
     return w, gens
 
 
@@ -152,7 +152,7 @@ def test_standard_gens_pass_gen_set_invariants():
 def test_singleton_wreath_is_direct_product():
     base, top = Cyclic(2), Cyclic(3)
     w = WreathGroup(base, top, trivial_action(top), (0,))
-    gens = standard_wreath_gens(w, base.standard_gens(), top.standard_gens())
+    gens = standard_wreath_gens(w)
     res = orbit(translation_action(w), gens, 100)
     assert len(res) == 6  # |C2 x C3|
 
@@ -225,7 +225,7 @@ def test_imprimitive_coset_action_examples():
     base, top = FreeAbelian(1), Cyclic(2)
     ta = translation_action(top)
     w = WreathGroup(base, top, ta, (ta.basepoint,))
-    gens = standard_wreath_gens(w, base.standard_gens(), top.standard_gens())
+    gens = standard_wreath_gens(w)
     action = imprimitive_coset_action(w, Sublattice(((3,),)), ta.basepoint)
     res = orbit(action, gens, 100)
     assert len(res) == 6 and not res.truncated
