@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, ClassVar, Iterable
 
 from .groups import (
-    ELEMENT_LABELS,
+    LABELS,
     Cyclic,
     CyclicInt,
     FamilyMismatchError,
@@ -37,6 +37,7 @@ from .groups import (
     SymmetricGenSet,
     SymmetricGroup,
     Torus,
+    element_label,
     perm_parity,
 )
 
@@ -119,23 +120,18 @@ def check_point(action: PointedAction, p: Point) -> None:
         raise ActionError(f"{p!r} is not a point of {action}")
 
 
-def point_label(p: Point) -> str:
-    label = POINT_LABELS.get(type(p))
-    return str(p) if label is None else label(p)
+point_label = element_label
 
 
 def _tuple_label(p: tuple) -> str:
     return "(" + ",".join(map(point_label, p)) + ")"
 
 
-# label of each point class, looked up by exact type; endslab.wreath adds
-# its elements
-POINT_LABELS: dict[type, Callable[[Any], str]] = {
+LABELS.update({
     CosetPoint: lambda p: point_label(p.rep),
     PairPoint: lambda p: f"({point_label(p.leaf)}, {point_label(p.pos)})",
     tuple: _tuple_label,
-    **ELEMENT_LABELS,
-}
+})
 
 
 # ---------------------------------------------------------------------------

@@ -231,10 +231,10 @@ def delete_and_split(ball: GraphBall, removed: Iterable[int]) -> CutResult:
         if v in removed_set:
             continue
         groups.setdefault(uf.find(v), []).append(v)
-    components = tuple(tuple(sorted(g)) for g in
-                       sorted(groups.values(), key=lambda g: min(g)))
-    touching = tuple(any(ball.dist[v] == ball.radius for v in comp)
-                     for comp in components)
+    # v ran upward, so components are ascending and come by smallest vertex;
+    # dist is non-decreasing, so a component's last vertex is its farthest
+    components = tuple(map(tuple, groups.values()))
+    touching = tuple(ball.dist[comp[-1]] == ball.radius for comp in components)
     return CutResult(removed_set, components, touching)
 
 

@@ -1,9 +1,10 @@
 """Command line interface.
 
 Subcommands: ball (build and export a graph ball), ends (ends profile),
-leaves (leaf decomposition of an imprimitive ball), verify (named
-structural checks), fixtures (list built-in rule actions).  Exit codes:
-0 success, 1 check or computation failure, 2 usage or parse error.
+leaves (leaf decomposition of an imprimitive ball), verify <check> (named
+structural checks; each takes only the options it reads, as VERIFY_CHECKS
+lists them), fixtures (list built-in rule actions).  Exit codes: 0
+success, 1 check or computation failure, 2 usage or parse error.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import json
 import os
 import random
 import sys
-from typing import Optional
+from typing import Optional, Sequence
 
 from . import __version__
 from .actions import (
@@ -98,15 +99,15 @@ def resolve_budget(flag_value: Optional[int]) -> int:
         raise UsageError(f"{BUDGET_ENV}: {exc}") from None
 
 
-def parse_k_values(text: str) -> list[int]:
-    """Inner radii from "1..4" or "1,2,4": a non-empty list of k >= 0."""
+def parse_k_values(text: str) -> Sequence[int]:
+    """Ascending inner radii k >= 0 from "1..4" (a range, never listed) or "1,2,4"."""
     lo, sep, hi = text.partition("..")
     try:
-        ks = (list(range(int(lo), int(hi) + 1)) if sep
-              else [int(part) for part in text.split(",")])
+        ks = (range(int(lo), int(hi) + 1) if sep
+              else sorted(int(part) for part in text.split(",")))
     except ValueError:
         ks = []
-    if not ks or min(ks) < 0:
+    if not ks or ks[0] < 0:
         raise argparse.ArgumentTypeError(
             f'expected radii >= 0 as "1..4" or "1,2,4", got {text!r}')
     return ks
@@ -131,11 +132,12 @@ def cmd_ball(args) -> int:
 
 
 def cmd_ends(args) -> int:
-    if max(args.k) >= args.K:
-        raise UsageError(f"max inner radius {max(args.k)} must be smaller than "
+    if args.k[-1] >= args.K:
+        raise UsageError(f"max inner radius {args.k[-1]} must be smaller than "
                          f"the outer radius --K {args.K}")
     action, gens = elaborate(parse_spec(args.spec))
-    profile = ends_profile(action, gens, args.k, args.K, args.budget)
+    # a list too large for memory fails at once; the profile's set() of a range would grow
+    profile = ends_profile(action, gens, list(args.k), args.K, args.budget)
     print(profile.to_json())
     return 0
 
@@ -261,23 +263,24 @@ def _check_complete_graph(args) -> list[tuple[bool, str]]:
     return results
 
 
-# each verify check: its function and its default --radius (complete-graph
-# always builds radius 1)
+# each verify check: its function and the options it reads, as
+# {flag: (type, default)}; every check also reads --budget
 VERIFY_CHECKS = {
-    "quotient": (_check_quotient, 4),
-    "leaf-disconnect": (_check_leaf_disconnect, 8),
-    "three-segment-path": (_check_three_segment, 12),
-    "complete-graph": (_check_complete_graph, 1),
+    "quotient": (_check_quotient, {"--radius": (radius_arg, 4),
+                                   "--modulus": (_int_at_least(1), 4)}),
+    "leaf-disconnect": (_check_leaf_disconnect,
+                        {"--spec": (str, "wreath(C(3), C(2), regular)"),
+                         "--radius": (radius_arg, 8)}),
+    "three-segment-path": (_check_three_segment,
+                           {"--radius": (radius_arg, 12), "--cut-radius": (radius_arg, 2),
+                            "--pairs": (_int_at_least(1), 20), "--seed": (int, 0)}),
+    "complete-graph": (_check_complete_graph, {}),
 }
 
 
 def cmd_verify(args) -> int:
-    check, default_radius = VERIFY_CHECKS[args.check]
-    if args.radius is None:
-        args.radius = default_radius
-    results = check(args)
     failed = False
-    for ok, message in results:
+    for ok, message in VERIFY_CHECKS[args.check][0](args):
         print(f"{'PASS' if ok else 'FAIL'}: {message}")
         failed = failed or not ok
     return 1 if failed else 0
@@ -324,15 +327,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_leaves.set_defaults(func=cmd_leaves)
 
     p_verify = sub.add_parser("verify", help="run a named structural check")
-    p_verify.add_argument("check", choices=tuple(VERIFY_CHECKS))
-    p_verify.add_argument("--spec", default="wreath(C(3), C(2), regular)")
-    p_verify.add_argument("--radius", type=radius_arg, default=None)
-    p_verify.add_argument("--modulus", type=_int_at_least(1), default=4)
-    p_verify.add_argument("--cut-radius", type=radius_arg, default=2)
-    p_verify.add_argument("--pairs", type=_int_at_least(1), default=20)
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--budget", type=budget_arg)
-    p_verify.set_defaults(func=cmd_verify)
+    checks = p_verify.add_subparsers(dest="check", required=True)
+    for name, (_, options) in VERIFY_CHECKS.items():
+        p_check = checks.add_parser(name)
+        for flag, (kind, default) in options.items():
+            p_check.add_argument(flag, type=kind, default=default)
+        p_check.add_argument("--budget", type=budget_arg)
+        p_check.set_defaults(func=cmd_verify)
 
     p_fix = sub.add_parser("fixtures", help="list built-in rule actions")
     p_fix.set_defaults(func=cmd_fixtures)

@@ -205,8 +205,9 @@ def _vector_label(a: IntVector) -> str:
 
 
 def element_label(a: GroupElement) -> str:
-    """Short human-readable label (uppercase letter = inverse letter)."""
-    label = ELEMENT_LABELS.get(type(a))
+    """Short human-readable label of an element or a point (uppercase
+    letter = inverse letter)."""
+    label = LABELS.get(type(a))
     return str(a) if label is None else label(a)
 
 
@@ -226,8 +227,9 @@ def perm_cycle_notation(p: Perm) -> str:
     return "".join(parts) if parts else "()"
 
 
-# label of each element class, looked up by exact type
-ELEMENT_LABELS = {
+# label of each element and point class, looked up by exact type;
+# endslab.actions adds its points and endslab.wreath its elements
+LABELS = {
     FreeWord: _word_label,
     IntVector: _vector_label,
     CyclicInt: lambda a: str(a.value),

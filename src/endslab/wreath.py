@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .actions import (
-    POINT_LABELS,
     PairPoint,
     Point,
     PointedAction,
@@ -27,6 +26,7 @@ from .actions import (
     translation_action,
 )
 from .groups import (
+    LABELS,
     Group,
     GroupElement,
     GroupError,
@@ -56,7 +56,7 @@ def wreath_label(a: WreathElement) -> str:
     return f"({sup}; {element_label(a.head)})"
 
 
-POINT_LABELS[WreathElement] = wreath_label
+LABELS[WreathElement] = wreath_label
 
 
 # points explored per orbit representative when checking that the

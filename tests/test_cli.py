@@ -17,7 +17,7 @@ def run(capsys, *argv):
 
 
 def test_parse_k_values():
-    assert parse_k_values("1..4") == [1, 2, 3, 4]
+    assert list(parse_k_values("1..4")) == [1, 2, 3, 4]
     assert parse_k_values("1,2,5") == [1, 2, 5]
 
 
@@ -135,6 +135,8 @@ ERROR_CASES = [
     (["ends", "--spec", "Z", "--k", "a..b", "--K", "6"], {}, 2),
     (["ends", "--spec", "Z", "--k", "1,,2", "--K", "6"], {}, 2),
     (["ends", "--spec", "Z", "--k", "3..1", "--K", "6"], {}, 2),
+    # a range is checked by its endpoints; listing it would fail to allocate
+    (["ends", "--spec", "Z", "--k", "0..1000000000000000", "--K", "5"], {}, 2),
     (["ball", "--spec", "Z", "--radius", "3", "--budget", "0"], {}, 2),
     (["ball", "--spec", "Z", "--radius", "3", "--budget", "-3"], {}, 2),
     (["ball", "--spec", "Z", "--radius", "3"], {"ENDSLAB_BUDGET": "abc"}, 2),
@@ -149,6 +151,12 @@ ERROR_CASES = [
     (["verify", "three-segment-path", "--cut-radius", "20"], {}, 2),
     (["verify", "three-segment-path", "--cut-radius", "-3"], {}, 2),
     (["verify", "three-segment-path", "--pairs", "-1"], {}, 2),
+    # each check takes only the options it reads
+    (["verify", "quotient", "--spec", "Z^2"], {}, 2),
+    (["verify", "complete-graph", "--radius", "0"], {}, 2),
+    (["verify", "three-segment-path", "--spec", "F(2)"], {}, 2),
+    (["verify", "quotient", "--pairs", "3"], {}, 2),
+    (["verify", "leaf-disconnect", "--modulus", "7"], {}, 2),
     (["ball", "--spec", "Z", "--radius", "1", "--output", "/dev/null/x"], {}, 2),
     (["ball", "--spec", "wreath(C(5), wreath(Z^2, Z, translation), translation)",
       "--radius", "2"], {}, 2),
@@ -234,3 +242,21 @@ def test_repeated_calls_match_fresh_processes(capsys):
                               capture_output=True, text=True, env=module_env(),
                               timeout=60)
         assert in_process == (proc.returncode, proc.stdout, proc.stderr), argv
+
+
+def test_spec_mix_catalog_matches_reference_digests(monkeypatch):
+    # every valid request of the benchmark's spec-mix catalog against its
+    # pinned output digest; the bench is only read
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    monkeypatch.syspath_prepend(str(bench))
+    import checks
+    import execute
+    import workloads
+
+    reference = json.loads((bench / "reference" / "spec-mix.json").read_text())
+    requests = {workloads.request_key(req): req for req in workloads.catalog("spec-mix")
+                if not req.get("malformed")}
+    assert set(requests) == set(reference)
+    mismatched = [key for key, req in requests.items()
+                  if checks.digest(req, execute.execute(req, {}, {})) != reference[key][0]]
+    assert mismatched == []

@@ -141,6 +141,13 @@ def test_standard_gens_lamplighter_shape():
     assert gens.elements[0] == w.delta(IntVector((0,)), CyclicInt(2, 1))
 
 
+def test_unnamed_wreath_generators_get_wreath_labels():
+    from endslab.groups import make_gen_set
+    w, _ = lamplighter(2)
+    gens = make_gen_set(w, [w.delta(IntVector((0,)), CyclicInt(2, 1))])
+    assert gens.names == ("(0:1; 0)",)
+
+
 def test_standard_gens_pass_gen_set_invariants():
     from endslab.groups import verify_gen_set
     w, gens = lamplighter(3)
