@@ -366,6 +366,9 @@ def cli_main(argv) -> int:
     except tuple(EXIT_CODES) as exc:
         print(f"endslab: {exc}", file=sys.stderr)
         return next(code for cls, code in EXIT_CODES.items() if isinstance(exc, cls))
+    except MemoryError:
+        print("endslab: out of memory", file=sys.stderr)
+        return 1
 
 
 def main() -> None:

@@ -426,7 +426,12 @@ class _Parser:
 
 def parse_spec(text: str) -> SpecAst:
     """Parse a spec string; raises ParseError with line/column on failure."""
-    return _Parser(text).parse_spec()
+    parser = _Parser(text)
+    try:
+        return parser.parse_spec()
+    except RecursionError:
+        t = parser.cur
+        raise ParseError("spec nested too deeply", t.line, t.col) from None
 
 
 # ---------------------------------------------------------------------------

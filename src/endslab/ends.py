@@ -175,7 +175,8 @@ def profile_from_ball(ball: GraphBall, k_values: Iterable[int]) -> EndsProfile:
     # One outward sweep.  Every edge joins equal or adjacent spheres, so the
     # partition of S_{r+1} for k follows from that of S_r and S_{r+1}'s
     # shell alone; k whose partitions coincide share every later entry, and
-    # each distinct partition is stepped once per sphere.
+    # each distinct partition is stepped once per sphere.  Once a sphere is
+    # empty so is every later one, and every remaining entry is 0.
     rows: dict[int, list[int]] = {k: [] for k in ks}
     groups: dict[tuple[int, ...], list[int]] = {}
     shell = _shell(ball, ks[0])
@@ -186,6 +187,8 @@ def profile_from_ball(ball: GraphBall, k_values: Iterable[int]) -> EndsProfile:
             entering = _partition(list(range(size)), size, shell.inner)
             groups.setdefault(entering, []).append(r)
         shell = _shell(ball, r + 1)
+        if not shell.up:
+            break
         stepped: dict[tuple[int, ...], list[int]] = {}
         for labels, members in groups.items():
             nxt = _step(labels, shell)
@@ -194,7 +197,7 @@ def profile_from_ball(ball: GraphBall, k_values: Iterable[int]) -> EndsProfile:
                 rows[k].append(count)
             stepped.setdefault(nxt, []).extend(members)
         groups = stepped
-    matrix = tuple(tuple(rows[k]) for k in ks)
+    matrix = tuple(tuple(rows[k] + [0] * (ball.radius - k - len(rows[k]))) for k in ks)
     for row in matrix:
         for a, b in zip(row, row[1:]):
             if b > a:
@@ -469,12 +472,7 @@ def quotient_schreier_pair(group: Group, quotient_spec, subgroup_spec,
     source_ball = build_ball(coset_action(group, source_spec), gens, radius,
                              max_vertices)
     quotient_group, image = quotient_spec.quotient()
-    images = tuple(map(image, gens.elements))
-    q_ident = quotient_group.identity()
-    q_gens = SymmetricGenSet(images, gens.pairing, gens.names,
-                             frozenset(i for i, g in enumerate(images)
-                                       if g == q_ident))
     quotient_ball = build_ball(coset_action(quotient_group, subgroup_spec),
-                               q_gens, radius, max_vertices)
+                               gens.image(quotient_group, image), radius, max_vertices)
     a, b = simplify(source_ball), simplify(quotient_ball)
     return QuotientPair(a, b, pointed_labeled_isomorphic(a, b))

@@ -19,7 +19,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterator, Optional, Sequence
 
 LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
@@ -286,6 +286,25 @@ class SymmetricGenSet:
     def __len__(self) -> int:
         return len(self.elements)
 
+    def image(self, group: "Group", f: Callable[[GroupElement], GroupElement],
+              rename: Optional[Callable[[str], str]] = None) -> SymmetricGenSet:
+        """The images f(s) in ``group`` under a map f that sends inverses to
+        inverses: the same pairing, each name passed through ``rename``, and
+        the images equal to the identity flagged."""
+        elements = tuple(map(f, self.elements))
+        ident = group.identity()
+        names = self.names if rename is None else tuple(map(rename, self.names))
+        return SymmetricGenSet(elements, self.pairing, names,
+                               frozenset(i for i, g in enumerate(elements) if g == ident))
+
+    def __add__(self, other: SymmetricGenSet) -> SymmetricGenSet:
+        """This set's generators followed by ``other``'s."""
+        n = len(self.elements)
+        return SymmetricGenSet(self.elements + other.elements,
+                               self.pairing + tuple(n + j for j in other.pairing),
+                               self.names + other.names,
+                               self.identity_indices | {n + i for i in other.identity_indices})
+
 
 def make_gen_set(group: "Group",
                  items: Sequence[GroupElement],
@@ -295,6 +314,8 @@ def make_gen_set(group: "Group",
 
     Items are not deduplicated: listing both s and s^-1 yields two pairs
     and therefore doubled edges in orbital graphs (collapsed by simplify).
+    The inverse of an item named ``+x`` is named ``-x``, and that of any
+    other name ``n`` ``n^-1``; without ``names`` both are element labels.
     """
     ident = group.identity()
     elements: list[GroupElement] = []
@@ -304,7 +325,7 @@ def make_gen_set(group: "Group",
     for pos, item in enumerate(items):
         if not group.contains(item):
             raise FamilyMismatchError(f"{item!r} is not an element of {group}")
-        inv = group.inverse(item)
+        inv = group._inv(item)
         name = names[pos] if names is not None else element_label(item)
         if item == ident:
             if not allow_identity:
@@ -319,7 +340,10 @@ def make_gen_set(group: "Group",
             i = len(elements)
             pairing.extend([i + 1, i])
             elements.extend([item, inv])
-            inv_name = names[pos] + "^-1" if names is not None else element_label(inv)
+            if names is None:
+                inv_name = element_label(inv)
+            else:
+                inv_name = "-" + name[1:] if name.startswith("+") else name + "^-1"
             out_names.extend([name, inv_name])
     return SymmetricGenSet(tuple(elements), tuple(pairing), tuple(out_names),
                            frozenset(identity_idx))
@@ -422,14 +446,9 @@ class FreeGroup(Group):
         return FreeWord(self.rank, ((i + 1) if power > 0 else -(i + 1),))
 
     def standard_gens(self):
-        elements, pairing, names = [], [], []
-        for i in range(self.rank):
-            base = LETTERS[i] if i < len(LETTERS) else f"g{i}"
-            k = len(elements)
-            elements.extend([self.letter(i), self.letter(i, -1)])
-            pairing.extend([k + 1, k])
-            names.extend([base, base + "^-1"])
-        return SymmetricGenSet(tuple(elements), tuple(pairing), tuple(names))
+        return make_gen_set(self, [self.letter(i) for i in range(self.rank)],
+                            names=[LETTERS[i] if i < len(LETTERS) else f"g{i}"
+                                   for i in range(self.rank)])
 
     def __str__(self):
         return f"F({self.rank})"
@@ -458,22 +477,15 @@ class FreeAbelian(Group):
     def sort_key(self, a):
         return a.coords
 
-    def unit(self, i: int, sign: int = 1) -> IntVector:
+    def unit(self, i: int) -> IntVector:
         coords = [0] * self.rank
-        coords[i] = 1 if sign > 0 else -1
+        coords[i] = 1
         return IntVector(tuple(coords))
 
     def standard_gens(self):
-        elements, pairing, names = [], [], []
-        for i in range(self.rank):
-            k = len(elements)
-            elements.extend([self.unit(i), self.unit(i, -1)])
-            pairing.extend([k + 1, k])
-            if self.rank == 1:
-                names.extend(["+1", "-1"])
-            else:
-                names.extend([f"+e{i + 1}", f"-e{i + 1}"])
-        return SymmetricGenSet(tuple(elements), tuple(pairing), tuple(names))
+        return make_gen_set(self, [self.unit(i) for i in range(self.rank)],
+                            names=["+1"] if self.rank == 1 else
+                            [f"+e{i + 1}" for i in range(self.rank)])
 
     def __str__(self):
         return "Z" if self.rank == 1 else f"Z^{self.rank}"
@@ -503,14 +515,9 @@ class Cyclic(Group):
         return a.value
 
     def standard_gens(self):
-        n = self.modulus
-        one = CyclicInt(n, 1 % n)
-        if one == self.identity():
-            # trivial group: the only "generator" is the identity, kept flagged
-            return SymmetricGenSet((one,), (0,), ("+1",), frozenset({0}))
-        if self._inv(one) == one:
-            return SymmetricGenSet((one,), (0,), ("+1",))
-        return SymmetricGenSet((one, self._inv(one)), (1, 0), ("+1", "-1"))
+        # in C(1) the only "generator" is the identity, kept flagged
+        return make_gen_set(self, [CyclicInt(self.modulus, 1 % self.modulus)],
+                            names=["+1"], allow_identity=True)
 
     def order(self):
         return self.modulus
@@ -562,12 +569,9 @@ class SymmetricGroup(Group):
         return Perm(tuple(img))
 
     def standard_gens(self):
-        elements, pairing, names = [], [], []
-        for i in range(self.degree - 1):
-            elements.append(self.transposition(i, i + 1))
-            pairing.append(i)
-            names.append(f"({i} {i + 1})")
-        return SymmetricGenSet(tuple(elements), tuple(pairing), tuple(names))
+        return make_gen_set(self, [self.transposition(i, i + 1)
+                                   for i in range(self.degree - 1)],
+                            names=[f"({i} {i + 1})" for i in range(self.degree - 1)])
 
     def order(self):
         n = 1
@@ -609,14 +613,13 @@ class Torus(Group):
     def sort_key(self, a):
         return a.coords
 
-    def unit(self, i: int, sign: int = 1) -> ModVector:
+    def unit(self, i: int) -> ModVector:
         coords = [0] * len(self.moduli)
-        coords[i] = (1 if sign > 0 else -1) % self.moduli[i]
+        coords[i] = 1 % self.moduli[i]
         return ModVector(self.moduli, tuple(coords))
 
     def standard_gens(self):
-        items = [self.unit(i) for i in range(len(self.moduli))]
-        return make_gen_set(self, items,
+        return make_gen_set(self, [self.unit(i) for i in range(len(self.moduli))],
                             names=[f"+e{i + 1}" for i in range(len(self.moduli))],
                             allow_identity=True)
 

@@ -13,7 +13,9 @@ action alone.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import partial, reduce
 from typing import Iterable
 
 from .actions import (
@@ -181,30 +183,16 @@ class WreathGroup(Group):
 
 
 def standard_wreath_gens(w: WreathGroup) -> SymmetricGenSet:
-    """Generators (delta at each orbit rep, per standard base generator)
-    plus the standard top generators."""
+    """The image of the standard base generators under delta(rep, .) for
+    each orbit rep, followed by the image of the standard top generators."""
     base_gens, top_gens = w.base.standard_gens(), w.top.standard_gens()
-    elements: list[WreathElement] = []
-    pairing: list[int] = []
-    names: list[str] = []
-    identity_idx: set[int] = set()
-    for rep in w.orbit_reps:
-        k = len(elements)
-        for i, s in enumerate(base_gens.elements):
-            elements.append(w.delta(rep, s))
-            pairing.append(k + base_gens.pairing[i])
-            names.append(f"d({point_label(rep)}:{base_gens.names[i]})")
-            if i in base_gens.identity_indices:
-                identity_idx.add(k + i)
-    k = len(elements)
-    for i, t in enumerate(top_gens.elements):
-        elements.append(w.top_element(t))
-        pairing.append(k + top_gens.pairing[i])
-        names.append(f"h({top_gens.names[i]})")
-        if i in top_gens.identity_indices:
-            identity_idx.add(k + i)
-    return SymmetricGenSet(tuple(elements), tuple(pairing), tuple(names),
-                           frozenset(identity_idx))
+
+    def at(rep: Point) -> SymmetricGenSet:
+        label = point_label(rep)
+        return base_gens.image(w, partial(w.delta, rep), lambda n: f"d({label}:{n})")
+
+    return reduce(operator.add, [*map(at, w.orbit_reps),
+                                 top_gens.image(w, w.top_element, "h({})".format)])
 
 
 def _imprimitive(w: WreathGroup, orbit_rep: Point, leaf: PointedAction,

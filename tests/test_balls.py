@@ -307,9 +307,11 @@ def test_build_ball_hashes_each_acted_point_once(monkeypatch):
         return translation.act(g, p)
 
     action = PointedAction(group, counting_act, translation.basepoint)
+    # make_gen_set compares words; only build_ball's lookups are counted
+    gens = group.standard_gens()
     monkeypatch.setattr(FreeWord, "__eq__", counting_eq)
     monkeypatch.setattr(FreeWord, "__hash__", counting_hash)
-    ball = build_ball(action, group.standard_gens(), 8)
+    ball = build_ball(action, gens, 8)
     assert len(ball) == 1 + 4 * (3 ** 8 - 1) // 2
     # distinct words never share a hash, so no lookup compares two words
     assert counts["eq"] == 0

@@ -167,12 +167,21 @@ ERROR_CASES = [
     (["ball", "--spec", "Z / {1}", "--radius", "2"], {}, 2),
     (["ball", "--spec", "Z^2 / [1]", "--radius", "2"], {}, 2),
     (["ball", "--spec", "wreath(C(2), Z, coset({1}))", "--radius", "2"], {}, 2),
+    (["ball", "--spec", "wreath(C(2), Z, rule(f2_four_ends))", "--radius", "2"], {}, 2),
+    (["ball", "--spec", "wreath(" * 5000 + "Z", "--radius", "2"], {}, 2),
+    # listing this range fails to allocate at once
+    (["ends", "--spec", "C(3)", "--k", "0..1000000000000000",
+      "--K", "1000000000000001"], {}, 1),
 ]
 
 
+def _case_id(argv, env):
+    args = [a if len(a) <= 80 else f"{a[:20]}...({len(a)} characters)" for a in argv]
+    return " ".join(args) + "".join(f" {k}={v}" for k, v in env.items())
+
+
 @pytest.mark.parametrize("argv, env, expected", ERROR_CASES,
-                         ids=[" ".join(argv) + "".join(f" {k}={v}" for k, v in env.items())
-                              for argv, env, _ in ERROR_CASES])
+                         ids=[_case_id(argv, env) for argv, env, _ in ERROR_CASES])
 def test_error_exit_codes(capsys, monkeypatch, argv, env, expected):
     for name, value in env.items():
         monkeypatch.setenv(name, value)

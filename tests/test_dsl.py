@@ -87,6 +87,11 @@ def test_parse_error_positions_and_expectations():
         parse_spec("Z @ 4")
     assert err.value.col == 3
 
+    # the depth at which the recursive parser runs out of stack depends on
+    # the caller's own stack, so this one is far beyond it
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_spec("wreath(" * 5000 + "Z")
+
 
 def test_elaborate_custom_gens_symmetrized():
     action, gens = elaborate(parse_spec("Z with gens {2, 3}"))
@@ -138,6 +143,12 @@ def test_elaborate_errors():
         elaborate(parse_spec("F(2) with gens {xy}"))  # beyond the rank alphabet
     with pytest.raises(ElaborationError):
         elaborate(parse_spec("wreath(C(2), Z, translation) with gens {1}"))
+    for text, message in (("wreath(C(2), Z, rule(f2_four_ends))", "acts for F\\(2\\), not Z"),
+                          ("imprimitive(Z)", "needs a wreath group"),
+                          ("F(27)", "free rank above 26"),
+                          ("Sym(3) with gens {(0 1 0)}", "repeats a point")):
+        with pytest.raises(ElaborationError, match=message):
+            elaborate(parse_spec(text))
     # trivial cosets are supported for every family, free groups included
     action, _ = elaborate(parse_spec("F(2) / trivial"))
     assert action.group == FreeGroup(2)
@@ -157,6 +168,8 @@ def test_print_examples():
     assert print_spec(parse_spec("Z/4 with gens {1,-1}")) == \
         "Z / 4 with gens {1, -1}"
     assert print_spec(parse_spec("Z with gens standard")) == "Z"
+    assert print_spec(parse_spec("wreath(C(2),F(2),rule(f2_four_ends))")) == \
+        "wreath(C(2), F(2), rule(f2_four_ends))"
 
 
 # ---------------------------------------------------------------------------

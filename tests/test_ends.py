@@ -128,6 +128,23 @@ def test_finite_graph_profile_reaches_zero():
     assert_monotone(p)
 
 
+def test_profile_stops_at_the_last_sphere(monkeypatch):
+    # a finite orbit stops growing: the sweep must not walk every r < K
+    c3 = Cyclic(3)
+    ball = build_ball(translation_action(c3), c3.standard_gens(), 300_000)
+    calls = []
+
+    def counting_shell(ball, r):
+        calls.append(r)
+        return shell(ball, r)
+
+    shell = endslab.ends._shell
+    monkeypatch.setattr(endslab.ends, "_shell", counting_shell)
+    p = profile_from_ball(ball, [1])
+    assert len(calls) <= ball.dist[-1] + 1 + 2
+    assert p.matrix == ((0,) * (300_000 - 1),)
+
+
 def test_verdict_edge_cases():
     f2 = FreeGroup(2)
     ball = build_ball(translation_action(f2), f2.standard_gens(), 4)
@@ -386,6 +403,8 @@ def test_wreath_split_partition():
     el = w.multiply(gens.elements[0], gens.elements[1])
     n_part, h_part = sd.split(el)
     assert w.multiply(n_part, h_part) == el
+    with pytest.raises(EndsError, match="mixes support and head"):
+        wreath_split(w, make_gen_set(w, [el]))
 
 
 def test_coordinate_split_rejects_mixed_generators():
@@ -448,6 +467,10 @@ def test_quotient_unsupported_specs(monkeypatch):
     with pytest.raises(UnsupportedSubgroupError):
         quotient_schreier_pair(z, CyclicDivisorQuotient(6, 3), TrivialSubgroup(),
                                z.standard_gens(), 3)
+    c12 = Cyclic(12)
+    with pytest.raises(UnsupportedSubgroupError, match="5 does not divide 12"):
+        quotient_schreier_pair(c12, CyclicDivisorQuotient(12, 5), TrivialSubgroup(),
+                               c12.standard_gens(), 3)
     with pytest.raises(UnsupportedSubgroupError):
         quotient_schreier_pair(z, object(), TrivialSubgroup(),
                                z.standard_gens(), 3)

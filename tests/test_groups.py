@@ -2,8 +2,10 @@ import random
 
 import pytest
 
+from endslab.actions import IntModQuotient, TrivialSubgroup
 from endslab.balls import build_ball
 from endslab.dsl import elaborate, parse_spec
+from endslab.ends import quotient_schreier_pair
 from endslab.groups import (
     Cyclic,
     CyclicInt,
@@ -25,6 +27,7 @@ from endslab.groups import (
     perm_parity,
     verify_gen_set,
 )
+from endslab.wreath import WreathElement, lamplighter
 
 ALL_GROUPS = [FreeGroup(2), FreeAbelian(2), Cyclic(5), SymmetricGroup(4),
               Torus((2, 3)),
@@ -128,6 +131,60 @@ def test_standard_gens_examples():
     custom = make_gen_set(FreeAbelian(1), [IntVector((2,)), IntVector((3,))])
     assert custom.elements == (IntVector((2,)), IntVector((-2,)),
                                IntVector((3,)), IntVector((-3,)))
+
+
+def _quotient_gens(n):
+    # the generating set of the quotient ball: the image of Z's under Z -> C(n)
+    z = FreeAbelian(1)
+    pair = quotient_schreier_pair(z, IntModQuotient(n), TrivialSubgroup(),
+                                  z.standard_gens(), 2)
+    return pair.quotient_ball.gens
+
+
+def _wreath(head, *support):
+    return WreathElement(frozenset(support), head)
+
+
+# generating set, then its elements, pairing, names and identity indices
+PINNED_GEN_SETS = [
+    ("C(1)", lambda: Cyclic(1).standard_gens(),
+     (CyclicInt(1, 0),), (0,), ("+1",), {0}),
+    ("C(2)", lambda: Cyclic(2).standard_gens(),
+     (CyclicInt(2, 1),), (0,), ("+1",), set()),
+    ("C(5)", lambda: Cyclic(5).standard_gens(),
+     (CyclicInt(5, 1), CyclicInt(5, 4)), (1, 0), ("+1", "-1"), set()),
+    ("Z^2", lambda: FreeAbelian(2).standard_gens(),
+     (IntVector((1, 0)), IntVector((-1, 0)), IntVector((0, 1)), IntVector((0, -1))),
+     (1, 0, 3, 2), ("+e1", "-e1", "+e2", "-e2"), set()),
+    ("Sym(1)", lambda: SymmetricGroup(1).standard_gens(), (), (), (), set()),
+    ("Sym(4)", lambda: SymmetricGroup(4).standard_gens(),
+     (Perm((1, 0, 2, 3)), Perm((0, 2, 1, 3)), Perm((0, 1, 3, 2))),
+     (0, 1, 2), ("(0 1)", "(1 2)", "(2 3)"), set()),
+    ("T(1,4)", lambda: Torus((1, 4)).standard_gens(),
+     (ModVector((1, 4), (0, 0)), ModVector((1, 4), (0, 1)), ModVector((1, 4), (0, 3))),
+     (0, 2, 1), ("+e1", "+e2", "-e2"), {0}),
+    ("lamplighter(2)", lambda: lamplighter(2)[1],
+     (_wreath(IntVector((0,)), (IntVector((0,)), CyclicInt(2, 1))),
+      _wreath(IntVector((1,))), _wreath(IntVector((-1,)))),
+     (0, 2, 1), ("d(0:+1)", "h(+1)", "h(-1)"), set()),
+    # both flags come from the images: delta of the identity and the top identity
+    ("wreath(C(1), C(1), regular)",
+     lambda: elaborate(parse_spec("wreath(C(1), C(1), regular)"))[1],
+     (_wreath(CyclicInt(1, 0)), _wreath(CyclicInt(1, 0))),
+     (0, 1), ("d(0:+1)", "h(+1)"), {0, 1}),
+    ("Z -> C(2)", lambda: _quotient_gens(2),
+     (CyclicInt(2, 1), CyclicInt(2, 1)), (1, 0), ("+1", "-1"), set()),
+    ("Z -> C(1)", lambda: _quotient_gens(1),
+     (CyclicInt(1, 0), CyclicInt(1, 0)), (1, 0), ("+1", "-1"), {0, 1}),
+]
+
+
+@pytest.mark.parametrize("make, elements, pairing, names, identity", [
+    case[1:] for case in PINNED_GEN_SETS], ids=[case[0] for case in PINNED_GEN_SETS])
+def test_generating_sets_are_pinned(make, elements, pairing, names, identity):
+    gens = make()
+    assert (gens.elements, gens.pairing, gens.names, gens.identity_indices) == \
+        (elements, pairing, names, frozenset(identity))
 
 
 def test_gen_set_invariants_for_every_family():
