@@ -210,13 +210,18 @@ class CutResult:
         return sum(self.touching)
 
 
+def check_indices(kind: str, indices: Iterable[int], n: int) -> None:
+    """Raise ``BallError`` unless every vertex or generator index is in 0..n-1."""
+    for i in indices:
+        if not 0 <= i < n:
+            raise BallError(f"{kind} index {i} out of range")
+
+
 def delete_and_split(ball: GraphBall, removed: Iterable[int]) -> CutResult:
     """Components of the ball minus the given vertex indices."""
     removed_set = frozenset(removed)
     n = len(ball.points)
-    for v in removed_set:
-        if not 0 <= v < n:
-            raise BallError(f"vertex index {v} out of range")
+    check_indices("vertex", removed_set, n)
     table = ball.table
     ngens = len(ball.gens)
     uf = UnionFind(n)

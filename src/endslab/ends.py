@@ -17,12 +17,19 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .actions import PointedAction, UnsupportedSubgroupError, coset_action, orbit_of_point
+from .actions import (
+    PointedAction,
+    UnsupportedSubgroupError,
+    check_members,
+    coset_action,
+    orbit_of_point,
+)
 from .balls import (
     DEFAULT_VERTEX_BUDGET,
     GraphBall,
     UnionFind,
     build_ball,
+    check_indices,
     pointed_labeled_isomorphic,
     simplify,
 )
@@ -226,21 +233,24 @@ class AugmentResult:
     status: dict  # vertex index -> "finite" | "undetermined"
 
 
-def augment_cut(ball: GraphBall, cut: Iterable[int], orbit_gens: SymmetricGenSet,
+def augment_cut(ball: GraphBall, cut: Iterable[int], gen_indices: Iterable[int],
                 finiteness_budget: int = 10_000) -> AugmentResult:
     """Close a cut under the finite orbits of a designated generator subset.
 
-    For each cut vertex whose orbit under ``orbit_gens`` (followed through
-    the action, not just inside the ball) closes within the budget, all
-    ball vertices of that orbit join the cut; orbits that hit the budget
-    are reported as undetermined and contribute nothing.
+    For each cut vertex whose orbit under the generators ``gen_indices``
+    and their inverses (followed through the action, not just inside the
+    ball) closes within the budget, all ball vertices of that orbit join
+    the cut; orbits that hit the budget are reported as undetermined and
+    contribute nothing.
     """
     cut_set = set(cut)
+    check_indices("vertex", cut_set, len(ball))
+    elements = [ball.gens.elements[i] for i in sorted(_with_inverses(ball, gen_indices))]
     out = set(cut_set)
     status: dict[int, str] = {}
     for v in sorted(cut_set):
-        result = orbit_of_point(ball.action, ball.points[v],
-                                orbit_gens.elements, finiteness_budget)
+        result = orbit_of_point(ball.action, ball.points[v], elements,
+                                finiteness_budget)
         if result.truncated:
             status[v] = "undetermined"
             continue
@@ -255,6 +265,7 @@ def augment_cut(ball: GraphBall, cut: Iterable[int], orbit_gens: SymmetricGenSet
 def orbit_subgraph(ball: GraphBall, v: int, gen_indices: Iterable[int]) -> frozenset[int]:
     """Component of v inside the ball using only edges of the given labels,
     each walked both ways (the labels are closed under the inverse pairing)."""
+    check_indices("vertex", (v,), len(ball))
     return frozenset(_restricted_bfs(ball, v, _with_inverses(ball, gen_indices),
                                      frozenset()))
 
@@ -267,55 +278,42 @@ def orbit_subgraph(ball: GraphBall, v: int, gen_indices: Iterable[int]) -> froze
 class SemidirectSplit:
     """Designation of an N x| H structure on a generating set.
 
-    ``h_gen_indices`` and ``n_gen_indices`` partition the generator list
-    into pure-H and pure-N generators; ``split`` decomposes any group
-    element into its (N part, H part), both embedded in the big group.
+    ``head`` projects the group onto H, with kernel N; ``h_gen_indices``
+    and ``n_gen_indices`` partition the generator list into the generators
+    it fixes (pure H) and those it kills (pure N).
     """
 
     h_gen_indices: tuple[int, ...]
     n_gen_indices: tuple[int, ...]
-    split: Callable[[GroupElement], tuple[GroupElement, GroupElement]]
+    head: Callable[[GroupElement], GroupElement]
+
+
+def _split_by_head(group: Group, gens: SymmetricGenSet,
+                   head: Callable[[GroupElement], GroupElement]) -> SemidirectSplit:
+    ident = group.identity()
+    h_idx, n_idx = [], []
+    for i, g in enumerate(gens.elements):
+        image = head(g)
+        if image == ident:
+            n_idx.append(i)
+        elif image == g:
+            h_idx.append(i)
+        else:
+            raise EndsError(f"generator {g!r} mixes both factors")
+    return SemidirectSplit(tuple(h_idx), tuple(n_idx), head)
 
 
 def coordinate_split(group: FreeAbelian, gens: SymmetricGenSet,
                      n_axes: Iterable[int]) -> SemidirectSplit:
     """Split a free abelian group along a coordinate partition."""
     n_ax = frozenset(n_axes)
-    h_idx, n_idx = [], []
-    for i, g in enumerate(gens.elements):
-        support = {j for j, c in enumerate(g.coords) if c != 0}
-        if support <= n_ax:
-            n_idx.append(i)
-        elif support & n_ax:
-            raise EndsError(f"generator {g!r} mixes both factors")
-        else:
-            h_idx.append(i)
-
-    def split(g: IntVector):
-        n_part = tuple(c if j in n_ax else 0 for j, c in enumerate(g.coords))
-        h_part = tuple(0 if j in n_ax else c for j, c in enumerate(g.coords))
-        return IntVector(n_part), IntVector(h_part)
-
-    return SemidirectSplit(tuple(h_idx), tuple(n_idx), split)
+    return _split_by_head(group, gens, lambda g: IntVector(
+        tuple(0 if j in n_ax else c for j, c in enumerate(g.coords))))
 
 
 def wreath_split(w: WreathGroup, gens: SymmetricGenSet) -> SemidirectSplit:
     """Split a wreath product into base-sum and top parts."""
-    top_ident = w.top.identity()
-    h_idx, n_idx = [], []
-    for i, g in enumerate(gens.elements):
-        if g.head == top_ident:
-            n_idx.append(i)
-        elif not g.support:
-            h_idx.append(i)
-        else:
-            raise EndsError(f"generator {g!r} mixes support and head")
-
-    def split(g: WreathElement):
-        return (WreathElement(g.support, top_ident),
-                WreathElement(frozenset(), g.head))
-
-    return SemidirectSplit(tuple(h_idx), tuple(n_idx), split)
+    return _split_by_head(w, gens, lambda a: WreathElement(frozenset(), a.head))
 
 
 @dataclass(frozen=True)
@@ -342,7 +340,9 @@ class PathFailure:
 
 
 def _with_inverses(ball: GraphBall, gen_indices: Iterable[int]) -> set[int]:
-    return {j for i in gen_indices for j in (i, ball.gens.pairing[i])}
+    indices = tuple(gen_indices)
+    check_indices("generator", indices, len(ball.gens))
+    return {j for i in indices for j in (i, ball.gens.pairing[i])}
 
 
 def _neighbours(ball: GraphBall, u: int, labels: set[int]) -> list[tuple[int, int]]:
@@ -397,39 +397,32 @@ def three_segment_path(ball: GraphBall, x: int, y: int, cut: Iterable[int],
     too small or every candidate fails.
     """
     cut_set = frozenset(cut)
+    check_indices("vertex", cut_set | {x, y}, len(ball))
     if x in cut_set or y in cut_set:
         raise EndsError("endpoints must survive the cut")
     group = ball.action.group
     h_labels = _with_inverses(ball, sd.h_gen_indices)
     n_labels = _with_inverses(ball, sd.n_gen_indices)
 
-    g_xy = group.multiply(ball.witness[y], group.inverse(ball.witness[x]))
-    _, h0 = sd.split(g_xy)
-    h0_inv = group.inverse(h0)
+    # witnesses and generators are members the ball build checked, so only
+    # the projection's value is checked before the trusted law runs
+    h0 = sd.head(group._mul(ball.witness[y], group._inv(ball.witness[x])))
+    check_members(group, (h0,))
 
-    # BFS over Gamma_x^H minus the cut, tracking the pure-H element to each z
+    # BFS over Gamma_x^H minus the cut.  The candidate for z is z' = h.h0^-1.y,
+    # h the pure-H element along the path x -> z, so z' follows z edge by edge
     pred_h = _restricted_bfs(ball, x, h_labels, cut_set)
-    order = list(pred_h)
-    h_elem = {x: group.identity()}
-    for v in order[1:]:
-        u, g = pred_h[v]
-        h_elem[v] = group.multiply(ball.gens.elements[g], h_elem[u])
+    step = ball.action.step
+    z_prime_points = {x: step(group._inv(h0), ball.points[y])}
+    for v, (u, g) in list(pred_h.items())[1:]:
+        z_prime_points[v] = step(ball.gens.elements[g], z_prime_points[u])
+    injective = len(set(z_prime_points.values())) == len(pred_h)
 
-    z_prime_points = {}
-    missing_from_ball = False
-    for z in order:
-        u = group.multiply(h_elem[z], h0_inv)
-        z_prime_points[z] = ball.action.act(u, ball.points[y])
-    injective = len(set(z_prime_points.values())) == len(z_prime_points)
-
+    # pred_to_y holds no cut vertex, and no None for a z' outside the ball
     pred_to_y = _restricted_bfs(ball, y, h_labels, cut_set)
-    for z in order:
-        zp_point = z_prime_points[z]
+    for z, zp_point in z_prime_points.items():
         zp = ball.index.get(zp_point)
-        if zp is None:
-            missing_from_ball = True
-            continue
-        if zp in cut_set or zp not in pred_to_y:
+        if zp not in pred_to_y:
             continue
         pred_n = _restricted_bfs(ball, z, n_labels, cut_set)
         if zp not in pred_n:
@@ -439,10 +432,11 @@ def three_segment_path(ball: GraphBall, x: int, y: int, cut: Iterable[int],
             z_to_zp=_path_from(pred_n, z, zp),
             zp_to_y=tuple(reversed(_path_from(pred_to_y, y, zp))),
             z=z, z_prime=zp,
-            candidates_checked=len(order),
+            candidates_checked=len(pred_h),
             injective=injective)
-    reason = "ball_too_small" if missing_from_ball else "candidates_exhausted"
-    return PathFailure(reason, len(order), injective)
+    missing = any(p not in ball.index for p in z_prime_points.values())
+    reason = "ball_too_small" if missing else "candidates_exhausted"
+    return PathFailure(reason, len(pred_h), injective)
 
 
 # ---------------------------------------------------------------------------

@@ -53,8 +53,10 @@ class FreeWord:
     letters: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.rank < 1:
-            raise InvalidParameterError(f"free group rank must be >= 1, got {self.rank}")
+        # one letter of LETTERS per generator, so every word has a label
+        if not 1 <= self.rank <= len(LETTERS):
+            raise InvalidParameterError(
+                f"free group rank must lie in 1..{len(LETTERS)}, got {self.rank}")
         prev = 0
         for l in self.letters:
             if l == 0 or abs(l) > self.rank:
@@ -417,8 +419,7 @@ class FreeGroup(Group):
     rank: int
 
     def __post_init__(self):
-        if self.rank < 1:
-            raise InvalidParameterError("free group rank must be >= 1")
+        FreeWord(self.rank)  # the word checks the rank
 
     def identity(self):
         return FreeWord(self.rank, ())
@@ -447,8 +448,7 @@ class FreeGroup(Group):
 
     def standard_gens(self):
         return make_gen_set(self, [self.letter(i) for i in range(self.rank)],
-                            names=[LETTERS[i] if i < len(LETTERS) else f"g{i}"
-                                   for i in range(self.rank)])
+                            names=LETTERS[:self.rank])
 
     def __str__(self):
         return f"F({self.rank})"

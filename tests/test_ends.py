@@ -8,15 +8,17 @@ from endslab.actions import (
     DiagonalLatticeQuotient,
     GeneratedSubgroup,
     IntModQuotient,
+    PointedAction,
     SignQuotient,
     TrivialSubgroup,
     rule_action,
     translation_action,
 )
-from endslab.balls import BallOverflowError, build_ball, simplify
+from endslab.balls import BallError, BallOverflowError, build_ball, delete_and_split, simplify
 from endslab.ends import (
     EndsError,
     PathFailure,
+    SemidirectSplit,
     ThreeSegmentPath,
     augment_cut,
     coordinate_split,
@@ -33,8 +35,10 @@ from endslab.groups import (
     CyclicInt,
     FreeAbelian,
     FreeGroup,
+    Group,
     IntVector,
     SymmetricGroup,
+    element_label,
     make_gen_set,
 )
 from endslab.actions import UnsupportedSubgroupError
@@ -232,19 +236,11 @@ def lamplighter_imprimitive_ball(radius=8):
     return w, gens, ball
 
 
-def top_only(gens):
-    idx = [i for i, g in enumerate(gens.elements) if not g.support]
-    from endslab.groups import SymmetricGenSet
-    return SymmetricGenSet(tuple(gens.elements[i] for i in idx),
-                           tuple(idx.index(gens.pairing[i]) for i in idx),
-                           tuple(gens.names[i] for i in idx))
-
-
 def test_augment_cut_infinite_orbit_undetermined():
     w, gens, ball = lamplighter_imprimitive_ball()
-    h_gens = top_only(gens)
     cut = {ball.basepoint_index}
-    res = augment_cut(ball, cut, h_gens, finiteness_budget=50)
+    res = augment_cut(ball, cut, wreath_split(w, gens).h_gen_indices,
+                      finiteness_budget=50)
     assert res.status[ball.basepoint_index] == "undetermined"
     assert res.vertices == frozenset(cut)
 
@@ -255,8 +251,8 @@ def test_augment_cut_finite_orbits_closed():
     w = WreathGroup(base, top, ta, (ta.basepoint,))
     gens = standard_wreath_gens(w)
     ball = build_ball(imprimitive_action(w, ta.basepoint), gens, 8)
-    h_gens = top_only(gens)
-    res = augment_cut(ball, {0}, h_gens, finiteness_budget=100)
+    res = augment_cut(ball, {0}, wreath_split(w, gens).h_gen_indices,
+                      finiteness_budget=100)
     assert res.status[0] == "finite"
     # the whole H-orbit of the basepoint (its leaf) is swallowed
     leaf = {v for v in range(len(ball))
@@ -265,8 +261,8 @@ def test_augment_cut_finite_orbits_closed():
 
 
 def test_augment_cut_empty():
-    _, gens, ball = lamplighter_imprimitive_ball()
-    res = augment_cut(ball, [], top_only(gens))
+    w, gens, ball = lamplighter_imprimitive_ball()
+    res = augment_cut(ball, [], wreath_split(w, gens).h_gen_indices)
     assert res.vertices == frozenset() and res.status == {}
 
 
@@ -401,17 +397,106 @@ def test_wreath_split_partition():
     assert sd.n_gen_indices == (0,)
     assert set(sd.h_gen_indices) == {1, 2}
     el = w.multiply(gens.elements[0], gens.elements[1])
-    n_part, h_part = sd.split(el)
-    assert w.multiply(n_part, h_part) == el
-    with pytest.raises(EndsError, match="mixes support and head"):
+    assert sd.head(el) == gens.elements[1]
+    assert sd.head(gens.elements[0]) == w.identity()
+    with pytest.raises(EndsError, match="mixes both factors"):
         wreath_split(w, make_gen_set(w, [el]))
 
 
 def test_coordinate_split_rejects_mixed_generators():
     z2 = FreeAbelian(2)
     gens = make_gen_set(z2, [IntVector((1, 1))])
-    with pytest.raises(EndsError):
+    with pytest.raises(EndsError, match="mixes both factors"):
         coordinate_split(z2, gens, n_axes=(0,))
+
+
+def lamplighter_cayley_fixture():
+    # the paper's setting: C(2) wr Z = N x| H with N the lamp configurations
+    # and H the top Z, on its Cayley ball of radius 9 around the radius-1 cut
+    w, gens = lamplighter(2)
+    ball = build_ball(translation_action(w), gens, 9)
+    cut = frozenset(v for v in range(len(ball)) if ball.dist[v] <= 1)
+    at = {element_label(p): v for v, p in enumerate(ball.points)}
+    return ball, cut, wreath_split(w, gens), at
+
+
+def test_three_segment_path_in_the_lamplighter():
+    ball, cut, sd, at = lamplighter_cayley_fixture()
+    x, y = at["(-1:1; 1)"], at["(1; 4)"]
+    res = three_segment_path(ball, x, y, cut, sd)
+    assert isinstance(res, ThreeSegmentPath) and res.injective
+    validate_three_segment(ball, cut, sd, res)
+    assert res.to_z[0] == x and res.zp_to_y[-1] == y
+    assert len(res.z_to_zp) > 1
+    assert res.candidates_checked == 13
+    # every candidate z' lies in the ball, but none joins both z and y
+    # around the cut; then one whose candidates leave the ball
+    res = three_segment_path(ball, at["(0:1; -3)"], at["(-1:1; -3)"], cut, sd)
+    assert res == PathFailure("candidates_exhausted", 11, True)
+    res = three_segment_path(ball, at["(1:1; -1)"], at["(-2:1; -1)"], cut, sd)
+    assert res == PathFailure("ball_too_small", 13, True)
+
+
+def test_three_segment_path_trusts_its_operands(monkeypatch):
+    # witnesses and generators were checked by the ball build: the search
+    # checks head(g_xy) once and then makes no checked product or action
+    group, gens, ball, cut, sd = z2_fixture()
+    x = ball.index[IntVector((-5, 0))]
+    y = ball.index[IntVector((5, 0))]
+    calls, checked = [], []
+    for cls, name in ((Group, "multiply"), (Group, "inverse"), (PointedAction, "act")):
+        def counting(*args, _name=name, _checked=getattr(cls, name)):
+            calls.append(_name)
+            return _checked(*args)
+        monkeypatch.setattr(cls, name, counting)
+    check_members = endslab.ends.check_members
+
+    def recording(group, elements):
+        checked.append(tuple(elements))
+        return check_members(group, checked[-1])
+
+    monkeypatch.setattr(endslab.ends, "check_members", recording)
+    res = three_segment_path(ball, x, y, cut, sd)
+    assert isinstance(res, ThreeSegmentPath)
+    assert calls == []
+    assert checked == [(IntVector((0, 0)),)]
+
+
+def z2_radius3_analyses():
+    group = FreeAbelian(2)
+    gens = group.standard_gens()
+    ball = build_ball(translation_action(group), gens, 3)
+    return ball, coordinate_split(group, gens, n_axes=(0,))
+
+
+VERTEX_ANALYSES = {
+    "delete_and_split": lambda ball, sd, v: delete_and_split(ball, [v]),
+    "orbit_subgraph": lambda ball, sd, v: orbit_subgraph(ball, v, [0]),
+    "augment_cut": lambda ball, sd, v: augment_cut(ball, [v], [0]),
+    "three_segment_path x": lambda ball, sd, v: three_segment_path(ball, v, 5, [], sd),
+    "three_segment_path y": lambda ball, sd, v: three_segment_path(ball, 5, v, [], sd),
+    "three_segment_path cut": lambda ball, sd, v: three_segment_path(ball, 4, 5, [v], sd),
+}
+
+
+@pytest.mark.parametrize("past_end", [False, True], ids=["-1", "len(ball)"])
+@pytest.mark.parametrize("analysis", list(VERTEX_ANALYSES))
+def test_ball_analyses_refuse_vertices_outside_the_ball(analysis, past_end):
+    ball, sd = z2_radius3_analyses()
+    v = len(ball) if past_end else -1
+    with pytest.raises(BallError, match=f"vertex index {v} out of range"):
+        VERTEX_ANALYSES[analysis](ball, sd, v)
+
+
+def test_ball_analyses_refuse_generator_indices_outside_the_set():
+    ball, sd = z2_radius3_analyses()
+    for i in (-1, len(ball.gens)):
+        bad_split = SemidirectSplit((i,), sd.n_gen_indices, sd.head)
+        for run in (lambda: orbit_subgraph(ball, 0, [i]),
+                    lambda: augment_cut(ball, [0], [i]),
+                    lambda: three_segment_path(ball, 4, 5, [], bad_split)):
+            with pytest.raises(BallError, match=f"generator index {i} out of range"):
+                run()
 
 
 # ---------------------------------------------------------------------------

@@ -113,6 +113,18 @@ def test_invalid_parameters():
         FreeWord(2, (1, -1))  # not reduced
 
 
+def test_free_rank_stays_within_the_alphabet():
+    # one letter per generator, so every word of every legal rank has a label
+    for make in (lambda: FreeGroup(27), lambda: FreeWord(27, (27,)),
+                 lambda: FreeGroup(0), lambda: FreeWord(0)):
+        with pytest.raises(InvalidParameterError, match=r"rank must lie in 1\.\.26"):
+            make()
+    f26 = FreeGroup(26)
+    assert f26.standard_gens().names[-2:] == ("z", "z^-1")
+    assert element_label(f26.letter(25)) == "z"
+    assert element_label(f26.letter(25, -1)) == "Z"
+
+
 def test_degenerate_groups_are_legal():
     assert Cyclic(1).order() == 1
     assert len(Cyclic(1).standard_gens()) == 1
