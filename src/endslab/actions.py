@@ -416,22 +416,26 @@ class SignQuotient(QuotientSpec):
 # built-in rule actions
 
 
-def _cross_letter(letter: int, p: tuple[int, int]) -> tuple[int, int]:
+def _cross_letter(axis: int, shift: int, p: tuple[int, int]) -> tuple[int, int]:
     """One letter of the four-ray fixture acting on a point.
 
     Points are (ray, n) with ray in 0..3 and n >= 1, plus the core (0, 0).
-    Letter 1 shifts the bi-infinite line ray0 <- core -> ray1, letter 2 the
-    line ray2 <- core -> ray3; each is the identity on the other line.
+    The letter shifts by ``shift`` (+1 or -1) the bi-infinite line
+    ray(axis) <- core -> ray(axis + 1), and is the identity on the other line.
     """
     d, n = p
-    axis = 0 if abs(letter) == 1 else 2
     if n != 0 and d not in (axis, axis + 1):
         return p
     m = 0 if n == 0 else (-n if d == axis else n)
-    m += 1 if letter > 0 else -1
+    m += shift
     if m == 0:
         return (0, 0)
     return (axis, -m) if m < 0 else (axis + 1, m)
+
+
+# (axis, shift) of each F(2) letter code: a, A on the line of rays 0 and 1,
+# b, B on the line of rays 2 and 3
+_FOUR_RAY_MOVES = ((0, 1), (0, -1), (2, 1), (2, -1))
 
 
 def _on_four_rays(p) -> bool:
@@ -445,8 +449,8 @@ def _f2_four_ends() -> PointedAction:
     group = FreeGroup(2)
 
     def step(w: FreeWord, p: tuple[int, int]) -> tuple[int, int]:
-        for letter in reversed(w.letters):
-            p = _cross_letter(letter, p)
+        for code in reversed(w.codes):
+            p = _cross_letter(*_FOUR_RAY_MOVES[code], p)
         return p
 
     return PointedAction(group, step, (0, 0), "F(2) on four rays glued at a core",
@@ -488,15 +492,16 @@ class OrbitResult:
 
 def orbit(action: PointedAction, gens: SymmetricGenSet, budget: int) -> OrbitResult:
     """BFS orbit of the basepoint, truncated at ``budget`` points."""
-    if budget < 1:
-        raise ActionError(f"orbit budget must be >= 1, got {budget}")
     return orbit_of_point(action, action.basepoint, gens.elements, budget)
 
 
 def orbit_of_point(action: PointedAction, start: Point,
                    elements: Iterable[GroupElement], budget: int) -> OrbitResult:
-    """BFS orbit of ``start``: the elements are checked once, the start
-    point by ``is_point``, and every later point comes from ``step``."""
+    """BFS orbit of ``start``, truncated at ``budget`` points: the elements
+    are checked once, the start point by ``is_point``, and every later
+    point comes from ``step``."""
+    if budget < 1:
+        raise ActionError(f"orbit budget must be >= 1, got {budget}")
     elements = tuple(elements)
     check_members(action.group, elements)
     check_point(action, start)

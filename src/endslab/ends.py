@@ -305,8 +305,14 @@ def _split_by_head(group: Group, gens: SymmetricGenSet,
 
 def coordinate_split(group: FreeAbelian, gens: SymmetricGenSet,
                      n_axes: Iterable[int]) -> SemidirectSplit:
-    """Split a free abelian group along a coordinate partition."""
+    """Split a free abelian group along a coordinate partition: the axes
+    ``n_axes`` span N and the others H, and neither side may be empty."""
     n_ax = frozenset(n_axes)
+    if not n_ax <= frozenset(range(group.rank)):
+        raise EndsError(f"N axes {sorted(n_ax)} must lie in 0..{group.rank - 1}")
+    if not 0 < len(n_ax) < group.rank:
+        side = "H" if n_ax else "N"
+        raise EndsError(f"N axes {sorted(n_ax)} leave the {side} side of {group} empty")
     return _split_by_head(group, gens, lambda g: IntVector(
         tuple(0 if j in n_ax else c for j, c in enumerate(g.coords))))
 

@@ -1,16 +1,18 @@
 """Canonical computable representations of the base group families.
 
 Every element is an immutable value in a canonical form, so equality is
-structural.  Hashing is explicit for the values that hold signed ints
-(``FreeWord`` letters, ``IntVector`` coordinates) and collision-free on
-them: CPython has ``hash(-1) == hash(-2)``, so the generated hash would
-send two values that differ only by a -1 against a -2 to the same slot,
-and balls of free and free abelian groups would pay an ``__eq__`` call
-for each such pair.  The families implemented here are free groups
-(reduced words), free abelian groups (integer vectors), cyclic groups
-(residues), symmetric groups (permutations in one-line notation) and
-finite tori (integer vectors with per-coordinate moduli).  Wreath
-products live in :mod:`endslab.wreath`.
+structural.  A ``FreeWord`` stores its reduced word as ``bytes`` of letter
+codes: the letter +i has code 2(i-1) and its inverse -i code 2(i-1)+1, so
+the inverse of code c is c ^ 1.  Its hash is the hash of those bytes,
+which the bytes object computes once and caches.  ``IntVector`` hashes
+explicitly and collision-free on its signed coordinates: CPython has
+``hash(-1) == hash(-2)``, so the generated hash would send two vectors
+that differ only by a -1 against a -2 to the same slot, and balls of free
+abelian groups would pay an ``__eq__`` call for each such pair.  The
+families implemented here are free groups (reduced words), free abelian
+groups (integer vectors), cyclic groups (residues), symmetric groups
+(permutations in one-line notation) and finite tori (integer vectors with
+per-coordinate moduli).  Wreath products live in :mod:`endslab.wreath`.
 """
 
 from __future__ import annotations
@@ -39,35 +41,54 @@ class InvalidParameterError(GroupError):
 # ---------------------------------------------------------------------------
 # elements
 
+# letter codes of FreeWord: the signed letter of each code, the code of
+# each code's inverse, and the label character of each code
+_SIGNED_LETTER = tuple(c // 2 + 1 if c % 2 == 0 else -(c // 2 + 1)
+                       for c in range(2 * len(LETTERS)))
+_INV_TABLE = bytes(c ^ 1 for c in range(256))
+_LABEL_TABLE = bytes.maketrans(bytes(range(2 * len(LETTERS))),
+                              "".join(ch + ch.upper() for ch in LETTERS).encode("ascii"))
 
-@dataclass(frozen=True, slots=True)
+
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class FreeWord:
     """Reduced word over a ranked alphabet.
 
-    Letters are nonzero signed indices: +i is the i-th letter (1-based),
-    -i its inverse.  The letter sequence never contains an adjacent
-    (l, -l) pair.
+    ``FreeWord(rank, letters)`` takes nonzero signed letters: +i is the
+    i-th letter (1-based), -i its inverse, and no adjacent (l, -l) pair.
+    The word is stored as ``codes``, one byte per letter: +i is 2(i-1)
+    and -i is 2(i-1)+1, so inverse codes differ in the last bit only.
+    ``letters`` is the signed view, and the hash is the hash of ``codes``.
     """
 
     rank: int
-    letters: tuple[int, ...] = ()
+    codes: bytes
 
-    def __post_init__(self):
+    def __init__(self, rank: int, letters: Sequence[int] = ()):
         # one letter of LETTERS per generator, so every word has a label
-        if not 1 <= self.rank <= len(LETTERS):
+        if not 1 <= rank <= len(LETTERS):
             raise InvalidParameterError(
-                f"free group rank must lie in 1..{len(LETTERS)}, got {self.rank}")
+                f"free group rank must lie in 1..{len(LETTERS)}, got {rank}")
         prev = 0
-        for l in self.letters:
-            if l == 0 or abs(l) > self.rank:
-                raise InvalidParameterError(f"letter {l} out of range for rank {self.rank}")
+        for l in letters:
+            if l == 0 or abs(l) > rank:
+                raise InvalidParameterError(f"letter {l} out of range for rank {rank}")
             if l == -prev:
-                raise InvalidParameterError(f"word {self.letters} is not reduced")
+                raise InvalidParameterError(f"word {letters} is not reduced")
             prev = l
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "codes",
+                           bytes([2 * l - 2 if l > 0 else -2 * l - 1 for l in letters]))
+
+    @property
+    def letters(self) -> tuple[int, ...]:
+        return tuple(map(_SIGNED_LETTER.__getitem__, self.codes))
 
     def __hash__(self):
-        # letters are never 0, so ~l is never -1 and no two letters share a hash
-        return hash(tuple([~l for l in self.letters]))
+        return hash(self.codes)
+
+    def __repr__(self):
+        return f"FreeWord(rank={self.rank!r}, letters={self.letters!r})"
 
 
 @dataclass(frozen=True, slots=True)
@@ -153,51 +174,58 @@ def reduce_letters(letters: Sequence[int]) -> tuple[int, ...]:
 
 
 # Trusted constructors for values a family's law computes from members:
-# such a value is a member, so ``__post_init__`` is not run again.  Each
-# sets its fields by name; a generic loop over ``__slots__`` costs more
-# than the check it skips.
+# such a value is a member, so its checks are not run again.  Each sets
+# its fields through their slot descriptors, which skip the frozen
+# ``__setattr__`` and cost less than ``object.__setattr__`` by name.
 _new = object.__new__
-_set = object.__setattr__
 
 
-def _raw_freeword(rank: int, letters: tuple[int, ...]) -> FreeWord:
+def _slot_setters(cls) -> tuple[Callable[[Any, Any], None], ...]:
+    return tuple(getattr(cls, name).__set__ for name in cls.__dataclass_fields__)
+
+
+_set_word_rank, _set_word_codes = _slot_setters(FreeWord)
+(_set_vector_coords,) = _slot_setters(IntVector)
+_set_cyclic_modulus, _set_cyclic_value = _slot_setters(CyclicInt)
+(_set_perm_image,) = _slot_setters(Perm)
+_set_torus_moduli, _set_torus_coords = _slot_setters(ModVector)
+
+
+def _raw_freeword(rank: int, codes: bytes) -> FreeWord:
     w = _new(FreeWord)
-    _set(w, "rank", rank)
-    _set(w, "letters", letters)
+    _set_word_rank(w, rank)
+    _set_word_codes(w, codes)
     return w
 
 
 def _raw_intvector(coords: tuple[int, ...]) -> IntVector:
     v = _new(IntVector)
-    _set(v, "coords", coords)
+    _set_vector_coords(v, coords)
     return v
 
 
 def _raw_cyclicint(modulus: int, value: int) -> CyclicInt:
     c = _new(CyclicInt)
-    _set(c, "modulus", modulus)
-    _set(c, "value", value)
+    _set_cyclic_modulus(c, modulus)
+    _set_cyclic_value(c, value)
     return c
 
 
 def _raw_perm(image: tuple[int, ...]) -> Perm:
     p = _new(Perm)
-    _set(p, "image", image)
+    _set_perm_image(p, image)
     return p
 
 
 def _raw_modvector(moduli: tuple[int, ...], coords: tuple[int, ...]) -> ModVector:
     v = _new(ModVector)
-    _set(v, "moduli", moduli)
-    _set(v, "coords", coords)
+    _set_torus_moduli(v, moduli)
+    _set_torus_coords(v, coords)
     return v
 
 
 def _word_label(a: FreeWord) -> str:
-    if not a.letters:
-        return "1"
-    return "".join(LETTERS[l - 1] if l > 0 else LETTERS[-l - 1].upper()
-                   for l in a.letters)
+    return a.codes.translate(_LABEL_TABLE).decode("ascii") if a.codes else "1"
 
 
 def _vector_label(a: IntVector) -> str:
@@ -422,25 +450,25 @@ class FreeGroup(Group):
         FreeWord(self.rank)  # the word checks the rank
 
     def identity(self):
-        return FreeWord(self.rank, ())
+        return _raw_freeword(self.rank, b"")
 
     def contains(self, a):
         return isinstance(a, FreeWord) and a.rank == self.rank
 
     def _mul(self, a, b):
         # both inputs reduced, so cancellation happens only at the seam
-        x, y = a.letters, b.letters
+        x, y = a.codes, b.codes
         i, j, ny = len(x), 0, len(y)
-        while i > 0 and j < ny and x[i - 1] == -y[j]:
+        while i > 0 and j < ny and x[i - 1] ^ y[j] == 1:
             i -= 1
             j += 1
         return _raw_freeword(self.rank, x[:i] + y[j:])
 
     def _inv(self, a):
-        return _raw_freeword(self.rank, tuple(-l for l in reversed(a.letters)))
+        return _raw_freeword(self.rank, a.codes[::-1].translate(_INV_TABLE))
 
     def sort_key(self, a):
-        return (len(a.letters), a.letters)
+        return (len(a.codes), a.letters)
 
     def letter(self, i: int, power: int = 1) -> FreeWord:
         """The i-th letter (0-based) or its inverse."""

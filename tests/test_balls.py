@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import json
 import random
 
@@ -424,6 +425,34 @@ def sign_quotient_ball():
 def spec_ball(text, radius):
     action, gens = elaborate(parse_spec(text))
     return build_ball(action, gens, radius)
+
+
+# sha256 of the indented ball JSON and of the DOT text of balls over free
+# words, computed with the signed-tuple FreeWord that byte codes replaced:
+# the representation of a word must not reach any export
+FREE_WORD_EXPORT_DIGESTS = [
+    ("F(2)", 4,
+     "4cb6fdc715b2549656737c7f3a70e1383a464a5d603dba793bc0d1d38d5ae6e6",
+     "d0172c18475e8c8fab663577e67867462661571cf48d5544ede7aaf54c705e6c"),
+    ("F(3) with gens {a, bc}", 3,
+     "a663363e894f702045bf895b4fee67f9447bb1d50f999da138574abf1a8e52f3",
+     "ed863c059ba12e5ea3daffdc7df5887a533ed96eed7e6308eacc0a7e91f76c73"),
+    ("wreath(C(2), F(2), translation)", 3,
+     "281255594a1df02766ac4af417895b61389723ac4b1c272618100b11418236ee",
+     "4e919eea869f171adf3b7389fbe5db2c99b4f92c62c587a53757dfaec12e97a4"),
+    ("imprimitive(wreath(C(2), F(2), rule(f2_four_ends)))", 4,
+     "a2633ff020a6c9c080e79b703d72484379f064562b348e09488760fc0b258749",
+     "17969501dd3d2d15a905b5fde3a5066f65b5629e9c419a36f056890f4590adf5"),
+]
+
+
+@pytest.mark.parametrize("text, radius, json_sha256, dot_sha256", FREE_WORD_EXPORT_DIGESTS,
+                         ids=[text for text, *_ in FREE_WORD_EXPORT_DIGESTS])
+def test_free_word_exports_match_pinned_digests(text, radius, json_sha256, dot_sha256):
+    ball = spec_ball(text, radius)
+    text_json = json.dumps(to_json_dict(ball), indent=2)
+    assert hashlib.sha256(text_json.encode()).hexdigest() == json_sha256
+    assert hashlib.sha256(to_dot(ball).encode()).hexdigest() == dot_sha256
 
 
 @pytest.mark.parametrize("make", [

@@ -4,6 +4,7 @@ import pytest
 
 import endslab
 from endslab.actions import (
+    ActionError,
     CyclicDivisorQuotient,
     DiagonalLatticeQuotient,
     GeneratedSubgroup,
@@ -245,12 +246,18 @@ def test_augment_cut_infinite_orbit_undetermined():
     assert res.vertices == frozenset(cut)
 
 
-def test_augment_cut_finite_orbits_closed():
+def finite_top_imprimitive_ball():
+    # C(3) wr C(2) on its imprimitive ball: every top-generator orbit is finite
     base, top = Cyclic(3), Cyclic(2)
     ta = translation_action(top)
     w = WreathGroup(base, top, ta, (ta.basepoint,))
     gens = standard_wreath_gens(w)
     ball = build_ball(imprimitive_action(w, ta.basepoint), gens, 8)
+    return w, gens, ball
+
+
+def test_augment_cut_finite_orbits_closed():
+    w, gens, ball = finite_top_imprimitive_ball()
     res = augment_cut(ball, {0}, wreath_split(w, gens).h_gen_indices,
                       finiteness_budget=100)
     assert res.status[0] == "finite"
@@ -258,6 +265,14 @@ def test_augment_cut_finite_orbits_closed():
     leaf = {v for v in range(len(ball))
             if ball.points[v].leaf == ball.points[0].leaf}
     assert res.vertices == frozenset(leaf)
+
+
+@pytest.mark.parametrize("budget", [0, -3])
+def test_augment_cut_refuses_a_budget_below_one(budget):
+    # a budget below 1 is an error, not an orbit reported "undetermined"
+    w, gens, ball = finite_top_imprimitive_ball()
+    with pytest.raises(ActionError, match=f"orbit budget must be >= 1, got {budget}"):
+        augment_cut(ball, [0], wreath_split(w, gens).h_gen_indices, budget)
 
 
 def test_augment_cut_empty():
@@ -408,6 +423,18 @@ def test_coordinate_split_rejects_mixed_generators():
     gens = make_gen_set(z2, [IntVector((1, 1))])
     with pytest.raises(EndsError, match="mixes both factors"):
         coordinate_split(z2, gens, n_axes=(0,))
+
+
+@pytest.mark.parametrize("n_axes, message", [
+    ((5,), r"N axes \[5\] must lie in 0..1"),
+    ((-1, 0), r"N axes \[-1, 0\] must lie in 0..1"),
+    ((), r"N axes \[\] leave the N side of Z\^2 empty"),
+    ((0, 1), r"N axes \[0, 1\] leave the H side of Z\^2 empty"),
+])
+def test_coordinate_split_refuses_foreign_axes_and_empty_sides(n_axes, message):
+    z2 = FreeAbelian(2)
+    with pytest.raises(EndsError, match=message):
+        coordinate_split(z2, z2.standard_gens(), n_axes)
 
 
 def lamplighter_cayley_fixture():

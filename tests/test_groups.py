@@ -1,4 +1,5 @@
 import random
+import string
 
 import pytest
 
@@ -243,17 +244,24 @@ def test_group_axioms_random(group):
         assert group.multiply(group.identity(), a) == a
 
 
+def rebuild(value):
+    """``value`` rebuilt through its checked constructor: a FreeWord from its
+    rank and signed letters, a value of any other family from its fields."""
+    if isinstance(value, FreeWord):
+        return FreeWord(value.rank, value.letters)
+    return type(value)(*[getattr(value, f) for f in value.__dataclass_fields__])
+
+
 @pytest.mark.parametrize("group", ALL_GROUPS, ids=str)
 def test_canonical_form_stability(group):
     rng = random.Random(7)
     for _ in range(50):
         a = sample_element(group, rng)
         b = sample_element(group, rng)
-        # results are built without __post_init__: rebuilding each from its
-        # payload re-validates it and must give the same value
+        # results are built without their checks: rebuilding each through
+        # its checked constructor re-validates it and must give the same value
         for value in (group.multiply(a, b), group.inverse(a)):
-            assert type(value)(*[getattr(value, f) for f in value.__dataclass_fields__]) \
-                == value
+            assert rebuild(value) == value
 
 
 @pytest.mark.parametrize("group", ALL_GROUPS, ids=str)
@@ -263,7 +271,7 @@ def test_hash_agrees_with_equality(group):
     for _ in range(50):
         a = sample_element(group, rng)
         # multiply/inverse build their results with the trusted constructors
-        rebuilt = type(a)(*[getattr(a, f) for f in a.__dataclass_fields__])
+        rebuilt = rebuild(a)
         for value in (rebuilt, group.multiply(a, ident), group.multiply(ident, a),
                       group.inverse(group.inverse(a))):
             assert value == a and hash(value) == hash(a)
@@ -304,3 +312,59 @@ def test_element_labels():
     assert element_label(Perm((1, 0, 2))) == "(0 1)"
     assert element_label(IntVector((3,))) == "3"
     assert element_label(IntVector((1, -2))) == "(1,-2)"
+
+
+# ---------------------------------------------------------------------------
+# free words as byte codes
+
+
+def signed_label(letters):
+    """The label of a signed letter sequence, from the letters themselves."""
+    return "".join(string.ascii_lowercase[l - 1] if l > 0
+                   else string.ascii_uppercase[-l - 1] for l in letters) or "1"
+
+
+def test_every_letter_of_f26_labels_as_its_signed_form():
+    f26 = FreeGroup(26)
+    for i in range(26):
+        for power in (1, -1):
+            w = f26.letter(i, power)
+            assert w.letters == (power * (i + 1),)
+            assert element_label(w) == signed_label(w.letters)
+    word = FreeWord(26, tuple(range(1, 27)) + tuple(range(-1, -27, -1)))
+    assert element_label(word) == signed_label(word.letters)
+    assert element_label(f26.identity()) == "1"
+
+
+def test_letters_round_trip_and_repr():
+    rng = random.Random(5)
+    for group in (FreeGroup(1), FreeGroup(3), FreeGroup(26)):
+        for _ in range(30):
+            w = sample_element(group, rng)
+            assert FreeWord(group.rank, w.letters) == w
+            assert isinstance(w.letters, tuple)
+    assert repr(FreeWord(2, (1, -2))) == "FreeWord(rank=2, letters=(1, -2))"
+    assert repr(FreeGroup(3).identity()) == "FreeWord(rank=3, letters=())"
+    # letters is a view with no setter; CPython 3.11's frozen slotted
+    # dataclasses refuse a non-field name with TypeError, not AttributeError
+    w = FreeWord(2, (1,))
+    with pytest.raises((AttributeError, TypeError)):
+        w.letters = (2,)
+    assert w.letters == (1,) and w.codes == b"\x00"
+
+
+def test_free_inverse_is_the_reversed_negated_word():
+    rng = random.Random(9)
+    for group in (FreeGroup(1), FreeGroup(3), FreeGroup(26)):
+        for _ in range(30):
+            w = sample_element(group, rng)
+            assert group.inverse(w).letters == tuple(-l for l in reversed(w.letters))
+
+
+def test_free_sort_key_orders_by_length_then_signed_letters():
+    rng = random.Random(13)
+    f3 = FreeGroup(3)
+    words = list({sample_element(f3, rng) for _ in range(300)})
+    rng.shuffle(words)
+    assert sorted(words, key=f3.sort_key) == \
+        sorted(words, key=lambda w: (len(w.letters), w.letters))
