@@ -25,7 +25,6 @@ from .groups import (
     LABELS,
     Cyclic,
     CyclicInt,
-    FamilyMismatchError,
     FreeAbelian,
     FreeGroup,
     FreeWord,
@@ -37,7 +36,9 @@ from .groups import (
     SymmetricGenSet,
     SymmetricGroup,
     Torus,
+    check_members,
     element_label,
+    frozen_value,
     perm_parity,
 )
 
@@ -56,6 +57,7 @@ class UnknownRuleActionError(ActionError):
     """Requested built-in rule action does not exist."""
 
 
+@frozen_value
 @dataclass(frozen=True, slots=True)
 class CosetPoint:
     """Canonical coset representative plus a hashable key for the coset space."""
@@ -69,6 +71,7 @@ class CosetPoint:
         return hash(self.rep)
 
 
+@frozen_value
 @dataclass(frozen=True, slots=True)
 class PairPoint:
     """Point of an imprimitive action: (leaf coordinate, position coordinate)."""
@@ -105,13 +108,6 @@ class PointedAction:
 
     def __str__(self):
         return self.label or f"action of {self.group}"
-
-
-def check_members(group: Group, elements: Iterable[GroupElement]) -> None:
-    """Raise the ``multiply`` mismatch error unless every element is a member."""
-    for g in elements:
-        if not group.contains(g):
-            raise FamilyMismatchError(f"operands do not belong to {group}")
 
 
 def check_point(action: PointedAction, p: Point) -> None:
@@ -255,16 +251,10 @@ def lattice_reduce(hnf: tuple[tuple[int, ...], ...], coords: tuple[int, ...]) ->
     return tuple(v)
 
 
-def _check_subgroup_gens(group: Group, gens: Iterable[GroupElement]) -> None:
-    for g in gens:
-        if not group.contains(g):
-            raise UnsupportedSubgroupError(f"{g!r} is not an element of {group}")
-
-
 def _mulclose(group: Group, gens: Iterable[GroupElement], cap: int) -> list[GroupElement]:
     """All products of the generators (and their inverses), in ``sort_key`` order."""
     gens = tuple(gens)
-    _check_subgroup_gens(group, gens)
+    check_members(group, gens)
     seeds = [x for g in gens for x in (g, group.inverse(g))]
     closure = orbit_of_point(translation_action(group), group.identity(), seeds, cap)
     if closure.truncated:
@@ -315,7 +305,7 @@ class QuotientSpec:
         if k_gens is None:
             raise UnsupportedSubgroupError(
                 f"unsupported K spec {subgroup_spec!r} for quotient {self!r}")
-        _check_subgroup_gens(self.quotient()[0], k_gens)
+        check_members(self.quotient()[0], k_gens)
         gens = self.kernel_gens() + tuple(map(self.lift, k_gens))
         if isinstance(source, FreeAbelian):
             return Sublattice(tuple(g.coords for g in gens))

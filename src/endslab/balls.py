@@ -18,8 +18,8 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import ClassVar, Iterable
 
-from .actions import PairPoint, Point, PointedAction, check_members, point_label
-from .groups import GroupElement, SymmetricGenSet
+from .actions import PairPoint, Point, PointedAction, point_label
+from .groups import GroupElement, SymmetricGenSet, verify_gen_set
 
 DEFAULT_VERTEX_BUDGET = 2_000_000
 
@@ -109,14 +109,14 @@ def build_ball(action: PointedAction, gens: SymmetricGenSet, radius: int,
                max_vertices: int = DEFAULT_VERTEX_BUDGET) -> GraphBall:
     """Materialize the exact radius-R ball of the orbital graph.
 
-    Each generator is checked once with ``action.group.contains``; then
-    every point is the basepoint or a ``step`` result, so the build calls
-    only ``step``.
+    ``verify_gen_set`` checks the generators and the pairing, which fills
+    reverse transitions, once; then every point is the basepoint or a
+    ``step`` result, so the build calls only ``step``.
     """
     if radius < 0:
         raise BallError(f"radius must be >= 0, got {radius}")
     gen_elements = gens.elements
-    check_members(action.group, gen_elements)
+    verify_gen_set(action.group, gens)
     act = action.step
     pairing = gens.pairing
     ngens = len(gen_elements)

@@ -187,9 +187,10 @@ def tokenize(text: str) -> list[Token]:
             i += 1
             col += 1
             continue
-        if c.isdigit() or (c == "-" and i + 1 < n and text[i + 1].isdigit()):
+        # isdecimal accepts exactly the digits int() does; isdigit also takes "²"
+        if c.isdecimal() or (c == "-" and i + 1 < n and text[i + 1].isdecimal()):
             j = i + 1
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             tokens.append(Token("INT", text[i:j], line, start_col))
             col += j - i
@@ -521,9 +522,8 @@ def _elaborate_group(g: GroupAst) -> Group:
         if "wreath" in (g.base.kind, g.top.kind):
             raise ElaborationError("nested wreath products are not supported")
         base = _elaborate_group(g.base)
-        top = _elaborate_group(g.top)
-        top_action = _elaborate_action(top, g.top_action)
-        return WreathGroup(base, top, top_action, (top_action.basepoint,))
+        top_action = _elaborate_action(_elaborate_group(g.top), g.top_action)
+        return WreathGroup(base, top_action, (top_action.basepoint,))
     raise ElaborationError(f"unknown group kind {g.kind!r}")
 
 
@@ -610,7 +610,7 @@ def _elaborate_action(group: Group, a: ActionAst) -> PointedAction:
             # by the given top-group element
             mover = _element_from_item(group.top, a.rep)
             rep = group.top_action.act(mover, rep)
-            group = WreathGroup(group.base, group.top, group.top_action, (rep,))
+            group = WreathGroup(group.base, group.top_action, (rep,))
         return imprimitive_action(group, rep)
     raise ElaborationError(f"unknown action kind {a.kind!r}")
 
@@ -632,5 +632,5 @@ def elaborate(ast: SpecAst) -> tuple[PointedAction, SymmetricGenSet]:
     else:
         items = [_element_from_item(group, i) for i in ast.gens.items]
         names = [_item_text(i) for i in ast.gens.items]
-        gens = make_gen_set(group, items, names=names, allow_identity=True)
+        gens = make_gen_set(group, items, names=names)
     return action, gens

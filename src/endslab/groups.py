@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import partial
-from typing import Any, Callable, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
@@ -38,8 +38,29 @@ class InvalidParameterError(GroupError):
     """Group parameters out of range (e.g. modulus 0)."""
 
 
+def check_members(group: "Group", elements: Iterable[GroupElement]) -> None:
+    """Raise ``FamilyMismatchError`` naming the first element outside ``group``."""
+    for g in elements:
+        if not group.contains(g):
+            raise FamilyMismatchError(f"{g!r} is not an element of {group}")
+
+
 # ---------------------------------------------------------------------------
 # elements
+
+
+def _refuse(self, name, *value):
+    raise FrozenInstanceError(f"cannot assign to or delete {name!r}")
+
+
+def frozen_value(cls):
+    """Refuse every assignment and deletion on a frozen slotted dataclass
+    with ``FrozenInstanceError``: in CPython 3.11 its generated methods
+    raise ``TypeError`` for a non-field name.  Constructors set slots with
+    ``object.__setattr__`` or slot descriptors, which bypass both."""
+    cls.__setattr__ = cls.__delattr__ = _refuse
+    return cls
+
 
 # letter codes of FreeWord: the signed letter of each code, the code of
 # each code's inverse, and the label character of each code
@@ -50,6 +71,7 @@ _LABEL_TABLE = bytes.maketrans(bytes(range(2 * len(LETTERS))),
                               "".join(ch + ch.upper() for ch in LETTERS).encode("ascii"))
 
 
+@frozen_value
 @dataclass(frozen=True, slots=True, init=False, repr=False)
 class FreeWord:
     """Reduced word over a ranked alphabet.
@@ -91,6 +113,7 @@ class FreeWord:
         return f"FreeWord(rank={self.rank!r}, letters={self.letters!r})"
 
 
+@frozen_value
 @dataclass(frozen=True, slots=True)
 class IntVector:
     """Element of a free abelian group, one coordinate per factor."""
@@ -110,6 +133,7 @@ class IntVector:
         return hash((tuple([2 * x for x in coords]), None))
 
 
+@frozen_value
 @dataclass(frozen=True, slots=True)
 class CyclicInt:
     """Residue modulo n, stored in [0, n)."""
@@ -125,6 +149,7 @@ class CyclicInt:
                 f"residue {self.value} not in [0, {self.modulus})")
 
 
+@frozen_value
 @dataclass(frozen=True, slots=True)
 class Perm:
     """Permutation of {0..n-1} in one-line notation: image[i] = sigma(i)."""
@@ -139,6 +164,7 @@ class Perm:
             raise InvalidParameterError(f"{self.image} is not a permutation of 0..{n - 1}")
 
 
+@frozen_value
 @dataclass(frozen=True, slots=True)
 class ModVector:
     """Element of a product of cyclic groups, coordinate i taken mod moduli[i]."""
@@ -294,8 +320,9 @@ class SymmetricGenSet:
     """Indexed generator list closed under inverse.
 
     ``pairing`` is an involution p with elements[p[i]] == elements[i]^-1.
-    Duplicate elements are legal (they produce parallel edges in graphs);
-    identity generators are legal only when flagged and produce loops.
+    Duplicate elements (parallel edges) and identity elements (loops,
+    flagged in ``identity_indices``) are legal.  ``verify_gen_set`` checks
+    the set against a group; construction checks only the involution.
     """
 
     elements: tuple[GroupElement, ...]
@@ -338,29 +365,25 @@ class SymmetricGenSet:
 
 def make_gen_set(group: "Group",
                  items: Sequence[GroupElement],
-                 names: Optional[Sequence[str]] = None,
-                 allow_identity: bool = False) -> SymmetricGenSet:
+                 names: Optional[Sequence[str]] = None) -> SymmetricGenSet:
     """Close ``items`` under inverse, one pair per listed item.
 
-    Items are not deduplicated: listing both s and s^-1 yields two pairs
-    and therefore doubled edges in orbital graphs (collapsed by simplify).
+    Items must be members (``check_members``) and are not deduplicated:
+    listing both s and s^-1 yields two pairs and therefore doubled edges in
+    orbital graphs (collapsed by simplify).  An identity item is flagged.
     The inverse of an item named ``+x`` is named ``-x``, and that of any
     other name ``n`` ``n^-1``; without ``names`` both are element labels.
     """
+    check_members(group, items)
     ident = group.identity()
     elements: list[GroupElement] = []
     pairing: list[int] = []
     out_names: list[str] = []
     identity_idx: set[int] = set()
     for pos, item in enumerate(items):
-        if not group.contains(item):
-            raise FamilyMismatchError(f"{item!r} is not an element of {group}")
         inv = group._inv(item)
         name = names[pos] if names is not None else element_label(item)
         if item == ident:
-            if not allow_identity:
-                raise GroupError(
-                    "identity generator requires allow_identity=True (it only adds loops)")
             identity_idx.add(len(elements))
         if inv == item:
             pairing.append(len(elements))
@@ -380,9 +403,12 @@ def make_gen_set(group: "Group",
 
 
 def verify_gen_set(group: "Group", gens: SymmetricGenSet) -> None:
-    """Check the inverse-pairing invariant against the group law."""
-    for i, g in enumerate(gens.elements):
-        if group.inverse(g) != gens.elements[gens.pairing[i]]:
+    """Check a generating set against ``group``: every element is a member
+    (``check_members``), and the pairing sends each to its inverse."""
+    elements = gens.elements
+    check_members(group, elements)
+    for i, pair in enumerate(gens.pairing):
+        if group._inv(elements[i]) != elements[pair]:
             raise GroupError(f"generator {i} is not paired with its inverse")
 
 
@@ -393,23 +419,25 @@ def verify_gen_set(group: "Group", gens: SymmetricGenSet) -> None:
 class Group:
     """A group family with fixed parameters: knows its law and identity.
 
-    ``multiply`` and ``inverse`` are the checked entry points of the law:
-    they check membership once per operand, then apply the family's
-    ``_mul``/``_inv``, which take members and build their result with a
-    trusted constructor.
+    A family checks its parameters by building its identity with the
+    element's checked constructor.  ``multiply`` and ``inverse`` are the
+    checked entry points of the law: they check membership once per
+    operand, then apply the family's ``_mul``/``_inv``, which take members
+    and build their result with a trusted constructor.
     """
+
+    def __post_init__(self):
+        self.identity()
 
     def identity(self) -> GroupElement:
         raise NotImplementedError
 
     def multiply(self, a: GroupElement, b: GroupElement) -> GroupElement:
-        if not (self.contains(a) and self.contains(b)):
-            raise FamilyMismatchError(f"operands do not belong to {self}")
+        check_members(self, (a, b))
         return self._mul(a, b)
 
     def inverse(self, a: GroupElement) -> GroupElement:
-        if not self.contains(a):
-            raise FamilyMismatchError(f"operand does not belong to {self}")
+        check_members(self, (a,))
         return self._inv(a)
 
     def _mul(self, a: GroupElement, b: GroupElement) -> GroupElement:
@@ -446,11 +474,8 @@ class Group:
 class FreeGroup(Group):
     rank: int
 
-    def __post_init__(self):
-        FreeWord(self.rank)  # the word checks the rank
-
     def identity(self):
-        return _raw_freeword(self.rank, b"")
+        return FreeWord(self.rank)
 
     def contains(self, a):
         return isinstance(a, FreeWord) and a.rank == self.rank
@@ -486,10 +511,6 @@ class FreeGroup(Group):
 class FreeAbelian(Group):
     rank: int
 
-    def __post_init__(self):
-        if self.rank < 1:
-            raise InvalidParameterError("free abelian rank must be >= 1")
-
     def identity(self):
         return IntVector((0,) * self.rank)
 
@@ -523,10 +544,6 @@ class FreeAbelian(Group):
 class Cyclic(Group):
     modulus: int
 
-    def __post_init__(self):
-        if self.modulus < 1:
-            raise InvalidParameterError(f"cyclic modulus must be >= 1, got {self.modulus}")
-
     def identity(self):
         return CyclicInt(self.modulus, 0)
 
@@ -545,7 +562,7 @@ class Cyclic(Group):
     def standard_gens(self):
         # in C(1) the only "generator" is the identity, kept flagged
         return make_gen_set(self, [CyclicInt(self.modulus, 1 % self.modulus)],
-                            names=["+1"], allow_identity=True)
+                            names=["+1"])
 
     def order(self):
         return self.modulus
@@ -560,10 +577,6 @@ class Cyclic(Group):
 @dataclass(frozen=True)
 class SymmetricGroup(Group):
     degree: int
-
-    def __post_init__(self):
-        if self.degree < 1:
-            raise InvalidParameterError("symmetric group degree must be >= 1")
 
     def identity(self):
         return Perm(tuple(range(self.degree)))
@@ -620,10 +633,6 @@ class Torus(Group):
 
     moduli: tuple[int, ...]
 
-    def __post_init__(self):
-        if len(self.moduli) < 1 or any(m < 1 for m in self.moduli):
-            raise InvalidParameterError(f"torus moduli must be >= 1, got {self.moduli}")
-
     def identity(self):
         return ModVector(self.moduli, (0,) * len(self.moduli))
 
@@ -648,8 +657,7 @@ class Torus(Group):
 
     def standard_gens(self):
         return make_gen_set(self, [self.unit(i) for i in range(len(self.moduli))],
-                            names=[f"+e{i + 1}" for i in range(len(self.moduli))],
-                            allow_identity=True)
+                            names=[f"+e{i + 1}" for i in range(len(self.moduli))])
 
     def order(self):
         n = 1

@@ -22,6 +22,7 @@ from .actions import (
     PairPoint,
     Point,
     PointedAction,
+    check_point,
     coset_action,
     orbit_of_point,
     point_label,
@@ -29,11 +30,15 @@ from .actions import (
 )
 from .groups import (
     LABELS,
+    Cyclic,
+    FreeAbelian,
     Group,
     GroupElement,
     GroupError,
     SymmetricGenSet,
+    check_members,
     element_label,
+    frozen_value,
 )
 
 
@@ -41,6 +46,7 @@ class WreathError(GroupError):
     """Wreath-product construction or operation error."""
 
 
+@frozen_value
 @dataclass(frozen=True, slots=True)
 class WreathElement:
     """(support, head) with no identity values stored in the support."""
@@ -67,7 +73,7 @@ ORBIT_CHECK_BUDGET = 1000
 
 
 class WreathGroup(Group):
-    """base wr_X top, where X is the point set of ``top_action``.
+    """base wr_X top, where top is the group of ``top_action`` and X its point set.
 
     ``orbit_reps`` holds one chosen point per top-orbit; distinctness of
     the orbits is checked by a BFS from each representative but the last
@@ -78,15 +84,15 @@ class WreathGroup(Group):
 
     ``contains`` checks the head, each support value and each support
     point with the top action's ``is_point``; the inherited
-    ``multiply``/``inverse`` check with it once per operand.
+    ``multiply``/``inverse`` check with it once per operand.  A non-point
+    rep or ``delta`` point is an ``ActionError``, and a non-member ``delta``
+    value or ``top_element`` a ``FamilyMismatchError``.
     """
 
-    def __init__(self, base: Group, top: Group, top_action: PointedAction,
+    def __init__(self, base: Group, top_action: PointedAction,
                  orbit_reps: Iterable[Point]):
-        if top_action.group is not top and top_action.group != top:
-            raise WreathError("top_action must be an action of the top group")
         self.base = base
-        self.top = top
+        self.top = top = top_action.group
         self.top_action = top_action
         self._base_identity = base.identity()
         self._top_identity = top.identity()
@@ -94,7 +100,7 @@ class WreathGroup(Group):
         if not self.orbit_reps:
             raise WreathError("at least one orbit representative is required")
         for rep in self.orbit_reps:
-            self._check_point(rep)
+            check_point(top_action, rep)
         gens = top.standard_gens()
         for i, rep in enumerate(self.orbit_reps[:-1]):
             reach = orbit_of_point(top_action, rep, gens.elements, ORBIT_CHECK_BUDGET)
@@ -109,16 +115,14 @@ class WreathGroup(Group):
 
     def delta(self, point: Point, value: GroupElement) -> WreathElement:
         """The element supported at one point, with trivial head."""
-        self._check_point(point)
-        if not self.base.contains(value):
-            raise WreathError(f"{value!r} is not a base-group element")
+        check_point(self.top_action, point)
+        check_members(self.base, (value,))
         if value == self.base.identity():
             return self.identity()
         return WreathElement(frozenset([(point, value)]), self.top.identity())
 
     def top_element(self, h: GroupElement) -> WreathElement:
-        if not self.top.contains(h):
-            raise WreathError(f"{h!r} is not a top-group element")
+        check_members(self.top, (h,))
         return WreathElement(frozenset(), h)
 
     def contains(self, a) -> bool:
@@ -128,10 +132,6 @@ class WreathGroup(Group):
         is_point = self.top_action.is_point
         return all(base.contains(v) and v != ident and is_point(p)
                    for p, v in a.support)
-
-    def _check_point(self, p: Point) -> None:
-        if not self.top_action.is_point(p):
-            raise WreathError(f"{p!r} is not a point of {self.top_action}")
 
     def _mul(self, a: WreathElement, b: WreathElement) -> WreathElement:
         # (f, g)(f', g') = (f * (g.f'), g g') with (g.f')(x) = f'(g^-1 x),
@@ -252,10 +252,6 @@ def lamplighter(n: int) -> tuple[WreathGroup, SymmetricGenSet]:
     """C(n) wr Z with Z acting on itself; standard generators."""
     if n < 2:
         raise WreathError(f"lamplighter base order must be >= 2, got {n}")
-    from .groups import Cyclic, FreeAbelian
-
-    base = Cyclic(n)
-    top = FreeAbelian(1)
-    top_action = translation_action(top)
-    w = WreathGroup(base, top, top_action, (top_action.basepoint,))
+    top_action = translation_action(FreeAbelian(1))
+    w = WreathGroup(Cyclic(n), top_action, (top_action.basepoint,))
     return w, standard_wreath_gens(w)

@@ -169,7 +169,7 @@ def test_criterion_08_finite_wreath_enumeration():
     for n, expected in ((2, 8), (3, 18)):
         base, top = Cyclic(n), Cyclic(2)
         ta = translation_action(top)
-        w = WreathGroup(base, top, ta, (ta.basepoint,))
+        w = WreathGroup(base, ta, (ta.basepoint,))
         gens = standard_wreath_gens(w)
         res = orbit(translation_action(w), gens, 1000)
         assert len(res) == expected and not res.truncated
@@ -182,7 +182,7 @@ def test_criterion_09_leaf_disconnection():
     # finite case: each deleted hub isolates a size-1 leaf remainder
     base, top = Cyclic(3), Cyclic(2)
     ta = translation_action(top)
-    w = WreathGroup(base, top, ta, (ta.basepoint,))
+    w = WreathGroup(base, ta, (ta.basepoint,))
     gens = standard_wreath_gens(w)
     ball = build_ball(imprimitive_action(w, ta.basepoint), gens, 8)
     x0 = ta.basepoint

@@ -38,12 +38,15 @@ from endslab.groups import (
     FreeGroup,
     FreeWord,
     IntVector,
+    InvalidParameterError,
     ModVector,
     Perm,
+    SymmetricGenSet,
     SymmetricGroup,
     Torus,
+    make_gen_set,
 )
-from endslab.wreath import imprimitive_action, lamplighter
+from endslab.wreath import WreathGroup, imprimitive_action, lamplighter
 
 from oracles import (
     closure,
@@ -373,3 +376,65 @@ def test_min_product_matches_checked_min(group):
             want = min((group.multiply(g, h) for h in members), key=group.sort_key)
             assert min_product(g) == want
             assert action.act(g, action.basepoint).rep == want
+
+
+
+# One raiser per kind of bad operand: every entry point refuses a foreign
+# element with FamilyMismatchError, a non-point with ActionError and a bad
+# family parameter with InvalidParameterError, each in one wording.
+_C4, _ONE = Cyclic(4), CyclicInt(4, 1)
+_C4_ACTION = translation_action(_C4)
+_LAMP, _ = lamplighter(2)
+_X = _LAMP.top_action
+_FOREIGN = Perm((1, 0))
+_NON_POINT = CyclicInt(2, 1)
+
+
+def _foreign(group):
+    return FamilyMismatchError, f"{_FOREIGN!r} is not an element of {group}"
+
+
+def _non_point(action):
+    return ActionError, f"{_NON_POINT!r} is not a point of {action}"
+
+
+BAD_OPERANDS = {
+    "multiply": (lambda: _C4.multiply(_ONE, _FOREIGN), *_foreign(_C4)),
+    "inverse": (lambda: _C4.inverse(_FOREIGN), *_foreign(_C4)),
+    "make_gen_set": (lambda: make_gen_set(_C4, [_ONE, _FOREIGN]), *_foreign(_C4)),
+    "generated subgroup": (lambda: coset_action(_C4, GeneratedSubgroup((_ONE, _FOREIGN))),
+                           *_foreign(_C4)),
+    "preimage": (lambda: IntModQuotient(4).preimage(FreeAbelian(1),
+                                                    GeneratedSubgroup((_FOREIGN,))),
+                 *_foreign(_C4)),
+    "delta value": (lambda: _LAMP.delta(IntVector((0,)), _FOREIGN), *_foreign(_LAMP.base)),
+    "top_element": (lambda: _LAMP.top_element(_FOREIGN), *_foreign(_LAMP.top)),
+    "act element": (lambda: _C4_ACTION.act(_FOREIGN, _C4_ACTION.basepoint), *_foreign(_C4)),
+    "orbit_of_point": (lambda: orbit_of_point(_C4_ACTION, _C4_ACTION.basepoint,
+                                              [_ONE, _FOREIGN], 10), *_foreign(_C4)),
+    "build_ball": (lambda: build_ball(_C4_ACTION, SymmetricGenSet((_FOREIGN,), (0,), ("x",)), 1),
+                   *_foreign(_C4)),
+    "delta point": (lambda: _LAMP.delta(_NON_POINT, CyclicInt(2, 1)), *_non_point(_X)),
+    "wreath rep": (lambda: WreathGroup(_LAMP.base, _X, (_NON_POINT,)), *_non_point(_X)),
+    "act point": (lambda: _C4_ACTION.act(_ONE, _NON_POINT), *_non_point(_C4_ACTION)),
+    "F(0)": (lambda: FreeGroup(0), InvalidParameterError,
+             "free group rank must lie in 1..26, got 0"),
+    "Z^0": (lambda: FreeAbelian(0), InvalidParameterError,
+            "integer vector needs at least one coordinate"),
+    "C(0)": (lambda: Cyclic(0), InvalidParameterError, "cyclic modulus must be >= 1, got 0"),
+    "Sym(0)": (lambda: SymmetricGroup(0), InvalidParameterError,
+               "permutation degree must be >= 1"),
+    "T(2,0)": (lambda: Torus((2, 0)), InvalidParameterError,
+               "torus modulus must be >= 1, got 0"),
+    "T()": (lambda: Torus(()), InvalidParameterError, "torus needs at least one factor"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", BAD_OPERANDS.values(),
+                         ids=list(BAD_OPERANDS))
+def test_each_bad_operand_has_one_error(call, error, message):
+    # a family's parameter is checked by its identity's element constructor
+    with pytest.raises(error) as err:
+        call()
+    assert type(err.value) is error
+    assert str(err.value) == message

@@ -39,6 +39,7 @@ from endslab.groups import (
     FreeAbelian,
     FreeGroup,
     FreeWord,
+    GroupError,
     IntVector,
     Perm,
     SymmetricGenSet,
@@ -46,6 +47,7 @@ from endslab.groups import (
     make_gen_set,
     nonidentity_gens,
     perm_parity,
+    verify_gen_set,
 )
 from endslab.wreath import (
     WreathGroup,
@@ -181,8 +183,7 @@ def test_delete_and_split_bad_index():
 
 def test_simplify_removes_identity_loops():
     c4 = Cyclic(4)
-    gens = make_gen_set(c4, [CyclicInt(4, 1), CyclicInt(4, 0)],
-                        allow_identity=True)
+    gens = make_gen_set(c4, [CyclicInt(4, 1), CyclicInt(4, 0)])
     ball = build_ball(translation_action(c4), gens, 4)
     assert any(u == v for u, v, _ in ball.edges)
     slim = simplify(ball)
@@ -312,10 +313,14 @@ def test_build_ball_hashes_each_acted_point_once(monkeypatch):
     gens = group.standard_gens()
     monkeypatch.setattr(FreeWord, "__eq__", counting_eq)
     monkeypatch.setattr(FreeWord, "__hash__", counting_hash)
+    verify_gen_set(group, gens)
+    check_eq = counts["eq"]
+    counts["eq"] = 0
     ball = build_ball(action, gens, 8)
     assert len(ball) == 1 + 4 * (3 ** 8 - 1) // 2
-    # distinct words never share a hash, so no lookup compares two words
-    assert counts["eq"] == 0
+    # distinct words never share a hash, so no lookup compares two words:
+    # the only comparisons are the generating set's check
+    assert counts["eq"] == check_eq
     # one hash per acted point, plus the basepoint's own insert
     assert counts["hash"] == counts["act"] + 1
 
@@ -325,7 +330,7 @@ def stepping_balls():
     a Sym(8) coset ball, an imprimitive coset ball and a head projection."""
     w, wgens = lamplighter(2)
     top = w.top_action
-    sym3_wreath = WreathGroup(SymmetricGroup(3), top.group, top, (top.basepoint,))
+    sym3_wreath = WreathGroup(SymmetricGroup(3), top, (top.basepoint,))
     sym3_gens = standard_wreath_gens(sym3_wreath)
     swap = GeneratedSubgroup((Perm((1, 0, 2)),))
     return [
@@ -375,13 +380,31 @@ def test_foreign_generator_is_refused_before_any_step():
     for x in foreign:
         bad = SymmetricGenSet(gens.elements + (x,), gens.pairing + (len(gens),),
                               gens.names + ("x",))
-        with pytest.raises(FamilyMismatchError, match="operands do not belong to F"):
+        with pytest.raises(FamilyMismatchError, match=r"is not an element of F\(2\)"):
             build_ball(action, bad, 3)
-        with pytest.raises(FamilyMismatchError, match="operands do not belong to F"):
+        with pytest.raises(FamilyMismatchError, match=r"is not an element of F\(2\)"):
             orbit_of_point(action, action.basepoint, bad.elements, 100)
     assert calls == []
     build_ball(action, gens, 2)
     assert len(calls) > 0
+
+
+def test_mispaired_generators_are_refused_before_any_step():
+    # the build fills each reverse transition from the pairing, so a pairing
+    # of 1 with 2 over Z would record b.1 = 0 where +2 + 1 = 3
+    group = FreeAbelian(1)
+    translation = translation_action(group)
+    calls = []
+
+    def counting_step(g, p):
+        calls.append(1)
+        return translation.step(g, p)
+
+    action = PointedAction(group, counting_step, translation.basepoint)
+    gens = SymmetricGenSet((IntVector((1,)), IntVector((2,))), (1, 0), ("a", "b"))
+    with pytest.raises(GroupError, match="generator 0 is not paired with its inverse"):
+        build_ball(action, gens, 2)
+    assert calls == []
 
 
 def hash_order_outputs(ball):
@@ -457,8 +480,7 @@ def test_free_word_exports_match_pinned_digests(text, radius, json_sha256, dot_s
 
 @pytest.mark.parametrize("make", [
     lambda: build_ball(translation_action(Cyclic(4)),
-                       make_gen_set(Cyclic(4), [CyclicInt(4, 1), CyclicInt(4, 0)],
-                                    allow_identity=True), 4),
+                       make_gen_set(Cyclic(4), [CyclicInt(4, 1), CyclicInt(4, 0)]), 4),
     lambda: build_ball(translation_action(FreeAbelian(1)),
                        make_gen_set(FreeAbelian(1), [IntVector((1,)),
                                                      IntVector((-1,))]), 3),
@@ -520,7 +542,7 @@ def test_complete_graph_identity(group):
 def regular_wreath_ball(n=3, m=2, radius=8):
     base, top = Cyclic(n), Cyclic(m)
     ta = translation_action(top)
-    w = WreathGroup(base, top, ta, (ta.basepoint,))
+    w = WreathGroup(base, ta, (ta.basepoint,))
     gens = standard_wreath_gens(w)
     action = imprimitive_action(w, ta.basepoint)
     return w, gens, build_ball(action, gens, radius)

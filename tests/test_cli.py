@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -143,6 +144,7 @@ ERROR_CASES = [
     (["ball", "--spec", "Z", "--radius", "3"], {"ENDSLAB_BUDGET": "0"}, 2),
     (["leaves", "--spec", "Z", "--radius", "2"], {}, 2),
     (["ball", "--spec", "Z"], {}, 2),
+    (["ball", "--spec", "Z^²", "--radius", "1"], {}, 2),
     (["ball", "--spec", "F(2)", "--radius", "5", "--budget", "10"], {}, 1),
     (["verify", "quotient", "--budget", "1"], {}, 1),
     (["verify", "complete-graph", "--budget", "1"], {}, 1),
@@ -238,6 +240,22 @@ def test_readme_library_example_runs():
                           env=module_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["GROWING", "(4, 12, 36, 108)", "4"]
+
+
+def readme_cli_examples():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("endslab ")]
+
+
+def test_readme_cli_examples_run(capsys):
+    examples = readme_cli_examples()
+    assert len(examples) == 10
+    for argv in examples:
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        assert out, argv
 
 
 def test_repeated_calls_match_fresh_processes(capsys):

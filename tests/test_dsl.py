@@ -87,6 +87,13 @@ def test_parse_error_positions_and_expectations():
         parse_spec("Z @ 4")
     assert err.value.col == 3
 
+    # a number is what int() reads: a superscript digit is no digit, and an
+    # Arabic-Indic one is
+    with pytest.raises(LexicalError, match="unexpected character '²'") as err:
+        parse_spec("Z^²")
+    assert err.value.col == 3
+    assert parse_spec("C(٣)").group.n == 3
+
     # the depth at which the recursive parser runs out of stack depends on
     # the caller's own stack, so this one is far beyond it
     with pytest.raises(ParseError, match="nested too deeply"):

@@ -34,6 +34,7 @@ from endslab.ends import _neighbours
 from endslab.groups import (
     Cyclic,
     CyclicInt,
+    FamilyMismatchError,
     FreeAbelian,
     FreeGroup,
     Group,
@@ -250,7 +251,7 @@ def finite_top_imprimitive_ball():
     # C(3) wr C(2) on its imprimitive ball: every top-generator orbit is finite
     base, top = Cyclic(3), Cyclic(2)
     ta = translation_action(top)
-    w = WreathGroup(base, top, ta, (ta.basepoint,))
+    w = WreathGroup(base, ta, (ta.basepoint,))
     gens = standard_wreath_gens(w)
     ball = build_ball(imprimitive_action(w, ta.basepoint), gens, 8)
     return w, gens, ball
@@ -592,7 +593,7 @@ def test_quotient_unsupported_specs(monkeypatch):
 
     monkeypatch.setattr(endslab.ends, "build_ball", no_ball)
     for bad in (IntVector((1,)), CyclicInt(5, 1)):
-        with pytest.raises(UnsupportedSubgroupError, match="is not an element of C\\(4\\)"):
+        with pytest.raises(FamilyMismatchError, match="is not an element of C\\(4\\)"):
             quotient_schreier_pair(z, IntModQuotient(4), GeneratedSubgroup((bad,)),
                                    z.standard_gens(), 3)
 

@@ -1,9 +1,12 @@
+import copy
+import pickle
 import random
 import string
+from dataclasses import FrozenInstanceError, fields
 
 import pytest
 
-from endslab.actions import IntModQuotient, TrivialSubgroup
+from endslab.actions import CosetPoint, IntModQuotient, PairPoint, TrivialSubgroup
 from endslab.balls import build_ball
 from endslab.dsl import elaborate, parse_spec
 from endslab.ends import quotient_schreier_pair
@@ -221,9 +224,8 @@ def test_gen_set_rejects_broken_pairing():
 
 
 def test_identity_generator_needs_flag():
-    with pytest.raises(GroupError):
-        make_gen_set(Cyclic(4), [CyclicInt(4, 0)])
-    gens = make_gen_set(Cyclic(4), [CyclicInt(4, 0)], allow_identity=True)
+    # an identity item is always legal, and it is flagged
+    gens = make_gen_set(Cyclic(4), [CyclicInt(4, 0)])
     assert gens.identity_indices == frozenset({0})
 
 
@@ -345,12 +347,30 @@ def test_letters_round_trip_and_repr():
             assert isinstance(w.letters, tuple)
     assert repr(FreeWord(2, (1, -2))) == "FreeWord(rank=2, letters=(1, -2))"
     assert repr(FreeGroup(3).identity()) == "FreeWord(rank=3, letters=())"
-    # letters is a view with no setter; CPython 3.11's frozen slotted
-    # dataclasses refuse a non-field name with TypeError, not AttributeError
+    # letters is a view with no setter
     w = FreeWord(2, (1,))
-    with pytest.raises((AttributeError, TypeError)):
+    with pytest.raises(FrozenInstanceError):
         w.letters = (2,)
     assert w.letters == (1,) and w.codes == b"\x00"
+
+
+FROZEN_VALUES = [FreeWord(2, (1, -2)), IntVector((1, -1)), CyclicInt(3, 1), Perm((1, 0)),
+                 ModVector((2, 3), (1, 2)), CosetPoint(CyclicInt(3, 1), "key"),
+                 PairPoint(CyclicInt(3, 1), IntVector((2,))),
+                 WreathElement(frozenset([(IntVector((1,)), CyclicInt(2, 1))]),
+                               IntVector((0,)))]
+
+
+@pytest.mark.parametrize("value", FROZEN_VALUES, ids=lambda v: type(v).__name__)
+def test_frozen_values_refuse_every_assignment(value):
+    field = fields(value)[0].name
+    for name in (field, "other"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(value, name, 0)
+        with pytest.raises(FrozenInstanceError):
+            delattr(value, name)
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert twin == value and hash(twin) == hash(value)
 
 
 def test_free_inverse_is_the_reversed_negated_word():

@@ -3,7 +3,14 @@ from itertools import product
 
 import pytest
 
-from endslab.actions import PairPoint, check_action_axioms, orbit, translation_action, trivial_action
+from endslab.actions import (
+    ActionError,
+    PairPoint,
+    check_action_axioms,
+    orbit,
+    translation_action,
+    trivial_action,
+)
 from endslab.balls import build_ball
 from endslab.groups import Cyclic, CyclicInt, FamilyMismatchError, FreeAbelian, IntVector
 from endslab.wreath import (
@@ -28,7 +35,7 @@ from oracles import (
 def regular_wreath(n, m):
     base, top = Cyclic(n), Cyclic(m)
     ta = translation_action(top)
-    w = WreathGroup(base, top, ta, (ta.basepoint,))
+    w = WreathGroup(base, ta, (ta.basepoint,))
     gens = standard_wreath_gens(w)
     return w, gens
 
@@ -158,7 +165,7 @@ def test_standard_gens_pass_gen_set_invariants():
 
 def test_singleton_wreath_is_direct_product():
     base, top = Cyclic(2), Cyclic(3)
-    w = WreathGroup(base, top, trivial_action(top), (0,))
+    w = WreathGroup(base, trivial_action(top), (0,))
     gens = standard_wreath_gens(w)
     res = orbit(translation_action(w), gens, 100)
     assert len(res) == 6  # |C2 x C3|
@@ -175,7 +182,7 @@ def test_orbit_reps_distinctness_is_checked():
     top = Cyclic(4)
     ta = translation_action(top)
     with pytest.raises(WreathError):
-        WreathGroup(Cyclic(2), top, ta, (CyclicInt(4, 0), CyclicInt(4, 2)))
+        WreathGroup(Cyclic(2), ta, (CyclicInt(4, 0), CyclicInt(4, 2)))
 
 
 def test_imprimitive_edge_rules_verbatim():
@@ -213,10 +220,10 @@ def test_imprimitive_transitive_and_axioms():
 def test_delta_and_orbit_reps_must_be_points_of_x():
     w, _ = lamplighter(2)
     for bad in (CyclicInt(2, 1), IntVector((0, 0)), 0):
-        with pytest.raises(WreathError, match="is not a point of"):
+        with pytest.raises(ActionError, match="is not a point of"):
             w.delta(bad, CyclicInt(2, 1))
-        with pytest.raises(WreathError, match="is not a point of"):
-            WreathGroup(w.base, w.top, w.top_action, (bad,))
+        with pytest.raises(ActionError, match="is not a point of"):
+            WreathGroup(w.base, w.top_action, (bad,))
     d = w.delta(IntVector((3,)), CyclicInt(2, 1))
     assert w.contains(d)
 
@@ -231,7 +238,7 @@ def test_imprimitive_coset_action_examples():
     # base Z, K = 3Z, H = C(2) regular: orbit has 6 points
     base, top = FreeAbelian(1), Cyclic(2)
     ta = translation_action(top)
-    w = WreathGroup(base, top, ta, (ta.basepoint,))
+    w = WreathGroup(base, ta, (ta.basepoint,))
     gens = standard_wreath_gens(w)
     action = imprimitive_coset_action(w, Sublattice(((3,),)), ta.basepoint)
     res = orbit(action, gens, 100)
