@@ -33,7 +33,6 @@ from .actions import (
     DiagonalLatticeQuotient,
     GeneratedSubgroup,
     IntModQuotient,
-    OrbitResult,
     PairPoint,
     PointedAction,
     SignQuotient,
@@ -42,11 +41,9 @@ from .actions import (
     UnknownRuleActionError,
     UnsupportedSubgroupError,
     coset_action,
-    orbit,
     point_label,
     rule_action,
     translation_action,
-    trivial_action,
 )
 from .wreath import (
     WreathElement,

@@ -4,9 +4,9 @@ A :class:`PointedAction` bundles an acting group, the action's law
 ``step``, a basepoint and ``is_point``, the test of its point set.  Each
 action states its law once: ``step`` trusts its operands, and the one
 checked ``act``, the same for every action, rejects an element outside
-the group and a value that fails ``is_point`` before it steps.  A BFS
-checks its generators once with ``group.contains`` and then only steps,
-since its basepoint is a point and every later point is a ``step`` result.
+the group and a value that fails ``is_point`` before it steps.  A ball
+build (``balls.build_ball``) checks its generators and basepoint once and
+then only steps, since every later point is a ``step`` result.
 
 Points are plain hashable values: group elements (for translation
 actions), :class:`CosetPoint` (coset actions with canonical
@@ -17,7 +17,6 @@ coset laws, quotient specs their image, kernel and lift.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, ClassVar, Iterable
 
@@ -33,12 +32,12 @@ from .groups import (
     IntVector,
     ModVector,
     Perm,
-    SymmetricGenSet,
     SymmetricGroup,
     Torus,
     check_members,
     element_label,
     frozen_value,
+    make_gen_set,
     perm_parity,
 )
 
@@ -138,12 +137,6 @@ def translation_action(group: Group) -> PointedAction:
     """The group acting on itself by left multiplication, based at the identity."""
     return PointedAction(group, group._mul, group.identity(),
                          f"{group} on itself", group.contains)
-
-
-def trivial_action(group: Group, point: Point = 0) -> PointedAction:
-    """The action on a single point (wreath products over a singleton)."""
-    return PointedAction(group, lambda g, x: x, point, f"{group} on a point",
-                         lambda x: x == point)
 
 
 # ---------------------------------------------------------------------------
@@ -253,12 +246,12 @@ def lattice_reduce(hnf: tuple[tuple[int, ...], ...], coords: tuple[int, ...]) ->
 
 def _mulclose(group: Group, gens: Iterable[GroupElement], cap: int) -> list[GroupElement]:
     """All products of the generators (and their inverses), in ``sort_key`` order."""
-    gens = tuple(gens)
-    check_members(group, gens)
-    seeds = [x for g in gens for x in (g, group.inverse(g))]
-    closure = orbit_of_point(translation_action(group), group.identity(), seeds, cap)
-    if closure.truncated:
-        raise UnsupportedSubgroupError(f"subgroup closure exceeded {cap} elements")
+    # balls imports this module, so its names are looked up at call time
+    from .balls import BallOverflowError, build_ball
+    try:
+        closure = build_ball(translation_action(group), make_gen_set(group, tuple(gens)), cap, cap)
+    except BallOverflowError:
+        raise UnsupportedSubgroupError(f"subgroup closure exceeded {cap} elements") from None
     return sorted(closure.points, key=group.sort_key)
 
 
@@ -465,64 +458,3 @@ def rule_action(name: str) -> PointedAction:
         raise UnknownRuleActionError(
             f"unknown rule action {name!r}; known: {sorted(RULE_ACTIONS)}") from None
     return builder()
-
-
-# ---------------------------------------------------------------------------
-# orbits
-
-
-@dataclass(frozen=True)
-class OrbitResult:
-    points: frozenset[Point]
-    truncated: bool
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-
-def orbit(action: PointedAction, gens: SymmetricGenSet, budget: int) -> OrbitResult:
-    """BFS orbit of the basepoint, truncated at ``budget`` points."""
-    return orbit_of_point(action, action.basepoint, gens.elements, budget)
-
-
-def orbit_of_point(action: PointedAction, start: Point,
-                   elements: Iterable[GroupElement], budget: int) -> OrbitResult:
-    """BFS orbit of ``start``, truncated at ``budget`` points: the elements
-    are checked once, the start point by ``is_point``, and every later
-    point comes from ``step``."""
-    if budget < 1:
-        raise ActionError(f"orbit budget must be >= 1, got {budget}")
-    elements = tuple(elements)
-    check_members(action.group, elements)
-    check_point(action, start)
-    step = action.step
-    seen = {start}
-    frontier = deque(seen)
-    while frontier:
-        x = frontier.popleft()
-        for g in elements:
-            y = step(g, x)
-            if y not in seen:
-                if len(seen) >= budget:
-                    return OrbitResult(frozenset(seen), True)
-                seen.add(y)
-                frontier.append(y)
-    return OrbitResult(frozenset(seen), False)
-
-
-def check_action_axioms(action: PointedAction,
-                        elements: Iterable[GroupElement],
-                        points: Iterable[Point]) -> None:
-    """Assert act(1, x) = x and act(g, act(h, x)) = act(g*h, x) on samples."""
-    ident = action.group.identity()
-    elements = tuple(elements)
-    for x in points:
-        if action.act(ident, x) != x:
-            raise ActionError(f"identity axiom fails at {x!r}")
-        for g in elements:
-            for h in elements:
-                lhs = action.act(g, action.act(h, x))
-                rhs = action.act(action.group.multiply(g, h), x)
-                if lhs != rhs:
-                    raise ActionError(
-                        f"compatibility fails: g={g!r} h={h!r} x={x!r}")

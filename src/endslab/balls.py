@@ -5,10 +5,10 @@ distance <= R from the basepoint: every edge with both endpoints inside
 the ball is present, including edges between two boundary vertices.
 The ball stores the graph as its labeled transition table u -> s_i.u;
 the edge list, one edge per unordered generator pair {s, s^-1} labeled
-by the smaller index of the pair, is derived from it.  A build checks
-its generators once and then applies the action's law ``step``; it never
-calls the derived ``act``, whose point test ``is_point`` every ball
-point passes.
+by the smaller index of the pair, is derived from it.  A build, the
+library's one walk over an action, checks its generators, basepoint and
+budget once and then applies the action's law ``step``; it never calls
+the derived ``act``, whose point test ``is_point`` every ball point passes.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import ClassVar, Iterable
 
-from .actions import PairPoint, Point, PointedAction, point_label
+from .actions import PairPoint, Point, PointedAction, check_point, point_label
 from .groups import GroupElement, SymmetricGenSet, verify_gen_set
 
 DEFAULT_VERTEX_BUDGET = 2_000_000
@@ -110,13 +110,18 @@ def build_ball(action: PointedAction, gens: SymmetricGenSet, radius: int,
     """Materialize the exact radius-R ball of the orbital graph.
 
     ``verify_gen_set`` checks the generators and the pairing, which fills
-    reverse transitions, once; then every point is the basepoint or a
-    ``step`` result, so the build calls only ``step``.
+    reverse transitions, once, and ``check_point`` the basepoint; then
+    every point is the basepoint or a ``step`` result, so the build calls
+    only ``step``.  An orbit of at most B points lies within radius B - 1,
+    so a build at radius = budget = B holds the whole orbit or overflows.
     """
+    if max_vertices < 1:
+        raise BallError(f"vertex budget must be >= 1, got {max_vertices}")
     if radius < 0:
         raise BallError(f"radius must be >= 0, got {radius}")
     gen_elements = gens.elements
     verify_gen_set(action.group, gens)
+    check_point(action, action.basepoint)
     act = action.step
     pairing = gens.pairing
     ngens = len(gen_elements)

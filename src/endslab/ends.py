@@ -14,7 +14,7 @@ import json
 import math
 from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .actions import (
@@ -22,10 +22,10 @@ from .actions import (
     UnsupportedSubgroupError,
     check_members,
     coset_action,
-    orbit_of_point,
 )
 from .balls import (
     DEFAULT_VERTEX_BUDGET,
+    BallOverflowError,
     GraphBall,
     UnionFind,
     build_ball,
@@ -33,7 +33,7 @@ from .balls import (
     pointed_labeled_isomorphic,
     simplify,
 )
-from .groups import FreeAbelian, Group, GroupElement, IntVector, SymmetricGenSet
+from .groups import FreeAbelian, Group, GroupElement, IntVector, SymmetricGenSet, make_gen_set
 from .wreath import WreathElement, WreathGroup
 
 
@@ -241,21 +241,24 @@ def augment_cut(ball: GraphBall, cut: Iterable[int], gen_indices: Iterable[int],
     and their inverses (followed through the action, not just inside the
     ball) closes within the budget, all ball vertices of that orbit join
     the cut; orbits that hit the budget are reported as undetermined and
-    contribute nothing.
+    contribute nothing.  Each orbit is a ball build at radius = budget.
     """
     cut_set = set(cut)
     check_indices("vertex", cut_set, len(ball))
-    elements = [ball.gens.elements[i] for i in sorted(_with_inverses(ball, gen_indices))]
+    elements, pairing = ball.gens.elements, ball.gens.pairing
+    orbit_gens = make_gen_set(ball.action.group, [
+        elements[i] for i in sorted(_with_inverses(ball, gen_indices)) if i <= pairing[i]])
     out = set(cut_set)
     status: dict[int, str] = {}
     for v in sorted(cut_set):
-        result = orbit_of_point(ball.action, ball.points[v], elements,
-                                finiteness_budget)
-        if result.truncated:
+        try:
+            orbit = build_ball(replace(ball.action, basepoint=ball.points[v]), orbit_gens,
+                               finiteness_budget, finiteness_budget)
+        except BallOverflowError:
             status[v] = "undetermined"
             continue
         status[v] = "finite"
-        for p in result.points:
+        for p in orbit.points:
             w = ball.index.get(p)
             if w is not None:
                 out.add(w)

@@ -81,6 +81,8 @@ class FreeWord:
     The word is stored as ``codes``, one byte per letter: +i is 2(i-1)
     and -i is 2(i-1)+1, so inverse codes differ in the last bit only.
     ``letters`` is the signed view, and the hash is the hash of ``codes``.
+    ``dataclasses.replace`` raises ``TypeError``; a word is rebuilt as
+    ``FreeWord(rank, w.letters)``.
     """
 
     rank: int

@@ -2,12 +2,16 @@
 
 Everything here is deliberately written against plain data structures
 (strings, dicts, adjacency sets) and stays independent of the library's
-element classes, BFS and union-find code paths.
+element classes, BFS and union-find code paths.  The action helpers
+drive a library ``PointedAction`` only through its checked ``act`` or
+build one from a plain law.
 """
 
 from collections import deque
 from fractions import Fraction
 from itertools import product
+
+from endslab.actions import PointedAction
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +289,29 @@ def bfs_witnesses(action, gens, radius: int) -> tuple:
                 points.append(q)
                 witness.append(mul(s, witness[u]))
     return tuple(witness)
+
+
+# ---------------------------------------------------------------------------
+# action axioms on samples, and the one-point action
+
+
+def check_action_axioms(action, elements, points) -> None:
+    """Test oracle: act(1, x) = x and act(g, act(h, x)) = act(gh, x) on samples."""
+    ident = action.group.identity()
+    elements = tuple(elements)
+    for x in points:
+        assert action.act(ident, x) == x, f"identity axiom fails at {x!r}"
+        for g in elements:
+            for h in elements:
+                lhs = action.act(g, action.act(h, x))
+                rhs = action.act(action.group.multiply(g, h), x)
+                assert lhs == rhs, f"compatibility fails: g={g!r} h={h!r} x={x!r}"
+
+
+def trivial_action(group, point=0) -> PointedAction:
+    """Test oracle: ``group`` acting on the single point ``point``."""
+    return PointedAction(group, lambda g, x: x, point, f"{group} on a point",
+                         lambda x: x == point)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -18,18 +19,15 @@ from endslab.actions import (
     TrivialSubgroup,
     UnknownRuleActionError,
     UnsupportedSubgroupError,
-    check_action_axioms,
+    _mulclose,
     coset_action,
     hermite_normal_form,
     lattice_reduce,
-    orbit,
-    orbit_of_point,
     point_label,
     rule_action,
     translation_action,
-    trivial_action,
 )
-from endslab.balls import build_ball
+from endslab.balls import BallOverflowError, build_ball
 from endslab.groups import (
     Cyclic,
     CyclicInt,
@@ -45,10 +43,12 @@ from endslab.groups import (
     SymmetricGroup,
     Torus,
     make_gen_set,
+    perm_parity,
 )
 from endslab.wreath import WreathGroup, imprimitive_action, lamplighter
 
 from oracles import (
+    check_action_axioms,
     closure,
     components,
     cross_graph,
@@ -56,6 +56,7 @@ from oracles import (
     inversion_parity,
     preimage_members,
     sym3_left_cosets,
+    trivial_action,
 )
 
 
@@ -113,10 +114,10 @@ def test_sym3_coset_action_against_enumeration():
     sym3 = SymmetricGroup(3)
     subgroup = GeneratedSubgroup((Perm((1, 0, 2)),))
     action = coset_action(sym3, subgroup)
-    res = orbit(action, sym3.standard_gens(), 100)
+    ball = build_ball(action, sym3.standard_gens(), 100, 100)
     # oracle: raw coset enumeration gives 3 left cosets
     assert len(sym3_left_cosets([(0, 1, 2), (1, 0, 2)])) == 3
-    assert len(res) == 3 and not res.truncated
+    assert len(ball) == 3
 
 
 def test_lattice_cosets_count_matches_determinant():
@@ -124,8 +125,8 @@ def test_lattice_cosets_count_matches_determinant():
     for basis, expected in ((((2, 0), (0, 2)), 4), (((1, 1), (1, -1)), 2),
                             (((3, 1), (0, 1)), 3)):
         action = coset_action(z2, Sublattice(basis))
-        res = orbit(action, z2.standard_gens(), 100)
-        assert len(res) == expected, basis
+        ball = build_ball(action, z2.standard_gens(), 100, 100)
+        assert len(ball) == expected, basis
 
 
 def test_lattice_reduction_is_canonical():
@@ -146,8 +147,8 @@ def test_lattice_reduction_is_canonical():
 def test_rank_deficient_lattice():
     z2 = FreeAbelian(2)
     action = coset_action(z2, Sublattice(((2, 0),)))
-    res = orbit(action, z2.standard_gens(), 50)
-    assert res.truncated  # quotient Z/2 x Z is infinite
+    with pytest.raises(BallOverflowError):  # quotient Z/2 x Z is infinite
+        build_ball(action, z2.standard_gens(), 50, 50)
 
 
 def test_unsupported_subgroup_errors_name_cases():
@@ -193,23 +194,32 @@ def test_rule_action_fixture_four_components():
 
 
 def test_orbit_budgets():
+    # radius = budget = B holds an orbit of at most B points, or overflows
+    # at its (B+1)-th point
     c4 = Cyclic(4)
-    res = orbit(translation_action(c4), c4.standard_gens(), 100)
-    assert len(res) == 4 and not res.truncated
+    assert len(build_ball(translation_action(c4), c4.standard_gens(), 4, 4)) == 4
 
     z = FreeAbelian(1)
-    res = orbit(translation_action(z), z.standard_gens(), 10)
-    assert len(res) == 10 and res.truncated
+    assert len(build_ball(translation_action(z), z.standard_gens(), 4, 10)) == 9
+    with pytest.raises(BallOverflowError) as err:
+        build_ball(translation_action(z), z.standard_gens(), 10, 10)
+    assert err.value.reached_radius == 4
 
-    with pytest.raises(ActionError):
-        orbit(translation_action(z), z.standard_gens(), 0)
+
+def test_subgroup_closure_of_sign_kernel_is_a7():
+    sym7 = SymmetricGroup(7)
+    closure = _mulclose(sym7, SignQuotient(7).kernel_gens(), cap=sym7.order())
+    even = [g for g in sym7.elements() if perm_parity(g) == 0]
+    assert len(closure) == 2520
+    assert set(closure) == set(even)
+    assert closure == sorted(closure, key=sym7.sort_key)
 
 
 def test_orbit_is_generator_order_independent():
     sym3 = SymmetricGroup(3)
     gens = sym3.standard_gens()
     action = coset_action(sym3, GeneratedSubgroup((Perm((1, 0, 2)),)))
-    base = orbit(action, gens, 100).points
+    base = set(build_ball(action, gens, 100, 100).points)
     rng = random.Random(1)
     for _ in range(5):
         order = list(range(len(gens)))
@@ -219,14 +229,13 @@ def test_orbit_is_generator_order_independent():
             tuple(gens.elements[i] for i in order),
             tuple(order.index(gens.pairing[i]) for i in order),
             tuple(gens.names[i] for i in order))
-        assert orbit(action, shuffled, 100).points == base
+        assert set(build_ball(action, shuffled, 100, 100).points) == base
 
 
 def test_trivial_action_single_point():
     c3 = Cyclic(3)
     action = trivial_action(c3)
-    res = orbit(action, c3.standard_gens(), 10)
-    assert len(res) == 1
+    assert len(build_ball(action, c3.standard_gens(), 10, 10)) == 1
 
 
 def _k_spec(gens):
@@ -328,7 +337,7 @@ def test_trivial_action_act_checks_element_and_point():
     assert action.act(CyclicInt(3, 1), action.basepoint) == action.basepoint
 
 
-def test_orbit_of_point_refuses_a_foreign_start_before_any_step():
+def test_build_ball_refuses_a_foreign_basepoint_before_any_step():
     translation = translation_action(FreeAbelian(1))
     calls = []
 
@@ -338,12 +347,12 @@ def test_orbit_of_point_refuses_a_foreign_start_before_any_step():
 
     action = PointedAction(translation.group, counting_step, translation.basepoint,
                            is_point=translation.is_point)
-    gens = translation.group.standard_gens().elements
+    gens = translation.group.standard_gens()
     for start in (IntVector((0, 0)), FreeWord(1, (1,)), (0,)):
         with pytest.raises(ActionError, match="is not a point of"):
-            orbit_of_point(action, start, gens, 10)
+            build_ball(replace(action, basepoint=start), gens, 10)
     assert calls == []
-    assert len(orbit_of_point(action, action.basepoint, gens, 10)) == 10
+    assert len(build_ball(action, gens, 10)) == 21
     assert len(calls) > 0
 
 
@@ -410,10 +419,10 @@ BAD_OPERANDS = {
     "delta value": (lambda: _LAMP.delta(IntVector((0,)), _FOREIGN), *_foreign(_LAMP.base)),
     "top_element": (lambda: _LAMP.top_element(_FOREIGN), *_foreign(_LAMP.top)),
     "act element": (lambda: _C4_ACTION.act(_FOREIGN, _C4_ACTION.basepoint), *_foreign(_C4)),
-    "orbit_of_point": (lambda: orbit_of_point(_C4_ACTION, _C4_ACTION.basepoint,
-                                              [_ONE, _FOREIGN], 10), *_foreign(_C4)),
     "build_ball": (lambda: build_ball(_C4_ACTION, SymmetricGenSet((_FOREIGN,), (0,), ("x",)), 1),
                    *_foreign(_C4)),
+    "ball basepoint": (lambda: build_ball(replace(_C4_ACTION, basepoint=_NON_POINT),
+                                          _C4.standard_gens(), 1), *_non_point(_C4_ACTION)),
     "delta point": (lambda: _LAMP.delta(_NON_POINT, CyclicInt(2, 1)), *_non_point(_X)),
     "wreath rep": (lambda: WreathGroup(_LAMP.base, _X, (_NON_POINT,)), *_non_point(_X)),
     "act point": (lambda: _C4_ACTION.act(_ONE, _NON_POINT), *_non_point(_C4_ACTION)),

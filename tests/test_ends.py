@@ -4,7 +4,6 @@ import pytest
 
 import endslab
 from endslab.actions import (
-    ActionError,
     CyclicDivisorQuotient,
     DiagonalLatticeQuotient,
     GeneratedSubgroup,
@@ -272,7 +271,7 @@ def test_augment_cut_finite_orbits_closed():
 def test_augment_cut_refuses_a_budget_below_one(budget):
     # a budget below 1 is an error, not an orbit reported "undetermined"
     w, gens, ball = finite_top_imprimitive_ball()
-    with pytest.raises(ActionError, match=f"orbit budget must be >= 1, got {budget}"):
+    with pytest.raises(BallError, match=f"vertex budget must be >= 1, got {budget}"):
         augment_cut(ball, [0], wreath_split(w, gens).h_gen_indices, budget)
 
 

@@ -2,7 +2,7 @@ import copy
 import pickle
 import random
 import string
-from dataclasses import FrozenInstanceError, fields
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 
@@ -352,6 +352,16 @@ def test_letters_round_trip_and_repr():
     with pytest.raises(FrozenInstanceError):
         w.letters = (2,)
     assert w.letters == (1,) and w.codes == b"\x00"
+
+
+def test_replace_on_a_word_raises_and_never_returns_a_word():
+    # the constructor takes letters, not the stored codes; were codes left
+    # out of __init__, replace would silently build the empty word
+    w = FreeWord(2, (1, -2))
+    for changes in ({"rank": 3}, {}):
+        with pytest.raises(TypeError, match="codes"):
+            replace(w, **changes)
+    assert FreeWord(3, w.letters).letters == (1, -2)
 
 
 FROZEN_VALUES = [FreeWord(2, (1, -2)), IntVector((1, -1)), CyclicInt(3, 1), Perm((1, 0)),

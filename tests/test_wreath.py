@@ -6,10 +6,8 @@ import pytest
 from endslab.actions import (
     ActionError,
     PairPoint,
-    check_action_axioms,
-    orbit,
+    PointedAction,
     translation_action,
-    trivial_action,
 )
 from endslab.balls import build_ball
 from endslab.groups import Cyclic, CyclicInt, FamilyMismatchError, FreeAbelian, IntVector
@@ -26,9 +24,11 @@ from endslab.wreath import (
 from endslab.actions import Sublattice, TrivialSubgroup
 
 from oracles import (
+    check_action_axioms,
     finite_wreath_elements,
     finite_wreath_multiply,
     lamplighter2_ball_sizes,
+    trivial_action,
 )
 
 
@@ -126,7 +126,8 @@ def test_wreath_group_axioms_random():
 
 
 def test_top_action_is_by_automorphisms():
-    # h.(fg) = (h.f)(h.g) where the base-sum product is pointwise
+    # conjugating by (1, h) is h.f, which moves the entry of f at x to h.x,
+    # and h.(fg) = (h.f)(h.g) where the base-sum product is pointwise
     w, _ = regular_wreath(3, 4)
     sites = list(Cyclic(4).elements())
     rng = random.Random(17)
@@ -136,9 +137,14 @@ def test_top_action_is_by_automorphisms():
         f = WreathElement(f.support, w.top.identity())
         g = WreathElement(g.support, w.top.identity())
         h = CyclicInt(4, rng.randrange(4))
-        lhs = w.shift(h, w.multiply(f, g))
-        rhs = w.multiply(w.shift(h, f), w.shift(h, g))
-        assert lhs == rhs
+        t = w.top_element(h)
+
+        def shift(a):
+            return w.multiply(w.multiply(t, a), w.inverse(t))
+
+        moved = frozenset((w.top_action.act(h, x), v) for x, v in f.support)
+        assert shift(f) == WreathElement(moved, w.top.identity())
+        assert shift(w.multiply(f, g)) == w.multiply(shift(f), shift(g))
 
 
 def test_standard_gens_lamplighter_shape():
@@ -167,15 +173,13 @@ def test_singleton_wreath_is_direct_product():
     base, top = Cyclic(2), Cyclic(3)
     w = WreathGroup(base, trivial_action(top), (0,))
     gens = standard_wreath_gens(w)
-    res = orbit(translation_action(w), gens, 100)
-    assert len(res) == 6  # |C2 x C3|
+    assert len(build_ball(translation_action(w), gens, 100, 100)) == 6  # |C2 x C3|
 
 
 @pytest.mark.parametrize("n,m,total", [(2, 2, 8), (3, 2, 18)])
 def test_finite_wreath_enumeration(n, m, total):
     w, gens = regular_wreath(n, m)
-    res = orbit(translation_action(w), gens, 1000)
-    assert len(res) == total and not res.truncated
+    assert len(build_ball(translation_action(w), gens, 1000, 1000)) == total
 
 
 def test_orbit_reps_distinctness_is_checked():
@@ -183,6 +187,27 @@ def test_orbit_reps_distinctness_is_checked():
     ta = translation_action(top)
     with pytest.raises(WreathError):
         WreathGroup(Cyclic(2), ta, (CyclicInt(4, 0), CyclicInt(4, 2)))
+
+
+def _first_axis_action():
+    """Z acting on Z^2 along the first axis: every orbit is an infinite row."""
+    def step(g, p):
+        return IntVector((p.coords[0] + g.coords[0], p.coords[1]))
+
+    return PointedAction(FreeAbelian(1), step, IntVector((0, 0)),
+                         "Z on Z^2 along the first axis", FreeAbelian(2).contains)
+
+
+def test_orbit_reps_in_one_infinite_orbit_are_refused():
+    # the first ball overflows, and the check reads the largest complete
+    # ball of at most ORBIT_CHECK_BUDGET points, which holds (7, 0)
+    with pytest.raises(WreathError, match="lie in the same top-orbit"):
+        WreathGroup(Cyclic(2), _first_axis_action(), (IntVector((0, 0)), IntVector((7, 0))))
+
+
+def test_orbit_reps_in_distinct_infinite_orbits_are_accepted():
+    reps = (IntVector((0, 0)), IntVector((0, 1)))
+    assert WreathGroup(Cyclic(2), _first_axis_action(), reps).orbit_reps == reps
 
 
 def test_imprimitive_edge_rules_verbatim():
@@ -209,12 +234,12 @@ def test_imprimitive_edge_rules_verbatim():
 def test_imprimitive_transitive_and_axioms():
     w, gens = regular_wreath(3, 2)
     action = imprimitive_action(w, w.top_action.basepoint)
-    res = orbit(action, gens, 100)
-    assert len(res) == 6
+    ball = build_ball(action, gens, 100, 100)
+    assert len(ball) == 6
     rng = random.Random(23)
     sites = list(Cyclic(2).elements())
     elements = [sample_wreath_element(w, rng, sites) for _ in range(6)]
-    check_action_axioms(action, elements, list(res.points))
+    check_action_axioms(action, elements, ball.points)
 
 
 def test_delta_and_orbit_reps_must_be_points_of_x():
@@ -241,8 +266,7 @@ def test_imprimitive_coset_action_examples():
     w = WreathGroup(base, ta, (ta.basepoint,))
     gens = standard_wreath_gens(w)
     action = imprimitive_coset_action(w, Sublattice(((3,),)), ta.basepoint)
-    res = orbit(action, gens, 100)
-    assert len(res) == 6 and not res.truncated
+    assert len(build_ball(action, gens, 100, 100)) == 6
 
     # trivial K coincides pointwise with the plain imprimitive action
     triv = imprimitive_coset_action(w, TrivialSubgroup(), ta.basepoint)
@@ -263,8 +287,7 @@ def test_imprimitive_coset_action_examples():
 
     # K = full group: the leaf direction collapses to the orbit X'
     full = imprimitive_coset_action(w, Sublattice(((1,),)), ta.basepoint)
-    res = orbit(full, gens, 100)
-    assert len(res) == 2
+    assert len(build_ball(full, gens, 100, 100)) == 2
 
 
 def test_head_projection_action():
