@@ -39,6 +39,7 @@ from .groups import (
     frozen_value,
     make_gen_set,
     perm_parity,
+    trusted_constructor,
 )
 
 Point = Any
@@ -68,6 +69,9 @@ class CosetPoint:
         # points that meet in one index share their space's key, and hashing
         # the key would hash every member of a generated subgroup again
         return hash(self.rep)
+
+
+_raw_coset = trusted_constructor(CosetPoint)
 
 
 @frozen_value
@@ -177,7 +181,7 @@ class GeneratedSubgroup:
         if group.order() is None:
             raise UnsupportedSubgroupError(f"GeneratedSubgroup requires a finite group; "
                                            f"supported cases: {SUPPORTED_SUBGROUPS}")
-        members = tuple(_mulclose(group, self.gens, cap=group.order()))
+        members = tuple(_mulclose(group, self.gens))
         return (str(group), "gen", members), group._min_product(members)
 
 
@@ -244,14 +248,15 @@ def lattice_reduce(hnf: tuple[tuple[int, ...], ...], coords: tuple[int, ...]) ->
     return tuple(v)
 
 
-def _mulclose(group: Group, gens: Iterable[GroupElement], cap: int) -> list[GroupElement]:
-    """All products of the generators (and their inverses), in ``sort_key`` order."""
-    # balls imports this module, so its names are looked up at call time
-    from .balls import BallOverflowError, build_ball
-    try:
-        closure = build_ball(translation_action(group), make_gen_set(group, tuple(gens)), cap, cap)
-    except BallOverflowError:
-        raise UnsupportedSubgroupError(f"subgroup closure exceeded {cap} elements") from None
+def _mulclose(group: Group, gens: Iterable[GroupElement]) -> list[GroupElement]:
+    """All products of the generators (and their inverses) in a finite
+    group, in ``sort_key`` order."""
+    # balls imports this module, so build_ball is looked up at call time
+    from .balls import build_ball
+    # the closure has at most order() points, so this build cannot overflow
+    order = group.order()
+    closure = build_ball(translation_action(group), make_gen_set(group, tuple(gens)),
+                         order, order)
     return sorted(closure.points, key=group.sort_key)
 
 
@@ -270,7 +275,7 @@ def coset_action(group: Group, subgroup_spec) -> PointedAction:
     mul, contains = group._mul, group.contains
 
     def step(g: GroupElement, p: CosetPoint) -> CosetPoint:
-        return CosetPoint(reduce(mul(g, p.rep)), key)
+        return _raw_coset(reduce(mul(g, p.rep)), key)
 
     def is_point(p: Point) -> bool:
         return isinstance(p, CosetPoint) and contains(p.rep)

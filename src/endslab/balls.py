@@ -105,6 +105,12 @@ class GraphBall:
         return tuple(w)
 
 
+def check_budget(max_vertices: int) -> None:
+    """Raise ``BallError`` unless a vertex budget is at least 1."""
+    if max_vertices < 1:
+        raise BallError(f"vertex budget must be >= 1, got {max_vertices}")
+
+
 def build_ball(action: PointedAction, gens: SymmetricGenSet, radius: int,
                max_vertices: int = DEFAULT_VERTEX_BUDGET) -> GraphBall:
     """Materialize the exact radius-R ball of the orbital graph.
@@ -115,8 +121,7 @@ def build_ball(action: PointedAction, gens: SymmetricGenSet, radius: int,
     only ``step``.  An orbit of at most B points lies within radius B - 1,
     so a build at radius = budget = B holds the whole orbit or overflows.
     """
-    if max_vertices < 1:
-        raise BallError(f"vertex budget must be >= 1, got {max_vertices}")
+    check_budget(max_vertices)
     if radius < 0:
         raise BallError(f"radius must be >= 0, got {radius}")
     gen_elements = gens.elements

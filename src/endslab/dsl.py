@@ -343,12 +343,7 @@ class _Parser:
     def parse_coset(self) -> CosetAst:
         t = self.cur
         if t.kind == "INT":
-            self.advance()
-            value = int(t.value)
-            if value < 1:
-                raise ArityError(f"coset modulus must be >= 1, got {value}",
-                                 t.line, t.col)
-            return CosetAst("byint", n=value)
+            return CosetAst("byint", n=self.nat("coset modulus", t))
         if self.keyword() == "trivial":
             self.advance()
             return CosetAst("trivial")
@@ -404,14 +399,14 @@ class _Parser:
         if t.kind == "(":
             cycles = []
             while self.cur.kind == "(":
-                self.advance()
+                opening = self.advance()
                 cyc = []
                 while self.cur.kind == "INT":
                     cyc.append(int(self.advance().value))
                 self.expect(")")
                 if len(cyc) < 2:
                     raise ArityError("a cycle needs at least two points",
-                                     t.line, t.col)
+                                     opening.line, opening.col)
                 cycles.append(tuple(cyc))
             return PermItem(tuple(cycles))
         self.error(("an integer", "a vector '['", "a word", "a cycle '('"))

@@ -29,6 +29,7 @@ from .balls import (
     GraphBall,
     UnionFind,
     build_ball,
+    check_budget,
     check_indices,
     pointed_labeled_isomorphic,
     simplify,
@@ -243,6 +244,7 @@ def augment_cut(ball: GraphBall, cut: Iterable[int], gen_indices: Iterable[int],
     the cut; orbits that hit the budget are reported as undetermined and
     contribute nothing.  Each orbit is a ball build at radius = budget.
     """
+    check_budget(finiteness_budget)
     cut_set = set(cut)
     check_indices("vertex", cut_set, len(ball))
     elements, pairing = ball.gens.elements, ball.gens.pairing

@@ -201,55 +201,39 @@ def reduce_letters(letters: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-# Trusted constructors for values a family's law computes from members:
-# such a value is a member, so its checks are not run again.  Each sets
-# its fields through their slot descriptors, which skip the frozen
-# ``__setattr__`` and cost less than ``object.__setattr__`` by name.
-_new = object.__new__
+def trusted_constructor(cls) -> Callable[..., Any]:
+    """The trusted constructor of a slotted value class with one or two
+    fields, for values a law computes from members: such a value is a
+    member, so it takes the field values in field order and runs no check.
+    It sets each field through its slot descriptor, which skips the frozen
+    ``__setattr__`` and costs less than ``object.__setattr__`` by name."""
+    new = object.__new__
+    setters = [getattr(cls, name).__set__ for name in cls.__dataclass_fields__]
+    if len(setters) == 1:
+        (set_only,) = setters
+
+        def build_one(value):
+            v = new(cls)
+            set_only(v, value)
+            return v
+
+        return build_one
+    set_first, set_second = setters
+
+    def build_two(first, second):
+        v = new(cls)
+        set_first(v, first)
+        set_second(v, second)
+        return v
+
+    return build_two
 
 
-def _slot_setters(cls) -> tuple[Callable[[Any, Any], None], ...]:
-    return tuple(getattr(cls, name).__set__ for name in cls.__dataclass_fields__)
-
-
-_set_word_rank, _set_word_codes = _slot_setters(FreeWord)
-(_set_vector_coords,) = _slot_setters(IntVector)
-_set_cyclic_modulus, _set_cyclic_value = _slot_setters(CyclicInt)
-(_set_perm_image,) = _slot_setters(Perm)
-_set_torus_moduli, _set_torus_coords = _slot_setters(ModVector)
-
-
-def _raw_freeword(rank: int, codes: bytes) -> FreeWord:
-    w = _new(FreeWord)
-    _set_word_rank(w, rank)
-    _set_word_codes(w, codes)
-    return w
-
-
-def _raw_intvector(coords: tuple[int, ...]) -> IntVector:
-    v = _new(IntVector)
-    _set_vector_coords(v, coords)
-    return v
-
-
-def _raw_cyclicint(modulus: int, value: int) -> CyclicInt:
-    c = _new(CyclicInt)
-    _set_cyclic_modulus(c, modulus)
-    _set_cyclic_value(c, value)
-    return c
-
-
-def _raw_perm(image: tuple[int, ...]) -> Perm:
-    p = _new(Perm)
-    _set_perm_image(p, image)
-    return p
-
-
-def _raw_modvector(moduli: tuple[int, ...], coords: tuple[int, ...]) -> ModVector:
-    v = _new(ModVector)
-    _set_torus_moduli(v, moduli)
-    _set_torus_coords(v, coords)
-    return v
+_raw_freeword = trusted_constructor(FreeWord)
+_raw_intvector = trusted_constructor(IntVector)
+_raw_cyclicint = trusted_constructor(CyclicInt)
+_raw_perm = trusted_constructor(Perm)
+_raw_modvector = trusted_constructor(ModVector)
 
 
 def _word_label(a: FreeWord) -> str:
@@ -269,20 +253,27 @@ def element_label(a: GroupElement) -> str:
     return str(a) if label is None else label(a)
 
 
-def perm_cycle_notation(p: Perm) -> str:
+def _perm_cycles(p: Perm) -> list[list[int]]:
+    """The cycles of p, fixed points included, each from its least point."""
+    image = p.image
     seen: set[int] = set()
-    parts = []
-    for i in range(len(p.image)):
-        if i in seen or p.image[i] == i:
+    cycles = []
+    for i in range(len(image)):
+        if i in seen:
             continue
         cyc = [i]
-        j = p.image[i]
+        j = image[i]
         while j != i:
             seen.add(j)
             cyc.append(j)
-            j = p.image[j]
-        parts.append("(" + " ".join(map(str, cyc)) + ")")
-    return "".join(parts) if parts else "()"
+            j = image[j]
+        cycles.append(cyc)
+    return cycles
+
+
+def perm_cycle_notation(p: Perm) -> str:
+    parts = ["(" + " ".join(map(str, c)) + ")" for c in _perm_cycles(p) if len(c) > 1]
+    return "".join(parts) or "()"
 
 
 # label of each element and point class, looked up by exact type;
@@ -297,20 +288,8 @@ LABELS = {
 
 
 def perm_parity(p: Perm) -> int:
-    """0 for even permutations, 1 for odd."""
-    seen: set[int] = set()
-    parity = 0
-    for i in range(len(p.image)):
-        if i in seen:
-            continue
-        length = 0
-        j = i
-        while j not in seen:
-            seen.add(j)
-            j = p.image[j]
-            length += 1
-        parity ^= (length - 1) & 1
-    return parity
+    """0 for even permutations, 1 for odd: a k-cycle is k - 1 transpositions."""
+    return (len(p.image) - len(_perm_cycles(p))) % 2
 
 
 # ---------------------------------------------------------------------------

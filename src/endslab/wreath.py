@@ -39,6 +39,7 @@ from .groups import (
     check_members,
     element_label,
     frozen_value,
+    trusted_constructor,
 )
 
 
@@ -65,6 +66,8 @@ def wreath_label(a: WreathElement) -> str:
 
 
 LABELS[WreathElement] = wreath_label
+_raw_wreath = trusted_constructor(WreathElement)
+_raw_pair = trusted_constructor(PairPoint)
 
 
 # ball budget per orbit representative when checking that the
@@ -138,43 +141,34 @@ class WreathGroup(Group):
                    for p, v in a.support)
 
     def _mul(self, a: WreathElement, b: WreathElement) -> WreathElement:
-        # (f, g)(f', g') = (f * (g.f'), g g') with (g.f')(x) = f'(g^-1 x),
-        # i.e. the entry of f' at x moves to g.x.
-        mul = self.base._mul
-        ident = self._base_identity
+        # (f, h)(f', h') = (f * (h.f'), h h') with (h.f')(x) = f'(h^-1 x):
+        # the entry of f' at x moves to h.x, then f's entries multiply in
+        # from the left.  A delta's head moves nothing, and a top generator
+        # has no entries to multiply in.
         h = a.head
         if h == self._top_identity:
-            # a delta generator's head moves nothing: merge its own entries
-            # into b's, a's value on the left
-            combined = dict(b.support)
-            for p, v in a.support:
-                w = mul(v, combined[p]) if p in combined else v
-                if w == ident:
-                    del combined[p]
-                else:
-                    combined[p] = w
-            return WreathElement(frozenset(combined.items()), b.head)
-        step = self.top_action.step
+            moved, head = b.support, b.head
+        else:
+            step = self.top_action.step
+            moved = [(step(h, p), v) for p, v in b.support]
+            head = self.top._mul(h, b.head)
         if not a.support:
-            # a top generator: b's entries move without meeting any of a's
-            return WreathElement(frozenset([(step(h, p), v) for p, v in b.support]),
-                                 self.top._mul(h, b.head))
-        combined = dict(a.support)
-        for p, v in b.support:
-            q = step(h, p)
-            w = mul(combined[q], v) if q in combined else v
+            return _raw_wreath(frozenset(moved), head)
+        mul, ident = self.base._mul, self._base_identity
+        combined = dict(moved)
+        for p, v in a.support:
+            w = mul(v, combined[p]) if p in combined else v
             if w == ident:
-                del combined[q]
+                del combined[p]
             else:
-                combined[q] = w
-        return WreathElement(frozenset(combined.items()), self.top._mul(h, b.head))
+                combined[p] = w
+        return _raw_wreath(frozenset(combined.items()), head)
 
     def _inv(self, a: WreathElement) -> WreathElement:
         h_inv = self.top._inv(a.head)
         step = self.top_action.step
         inv = self.base._inv
-        support = frozenset((step(h_inv, p), inv(v)) for p, v in a.support)
-        return WreathElement(support, h_inv)
+        return _raw_wreath(frozenset((step(h_inv, p), inv(v)) for p, v in a.support), h_inv)
 
     def __str__(self):
         return f"{self.base} wr {self.top}"
@@ -211,7 +205,7 @@ def _imprimitive(w: WreathGroup, orbit_rep: Point, leaf: PointedAction,
             if q == x:
                 leaf_pt = leaf_step(v, leaf_pt)
                 break
-        return PairPoint(leaf_pt, x)
+        return _raw_pair(leaf_pt, x)
 
     def is_point(p: Point) -> bool:
         return isinstance(p, PairPoint) and is_leaf(p.leaf) and is_pos(p.pos)

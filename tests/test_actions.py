@@ -27,7 +27,7 @@ from endslab.actions import (
     rule_action,
     translation_action,
 )
-from endslab.balls import BallOverflowError, build_ball
+from endslab.balls import BallError, BallOverflowError, build_ball
 from endslab.groups import (
     Cyclic,
     CyclicInt,
@@ -45,7 +45,7 @@ from endslab.groups import (
     make_gen_set,
     perm_parity,
 )
-from endslab.wreath import WreathGroup, imprimitive_action, lamplighter
+from endslab.wreath import WreathError, WreathGroup, imprimitive_action, lamplighter
 
 from oracles import (
     check_action_axioms,
@@ -208,7 +208,7 @@ def test_orbit_budgets():
 
 def test_subgroup_closure_of_sign_kernel_is_a7():
     sym7 = SymmetricGroup(7)
-    closure = _mulclose(sym7, SignQuotient(7).kernel_gens(), cap=sym7.order())
+    closure = _mulclose(sym7, SignQuotient(7).kernel_gens())
     even = [g for g in sym7.elements() if perm_parity(g) == 0]
     assert len(closure) == 2520
     assert set(closure) == set(even)
@@ -389,8 +389,10 @@ def test_min_product_matches_checked_min(group):
 
 
 # One raiser per kind of bad operand: every entry point refuses a foreign
-# element with FamilyMismatchError, a non-point with ActionError and a bad
-# family parameter with InvalidParameterError, each in one wording.
+# element with FamilyMismatchError, a non-point with ActionError, a bad
+# family parameter with InvalidParameterError and a bad ball radius or
+# wreath with no orbit representative with its module's error, each in
+# one wording.
 _C4, _ONE = Cyclic(4), CyclicInt(4, 1)
 _C4_ACTION = translation_action(_C4)
 _LAMP, _ = lamplighter(2)
@@ -426,6 +428,10 @@ BAD_OPERANDS = {
     "delta point": (lambda: _LAMP.delta(_NON_POINT, CyclicInt(2, 1)), *_non_point(_X)),
     "wreath rep": (lambda: WreathGroup(_LAMP.base, _X, (_NON_POINT,)), *_non_point(_X)),
     "act point": (lambda: _C4_ACTION.act(_ONE, _NON_POINT), *_non_point(_C4_ACTION)),
+    "ball radius": (lambda: build_ball(_C4_ACTION, _C4.standard_gens(), -1), BallError,
+                    "radius must be >= 0, got -1"),
+    "no wreath rep": (lambda: WreathGroup(Cyclic(2), translation_action(FreeAbelian(1)), ()),
+                      WreathError, "at least one orbit representative is required"),
     "F(0)": (lambda: FreeGroup(0), InvalidParameterError,
              "free group rank must lie in 1..26, got 0"),
     "Z^0": (lambda: FreeAbelian(0), InvalidParameterError,

@@ -64,9 +64,15 @@ def test_parse_rule_and_imprimitive():
 
 
 def test_arity_error_position():
-    with pytest.raises(ArityError) as err:
-        parse_spec("C(0)")
-    assert err.value.col == 1 and err.value.line == 1
+    for text, col, message in (
+            ("C(0)", 1, "parameter of C must be >= 1, got 0"),
+            ("Z / 0", 5, "coset modulus must be >= 1, got 0"),
+            # the bad cycle, not the first one of its item
+            ("Sym(3) with gens {(0 1)(2)}", 24, "a cycle needs at least two points")):
+        with pytest.raises(ArityError) as err:
+            parse_spec(text)
+        assert err.value.col == col and err.value.line == 1
+        assert message in str(err.value)
 
 
 def test_parse_error_positions_and_expectations():
@@ -82,6 +88,14 @@ def test_parse_error_positions_and_expectations():
     with pytest.raises(ParseError) as err:
         parse_spec("Q(3)")
     assert "expected one of" in str(err.value)
+
+    with pytest.raises(ParseError, match="unexpected 'gen'") as err:
+        parse_spec("F(2) with gen {a}")
+    assert err.value.col == 11
+
+    with pytest.raises(ParseError, match="word 'a1' must be alphabetic") as err:
+        parse_spec("F(2) with gens {a1}")
+    assert err.value.col == 17
 
     with pytest.raises(LexicalError) as err:
         parse_spec("Z @ 4")

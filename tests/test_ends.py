@@ -269,10 +269,12 @@ def test_augment_cut_finite_orbits_closed():
 
 @pytest.mark.parametrize("budget", [0, -3])
 def test_augment_cut_refuses_a_budget_below_one(budget):
-    # a budget below 1 is an error, not an orbit reported "undetermined"
+    # a budget below 1 is an error, not an orbit reported "undetermined",
+    # and it is refused before any build, so an empty cut refuses it too
     w, gens, ball = finite_top_imprimitive_ball()
-    with pytest.raises(BallError, match=f"vertex budget must be >= 1, got {budget}"):
-        augment_cut(ball, [0], wreath_split(w, gens).h_gen_indices, budget)
+    for cut in ([0], []):
+        with pytest.raises(BallError, match=f"vertex budget must be >= 1, got {budget}"):
+            augment_cut(ball, cut, wreath_split(w, gens).h_gen_indices, budget)
 
 
 def test_augment_cut_empty():

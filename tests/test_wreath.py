@@ -9,8 +9,17 @@ from endslab.actions import (
     PointedAction,
     translation_action,
 )
-from endslab.balls import build_ball
-from endslab.groups import Cyclic, CyclicInt, FamilyMismatchError, FreeAbelian, IntVector
+from endslab.balls import build_ball, pointed_labeled_isomorphic
+from endslab.dsl import elaborate, parse_spec
+from endslab.groups import (
+    Cyclic,
+    CyclicInt,
+    FamilyMismatchError,
+    FreeAbelian,
+    IntVector,
+    Perm,
+    SymmetricGroup,
+)
 from endslab.wreath import (
     WreathElement,
     WreathError,
@@ -327,3 +336,57 @@ def test_multiply_and_inverse_reject_foreign_operands():
     with pytest.raises(FamilyMismatchError):
         w.inverse(bad_point)
 
+
+
+
+# ---------------------------------------------------------------------------
+# the wreath law against independent images
+
+
+def _spec_group(text):
+    action, gens = elaborate(parse_spec(text))
+    return action.group, gens
+
+
+def _perm_image(w, gens):
+    """Sym(|G||X|) and the generators' permutations of the enumerated G x X
+    under the imprimitive step, as a generating set of it."""
+    xs = build_ball(w.top_action, w.top.standard_gens(), 100, 100).points
+    points = [PairPoint(g, x) for g in w.base.elements() for x in xs]
+    index = {p: i for i, p in enumerate(points)}
+    step = imprimitive_action(w, w.orbit_reps[0]).step
+    sym = SymmetricGroup(len(points))
+    return sym, gens.image(sym, lambda a: Perm(tuple(index[step(a, p)] for p in points)))
+
+
+@pytest.mark.parametrize("text,radius,size,image_size", [
+    ("wreath(C(2), C(3), regular)", 100, 24, 24),
+    ("wreath(Sym(3), C(2), regular)", 100, 72, 72),
+    ("wreath(C(3), C(4), regular)", 100, 324, 324),
+    ("wreath(C(2), Sym(3), regular)", 12, 383, 383),
+    ("wreath(C(2), C(5), translation)", 100, 160, 160),
+    # C(6) acts on its two cosets of <2> and not faithfully: the image is
+    # C(2) wr C(2), of order 8
+    ("wreath(C(2), C(6), coset(2))", 100, 24, 8),
+])
+def test_wreath_law_matches_its_permutation_image(text, radius, size, image_size):
+    w, gens = _spec_group(text)
+    sym, images = _perm_image(w, gens)
+    ball = build_ball(translation_action(w), gens, radius, 1000)
+    image_ball = build_ball(translation_action(sym), images, radius, 1000)
+    assert (len(ball), len(image_ball)) == (size, image_size)
+    assert pointed_labeled_isomorphic(ball, image_ball) is (size == image_size)
+
+
+@pytest.mark.parametrize("b,radius", [(2, 6), (3, 4), (2, 8)])
+def test_infinite_wreath_law_folds_onto_a_finite_one(b, radius):
+    # for abelian G, folding the support mod n is a homomorphism from
+    # G wr Z onto G wr C(n); on radius-R balls it is injective exactly
+    # when n >= 2R + 2, and at n = 2R + 1 two ball elements meet
+    w, gens = _spec_group(f"wreath(C({b}), Z, translation)")
+    ball = build_ball(translation_action(w), gens, radius)
+    for n, same in ((2 * radius + 2, True), (2 * radius + 1, False)):
+        wn, gens_n = _spec_group(f"wreath(C({b}), C({n}), regular)")
+        folded = build_ball(translation_action(wn), gens_n, radius)
+        assert len(folded) == len(ball)
+        assert pointed_labeled_isomorphic(ball, folded) is same
