@@ -28,7 +28,6 @@ from .groups import (
 )
 from .actions import (
     ActionError,
-    CosetPoint,
     CyclicDivisorQuotient,
     DiagonalLatticeQuotient,
     GeneratedSubgroup,

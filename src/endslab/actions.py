@@ -9,8 +9,8 @@ build (``balls.build_ball``) checks its generators and basepoint once and
 then only steps, since every later point is a ``step`` result.
 
 Points are plain hashable values: group elements (for translation
-actions), :class:`CosetPoint` (coset actions with canonical
-representatives), :class:`PairPoint` (imprimitive wreath actions) and
+actions, and for coset actions, where a coset is its canonical
+representative), :class:`PairPoint` (imprimitive wreath actions) and
 small tuples for the built-in rule actions.  Subgroup specs state their
 coset laws, quotient specs their image, kernel and lift.
 """
@@ -39,7 +39,6 @@ from .groups import (
     frozen_value,
     make_gen_set,
     perm_parity,
-    trusted_constructor,
 )
 
 Point = Any
@@ -55,23 +54,6 @@ class UnsupportedSubgroupError(ActionError):
 
 class UnknownRuleActionError(ActionError):
     """Requested built-in rule action does not exist."""
-
-
-@frozen_value
-@dataclass(frozen=True, slots=True)
-class CosetPoint:
-    """Canonical coset representative plus a hashable key for the coset space."""
-
-    rep: Any
-    space_key: Any
-
-    def __hash__(self):
-        # points that meet in one index share their space's key, and hashing
-        # the key would hash every member of a generated subgroup again
-        return hash(self.rep)
-
-
-_raw_coset = trusted_constructor(CosetPoint)
 
 
 @frozen_value
@@ -127,7 +109,6 @@ def _tuple_label(p: tuple) -> str:
 
 
 LABELS.update({
-    CosetPoint: lambda p: point_label(p.rep),
     PairPoint: lambda p: f"({point_label(p.leaf)}, {point_label(p.pos)})",
     tuple: _tuple_label,
 })
@@ -154,7 +135,7 @@ class TrivialSubgroup:
     gens: ClassVar[tuple[GroupElement, ...]] = ()
 
     def coset_law(self, group: Group):
-        return (str(group), "trivial"), lambda g: g
+        return lambda g: g
 
 
 @dataclass(frozen=True)
@@ -168,7 +149,7 @@ class Sublattice:
             raise UnsupportedSubgroupError(f"Sublattice requires a free abelian group; "
                                            f"supported cases: {SUPPORTED_SUBGROUPS}")
         hnf = hermite_normal_form(self.basis, group.rank)
-        return (str(group), "lattice", hnf), lambda g: IntVector(lattice_reduce(hnf, g.coords))
+        return lambda g: IntVector(lattice_reduce(hnf, g.coords))
 
 
 @dataclass(frozen=True)
@@ -181,8 +162,7 @@ class GeneratedSubgroup:
         if group.order() is None:
             raise UnsupportedSubgroupError(f"GeneratedSubgroup requires a finite group; "
                                            f"supported cases: {SUPPORTED_SUBGROUPS}")
-        members = tuple(_mulclose(group, self.gens))
-        return (str(group), "gen", members), group._min_product(members)
+        return group._min_product(tuple(_mulclose(group, self.gens)))
 
 
 SUPPORTED_SUBGROUPS = (
@@ -263,24 +243,25 @@ def _mulclose(group: Group, gens: Iterable[GroupElement]) -> list[GroupElement]:
 def coset_action(group: Group, subgroup_spec) -> PointedAction:
     """Action of the group on left cosets gK of the specified subgroup.
 
-    The subgroup spec's ``coset_law`` gives the space's key and the
-    canonical representative map, which takes members only; a point is a
-    ``CosetPoint`` whose representative is a member.
+    The subgroup spec's ``coset_law`` gives the canonical representative
+    map, which takes members only.  A coset is its canonical
+    representative: a point is a member that the map fixes, so
+    ``is_point`` refuses any other member of the coset.
     """
     if not hasattr(subgroup_spec, "coset_law"):
         raise UnsupportedSubgroupError(
             f"unsupported subgroup spec {subgroup_spec!r}; supported cases: "
             f"{SUPPORTED_SUBGROUPS}")
-    key, reduce = subgroup_spec.coset_law(group)
+    reduce = subgroup_spec.coset_law(group)
     mul, contains = group._mul, group.contains
 
-    def step(g: GroupElement, p: CosetPoint) -> CosetPoint:
-        return _raw_coset(reduce(mul(g, p.rep)), key)
+    def step(g: GroupElement, p: GroupElement) -> GroupElement:
+        return reduce(mul(g, p))
 
     def is_point(p: Point) -> bool:
-        return isinstance(p, CosetPoint) and contains(p.rep)
+        return contains(p) and reduce(p) == p
 
-    return PointedAction(group, step, CosetPoint(reduce(group.identity()), key),
+    return PointedAction(group, step, reduce(group.identity()),
                          f"{group} on cosets", is_point)
 
 

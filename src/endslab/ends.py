@@ -478,6 +478,6 @@ def quotient_schreier_pair(group: Group, quotient_spec, subgroup_spec,
                              max_vertices)
     quotient_group, image = quotient_spec.quotient()
     quotient_ball = build_ball(coset_action(quotient_group, subgroup_spec),
-                               gens.image(quotient_group, image), radius, max_vertices)
+                               gens.image(image), radius, max_vertices)
     a, b = simplify(source_ball), simplify(quotient_ball)
     return QuotientPair(a, b, pointed_labeled_isomorphic(a, b))

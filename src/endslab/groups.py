@@ -301,15 +301,14 @@ class SymmetricGenSet:
     """Indexed generator list closed under inverse.
 
     ``pairing`` is an involution p with elements[p[i]] == elements[i]^-1.
-    Duplicate elements (parallel edges) and identity elements (loops,
-    flagged in ``identity_indices``) are legal.  ``verify_gen_set`` checks
-    the set against a group; construction checks only the involution.
+    Duplicate elements (parallel edges) and identity elements (loops) are
+    legal.  ``verify_gen_set`` checks the set against a group; construction
+    checks only the involution.
     """
 
     elements: tuple[GroupElement, ...]
     pairing: tuple[int, ...]
     names: tuple[str, ...]
-    identity_indices: frozenset[int] = frozenset()
 
     def __post_init__(self):
         n = len(self.elements)
@@ -324,24 +323,19 @@ class SymmetricGenSet:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def image(self, group: "Group", f: Callable[[GroupElement], GroupElement],
+    def image(self, f: Callable[[GroupElement], GroupElement],
               rename: Optional[Callable[[str], str]] = None) -> SymmetricGenSet:
-        """The images f(s) in ``group`` under a map f that sends inverses to
-        inverses: the same pairing, each name passed through ``rename``, and
-        the images equal to the identity flagged."""
-        elements = tuple(map(f, self.elements))
-        ident = group.identity()
+        """The images f(s) under a map f that sends inverses to inverses:
+        the same pairing, and each name passed through ``rename``."""
         names = self.names if rename is None else tuple(map(rename, self.names))
-        return SymmetricGenSet(elements, self.pairing, names,
-                               frozenset(i for i, g in enumerate(elements) if g == ident))
+        return SymmetricGenSet(tuple(map(f, self.elements)), self.pairing, names)
 
     def __add__(self, other: SymmetricGenSet) -> SymmetricGenSet:
         """This set's generators followed by ``other``'s."""
         n = len(self.elements)
         return SymmetricGenSet(self.elements + other.elements,
                                self.pairing + tuple(n + j for j in other.pairing),
-                               self.names + other.names,
-                               self.identity_indices | {n + i for i in other.identity_indices})
+                               self.names + other.names)
 
 
 def make_gen_set(group: "Group",
@@ -351,21 +345,17 @@ def make_gen_set(group: "Group",
 
     Items must be members (``check_members``) and are not deduplicated:
     listing both s and s^-1 yields two pairs and therefore doubled edges in
-    orbital graphs (collapsed by simplify).  An identity item is flagged.
+    orbital graphs (collapsed by simplify).  An identity item is legal.
     The inverse of an item named ``+x`` is named ``-x``, and that of any
     other name ``n`` ``n^-1``; without ``names`` both are element labels.
     """
     check_members(group, items)
-    ident = group.identity()
     elements: list[GroupElement] = []
     pairing: list[int] = []
     out_names: list[str] = []
-    identity_idx: set[int] = set()
     for pos, item in enumerate(items):
         inv = group._inv(item)
         name = names[pos] if names is not None else element_label(item)
-        if item == ident:
-            identity_idx.add(len(elements))
         if inv == item:
             pairing.append(len(elements))
             elements.append(item)
@@ -379,8 +369,7 @@ def make_gen_set(group: "Group",
             else:
                 inv_name = "-" + name[1:] if name.startswith("+") else name + "^-1"
             out_names.extend([name, inv_name])
-    return SymmetricGenSet(tuple(elements), tuple(pairing), tuple(out_names),
-                           frozenset(identity_idx))
+    return SymmetricGenSet(tuple(elements), tuple(pairing), tuple(out_names))
 
 
 def verify_gen_set(group: "Group", gens: SymmetricGenSet) -> None:
@@ -541,7 +530,7 @@ class Cyclic(Group):
         return a.value
 
     def standard_gens(self):
-        # in C(1) the only "generator" is the identity, kept flagged
+        # in C(1) the only "generator" is the identity, kept as a loop
         return make_gen_set(self, [CyclicInt(self.modulus, 1 % self.modulus)],
                             names=["+1"])
 

@@ -181,10 +181,10 @@ def standard_wreath_gens(w: WreathGroup) -> SymmetricGenSet:
 
     def at(rep: Point) -> SymmetricGenSet:
         label = point_label(rep)
-        return base_gens.image(w, partial(w.delta, rep), lambda n: f"d({label}:{n})")
+        return base_gens.image(partial(w.delta, rep), lambda n: f"d({label}:{n})")
 
     return reduce(operator.add, [*map(at, w.orbit_reps),
-                                 top_gens.image(w, w.top_element, "h({})".format)])
+                                 top_gens.image(w.top_element, "h({})".format)])
 
 
 def _imprimitive(w: WreathGroup, orbit_rep: Point, leaf: PointedAction,

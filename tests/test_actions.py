@@ -7,7 +7,6 @@ import pytest
 
 from endslab.actions import (
     ActionError,
-    CosetPoint,
     CyclicDivisorQuotient,
     DiagonalLatticeQuotient,
     GeneratedSubgroup,
@@ -35,6 +34,7 @@ from endslab.groups import (
     FreeAbelian,
     FreeGroup,
     FreeWord,
+    GroupError,
     IntVector,
     InvalidParameterError,
     ModVector,
@@ -107,7 +107,7 @@ def test_trivial_subgroup_matches_translation():
         ball_c = build_ball(coset_action(group, TrivialSubgroup()), gens, 3)
         assert len(ball_t) == len(ball_c)
         assert ball_t.dist == ball_c.dist
-        assert tuple(p.rep for p in ball_c.points) == ball_t.points
+        assert ball_c.points == ball_t.points
 
 
 def test_sym3_coset_action_against_enumeration():
@@ -302,7 +302,7 @@ def test_public_act_rejects_foreign_operands():
     with pytest.raises(FamilyMismatchError):
         coset.act(Perm((1, 0)), coset.basepoint)
     with pytest.raises(ActionError):
-        coset.act(Perm((1, 0, 2)), CosetPoint(Perm((1, 0)), coset.basepoint.space_key))
+        coset.act(Perm((1, 0, 2)), Perm((1, 0)))
     with pytest.raises(ActionError):
         coset.act(Perm((1, 0, 2)), Perm((1, 0, 2)))
 
@@ -379,26 +379,32 @@ def test_min_product_matches_checked_min(group):
     for _ in range(4):
         gens = rng.sample(elements, min(len(elements), rng.randrange(3)))
         action = coset_action(group, GeneratedSubgroup(tuple(gens)))
-        members = action.basepoint.space_key[2]
+        members = _mulclose(group, gens)
         min_product = group._min_product(members)
         for g in rng.sample(elements, min(len(elements), 40)):
             want = min((group.multiply(g, h) for h in members), key=group.sort_key)
             assert min_product(g) == want
-            assert action.act(g, action.basepoint).rep == want
+            assert action.act(g, action.basepoint) == want
 
 
 
 # One raiser per kind of bad operand: every entry point refuses a foreign
-# element with FamilyMismatchError, a non-point with ActionError, a bad
-# family parameter with InvalidParameterError and a bad ball radius or
-# wreath with no orbit representative with its module's error, each in
-# one wording.
+# element with FamilyMismatchError, a non-point (a coset's non-canonical
+# representative too) with ActionError, a bad family parameter or element
+# value with InvalidParameterError, a broken generating set with
+# GroupError, and a bad ball radius or wreath with no orbit representative
+# with its module's error, each in one wording.
 _C4, _ONE = Cyclic(4), CyclicInt(4, 1)
 _C4_ACTION = translation_action(_C4)
 _LAMP, _ = lamplighter(2)
 _X = _LAMP.top_action
 _FOREIGN = Perm((1, 0))
 _NON_POINT = CyclicInt(2, 1)
+# 5 + 3Z is a coset of Z/3Z, whose canonical representative is 2
+_Z_MOD_3 = coset_action(FreeAbelian(1), Sublattice(((3,),)))
+_FIVE = IntVector((5,))
+_W_MOD_3 = WreathGroup(Cyclic(2), _Z_MOD_3, (IntVector((0,)),))
+_NOT_CANONICAL = (ActionError, "IntVector(coords=(5,)) is not a point of Z on cosets")
 
 
 def _foreign(group):
@@ -428,6 +434,12 @@ BAD_OPERANDS = {
     "delta point": (lambda: _LAMP.delta(_NON_POINT, CyclicInt(2, 1)), *_non_point(_X)),
     "wreath rep": (lambda: WreathGroup(_LAMP.base, _X, (_NON_POINT,)), *_non_point(_X)),
     "act point": (lambda: _C4_ACTION.act(_ONE, _NON_POINT), *_non_point(_C4_ACTION)),
+    "coset ball basepoint": (lambda: build_ball(replace(_Z_MOD_3, basepoint=_FIVE),
+                                                FreeAbelian(1).standard_gens(), 1),
+                             *_NOT_CANONICAL),
+    "coset wreath rep": (lambda: WreathGroup(Cyclic(2), _Z_MOD_3, (_FIVE,)), *_NOT_CANONICAL),
+    "coset delta point": (lambda: _W_MOD_3.delta(_FIVE, CyclicInt(2, 1)), *_NOT_CANONICAL),
+    "coset act point": (lambda: _Z_MOD_3.act(IntVector((1,)), _FIVE), *_NOT_CANONICAL),
     "ball radius": (lambda: build_ball(_C4_ACTION, _C4.standard_gens(), -1), BallError,
                     "radius must be >= 0, got -1"),
     "no wreath rep": (lambda: WreathGroup(Cyclic(2), translation_action(FreeAbelian(1)), ()),
@@ -442,6 +454,16 @@ BAD_OPERANDS = {
     "T(2,0)": (lambda: Torus((2, 0)), InvalidParameterError,
                "torus modulus must be >= 1, got 0"),
     "T()": (lambda: Torus(()), InvalidParameterError, "torus needs at least one factor"),
+    "word letter": (lambda: FreeWord(2, (3,)), InvalidParameterError,
+                    "letter 3 out of range for rank 2"),
+    "torus length": (lambda: ModVector((2, 3), (1,)), InvalidParameterError,
+                     "moduli/coords length mismatch"),
+    "torus coordinate": (lambda: ModVector((2,), (2,)), InvalidParameterError,
+                         "coordinate 2 not in [0, 2)"),
+    "gen set lengths": (lambda: SymmetricGenSet((_ONE,), (0,), ()), GroupError,
+                        "generator list, pairing and names must have equal length"),
+    "gen set pairing": (lambda: SymmetricGenSet((_ONE, _ONE), (0, 0), ("a", "b")), GroupError,
+                        "pairing (0, 0) is not a permutation"),
 }
 
 

@@ -97,9 +97,25 @@ def test_parse_error_positions_and_expectations():
         parse_spec("F(2) with gens {a1}")
     assert err.value.col == 17
 
+    for text, col, expected in (
+            ("wreath(Q(2), Z, regular)", 8, "'Z', 'C', 'F', 'Sym', 'wreath'"),
+            ("wreath(C(2), Z, foo)", 17, "'translation', 'regular', 'rule', 'coset'"),
+            ("Z / x", 5, "an integer, 'trivial', '[', '{'"),
+            ("Z with gens {,}", 14, "an integer, a vector '[', a word, a cycle '('"),
+            ("Z with gens x", 13, "'standard', '{'")):
+        with pytest.raises(ParseError) as err:
+            parse_spec(text)
+        assert (err.value.line, err.value.col) == (1, col)
+        assert f"(expected one of: {expected})" in str(err.value)
+
     with pytest.raises(LexicalError) as err:
         parse_spec("Z @ 4")
     assert err.value.col == 3
+
+    # a newline starts the next line at column 1
+    with pytest.raises(LexicalError) as err:
+        parse_spec("Z^2\n\n  / [1, 2, @]")
+    assert (err.value.line, err.value.col) == (3, 12)
 
     # a number is what int() reads: a superscript digit is no digit, and an
     # Arabic-Indic one is

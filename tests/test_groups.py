@@ -6,7 +6,7 @@ from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 
-from endslab.actions import CosetPoint, IntModQuotient, PairPoint, TrivialSubgroup
+from endslab.actions import IntModQuotient, PairPoint, TrivialSubgroup
 from endslab.balls import build_ball
 from endslab.dsl import elaborate, parse_spec
 from endslab.ends import quotient_schreier_pair
@@ -132,7 +132,6 @@ def test_free_rank_stays_within_the_alphabet():
 def test_degenerate_groups_are_legal():
     assert Cyclic(1).order() == 1
     assert len(Cyclic(1).standard_gens()) == 1
-    assert Cyclic(1).standard_gens().identity_indices == frozenset({0})
     assert SymmetricGroup(1).order() == 1
     assert len(SymmetricGroup(1).standard_gens()) == 0
 
@@ -161,46 +160,45 @@ def _wreath(head, *support):
     return WreathElement(frozenset(support), head)
 
 
-# generating set, then its elements, pairing, names and identity indices
+# generating set, then its elements, pairing and names
 PINNED_GEN_SETS = [
     ("C(1)", lambda: Cyclic(1).standard_gens(),
-     (CyclicInt(1, 0),), (0,), ("+1",), {0}),
+     (CyclicInt(1, 0),), (0,), ("+1",)),
     ("C(2)", lambda: Cyclic(2).standard_gens(),
-     (CyclicInt(2, 1),), (0,), ("+1",), set()),
+     (CyclicInt(2, 1),), (0,), ("+1",)),
     ("C(5)", lambda: Cyclic(5).standard_gens(),
-     (CyclicInt(5, 1), CyclicInt(5, 4)), (1, 0), ("+1", "-1"), set()),
+     (CyclicInt(5, 1), CyclicInt(5, 4)), (1, 0), ("+1", "-1")),
     ("Z^2", lambda: FreeAbelian(2).standard_gens(),
      (IntVector((1, 0)), IntVector((-1, 0)), IntVector((0, 1)), IntVector((0, -1))),
-     (1, 0, 3, 2), ("+e1", "-e1", "+e2", "-e2"), set()),
-    ("Sym(1)", lambda: SymmetricGroup(1).standard_gens(), (), (), (), set()),
+     (1, 0, 3, 2), ("+e1", "-e1", "+e2", "-e2")),
+    ("Sym(1)", lambda: SymmetricGroup(1).standard_gens(), (), (), ()),
     ("Sym(4)", lambda: SymmetricGroup(4).standard_gens(),
      (Perm((1, 0, 2, 3)), Perm((0, 2, 1, 3)), Perm((0, 1, 3, 2))),
-     (0, 1, 2), ("(0 1)", "(1 2)", "(2 3)"), set()),
+     (0, 1, 2), ("(0 1)", "(1 2)", "(2 3)")),
     ("T(1,4)", lambda: Torus((1, 4)).standard_gens(),
      (ModVector((1, 4), (0, 0)), ModVector((1, 4), (0, 1)), ModVector((1, 4), (0, 3))),
-     (0, 2, 1), ("+e1", "+e2", "-e2"), {0}),
+     (0, 2, 1), ("+e1", "+e2", "-e2")),
     ("lamplighter(2)", lambda: lamplighter(2)[1],
      (_wreath(IntVector((0,)), (IntVector((0,)), CyclicInt(2, 1))),
       _wreath(IntVector((1,))), _wreath(IntVector((-1,)))),
-     (0, 2, 1), ("d(0:+1)", "h(+1)", "h(-1)"), set()),
-    # both flags come from the images: delta of the identity and the top identity
+     (0, 2, 1), ("d(0:+1)", "h(+1)", "h(-1)")),
+    # both images are identities: delta of the identity and the top identity
     ("wreath(C(1), C(1), regular)",
      lambda: elaborate(parse_spec("wreath(C(1), C(1), regular)"))[1],
      (_wreath(CyclicInt(1, 0)), _wreath(CyclicInt(1, 0))),
-     (0, 1), ("d(0:+1)", "h(+1)"), {0, 1}),
+     (0, 1), ("d(0:+1)", "h(+1)")),
     ("Z -> C(2)", lambda: _quotient_gens(2),
-     (CyclicInt(2, 1), CyclicInt(2, 1)), (1, 0), ("+1", "-1"), set()),
+     (CyclicInt(2, 1), CyclicInt(2, 1)), (1, 0), ("+1", "-1")),
     ("Z -> C(1)", lambda: _quotient_gens(1),
-     (CyclicInt(1, 0), CyclicInt(1, 0)), (1, 0), ("+1", "-1"), {0, 1}),
+     (CyclicInt(1, 0), CyclicInt(1, 0)), (1, 0), ("+1", "-1")),
 ]
 
 
-@pytest.mark.parametrize("make, elements, pairing, names, identity", [
+@pytest.mark.parametrize("make, elements, pairing, names", [
     case[1:] for case in PINNED_GEN_SETS], ids=[case[0] for case in PINNED_GEN_SETS])
-def test_generating_sets_are_pinned(make, elements, pairing, names, identity):
+def test_generating_sets_are_pinned(make, elements, pairing, names):
     gens = make()
-    assert (gens.elements, gens.pairing, gens.names, gens.identity_indices) == \
-        (elements, pairing, names, frozenset(identity))
+    assert (gens.elements, gens.pairing, gens.names) == (elements, pairing, names)
 
 
 def test_gen_set_invariants_for_every_family():
@@ -224,9 +222,9 @@ def test_gen_set_rejects_broken_pairing():
 
 
 def test_identity_generator_needs_flag():
-    # an identity item is always legal, and it is flagged
+    # an identity item is always legal: one self-paired loop
     gens = make_gen_set(Cyclic(4), [CyclicInt(4, 0)])
-    assert gens.identity_indices == frozenset({0})
+    assert (gens.elements, gens.pairing) == ((CyclicInt(4, 0),), (0,))
 
 
 def test_duplicate_items_keep_separate_pairs():
@@ -365,8 +363,7 @@ def test_replace_on_a_word_raises_and_never_returns_a_word():
 
 
 FROZEN_VALUES = [FreeWord(2, (1, -2)), IntVector((1, -1)), CyclicInt(3, 1), Perm((1, 0)),
-                 ModVector((2, 3), (1, 2)), CosetPoint(CyclicInt(3, 1), "key"),
-                 PairPoint(CyclicInt(3, 1), IntVector((2,))),
+                 ModVector((2, 3), (1, 2)), PairPoint(CyclicInt(3, 1), IntVector((2,))),
                  WreathElement(frozenset([(IntVector((1,)), CyclicInt(2, 1))]),
                                IntVector((0,)))]
 

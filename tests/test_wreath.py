@@ -7,6 +7,7 @@ from endslab.actions import (
     ActionError,
     PairPoint,
     PointedAction,
+    coset_action,
     translation_action,
 )
 from endslab.balls import build_ball, pointed_labeled_isomorphic
@@ -260,6 +261,11 @@ def test_delta_and_orbit_reps_must_be_points_of_x():
             WreathGroup(w.base, w.top_action, (bad,))
     d = w.delta(IntVector((3,)), CyclicInt(2, 1))
     assert w.contains(d)
+    # a point of Z/3Z is its canonical representative, so t = 3 fixes 2
+    z_mod_3 = coset_action(FreeAbelian(1), Sublattice(((3,),)))
+    w3 = WreathGroup(Cyclic(2), z_mod_3, (IntVector((0,)),))
+    t, d2 = w3.top_element(IntVector((3,))), w3.delta(IntVector((2,)), CyclicInt(2, 1))
+    assert w3.multiply(w3.multiply(t, d2), w3.inverse(t)) == d2
 
 
 def test_imprimitive_bad_rep_rejected():
@@ -280,19 +286,14 @@ def test_imprimitive_coset_action_examples():
     # trivial K coincides pointwise with the plain imprimitive action
     triv = imprimitive_coset_action(w, TrivialSubgroup(), ta.basepoint)
     plain = imprimitive_action(w, ta.basepoint)
-    space_key = triv.basepoint.leaf.space_key
     rng = random.Random(3)
     els = list(gens.elements)
     sample = [plain.basepoint]
     for _ in range(20):
         sample.append(plain.act(rng.choice(els), rng.choice(sample)))
-    from endslab.actions import CosetPoint
     for g in els:
         for p in sample:
-            lifted = PairPoint(CosetPoint(p.leaf, space_key), p.pos)
-            got = triv.act(g, lifted)
-            want = plain.act(g, p)
-            assert got.leaf.rep == want.leaf and got.pos == want.pos
+            assert triv.act(g, p) == plain.act(g, p)
 
     # K = full group: the leaf direction collapses to the orbit X'
     full = imprimitive_coset_action(w, Sublattice(((1,),)), ta.basepoint)
@@ -356,7 +357,7 @@ def _perm_image(w, gens):
     index = {p: i for i, p in enumerate(points)}
     step = imprimitive_action(w, w.orbit_reps[0]).step
     sym = SymmetricGroup(len(points))
-    return sym, gens.image(sym, lambda a: Perm(tuple(index[step(a, p)] for p in points)))
+    return sym, gens.image(lambda a: Perm(tuple(index[step(a, p)] for p in points)))
 
 
 @pytest.mark.parametrize("text,radius,size,image_size", [
