@@ -52,7 +52,6 @@ from .wreath import (
     imprimitive_action,
     imprimitive_coset_action,
     lamplighter,
-    standard_wreath_gens,
 )
 from .balls import (
     ArityMismatchError,

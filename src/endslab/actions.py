@@ -18,7 +18,7 @@ coset laws, quotient specs their image, kernel and lift.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, ClassVar, Iterable
+from typing import Any, Callable, ClassVar, Iterable, Sequence
 
 from .groups import (
     LABELS,
@@ -171,17 +171,17 @@ SUPPORTED_SUBGROUPS = (
 )
 
 
-def hermite_normal_form(basis: Iterable[tuple[int, ...]], width: int) -> tuple[tuple[int, ...], ...]:
+def hermite_normal_form(basis: Sequence[tuple[int, ...]], width: int) -> tuple[tuple[int, ...], ...]:
     """Row-style Hermite normal form of an integer lattice basis.
 
     Returns echelon rows with positive pivots; entries above each pivot
     are reduced into [0, pivot).  The rows span the same lattice.
     """
-    rows = [list(r) for r in basis if any(r)]
-    for r in rows:
+    for r in basis:
         if len(r) != width:
             raise UnsupportedSubgroupError(
                 f"basis vector {tuple(r)} has length {len(r)}, expected {width}")
+    rows = [list(r) for r in basis if any(r)]
     done: list[list[int]] = []
     col = 0
     while rows and col < width:

@@ -24,8 +24,6 @@ from .actions import (
     IntModQuotient,
     PairPoint,
     TrivialSubgroup,
-    UnknownRuleActionError,
-    UnsupportedSubgroupError,
     point_label,
     translation_action,
 )
@@ -138,7 +136,7 @@ def cmd_ends(args) -> int:
     action, gens = elaborate(parse_spec(args.spec))
     # a list too large for memory fails at once; the profile's set() of a range would grow
     profile = ends_profile(action, gens, list(args.k), args.K, args.budget)
-    print(profile.to_json())
+    print(json.dumps(profile.to_json_dict(), indent=2))
     return 0
 
 
@@ -341,14 +339,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # exit code for each error a command reports as one line: 2 for usage and
-# parse errors (a spec the action layer rejects included), 1 for a
-# computation that cannot finish.  The first isinstance match wins, so
-# subclasses come before ActionError.
+# spec errors (elaboration reports every library refusal of a spec as an
+# ElaborationError, a SpecError), 1 for a computation that cannot finish.
+# The first isinstance match wins, so subclasses come before ActionError.
 EXIT_CODES = {
     UsageError: 2,
     SpecError: 2,
-    UnknownRuleActionError: 2,
-    UnsupportedSubgroupError: 2,
     BallOverflowError: 1,
     ActionError: 1,
     GroupError: 1,

@@ -27,9 +27,11 @@ generated by that residue for C(m).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Optional, Union
 
 from .actions import (
+    ActionError,
     GeneratedSubgroup,
     PointedAction,
     Sublattice,
@@ -44,17 +46,16 @@ from .groups import (
     CyclicInt,
     FreeAbelian,
     FreeGroup,
-    FreeWord,
     Group,
     GroupElement,
+    GroupError,
     IntVector,
     Perm,
     SymmetricGenSet,
     SymmetricGroup,
     make_gen_set,
-    reduce_letters,
 )
-from .wreath import WreathGroup, imprimitive_action, standard_wreath_gens
+from .wreath import WreathGroup, imprimitive_action
 
 
 class SpecError(Exception):
@@ -508,8 +509,6 @@ def _elaborate_group(g: GroupAst) -> Group:
     if g.kind == "C":
         return Cyclic(g.n)
     if g.kind == "F":
-        if g.n > len(LETTERS):
-            raise ElaborationError(f"free rank above {len(LETTERS)} is not supported")
         return FreeGroup(g.n)
     if g.kind == "Sym":
         return SymmetricGroup(g.n)
@@ -526,16 +525,12 @@ def _subgroup_spec(group: Group, c: CosetAst):
     if c.kind == "trivial":
         return TrivialSubgroup()
     if c.kind == "byint":
-        if isinstance(group, FreeAbelian) and group.rank == 1:
-            return Sublattice(((c.n,),))
+        # the subgroup that the integer item n generates
+        g = _element_from_item(group, IntItem(c.n))
         if isinstance(group, Cyclic):
-            return GeneratedSubgroup((CyclicInt(group.modulus, c.n % group.modulus),))
-        raise ElaborationError(
-            f"integer coset spec means nZ for Z or a residue subgroup for C(m); "
-            f"not available for {group}")
+            return GeneratedSubgroup((g,))
+        return Sublattice((g.coords,))
     if c.kind == "lattice":
-        if not isinstance(group, FreeAbelian):
-            raise ElaborationError(f"lattice coset spec needs Z^k, not {group}")
         return Sublattice(c.basis)
     if c.kind == "generated":
         return GeneratedSubgroup(tuple(_element_from_item(group, i) for i in c.gens))
@@ -567,8 +562,8 @@ def _element_from_item(group: Group, item: GenItem) -> GroupElement:
                 raise ElaborationError(
                     f"letter {ch!r} outside the rank-{group.rank} alphabet "
                     f"{LETTERS[:group.rank]!r}")
-            letters.append(idx + 1 if ch.islower() else -(idx + 1))
-        return FreeWord(group.rank, reduce_letters(letters))
+            letters.append(group.letter(idx, 1 if ch.islower() else -1))
+        return reduce(group._mul, letters)
     if isinstance(item, PermItem):
         if not isinstance(group, SymmetricGroup):
             raise ElaborationError(f"cycle generator needs Sym(n), not {group}")
@@ -612,20 +607,17 @@ def _elaborate_action(group: Group, a: ActionAst) -> PointedAction:
 
 def elaborate(ast: SpecAst) -> tuple[PointedAction, SymmetricGenSet]:
     """Construct the action and generating set described by an AST; a bare
-    rule source passes no group, since the rule names its own."""
-    group = None if ast.action.kind == "rule" else _elaborate_group(ast.group)
-    action = _elaborate_action(group, ast.action)
-    group = action.group
-    if isinstance(group, WreathGroup):
-        if ast.gens.kind != "standard":
-            raise ElaborationError(
-                "explicit generators for wreath products are not supported; "
-                "the standard wreath generators are used")
-        gens = standard_wreath_gens(group)
-    elif ast.gens.kind == "standard":
-        gens = group.standard_gens()
-    else:
+    rule source passes no group, since the rule names its own.  A library
+    refusal (``GroupError``, ``ActionError``) is raised again as an
+    ``ElaborationError`` with the same text and the library error as cause."""
+    try:
+        group = None if ast.action.kind == "rule" else _elaborate_group(ast.group)
+        action = _elaborate_action(group, ast.action)
+        group = action.group
+        if ast.gens.kind == "standard":
+            return action, group.standard_gens()
         items = [_element_from_item(group, i) for i in ast.gens.items]
         names = [_item_text(i) for i in ast.gens.items]
-        gens = make_gen_set(group, items, names=names)
-    return action, gens
+        return action, make_gen_set(group, items, names=names)
+    except (GroupError, ActionError) as exc:
+        raise ElaborationError(str(exc)) from exc

@@ -10,7 +10,6 @@ estimate, never a proof of the exact end count.
 
 from __future__ import annotations
 
-import json
 import math
 from bisect import bisect_left
 from collections import deque
@@ -55,7 +54,7 @@ class Verdict:
         return self.kind if self.bound is None else f"{self.kind}({self.bound})"
 
 
-@dataclass
+@dataclass(frozen=True)
 class EndsProfile:
     """Matrix e(k, K') for K' in k+1..K, one row per requested k."""
 
@@ -86,9 +85,6 @@ class EndsProfile:
             "budget": self.budget,
             "truncated": False,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
 
 
 class _Shell(NamedTuple):
@@ -170,16 +166,22 @@ def _decide_verdict(k_values: Sequence[int], matrix: Sequence[Sequence[int]]) ->
     return at_most
 
 
-def profile_from_ball(ball: GraphBall, k_values: Iterable[int]) -> EndsProfile:
+def _inner_radii(k_values: Iterable[int], outer_radius: int) -> tuple[int, ...]:
+    """The distinct inner radii in ascending order, each in 0..outer_radius-1."""
     ks = tuple(sorted(set(k_values)))
     if not ks:
         raise EndsError("at least one inner radius k is required")
     if ks[0] < 0:
         raise EndsError(f"inner radii must be >= 0, got {ks[0]}")
-    if ks[-1] >= ball.radius:
+    if ks[-1] >= outer_radius:
         raise EndsError(
             f"max inner radius {ks[-1]} must be smaller than the outer radius "
-            f"{ball.radius}")
+            f"{outer_radius}")
+    return ks
+
+
+def profile_from_ball(ball: GraphBall, k_values: Iterable[int]) -> EndsProfile:
+    ks = _inner_radii(k_values, ball.radius)
     # One outward sweep.  Every edge joins equal or adjacent spheres, so the
     # partition of S_{r+1} for k follows from that of S_r and S_{r+1}'s
     # shell alone; k whose partitions coincide share every later entry, and
@@ -217,9 +219,9 @@ def profile_from_ball(ball: GraphBall, k_values: Iterable[int]) -> EndsProfile:
 def ends_profile(action: PointedAction, gens: SymmetricGenSet,
                  k_values: Iterable[int], outer_radius: int,
                  max_vertices: int = DEFAULT_VERTEX_BUDGET) -> EndsProfile:
-    """Build the radius-K ball and compute the full e(k, K') matrix."""
-    return profile_from_ball(build_ball(action, gens, outer_radius, max_vertices),
-                             k_values)
+    """Check the inner radii, then build the radius-K ball and compute e(k, K')."""
+    ks = _inner_radii(k_values, outer_radius)
+    return profile_from_ball(build_ball(action, gens, outer_radius, max_vertices), ks)
 
 
 # ---------------------------------------------------------------------------

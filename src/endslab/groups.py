@@ -190,17 +190,6 @@ class ModVector:
 GroupElement = Any
 
 
-def reduce_letters(letters: Sequence[int]) -> tuple[int, ...]:
-    """Freely reduce a letter sequence (cancel adjacent l, -l pairs)."""
-    out: list[int] = []
-    for l in letters:
-        if out and out[-1] == -l:
-            out.pop()
-        else:
-            out.append(l)
-    return tuple(out)
-
-
 def trusted_constructor(cls) -> Callable[..., Any]:
     """The trusted constructor of a slotted value class with one or two
     fields, for values a law computes from members: such a value is a

@@ -85,11 +85,11 @@ class WreathGroup(Group):
     discovery on an infinite X is only semi-decidable, so the check is an
     upper bound, not a proof).
 
-    ``contains`` checks the head, each support value and each support
-    point with the top action's ``is_point``; the inherited
-    ``multiply``/``inverse`` check with it once per operand.  A non-point
-    rep or ``delta`` point is an ``ActionError``, and a non-member ``delta``
-    value or ``top_element`` a ``FamilyMismatchError``.
+    ``contains`` checks the head, each support value, each support point
+    with the top action's ``is_point``, and that no point appears twice;
+    the inherited ``multiply``/``inverse`` check with it once per operand.
+    A non-point rep or ``delta`` point is an ``ActionError``, and a
+    non-member ``delta`` value or ``top_element`` a ``FamilyMismatchError``.
     """
 
     def __init__(self, base: Group, top_action: PointedAction,
@@ -137,8 +137,9 @@ class WreathGroup(Group):
             return False
         base, ident = self.base, self._base_identity
         is_point = self.top_action.is_point
-        return all(base.contains(v) and v != ident and is_point(p)
-                   for p, v in a.support)
+        # a support holds one value per point
+        return len(dict(a.support)) == len(a.support) and all(
+            base.contains(v) and v != ident and is_point(p) for p, v in a.support)
 
     def _mul(self, a: WreathElement, b: WreathElement) -> WreathElement:
         # (f, h)(f', h') = (f * (h.f'), h h') with (h.f')(x) = f'(h^-1 x):
@@ -170,21 +171,20 @@ class WreathGroup(Group):
         inv = self.base._inv
         return _raw_wreath(frozenset((step(h_inv, p), inv(v)) for p, v in a.support), h_inv)
 
+    def standard_gens(self) -> SymmetricGenSet:
+        """The image of the standard base generators under delta(rep, .) for
+        each orbit rep, followed by the image of the standard top generators."""
+        base_gens, top_gens = self.base.standard_gens(), self.top.standard_gens()
+
+        def at(rep: Point) -> SymmetricGenSet:
+            label = point_label(rep)
+            return base_gens.image(partial(self.delta, rep), lambda n: f"d({label}:{n})")
+
+        return reduce(operator.add, [*map(at, self.orbit_reps),
+                                     top_gens.image(self.top_element, "h({})".format)])
+
     def __str__(self):
         return f"{self.base} wr {self.top}"
-
-
-def standard_wreath_gens(w: WreathGroup) -> SymmetricGenSet:
-    """The image of the standard base generators under delta(rep, .) for
-    each orbit rep, followed by the image of the standard top generators."""
-    base_gens, top_gens = w.base.standard_gens(), w.top.standard_gens()
-
-    def at(rep: Point) -> SymmetricGenSet:
-        label = point_label(rep)
-        return base_gens.image(partial(w.delta, rep), lambda n: f"d({label}:{n})")
-
-    return reduce(operator.add, [*map(at, w.orbit_reps),
-                                 top_gens.image(w.top_element, "h({})".format)])
 
 
 def _imprimitive(w: WreathGroup, orbit_rep: Point, leaf: PointedAction,
@@ -246,4 +246,4 @@ def lamplighter(n: int) -> tuple[WreathGroup, SymmetricGenSet]:
         raise WreathError(f"lamplighter base order must be >= 2, got {n}")
     top_action = translation_action(FreeAbelian(1))
     w = WreathGroup(Cyclic(n), top_action, (top_action.basepoint,))
-    return w, standard_wreath_gens(w)
+    return w, w.standard_gens()

@@ -44,7 +44,6 @@ from endslab.wreath import (
     head_projection_action,
     imprimitive_action,
     lamplighter,
-    standard_wreath_gens,
 )
 
 from oracles import components, f2_word_adjacency, f2_words_up_to
@@ -169,7 +168,7 @@ def test_criterion_08_finite_wreath_enumeration():
         base, top = Cyclic(n), Cyclic(2)
         ta = translation_action(top)
         w = WreathGroup(base, ta, (ta.basepoint,))
-        gens = standard_wreath_gens(w)
+        gens = w.standard_gens()
         totals[n] = len(build_ball(translation_action(w), gens, 1000, 1000))
         assert totals[n] == expected
     report(8, f"BFS enumeration: C(2) wr C(2) -> {totals[2]}, "
@@ -181,7 +180,7 @@ def test_criterion_09_leaf_disconnection():
     base, top = Cyclic(3), Cyclic(2)
     ta = translation_action(top)
     w = WreathGroup(base, ta, (ta.basepoint,))
-    gens = standard_wreath_gens(w)
+    gens = w.standard_gens()
     ball = build_ball(imprimitive_action(w, ta.basepoint), gens, 8)
     x0 = ta.basepoint
     leaves = {p.leaf for p in ball.points}

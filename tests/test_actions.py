@@ -45,7 +45,13 @@ from endslab.groups import (
     make_gen_set,
     perm_parity,
 )
-from endslab.wreath import WreathError, WreathGroup, imprimitive_action, lamplighter
+from endslab.wreath import (
+    WreathElement,
+    WreathError,
+    WreathGroup,
+    imprimitive_action,
+    lamplighter,
+)
 
 from oracles import (
     check_action_axioms,
@@ -389,11 +395,13 @@ def test_min_product_matches_checked_min(group):
 
 
 # One raiser per kind of bad operand: every entry point refuses a foreign
-# element with FamilyMismatchError, a non-point (a coset's non-canonical
-# representative too) with ActionError, a bad family parameter or element
-# value with InvalidParameterError, a broken generating set with
-# GroupError, and a bad ball radius or wreath with no orbit representative
-# with its module's error, each in one wording.
+# element (a wreath support with two values at one point too) with
+# FamilyMismatchError, a non-point (a coset's non-canonical representative
+# too) with ActionError, a bad family parameter or element value with
+# InvalidParameterError, a broken generating set with GroupError, a lattice
+# basis vector of the wrong length, even a zero one, with
+# UnsupportedSubgroupError, and a bad ball radius or wreath with no orbit
+# representative with its module's error, each in one wording.
 _C4, _ONE = Cyclic(4), CyclicInt(4, 1)
 _C4_ACTION = translation_action(_C4)
 _LAMP, _ = lamplighter(2)
@@ -405,6 +413,10 @@ _Z_MOD_3 = coset_action(FreeAbelian(1), Sublattice(((3,),)))
 _FIVE = IntVector((5,))
 _W_MOD_3 = WreathGroup(Cyclic(2), _Z_MOD_3, (IntVector((0,)),))
 _NOT_CANONICAL = (ActionError, "IntVector(coords=(5,)) is not a point of Z on cosets")
+_LAMP3, _ = lamplighter(3)
+_ZERO = IntVector((0,))
+_TWO_VALUED = WreathElement(frozenset({(_ZERO, CyclicInt(3, 1)), (_ZERO, CyclicInt(3, 2))}),
+                            _ZERO)
 
 
 def _foreign(group):
@@ -434,6 +446,12 @@ BAD_OPERANDS = {
     "delta point": (lambda: _LAMP.delta(_NON_POINT, CyclicInt(2, 1)), *_non_point(_X)),
     "wreath rep": (lambda: WreathGroup(_LAMP.base, _X, (_NON_POINT,)), *_non_point(_X)),
     "act point": (lambda: _C4_ACTION.act(_ONE, _NON_POINT), *_non_point(_C4_ACTION)),
+    "two-valued support": (lambda: _LAMP3.multiply(_TWO_VALUED, _LAMP3.identity()),
+                           FamilyMismatchError,
+                           f"{_TWO_VALUED!r} is not an element of C(3) wr Z"),
+    "zero basis vector length": (
+        lambda: coset_action(FreeAbelian(2), Sublattice(((0, 0, 0),))),
+        UnsupportedSubgroupError, "basis vector (0, 0, 0) has length 3, expected 2"),
     "coset ball basepoint": (lambda: build_ball(replace(_Z_MOD_3, basepoint=_FIVE),
                                                 FreeAbelian(1).standard_gens(), 1),
                              *_NOT_CANONICAL),

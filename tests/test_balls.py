@@ -54,7 +54,6 @@ from endslab.wreath import (
     imprimitive_action,
     imprimitive_coset_action,
     lamplighter,
-    standard_wreath_gens,
 )
 
 from oracles import (
@@ -337,7 +336,7 @@ def stepping_balls():
     w, wgens = lamplighter(2)
     top = w.top_action
     sym3_wreath = WreathGroup(SymmetricGroup(3), top, (top.basepoint,))
-    sym3_gens = standard_wreath_gens(sym3_wreath)
+    sym3_gens = sym3_wreath.standard_gens()
     swap = GeneratedSubgroup((Perm((1, 0, 2)),))
     return [
         spec_ball("Sym(8) / {(0 1 2 3 4 5 6 7)}", 5),
@@ -547,7 +546,7 @@ def regular_wreath_ball(n=3, m=2, radius=8):
     base, top = Cyclic(n), Cyclic(m)
     ta = translation_action(top)
     w = WreathGroup(base, ta, (ta.basepoint,))
-    gens = standard_wreath_gens(w)
+    gens = w.standard_gens()
     action = imprimitive_action(w, ta.basepoint)
     return w, gens, build_ball(action, gens, radius)
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import endslab
+from endslab.actions import SUPPORTED_SUBGROUPS
 from endslab.cli import cli_main, parse_k_values
 
 
@@ -175,6 +176,19 @@ ERROR_CASES = [
     (["ends", "--spec", "C(3)", "--k", "0..1000000000000000",
       "--K", "1000000000000001"], {}, 1),
 ]
+# the one stderr line of spec errors that the library, not the spec
+# language, refuses; each is also an exit-2 row of ERROR_CASES
+SPEC_ERROR_LINES = {
+    "F(27)": "free group rank must lie in 1..26, got 27",
+    "C(3) / [1]": f"Sublattice requires a free abelian group; supported cases: "
+                  f"{SUPPORTED_SUBGROUPS}",
+    "Z^2 / 3": "integer generator 3 needs Z or C(m), not Z^2",
+    "wreath(C(2), Z, translation) with gens {1}":
+        "integer generator 1 needs Z or C(m), not C(2) wr Z",
+    "Z^2 / [0, 0, 0]": "basis vector (0, 0, 0) has length 3, expected 2",
+    "Z^2 / [[1, 0], [0, 0, 0]]": "basis vector (0, 0, 0) has length 3, expected 2",
+}
+ERROR_CASES += [(["ball", "--spec", spec, "--radius", "2"], {}, 2) for spec in SPEC_ERROR_LINES]
 
 
 def _case_id(argv, env):
@@ -193,6 +207,11 @@ def test_error_exit_codes(capsys, monkeypatch, argv, env, expected):
     assert "Traceback" not in err
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("endslab: ")
+
+
+@pytest.mark.parametrize("spec, line", SPEC_ERROR_LINES.items(), ids=list(SPEC_ERROR_LINES))
+def test_spec_error_lines(capsys, spec, line):
+    assert run(capsys, "ball", "--spec", spec, "--radius", "2") == (2, "", f"endslab: {line}\n")
 
 
 def module_env():
@@ -287,3 +306,14 @@ def test_spec_mix_catalog_matches_reference_digests(monkeypatch):
     mismatched = [key for key, req in requests.items()
                   if checks.digest(req, execute.execute(req, {}, {})) != reference[key][0]]
     assert mismatched == []
+
+
+def test_bench_patch_points_resolve(monkeypatch):
+    # the traced bench pass looks each patched name up with getattr, so an
+    # import edit in cli.py or ends.py must keep every one of them
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import tracing
+
+    found = tracing.originals()
+    assert len(found) == 12
+    assert all(callable(fn) for fn in found.values())

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from endslab.actions import PairPoint
+from endslab.actions import PairPoint, UnsupportedSubgroupError
 from endslab.dsl import (
     ActionAst,
     ArityError,
@@ -15,13 +15,14 @@ from endslab.dsl import (
     ParseError,
     PermItem,
     SpecAst,
+    SpecError,
     VecItem,
     WordItem,
     elaborate,
     parse_spec,
     print_spec,
 )
-from endslab.groups import FreeAbelian, FreeGroup, IntVector
+from endslab.groups import FreeAbelian, FreeGroup, FreeWord, IntVector
 from endslab.wreath import WreathGroup
 
 
@@ -173,7 +174,7 @@ def test_elaborate_imprimitive_with_representative():
 def test_elaborate_errors():
     with pytest.raises(ElaborationError) as err:
         elaborate(parse_spec("F(2) / 3"))
-    assert "not available" in str(err.value)
+    assert "integer generator 3 needs Z or C(m), not F(2)" in str(err.value)
     with pytest.raises(ElaborationError):
         elaborate(parse_spec("Z with gens {ab}"))
     with pytest.raises(ElaborationError):
@@ -182,7 +183,7 @@ def test_elaborate_errors():
         elaborate(parse_spec("wreath(C(2), Z, translation) with gens {1}"))
     for text, message in (("wreath(C(2), Z, rule(f2_four_ends))", "acts for F\\(2\\), not Z"),
                           ("imprimitive(Z)", "needs a wreath group"),
-                          ("F(27)", "free rank above 26"),
+                          ("F(27)", "free group rank must lie in 1..26, got 27"),
                           ("Sym(3) with gens {(0 1 0)}", "repeats a point")):
         with pytest.raises(ElaborationError, match=message):
             elaborate(parse_spec(text))
@@ -191,10 +192,34 @@ def test_elaborate_errors():
     assert action.group == FreeGroup(2)
 
 
+def test_elaboration_refuses_only_with_spec_errors():
+    # elaborate returns or raises a SpecError: a library refusal included
+    rng = random.Random(2024)
+    for _ in range(2000):
+        ast = random_spec(rng)
+        try:
+            elaborate(ast)
+        except SpecError:
+            pass
+
+
+def test_library_refusal_keeps_its_text_and_cause():
+    with pytest.raises(ElaborationError) as err:
+        elaborate(parse_spec("C(3) / [1]"))
+    assert type(err.value.__cause__) is UnsupportedSubgroupError
+    assert str(err.value) == str(err.value.__cause__)
+
+
 def test_elaborate_word_gens():
     action, gens = elaborate(parse_spec("F(2) with gens {ab, aB}"))
     assert len(gens) == 4
     assert gens.names[0] == "ab"
+
+
+def test_word_item_is_the_product_of_its_letters():
+    for text, letters in (("abBA", ()), ("aAb", (2,)), ("BbbaAB", ()), ("Aba", (-1, 2, 1))):
+        _, gens = elaborate(parse_spec(f"F(2) with gens {{{text}}}"))
+        assert gens.elements[0] == FreeWord(2, letters), text
 
 
 def test_print_examples():

@@ -1,4 +1,5 @@
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -48,7 +49,6 @@ from endslab.wreath import (
     head_projection_action,
     imprimitive_action,
     lamplighter,
-    standard_wreath_gens,
 )
 
 from oracles import (
@@ -172,6 +172,21 @@ def test_profile_preconditions():
         profile_from_ball(ball, [-1])
 
 
+def test_ends_profile_checks_inner_radii_before_it_builds():
+    # a one-vertex budget would overflow on the first step of the build
+    z2 = FreeAbelian(2)
+    with pytest.raises(EndsError) as err:
+        ends_profile(translation_action(z2), z2.standard_gens(), [5], 3, max_vertices=1)
+    assert str(err.value) == "max inner radius 5 must be smaller than the outer radius 3"
+
+
+def test_ends_profile_is_frozen():
+    z = FreeAbelian(1)
+    p = ends_profile(translation_action(z), z.standard_gens(), [1], 3)
+    with pytest.raises(FrozenInstanceError):
+        p.verdict = None
+
+
 def test_profile_reports_the_budget_of_its_ball():
     # a ball built under a small budget must not report the default one
     z = FreeAbelian(1)
@@ -251,7 +266,7 @@ def finite_top_imprimitive_ball():
     base, top = Cyclic(3), Cyclic(2)
     ta = translation_action(top)
     w = WreathGroup(base, ta, (ta.basepoint,))
-    gens = standard_wreath_gens(w)
+    gens = w.standard_gens()
     ball = build_ball(imprimitive_action(w, ta.basepoint), gens, 8)
     return w, gens, ball
 

@@ -29,7 +29,6 @@ from endslab.wreath import (
     imprimitive_action,
     imprimitive_coset_action,
     lamplighter,
-    standard_wreath_gens,
 )
 from endslab.actions import Sublattice, TrivialSubgroup
 
@@ -46,7 +45,7 @@ def regular_wreath(n, m):
     base, top = Cyclic(n), Cyclic(m)
     ta = translation_action(top)
     w = WreathGroup(base, ta, (ta.basepoint,))
-    gens = standard_wreath_gens(w)
+    gens = w.standard_gens()
     return w, gens
 
 
@@ -182,7 +181,7 @@ def test_standard_gens_pass_gen_set_invariants():
 def test_singleton_wreath_is_direct_product():
     base, top = Cyclic(2), Cyclic(3)
     w = WreathGroup(base, trivial_action(top), (0,))
-    gens = standard_wreath_gens(w)
+    gens = w.standard_gens()
     assert len(build_ball(translation_action(w), gens, 100, 100)) == 6  # |C2 x C3|
 
 
@@ -279,7 +278,7 @@ def test_imprimitive_coset_action_examples():
     base, top = FreeAbelian(1), Cyclic(2)
     ta = translation_action(top)
     w = WreathGroup(base, ta, (ta.basepoint,))
-    gens = standard_wreath_gens(w)
+    gens = w.standard_gens()
     action = imprimitive_coset_action(w, Sublattice(((3,),)), ta.basepoint)
     assert len(build_ball(action, gens, 100, 100)) == 6
 
