@@ -35,7 +35,6 @@ from .actions import (
     PairPoint,
     PointedAction,
     SignQuotient,
-    Sublattice,
     TrivialSubgroup,
     UnknownRuleActionError,
     UnsupportedSubgroupError,

@@ -139,35 +139,27 @@ class TrivialSubgroup:
 
 
 @dataclass(frozen=True)
-class Sublattice:
-    """Subgroup of Z^k spanned by integer basis vectors (nZ <= Z is the k=1 case)."""
-
-    basis: tuple[tuple[int, ...], ...]
-
-    def coset_law(self, group: Group):
-        if not isinstance(group, FreeAbelian):
-            raise UnsupportedSubgroupError(f"Sublattice requires a free abelian group; "
-                                           f"supported cases: {SUPPORTED_SUBGROUPS}")
-        hnf = hermite_normal_form(self.basis, group.rank)
-        return lambda g: IntVector(lattice_reduce(hnf, g.coords))
-
-
-@dataclass(frozen=True)
 class GeneratedSubgroup:
-    """Subgroup of a finite group given by a generator list."""
+    """The subgroup that a generator list spans.  Its coset law is the
+    lattice reduction on Z^k and the least product over its closure on a
+    finite group."""
 
     gens: tuple[GroupElement, ...]
 
     def coset_law(self, group: Group):
+        check_members(group, self.gens)
+        if isinstance(group, FreeAbelian):
+            hnf = hermite_normal_form([g.coords for g in self.gens], group.rank)
+            return lambda g: IntVector(lattice_reduce(hnf, g.coords))
         if group.order() is None:
-            raise UnsupportedSubgroupError(f"GeneratedSubgroup requires a finite group; "
-                                           f"supported cases: {SUPPORTED_SUBGROUPS}")
+            raise UnsupportedSubgroupError(f"GeneratedSubgroup requires Z^k or a finite "
+                                           f"group; supported cases: {SUPPORTED_SUBGROUPS}")
         return group._min_product(tuple(_mulclose(group, self.gens)))
 
 
 SUPPORTED_SUBGROUPS = (
-    "trivial subgroup of any family; Sublattice of Z^k given by a basis "
-    "(nZ <= Z as the one-dimensional case); GeneratedSubgroup of a finite group"
+    "trivial subgroup of any family; GeneratedSubgroup of Z^k (a lattice) "
+    "or of a finite group"
 )
 
 
@@ -285,10 +277,7 @@ class QuotientSpec:
             raise UnsupportedSubgroupError(
                 f"unsupported K spec {subgroup_spec!r} for quotient {self!r}")
         check_members(self.quotient()[0], k_gens)
-        gens = self.kernel_gens() + tuple(map(self.lift, k_gens))
-        if isinstance(source, FreeAbelian):
-            return Sublattice(tuple(g.coords for g in gens))
-        return GeneratedSubgroup(gens)
+        return GeneratedSubgroup(self.kernel_gens() + tuple(map(self.lift, k_gens)))
 
 
 @dataclass(frozen=True)

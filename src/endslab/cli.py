@@ -192,11 +192,8 @@ def _check_leaf_disconnect(args) -> list[tuple[bool, str]]:
     leaves = leaf_decomposition(ball)
     results = []
     for leaf, vs in leaves.items():
-        hub = ball.index.get(PairPoint(leaf, x0))
-        if hub is None:
-            results.append((True, f"leaf {point_label(leaf)}: hub outside the "
-                                  f"ball, skipped"))
-            continue
+        # only a delta at x0 changes a leaf, so a shortest path into l passes (l, x0)
+        hub = ball.index[PairPoint(leaf, x0)]
         cut = delete_and_split(ball, [hub])
         rest = set(vs) - {hub}
         leaked = [c for c in cut.components

@@ -20,8 +20,8 @@ Surface grammar (LL(1)):
     cycle     := "(" NAT+ ")"
 
 A bare group means its translation (Cayley) action; "G / spec" means the
-coset action.  An integer coset spec is nZ for Z and the subgroup
-generated by that residue for C(m).
+coset action.  Each coset spelling, "n", "[v, ...]" or "{items}", names the
+subgroup that its items generate: "Z / 3", "Z / [3]" and "Z / {3}" are 3Z.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .actions import (
     ActionError,
     GeneratedSubgroup,
     PointedAction,
-    Sublattice,
     TrivialSubgroup,
     coset_action,
     rule_action,
@@ -525,16 +524,14 @@ def _subgroup_spec(group: Group, c: CosetAst):
     if c.kind == "trivial":
         return TrivialSubgroup()
     if c.kind == "byint":
-        # the subgroup that the integer item n generates
-        g = _element_from_item(group, IntItem(c.n))
-        if isinstance(group, Cyclic):
-            return GeneratedSubgroup((g,))
-        return Sublattice((g.coords,))
-    if c.kind == "lattice":
-        return Sublattice(c.basis)
-    if c.kind == "generated":
-        return GeneratedSubgroup(tuple(_element_from_item(group, i) for i in c.gens))
-    raise ElaborationError(f"unknown coset kind {c.kind!r}")
+        items = (IntItem(c.n),)
+    elif c.kind == "lattice":
+        items = tuple(map(VecItem, c.basis))
+    elif c.kind == "generated":
+        items = c.gens
+    else:
+        raise ElaborationError(f"unknown coset kind {c.kind!r}")
+    return GeneratedSubgroup(tuple(_element_from_item(group, i) for i in items))
 
 
 def _element_from_item(group: Group, item: GenItem) -> GroupElement:

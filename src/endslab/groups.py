@@ -412,7 +412,8 @@ class Group:
         raise NotImplementedError
 
     def sort_key(self, a: GroupElement):
-        """Total order on elements; used for canonical coset representatives."""
+        """Total order on the elements of a finite group; the least product
+        of a coset by it is the coset's canonical representative."""
         raise NotImplementedError
 
     def _min_product(self, members: Sequence[GroupElement]):
@@ -451,9 +452,6 @@ class FreeGroup(Group):
     def _inv(self, a):
         return _raw_freeword(self.rank, a.codes[::-1].translate(_INV_TABLE))
 
-    def sort_key(self, a):
-        return (len(a.codes), a.letters)
-
     def letter(self, i: int, power: int = 1) -> FreeWord:
         """The i-th letter (0-based) or its inverse."""
         return FreeWord(self.rank, ((i + 1) if power > 0 else -(i + 1),))
@@ -481,9 +479,6 @@ class FreeAbelian(Group):
 
     def _inv(self, a):
         return _raw_intvector(tuple(-x for x in a.coords))
-
-    def sort_key(self, a):
-        return a.coords
 
     def unit(self, i: int) -> IntVector:
         coords = [0] * self.rank

@@ -6,6 +6,7 @@ from dataclasses import replace
 import pytest
 
 from endslab.actions import (
+    SUPPORTED_SUBGROUPS,
     ActionError,
     CyclicDivisorQuotient,
     DiagonalLatticeQuotient,
@@ -14,7 +15,6 @@ from endslab.actions import (
     PairPoint,
     PointedAction,
     SignQuotient,
-    Sublattice,
     TrivialSubgroup,
     UnknownRuleActionError,
     UnsupportedSubgroupError,
@@ -66,6 +66,11 @@ from oracles import (
 )
 
 
+def _lattice(*rows):
+    """The subgroup of Z^k that the integer vectors ``rows`` generate."""
+    return GeneratedSubgroup(tuple(map(IntVector, rows)))
+
+
 def test_translation_examples():
     z = FreeAbelian(1)
     act = translation_action(z)
@@ -85,7 +90,7 @@ def test_action_axioms_on_samples():
     groups_and_actions = [
         (FreeAbelian(2), translation_action(FreeAbelian(2))),
         (Cyclic(6), translation_action(Cyclic(6))),
-        (FreeAbelian(1), coset_action(FreeAbelian(1), Sublattice(((4,),)))),
+        (FreeAbelian(1), coset_action(FreeAbelian(1), _lattice((4,)))),
         (SymmetricGroup(3),
          coset_action(SymmetricGroup(3),
                       GeneratedSubgroup((Perm((1, 0, 2)),)))),
@@ -100,7 +105,7 @@ def test_action_axioms_on_samples():
 
 def test_coset_action_modular_example():
     z = FreeAbelian(1)
-    action = coset_action(z, Sublattice(((4,),)))
+    action = coset_action(z, _lattice((4,)))
     three = action.act(IntVector((3,)), action.basepoint)
     assert point_label(three) == "3"
     assert action.act(IntVector((1,)), three) == action.basepoint
@@ -130,7 +135,7 @@ def test_lattice_cosets_count_matches_determinant():
     z2 = FreeAbelian(2)
     for basis, expected in ((((2, 0), (0, 2)), 4), (((1, 1), (1, -1)), 2),
                             (((3, 1), (0, 1)), 3)):
-        action = coset_action(z2, Sublattice(basis))
+        action = coset_action(z2, _lattice(*basis))
         ball = build_ball(action, z2.standard_gens(), 100, 100)
         assert len(ball) == expected, basis
 
@@ -150,19 +155,28 @@ def test_lattice_reduction_is_canonical():
         assert lattice_reduce(hnf, (v[0] + a, v[1] + b)) == r
 
 
+def test_hermite_normal_form_skips_a_zero_column():
+    hnf = hermite_normal_form(((0, 5),), 2)
+    assert hnf == ((0, 5),)
+    assert lattice_reduce(hnf, (3, 7)) == (3, 2)
+    assert hermite_normal_form(((1, 0, 0), (0, 0, 2)), 3) == ((1, 0, 0), (0, 0, 2))
+
+
 def test_rank_deficient_lattice():
     z2 = FreeAbelian(2)
-    action = coset_action(z2, Sublattice(((2, 0),)))
+    action = coset_action(z2, _lattice((2, 0)))
     with pytest.raises(BallOverflowError):  # quotient Z/2 x Z is infinite
         build_ball(action, z2.standard_gens(), 50, 50)
 
 
 def test_unsupported_subgroup_errors_name_cases():
     with pytest.raises(UnsupportedSubgroupError) as err:
-        coset_action(FreeGroup(2), Sublattice(((1,),)))
-    assert "Sublattice" in str(err.value)
-    with pytest.raises(UnsupportedSubgroupError):
-        coset_action(FreeAbelian(1), GeneratedSubgroup((IntVector((2,)),)))
+        coset_action(FreeGroup(2), GeneratedSubgroup((FreeWord(2, (1,)),)))
+    assert str(err.value) == ("GeneratedSubgroup requires Z^k or a finite group; "
+                              f"supported cases: {SUPPORTED_SUBGROUPS}")
+    # Z^k is supported: 2Z has two cosets
+    action = coset_action(FreeAbelian(1), GeneratedSubgroup((IntVector((2,)),)))
+    assert len(build_ball(action, FreeAbelian(1).standard_gens(), 5)) == 2
     with pytest.raises(UnsupportedSubgroupError):
         coset_action(Cyclic(4), object())
 
@@ -286,7 +300,7 @@ def test_preimage_matches_enumeration_oracle():
             k_gens = (CyclicInt(moduli[0], v[0]) if rank == 1 else ModVector(moduli, v)
                       for v in k)
             spec = q.preimage(FreeAbelian(rank), _k_spec(k_gens))
-            hnf = hermite_normal_form(spec.basis, rank)
+            hnf = hermite_normal_form([g.coords for g in spec.gens], rank)
             k_members = closure(k, lambda a, b: tuple(
                 (x + y) % m for x, y, m in zip(a, b, moduli)), (0,) * rank)
             assert len(hnf) == rank, (moduli, k)
@@ -395,11 +409,12 @@ def test_min_product_matches_checked_min(group):
 
 
 # One raiser per kind of bad operand: every entry point refuses a foreign
-# element (a wreath support with two values at one point too) with
-# FamilyMismatchError, a non-point (a coset's non-canonical representative
-# too) with ActionError, a bad family parameter or element value with
-# InvalidParameterError, a broken generating set with GroupError, a lattice
-# basis vector of the wrong length, even a zero one, with
+# element (a wreath support with two values at one point, and a lattice
+# generator of the wrong length, too) with FamilyMismatchError, a non-point
+# (a coset's non-canonical representative too) with ActionError, a bad
+# family parameter or element value with InvalidParameterError, a broken
+# generating set with GroupError, a Hermite normal form row of the wrong
+# length, even a zero one, and a quotient's K spec without generators with
 # UnsupportedSubgroupError, and a bad ball radius or wreath with no orbit
 # representative with its module's error, each in one wording.
 _C4, _ONE = Cyclic(4), CyclicInt(4, 1)
@@ -409,12 +424,13 @@ _X = _LAMP.top_action
 _FOREIGN = Perm((1, 0))
 _NON_POINT = CyclicInt(2, 1)
 # 5 + 3Z is a coset of Z/3Z, whose canonical representative is 2
-_Z_MOD_3 = coset_action(FreeAbelian(1), Sublattice(((3,),)))
+_Z_MOD_3 = coset_action(FreeAbelian(1), _lattice((3,)))
 _FIVE = IntVector((5,))
 _W_MOD_3 = WreathGroup(Cyclic(2), _Z_MOD_3, (IntVector((0,)),))
 _NOT_CANONICAL = (ActionError, "IntVector(coords=(5,)) is not a point of Z on cosets")
 _LAMP3, _ = lamplighter(3)
 _ZERO = IntVector((0,))
+_NO_GENS = object()
 _TWO_VALUED = WreathElement(frozenset({(_ZERO, CyclicInt(3, 1)), (_ZERO, CyclicInt(3, 2))}),
                             _ZERO)
 
@@ -436,6 +452,13 @@ BAD_OPERANDS = {
     "preimage": (lambda: IntModQuotient(4).preimage(FreeAbelian(1),
                                                     GeneratedSubgroup((_FOREIGN,))),
                  *_foreign(_C4)),
+    "K spec without generators": (
+        lambda: IntModQuotient(4).preimage(FreeAbelian(1), _NO_GENS),
+        UnsupportedSubgroupError,
+        f"unsupported K spec {_NO_GENS!r} for quotient {IntModQuotient(4)!r}"),
+    "lattice generator": (
+        lambda: coset_action(FreeAbelian(2), _lattice((0, 0, 0))), FamilyMismatchError,
+        "IntVector(coords=(0, 0, 0)) is not an element of Z^2"),
     "delta value": (lambda: _LAMP.delta(IntVector((0,)), _FOREIGN), *_foreign(_LAMP.base)),
     "top_element": (lambda: _LAMP.top_element(_FOREIGN), *_foreign(_LAMP.top)),
     "act element": (lambda: _C4_ACTION.act(_FOREIGN, _C4_ACTION.basepoint), *_foreign(_C4)),
@@ -450,7 +473,7 @@ BAD_OPERANDS = {
                            FamilyMismatchError,
                            f"{_TWO_VALUED!r} is not an element of C(3) wr Z"),
     "zero basis vector length": (
-        lambda: coset_action(FreeAbelian(2), Sublattice(((0, 0, 0),))),
+        lambda: hermite_normal_form([(0, 0, 0)], 2),
         UnsupportedSubgroupError, "basis vector (0, 0, 0) has length 3, expected 2"),
     "coset ball basepoint": (lambda: build_ball(replace(_Z_MOD_3, basepoint=_FIVE),
                                                 FreeAbelian(1).standard_gens(), 1),

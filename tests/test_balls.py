@@ -10,7 +10,6 @@ from endslab.actions import (
     GeneratedSubgroup,
     PairPoint,
     PointedAction,
-    Sublattice,
     TrivialSubgroup,
     coset_action,
     point_label,
@@ -505,7 +504,7 @@ def test_simplify_masks_table(make):
 
 def test_pointed_labeled_isomorphic_quotient_example():
     z = FreeAbelian(1)
-    sch = build_ball(coset_action(z, Sublattice(((4,),))), z.standard_gens(), 4)
+    sch = build_ball(coset_action(z, GeneratedSubgroup((IntVector((4,)),))), z.standard_gens(), 4)
     cay = ball_of(Cyclic(4), 4)
     assert pointed_labeled_isomorphic(simplify(sch), simplify(cay))
     # both are 4-cycles

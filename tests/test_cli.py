@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import shlex
@@ -8,8 +9,9 @@ from pathlib import Path
 import pytest
 
 import endslab
-from endslab.actions import SUPPORTED_SUBGROUPS
-from endslab.cli import cli_main, parse_k_values
+from endslab.actions import SUPPORTED_SUBGROUPS, PairPoint
+from endslab.balls import DEFAULT_VERTEX_BUDGET, leaf_decomposition
+from endslab.cli import _leaf_ball, cli_main, parse_k_values
 
 
 def run(capsys, *argv):
@@ -166,10 +168,6 @@ ERROR_CASES = [
     (["ball", "--spec", "wreath(wreath(C(2), Z, translation), Z, translation)",
       "--radius", "2"], {}, 2),
     (["ball", "--spec", "rule(nope)", "--radius", "2"], {}, 2),
-    (["ball", "--spec", "F(2) / {a}", "--radius", "2"], {}, 2),
-    (["ball", "--spec", "Z / {1}", "--radius", "2"], {}, 2),
-    (["ball", "--spec", "Z^2 / [1]", "--radius", "2"], {}, 2),
-    (["ball", "--spec", "wreath(C(2), Z, coset({1}))", "--radius", "2"], {}, 2),
     (["ball", "--spec", "wreath(C(2), Z, rule(f2_four_ends))", "--radius", "2"], {}, 2),
     (["ball", "--spec", "wreath(" * 5000 + "Z", "--radius", "2"], {}, 2),
     # listing this range fails to allocate at once
@@ -180,13 +178,15 @@ ERROR_CASES = [
 # language, refuses; each is also an exit-2 row of ERROR_CASES
 SPEC_ERROR_LINES = {
     "F(27)": "free group rank must lie in 1..26, got 27",
-    "C(3) / [1]": f"Sublattice requires a free abelian group; supported cases: "
+    "C(3) / [1]": "vector generator [1] needs Z^1, not C(3)",
+    "F(2) / {a}": f"GeneratedSubgroup requires Z^k or a finite group; supported cases: "
                   f"{SUPPORTED_SUBGROUPS}",
     "Z^2 / 3": "integer generator 3 needs Z or C(m), not Z^2",
     "wreath(C(2), Z, translation) with gens {1}":
         "integer generator 1 needs Z or C(m), not C(2) wr Z",
-    "Z^2 / [0, 0, 0]": "basis vector (0, 0, 0) has length 3, expected 2",
-    "Z^2 / [[1, 0], [0, 0, 0]]": "basis vector (0, 0, 0) has length 3, expected 2",
+    "Z^2 / [0, 0, 0]": "vector generator [0, 0, 0] needs Z^3, not Z^2",
+    "Z^2 / [[1, 0], [0, 0, 0]]": "vector generator [0, 0, 0] needs Z^3, not Z^2",
+    "Z^2 / [1]": "vector generator [1] needs Z^1, not Z^2",
 }
 ERROR_CASES += [(["ball", "--spec", spec, "--radius", "2"], {}, 2) for spec in SPEC_ERROR_LINES]
 
@@ -290,22 +290,67 @@ def test_repeated_calls_match_fresh_processes(capsys):
         assert in_process == (proc.returncode, proc.stdout, proc.stderr), argv
 
 
-def test_spec_mix_catalog_matches_reference_digests(monkeypatch):
-    # every valid request of the benchmark's spec-mix catalog against its
-    # pinned output digest; the bench is only read
-    bench = Path(__file__).resolve().parents[1] / "bench"
-    monkeypatch.syspath_prepend(str(bench))
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _bench_modules(monkeypatch):
+    """The bench's request catalog, executor and digest modules; the bench
+    is only read."""
+    monkeypatch.syspath_prepend(str(BENCH))
     import checks
     import execute
     import workloads
+    return checks, execute, workloads
 
-    reference = json.loads((bench / "reference" / "spec-mix.json").read_text())
-    requests = {workloads.request_key(req): req for req in workloads.catalog("spec-mix")
-                if not req.get("malformed")}
-    assert set(requests) == set(reference)
+
+def _digest_mismatches(monkeypatch, workload, keep):
+    """Keys of the catalog requests that ``keep`` selects whose output
+    digest differs from the workload's pinned reference."""
+    checks, execute, workloads = _bench_modules(monkeypatch)
+    reference = json.loads((BENCH / "reference" / f"{workload}.json").read_text())
+    requests = {workloads.request_key(req): req for req in workloads.catalog(workload)
+                if keep(req)}
+    specs = execute.prepare(list(requests.values()))
     mismatched = [key for key, req in requests.items()
-                  if checks.digest(req, execute.execute(req, {}, {})) != reference[key][0]]
+                  if checks.digest(req, execute.execute(req, specs, {})) != reference[key][0]]
+    return requests, reference, mismatched
+
+
+def test_spec_mix_catalog_matches_reference_digests(monkeypatch):
+    # every valid request of the benchmark's spec-mix catalog against its
+    # pinned output digest
+    requests, reference, mismatched = _digest_mismatches(
+        monkeypatch, "spec-mix", lambda req: not req.get("malformed"))
+    assert set(requests) == set(reference)
     assert mismatched == []
+
+
+def test_wreath_coset_lattice_and_quotient_requests_match_reference_digests(monkeypatch):
+    # the lattice cosets and quotient pairs of the wreath-coset catalog: 12
+    # lattice balls, 8 cylinder profiles and 5 quotient pairs
+    requests, _, mismatched = _digest_mismatches(
+        monkeypatch, "wreath-coset",
+        lambda req: req["kind"] == "quotient" or " / [" in req["spec"])
+    assert len(requests) == 25
+    assert mismatched == []
+
+
+def test_every_leaf_hub_lies_in_its_ball(monkeypatch):
+    # only a delta step at the orbit representative x0 changes the leaf, so
+    # each leaf l of an imprimitive ball holds (l, x0) no farther out than
+    # any of its other points: leaf-disconnect reads each hub from the ball
+    _, _, workloads = _bench_modules(monkeypatch)
+    leaf_requests = [req["argv"] for req in workloads.spec_mix_families()["imprimitive"]]
+    assert len(leaf_requests) == 25
+    for argv in leaf_requests:
+        ball = _leaf_ball(argparse.Namespace(spec=argv[argv.index("--spec") + 1],
+                                             radius=int(argv[argv.index("--radius") + 1]),
+                                             budget=DEFAULT_VERTEX_BUDGET), "leaves")
+        x0 = ball.action.group.orbit_reps[0]
+        for leaf, vs in leaf_decomposition(ball).items():
+            hub = ball.index.get(PairPoint(leaf, x0))
+            assert hub is not None, (argv, leaf)
+            assert ball.dist[hub] <= min(ball.dist[v] for v in vs), (argv, leaf)
 
 
 def test_bench_patch_points_resolve(monkeypatch):

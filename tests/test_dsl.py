@@ -1,8 +1,10 @@
+import json
 import random
 
 import pytest
 
 from endslab.actions import PairPoint, UnsupportedSubgroupError
+from endslab.balls import build_ball, to_dot, to_json_dict
 from endslab.dsl import (
     ActionAst,
     ArityError,
@@ -205,9 +207,30 @@ def test_elaboration_refuses_only_with_spec_errors():
 
 def test_library_refusal_keeps_its_text_and_cause():
     with pytest.raises(ElaborationError) as err:
-        elaborate(parse_spec("C(3) / [1]"))
+        elaborate(parse_spec("F(2) / {a}"))
     assert type(err.value.__cause__) is UnsupportedSubgroupError
     assert str(err.value) == str(err.value.__cause__)
+
+
+# each row spells one subgroup several ways: n, [v, ...] and {items}
+SUBGROUP_SPELLINGS = [
+    ("Z / 3", "Z / [3]", "Z / {3}", "Z / {6, 9}"),
+    ("C(12) / 4", "C(12) / {4}", "C(12) / {8}"),
+    ("Z^2 / [[2, 0], [0, 3]]", "Z^2 / {[2, 0], [0, 3]}"),
+    ("wreath(C(2), Z, coset(3))", "wreath(C(2), Z, coset([3]))",
+     "wreath(C(2), Z, coset({3}))"),
+    ("imprimitive(wreath(C(2), Z, coset(6)))", "imprimitive(wreath(C(2), Z, coset({6})))"),
+    ("Z^3 / [[1, 0, 0], [0, 0, 2]]", "Z^3 / {[1, 0, 0], [0, 0, 2]}"),
+]
+
+
+@pytest.mark.parametrize("spellings", SUBGROUP_SPELLINGS, ids=lambda s: s[0])
+def test_subgroup_spellings_agree(spellings):
+    exports = set()
+    for text in spellings:
+        ball = build_ball(*elaborate(parse_spec(text)), 6)
+        exports.add((json.dumps(to_json_dict(ball)), to_dot(ball)))
+    assert len(exports) == 1
 
 
 def test_elaborate_word_gens():

@@ -112,6 +112,15 @@ def test_z2_profile_one_end():
     assert_monotone(p)
 
 
+def test_lattice_with_a_zero_column_matches_its_transpose():
+    # Z^2 / [0, d] runs the Hermite normal form branch past an all-zero column
+    for d in range(5, 9):
+        a, b = (profile_from_ball(spec_ball(f"Z^2 / {v}", 30), range(1, 9))
+                for v in (f"[0, {d}]", f"[{d}, 0]"))
+        assert a.matrix == b.matrix, d
+        assert str(a.verdict) == "STABLE(2)"
+
+
 def test_head_projection_profile():
     w, gens = lamplighter(2)
     p = ends_profile(head_projection_action(w), gens, range(1, 5), 12)

@@ -387,11 +387,3 @@ def test_free_inverse_is_the_reversed_negated_word():
             w = sample_element(group, rng)
             assert group.inverse(w).letters == tuple(-l for l in reversed(w.letters))
 
-
-def test_free_sort_key_orders_by_length_then_signed_letters():
-    rng = random.Random(13)
-    f3 = FreeGroup(3)
-    words = list({sample_element(f3, rng) for _ in range(300)})
-    rng.shuffle(words)
-    assert sorted(words, key=f3.sort_key) == \
-        sorted(words, key=lambda w: (len(w.letters), w.letters))

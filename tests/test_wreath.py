@@ -30,7 +30,7 @@ from endslab.wreath import (
     imprimitive_coset_action,
     lamplighter,
 )
-from endslab.actions import Sublattice, TrivialSubgroup
+from endslab.actions import GeneratedSubgroup, TrivialSubgroup
 
 from oracles import (
     check_action_axioms,
@@ -261,7 +261,7 @@ def test_delta_and_orbit_reps_must_be_points_of_x():
     d = w.delta(IntVector((3,)), CyclicInt(2, 1))
     assert w.contains(d)
     # a point of Z/3Z is its canonical representative, so t = 3 fixes 2
-    z_mod_3 = coset_action(FreeAbelian(1), Sublattice(((3,),)))
+    z_mod_3 = coset_action(FreeAbelian(1), GeneratedSubgroup((IntVector((3,)),)))
     w3 = WreathGroup(Cyclic(2), z_mod_3, (IntVector((0,)),))
     t, d2 = w3.top_element(IntVector((3,))), w3.delta(IntVector((2,)), CyclicInt(2, 1))
     assert w3.multiply(w3.multiply(t, d2), w3.inverse(t)) == d2
@@ -279,7 +279,7 @@ def test_imprimitive_coset_action_examples():
     ta = translation_action(top)
     w = WreathGroup(base, ta, (ta.basepoint,))
     gens = w.standard_gens()
-    action = imprimitive_coset_action(w, Sublattice(((3,),)), ta.basepoint)
+    action = imprimitive_coset_action(w, GeneratedSubgroup((IntVector((3,)),)), ta.basepoint)
     assert len(build_ball(action, gens, 100, 100)) == 6
 
     # trivial K coincides pointwise with the plain imprimitive action
@@ -295,7 +295,7 @@ def test_imprimitive_coset_action_examples():
             assert triv.act(g, p) == plain.act(g, p)
 
     # K = full group: the leaf direction collapses to the orbit X'
-    full = imprimitive_coset_action(w, Sublattice(((1,),)), ta.basepoint)
+    full = imprimitive_coset_action(w, GeneratedSubgroup((IntVector((1,)),)), ta.basepoint)
     assert len(build_ball(full, gens, 100, 100)) == 2
 
 
