@@ -1,0 +1,98 @@
+"""The byte-identical output manifest: one SHA-256 per output kind.
+
+The ball kinds hash the 108 balls of ``random_fixture_balls() +
+generated_spec_balls() + stepping_balls()``: indented JSON, DOT, the
+transition table, ``dist``, witness labels, the ends profile over
+k = 0..R-1, and, for imprimitive balls, the leaf decomposition.  The CLI
+kinds hash the exit code, stdout and stderr of ``endslab ball --spec S
+--radius 2`` over 3,000 seed-11 ``random_spec`` draws.  A change that
+alters any output changes the manifest, and says which outputs and why.
+
+Regenerate with ``PYTHONPATH=src python tests/output_manifest.py``.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import random
+import sys
+from pathlib import Path
+
+from endslab.actions import PairPoint, point_label
+from endslab.balls import leaf_decomposition, to_dot, to_json_dict
+from endslab.cli import cli_main
+from endslab.dsl import print_spec
+from endslab.ends import profile_from_ball
+from endslab.groups import element_label
+
+from test_balls import generated_spec_balls, random_fixture_balls, stepping_balls
+from test_dsl import random_spec
+
+MANIFEST = Path(__file__).with_name("output_manifest.json")
+CLI_DRAWS = 3000
+
+
+def _sha256(lines) -> str:
+    h = hashlib.sha256()
+    for line in lines:
+        h.update(line.encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+def _leaves(ball):
+    if not isinstance(ball.points[0], PairPoint):
+        return None
+    return [[point_label(leaf), vs] for leaf, vs in leaf_decomposition(ball).items()]
+
+
+BALL_KINDS = {
+    "json": lambda ball: json.dumps(to_json_dict(ball), indent=2),
+    "dot": to_dot,
+    "table": lambda ball: json.dumps(ball.table),
+    "dist": lambda ball: json.dumps(ball.dist),
+    "witness_labels": lambda ball: json.dumps(list(map(element_label, ball.witness))),
+    "profile": lambda ball: json.dumps(
+        profile_from_ball(ball, range(ball.radius)).to_json_dict()),
+    "leaves": lambda ball: json.dumps(_leaves(ball)),
+}
+
+
+def manifest_balls():
+    return [*random_fixture_balls(), *generated_spec_balls(), *stepping_balls()]
+
+
+def cli_outputs(draws=CLI_DRAWS):
+    """(exit code, stdout, stderr) of ``ball --radius 2`` for each seeded
+    draw; a spec text drawn again reuses its first run."""
+    rng = random.Random(11)
+    runs = {}
+    outputs = []
+    for _ in range(draws):
+        text = print_spec(random_spec(rng))
+        if text not in runs:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli_main(["ball", "--spec", text, "--radius", "2"])
+            runs[text] = (code, out.getvalue(), err.getvalue())
+        outputs.append(runs[text])
+    return outputs
+
+
+def compute_manifest() -> dict:
+    balls = manifest_balls()
+    manifest = {"balls": len(balls)}
+    for kind, render in BALL_KINDS.items():
+        manifest[f"ball.{kind}"] = _sha256(map(render, balls))
+    outputs = cli_outputs()
+    manifest["cli_draws"] = len(outputs)
+    manifest["cli.exit"] = _sha256(str(code) for code, _, _ in outputs)
+    manifest["cli.stdout"] = _sha256(out for _, out, _ in outputs)
+    manifest["cli.stderr"] = _sha256(err for _, _, err in outputs)
+    return manifest
+
+
+if __name__ == "__main__":
+    MANIFEST.write_text(json.dumps(compute_manifest(), indent=2) + "\n")
+    sys.stdout.write(f"wrote {MANIFEST}\n")

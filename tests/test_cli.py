@@ -1,6 +1,8 @@
 import argparse
 import json
 import os
+import random
+import re
 import shlex
 import subprocess
 import sys
@@ -12,6 +14,9 @@ import endslab
 from endslab.actions import SUPPORTED_SUBGROUPS, PairPoint
 from endslab.balls import DEFAULT_VERTEX_BUDGET, leaf_decomposition
 from endslab.cli import _leaf_ball, cli_main, parse_k_values
+from endslab.dsl import print_spec
+
+from test_dsl import random_spec
 
 
 def run(capsys, *argv):
@@ -362,3 +367,68 @@ def test_bench_patch_points_resolve(monkeypatch):
     found = tracing.originals()
     assert len(found) == 12
     assert all(callable(fn) for fn in found.values())
+
+
+# the fuzz's spec edits insert or replace one of these characters: the
+# spec language's own, and no quote, so a repr can only come from a message
+EDIT_CHARACTERS = "()[]{},^/.-+ 0123456789abcxyzACFSZ"
+
+
+def fuzzed_argv(rng):
+    """A seeded argument list: an edited ``random_spec`` and a command with
+    radii, budgets and check options that are now and then invalid or left
+    out."""
+    text = print_spec(random_spec(rng))
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        i = rng.randrange(len(text) + 1)
+        edit = rng.randrange(3)
+        if edit == 0:
+            text = text[:i] + text[i + 1:]
+        else:
+            text = text[:i] + rng.choice(EDIT_CHARACTERS) + text[i + (edit == 2):]
+
+    def pick(flag, valid, invalid=("-1", "x", None)):
+        value = rng.choice(valid if rng.random() < 0.85 else invalid)
+        return [] if value is None else [flag, value]
+
+    radius = ("0", "1", "2", "3")
+    budget = ("1", "40", "5000", None, None, None)
+    command = rng.choice(("ball", "ends", "leaves", "verify", "verify", "fixtures"))
+    if command == "ball":
+        return (["ball", "--spec", text, *pick("--radius", radius),
+                 *pick("--format", ("json", "dot"), ("svg", None)), *pick("--budget", budget)])
+    if command == "ends":
+        return (["ends", "--spec", text,
+                 *pick("--k", ("0..1", "1..3", "1,2"), ("3..1", "-1", "x", "", None)),
+                 *pick("--K", ("2", "4")), *pick("--budget", budget)])
+    if command == "leaves":
+        return ["leaves", "--spec", text, *pick("--radius", radius), *pick("--budget", budget)]
+    if command == "fixtures":
+        return ["fixtures"]
+    check = rng.choice(("quotient", "leaf-disconnect", "three-segment-path",
+                        "complete-graph", "nope", None))
+    options = {
+        "quotient": [*pick("--radius", radius), *pick("--modulus", ("1", "3"), ("0", "x"))],
+        "leaf-disconnect": ["--spec", text, *pick("--radius", radius)],
+        "three-segment-path": [*pick("--radius", ("5", "7", None)),
+                               *pick("--cut-radius", ("0", "1", None), ("2", "9", "-1")),
+                               *pick("--pairs", ("0", "1", "3", None)),
+                               *pick("--seed", ("0", "5"))],
+    }.get(check, [])
+    return ["verify", *([] if check is None else [check]), *options, *pick("--budget", budget)]
+
+
+def test_cli_fuzz_reports_every_outcome_in_one_line(capsys):
+    # every argument list ends in a documented exit code with at most one
+    # stderr line, and each usage or spec error is one "endslab...:" line;
+    # a traceback or a value's repr would reach the user here
+    rng = random.Random(5)
+    for _ in range(2000):
+        argv = fuzzed_argv(rng)
+        code, out, err = run(capsys, *argv)
+        assert code in (0, 1, 2), argv
+        lines = err.splitlines()
+        assert len(lines) <= 1, (argv, err)
+        if code == 2:
+            assert len(lines) == 1 and re.match(r"endslab[^:]*: ", lines[0]), (argv, err)
+        assert not re.search(r"(?<![\w'\"])b['\"]", err), (argv, err)  # a bytes repr
