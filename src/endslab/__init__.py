@@ -13,7 +13,6 @@ from .groups import (
     FamilyMismatchError,
     FreeAbelian,
     FreeGroup,
-    FreeWord,
     Group,
     GroupError,
     IntVector,

@@ -26,7 +26,6 @@ from .groups import (
     CyclicInt,
     FreeAbelian,
     FreeGroup,
-    FreeWord,
     Group,
     GroupElement,
     IntVector,
@@ -406,8 +405,8 @@ def _on_four_rays(p) -> bool:
 def _f2_four_ends() -> PointedAction:
     group = FreeGroup(2)
 
-    def step(w: FreeWord, p: tuple[int, int]) -> tuple[int, int]:
-        for code in reversed(w.codes):
+    def step(w: bytes, p: tuple[int, int]) -> tuple[int, int]:
+        for code in reversed(w):
             p = _cross_letter(*_FOUR_RAY_MOVES[code], p)
         return p
 

@@ -1,18 +1,19 @@
 """Canonical computable representations of the base group families.
 
 Every element is an immutable value in a canonical form, so equality is
-structural.  A ``FreeWord`` stores its reduced word as ``bytes`` of letter
+structural.  An element of F(n) is its reduced word as ``bytes`` of letter
 codes: the letter +i has code 2(i-1) and its inverse -i code 2(i-1)+1, so
-the inverse of code c is c ^ 1.  Its hash is the hash of those bytes,
-which the bytes object computes once and caches.  ``IntVector`` hashes
-explicitly and collision-free on its signed coordinates: CPython has
-``hash(-1) == hash(-2)``, so the generated hash would send two vectors
-that differ only by a -1 against a -2 to the same slot, and balls of free
-abelian groups would pay an ``__eq__`` call for each such pair.  The
-families implemented here are free groups (reduced words), free abelian
-groups (integer vectors), cyclic groups (residues), symmetric groups
-(permutations in one-line notation) and finite tori (integer vectors with
-per-coordinate moduli).  Wreath products live in :mod:`endslab.wreath`.
+the inverse of code c is c ^ 1.  The group, not the value's type, states
+the family: a word is a member of every free group whose alphabet holds
+its codes.  ``IntVector`` hashes explicitly and collision-free on its
+signed coordinates: CPython has ``hash(-1) == hash(-2)``, so the generated
+hash would send two vectors that differ only by a -1 against a -2 to the
+same slot, and balls of free abelian groups would pay an ``__eq__`` call
+for each such pair.  The families implemented here are free groups
+(reduced words), free abelian groups (integer vectors), cyclic groups
+(residues), symmetric groups (permutations in one-line notation) and
+finite tori (integer vectors with per-coordinate moduli).  Wreath products
+live in :mod:`endslab.wreath`.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ def frozen_value(cls):
     return cls
 
 
-# letter codes of FreeWord: the signed letter of each code, the code of
+# letter codes of free words: the signed letter of each code, the code of
 # each code's inverse, and the label character of each code
 _SIGNED_LETTER = tuple(c // 2 + 1 if c % 2 == 0 else -(c // 2 + 1)
                        for c in range(2 * len(LETTERS)))
@@ -71,48 +72,10 @@ _LABEL_TABLE = bytes.maketrans(bytes(range(2 * len(LETTERS))),
                               "".join(ch + ch.upper() for ch in LETTERS).encode("ascii"))
 
 
-@frozen_value
-@dataclass(frozen=True, slots=True, init=False, repr=False)
-class FreeWord:
-    """Reduced word over a ranked alphabet.
-
-    ``FreeWord(rank, letters)`` takes nonzero signed letters: +i is the
-    i-th letter (1-based), -i its inverse, and no adjacent (l, -l) pair.
-    The word is stored as ``codes``, one byte per letter: +i is 2(i-1)
-    and -i is 2(i-1)+1, so inverse codes differ in the last bit only.
-    ``letters`` is the signed view, and the hash is the hash of ``codes``.
-    ``dataclasses.replace`` raises ``TypeError``; a word is rebuilt as
-    ``FreeWord(rank, w.letters)``.
-    """
-
-    rank: int
-    codes: bytes
-
-    def __init__(self, rank: int, letters: Sequence[int] = ()):
-        # one letter of LETTERS per generator, so every word has a label
-        if not 1 <= rank <= len(LETTERS):
-            raise InvalidParameterError(
-                f"free group rank must lie in 1..{len(LETTERS)}, got {rank}")
-        prev = 0
-        for l in letters:
-            if l == 0 or abs(l) > rank:
-                raise InvalidParameterError(f"letter {l} out of range for rank {rank}")
-            if l == -prev:
-                raise InvalidParameterError(f"word {letters} is not reduced")
-            prev = l
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "codes",
-                           bytes([2 * l - 2 if l > 0 else -2 * l - 1 for l in letters]))
-
-    @property
-    def letters(self) -> tuple[int, ...]:
-        return tuple(map(_SIGNED_LETTER.__getitem__, self.codes))
-
-    def __hash__(self):
-        return hash(self.codes)
-
-    def __repr__(self):
-        return f"FreeWord(rank={self.rank!r}, letters={self.letters!r})"
+def signed_letters(w: bytes) -> tuple[int, ...]:
+    """The signed letters of a free word: +i for the i-th letter (1-based),
+    -i for its inverse."""
+    return tuple(map(_SIGNED_LETTER.__getitem__, w))
 
 
 @frozen_value
@@ -218,15 +181,14 @@ def trusted_constructor(cls) -> Callable[..., Any]:
     return build_two
 
 
-_raw_freeword = trusted_constructor(FreeWord)
 _raw_intvector = trusted_constructor(IntVector)
 _raw_cyclicint = trusted_constructor(CyclicInt)
 _raw_perm = trusted_constructor(Perm)
 _raw_modvector = trusted_constructor(ModVector)
 
 
-def _word_label(a: FreeWord) -> str:
-    return a.codes.translate(_LABEL_TABLE).decode("ascii") if a.codes else "1"
+def _word_label(a: bytes) -> str:
+    return a.translate(_LABEL_TABLE).decode("ascii") if a else "1"
 
 
 def _vector_label(a: IntVector) -> str:
@@ -268,7 +230,7 @@ def perm_cycle_notation(p: Perm) -> str:
 # label of each element and point class, looked up by exact type;
 # endslab.actions adds its points and endslab.wreath its elements
 LABELS = {
-    FreeWord: _word_label,
+    bytes: _word_label,
     IntVector: _vector_label,
     CyclicInt: lambda a: str(a.value),
     Perm: perm_cycle_notation,
@@ -378,11 +340,12 @@ def verify_gen_set(group: "Group", gens: SymmetricGenSet) -> None:
 class Group:
     """A group family with fixed parameters: knows its law and identity.
 
-    A family checks its parameters by building its identity with the
-    element's checked constructor.  ``multiply`` and ``inverse`` are the
-    checked entry points of the law: they check membership once per
-    operand, then apply the family's ``_mul``/``_inv``, which take members
-    and build their result with a trusted constructor.
+    A family checks its parameters when it builds its identity, with the
+    element's checked constructor or, for a free group, its own rank check.
+    ``multiply`` and ``inverse`` are the checked entry points of the law:
+    they check membership once per operand, then apply the family's
+    ``_mul``/``_inv``, which take members and build their result with no
+    check: a trusted constructor, or ``bytes`` operations for words.
     """
 
     def __post_init__(self):
@@ -432,29 +395,50 @@ class Group:
 
 @dataclass(frozen=True)
 class FreeGroup(Group):
+    """Free group on the first ``rank`` letters of ``LETTERS``, one per
+    generator, so every word has a label.  An element is its reduced word
+    as ``bytes`` of letter codes."""
+
     rank: int
 
     def identity(self):
-        return FreeWord(self.rank)
+        if not 1 <= self.rank <= len(LETTERS):
+            raise InvalidParameterError(
+                f"free group rank must lie in 1..{len(LETTERS)}, got {self.rank}")
+        return b""
 
     def contains(self, a):
-        return isinstance(a, FreeWord) and a.rank == self.rank
+        # reduced: no code equals the inverse of the code after it
+        return (type(a) is bytes and max(a, default=0) < 2 * self.rank
+                and True not in map(operator.eq, a, a[1:].translate(_INV_TABLE)))
 
     def _mul(self, a, b):
         # both inputs reduced, so cancellation happens only at the seam
-        x, y = a.codes, b.codes
-        i, j, ny = len(x), 0, len(y)
-        while i > 0 and j < ny and x[i - 1] ^ y[j] == 1:
+        i, j, nb = len(a), 0, len(b)
+        while i > 0 and j < nb and a[i - 1] ^ b[j] == 1:
             i -= 1
             j += 1
-        return _raw_freeword(self.rank, x[:i] + y[j:])
+        return a[:i] + b[j:]
 
     def _inv(self, a):
-        return _raw_freeword(self.rank, a.codes[::-1].translate(_INV_TABLE))
+        return a[::-1].translate(_INV_TABLE)
 
-    def letter(self, i: int, power: int = 1) -> FreeWord:
+    def word(self, letters: Sequence[int]) -> bytes:
+        """The checked constructor of a word from nonzero signed letters: +i
+        is the i-th letter (1-based), -i its inverse, and no adjacent
+        (l, -l) pair."""
+        prev = 0
+        for l in letters:
+            if l == 0 or abs(l) > self.rank:
+                raise InvalidParameterError(f"letter {l} out of range for rank {self.rank}")
+            if l == -prev:
+                raise InvalidParameterError(f"word {letters} is not reduced")
+            prev = l
+        return bytes([2 * l - 2 if l > 0 else -2 * l - 1 for l in letters])
+
+    def letter(self, i: int, power: int = 1) -> bytes:
         """The i-th letter (0-based) or its inverse."""
-        return FreeWord(self.rank, ((i + 1) if power > 0 else -(i + 1),))
+        return self.word(((i + 1) if power > 0 else -(i + 1),))
 
     def standard_gens(self):
         return make_gen_set(self, [self.letter(i) for i in range(self.rank)],

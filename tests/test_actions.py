@@ -33,7 +33,6 @@ from endslab.groups import (
     FamilyMismatchError,
     FreeAbelian,
     FreeGroup,
-    FreeWord,
     GroupError,
     IntVector,
     InvalidParameterError,
@@ -78,7 +77,7 @@ def test_translation_examples():
 
     f2 = FreeGroup(2)
     act = translation_action(f2)
-    assert act.act(FreeWord(2, (1,)), FreeWord(2, (2,))) == FreeWord(2, (1, 2))
+    assert act.act(f2.letter(0), f2.letter(1)) == f2.word((1, 2))
 
     c4 = Cyclic(4)
     act = translation_action(c4)
@@ -171,7 +170,7 @@ def test_rank_deficient_lattice():
 
 def test_unsupported_subgroup_errors_name_cases():
     with pytest.raises(UnsupportedSubgroupError) as err:
-        coset_action(FreeGroup(2), GeneratedSubgroup((FreeWord(2, (1,)),)))
+        coset_action(FreeGroup(2), GeneratedSubgroup((FreeGroup(2).letter(0),)))
     assert str(err.value) == ("GeneratedSubgroup requires Z^k or a finite group; "
                               f"supported cases: {SUPPORTED_SUBGROUPS}")
     # Z^k is supported: 2Z has two cosets
@@ -191,7 +190,7 @@ def test_rule_action_fixture_axioms():
     rng = random.Random(5)
     f2 = FreeGroup(2)
     elements = [f2.letter(0), f2.letter(0, -1), f2.letter(1), f2.letter(1, -1),
-                FreeWord(2, (1, 2)), FreeWord(2, (-2, 1, 1))]
+                f2.word((1, 2)), f2.word((-2, 1, 1))]
     pts = [action.basepoint]
     for _ in range(12):
         pts.append(action.act(rng.choice(elements), rng.choice(pts)))
@@ -313,7 +312,7 @@ def test_public_act_rejects_foreign_operands():
     z = FreeAbelian(1)
     translation = translation_action(z)
     with pytest.raises(FamilyMismatchError):
-        translation.act(FreeWord(1, (1,)), IntVector((0,)))
+        translation.act(FreeGroup(1).letter(0), IntVector((0,)))
     # a foreign element is a mismatch, a foreign point is not a point
     with pytest.raises(ActionError):
         translation.act(IntVector((1,)), IntVector((0, 0)))
@@ -328,7 +327,7 @@ def test_public_act_rejects_foreign_operands():
 
     w, gens = lamplighter(2)
     imprimitive = imprimitive_action(w, w.orbit_reps[0])
-    for foreign in (IntVector((1,)), FreeWord(2, (1,))):
+    for foreign in (IntVector((1,)), FreeGroup(2).letter(0)):
         with pytest.raises(FamilyMismatchError):
             imprimitive.act(foreign, imprimitive.basepoint)
     # a wreath element of the wrong top group
@@ -368,7 +367,7 @@ def test_build_ball_refuses_a_foreign_basepoint_before_any_step():
     action = PointedAction(translation.group, counting_step, translation.basepoint,
                            is_point=translation.is_point)
     gens = translation.group.standard_gens()
-    for start in (IntVector((0, 0)), FreeWord(1, (1,)), (0,)):
+    for start in (IntVector((0, 0)), FreeGroup(1).letter(0), (0,)):
         with pytest.raises(ActionError, match="is not a point of"):
             build_ball(replace(action, basepoint=start), gens, 10)
     assert calls == []
@@ -378,16 +377,16 @@ def test_build_ball_refuses_a_foreign_basepoint_before_any_step():
 
 def test_rule_action_act_checks_word_and_point():
     action = rule_action("f2_four_ends")
-    # a rank-3 word is not read as a word of F(2)
+    # a word with the letter c is not a word of F(2)
     with pytest.raises(FamilyMismatchError):
-        action.act(FreeWord(3, (3,)), (0, 0))
+        action.act(FreeGroup(3).letter(2), (0, 0))
     with pytest.raises(FamilyMismatchError):
         action.act(IntVector((1,)), (0, 0))
     for off_graph in ((7, 3), (1, 0), (0, -2), (2,), "core", IntVector((0, 0))):
         with pytest.raises(ActionError):
-            action.act(FreeWord(2, (1,)), off_graph)
-    assert action.act(FreeWord(2, (1,)), (0, 0)) == (1, 1)
-    assert action.step(FreeWord(2, (1,)), (0, 0)) == (1, 1)
+            action.act(FreeGroup(2).letter(0), off_graph)
+    assert action.act(FreeGroup(2).letter(0), (0, 0)) == (1, 1)
+    assert action.step(FreeGroup(2).letter(0), (0, 0)) == (1, 1)
 
 
 @pytest.mark.parametrize("group", [SymmetricGroup(n) for n in range(1, 7)]
@@ -495,7 +494,7 @@ BAD_OPERANDS = {
     "T(2,0)": (lambda: Torus((2, 0)), InvalidParameterError,
                "torus modulus must be >= 1, got 0"),
     "T()": (lambda: Torus(()), InvalidParameterError, "torus needs at least one factor"),
-    "word letter": (lambda: FreeWord(2, (3,)), InvalidParameterError,
+    "word letter": (lambda: FreeGroup(2).word((3,)), InvalidParameterError,
                     "letter 3 out of range for rank 2"),
     "torus length": (lambda: ModVector((2, 3), (1,)), InvalidParameterError,
                      "moduli/coords length mismatch"),

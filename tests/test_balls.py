@@ -1,10 +1,15 @@
 import functools
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import endslab
 from endslab.actions import (
     ActionError,
     GeneratedSubgroup,
@@ -36,7 +41,6 @@ from endslab.groups import (
     FamilyMismatchError,
     FreeAbelian,
     FreeGroup,
-    FreeWord,
     GroupError,
     IntVector,
     Perm,
@@ -294,18 +298,20 @@ def test_build_ball_makes_no_multiply(monkeypatch):
 
 
 def test_build_ball_hashes_each_acted_point_once(monkeypatch):
-    counts = {"eq": 0, "hash": 0, "act": 0}
-    eq, hash_ = FreeWord.__eq__, FreeWord.__hash__
+    counts = {"eq": 0, "unequal": 0, "hash": 0, "act": 0}
+    eq, hash_ = IntVector.__eq__, IntVector.__hash__
 
     def counting_eq(self, other):
         counts["eq"] += 1
-        return eq(self, other)
+        result = eq(self, other)
+        counts["unequal"] += result is False
+        return result
 
     def counting_hash(self):
         counts["hash"] += 1
         return hash_(self)
 
-    group = FreeGroup(2)
+    group = FreeAbelian(2)
     translation = translation_action(group)
 
     def counting_act(g, p):
@@ -313,18 +319,22 @@ def test_build_ball_hashes_each_acted_point_once(monkeypatch):
         return translation.act(g, p)
 
     action = PointedAction(group, counting_act, translation.basepoint)
-    # make_gen_set compares words; only build_ball's lookups are counted
+    # make_gen_set compares vectors; only build_ball's lookups are counted
     gens = group.standard_gens()
-    monkeypatch.setattr(FreeWord, "__eq__", counting_eq)
-    monkeypatch.setattr(FreeWord, "__hash__", counting_hash)
+    monkeypatch.setattr(IntVector, "__eq__", counting_eq)
+    monkeypatch.setattr(IntVector, "__hash__", counting_hash)
     verify_gen_set(group, gens)
     check_eq = counts["eq"]
     counts["eq"] = 0
-    ball = build_ball(action, gens, 8)
-    assert len(ball) == 1 + 4 * (3 ** 8 - 1) // 2
-    # distinct words never share a hash, so no lookup compares two words:
-    # the only comparisons are the generating set's check
-    assert counts["eq"] == check_eq
+    ball = build_ball(action, gens, 20)
+    assert len(ball) == 2 * 20 * 21 + 1
+    # distinct vectors never share a hash, so no lookup compares two unequal
+    # vectors: besides the generating set's check, each comparison is of an
+    # acted point with its equal in the index, one for each act that
+    # neither adds a vertex nor leaves the ball
+    assert counts["unequal"] == 0
+    found = counts["act"] - (len(ball) - 1) - ball.table.count(-1)
+    assert counts["eq"] == check_eq + found
     # one hash per acted point, plus the basepoint's own insert
     assert counts["hash"] == counts["act"] + 1
 
@@ -380,7 +390,7 @@ def test_foreign_generator_is_refused_before_any_step():
     action = PointedAction(group, counting_step, translation.basepoint,
                            is_point=group.contains)
     gens = group.standard_gens()
-    foreign = (FreeWord(3, (3,)), IntVector((1,)), Perm((1, 0)))
+    foreign = (FreeGroup(3).letter(2), IntVector((1,)), Perm((1, 0)))
     for x in foreign:
         bad = SymmetricGenSet(gens.elements + (x,), gens.pairing + (len(gens),),
                               gens.names + ("x",))
@@ -419,23 +429,40 @@ def hash_order_outputs(ball):
             profile_from_ball(ball, range(ball.radius)))
 
 
-def test_outputs_do_not_depend_on_hash_order(monkeypatch):
-    def build_all():
-        w, gens = lamplighter(2)
-        balls = [build_ball(translation_action(w), gens, 6)]
-        balls += [spec_ball(text, radius) for text, radius in (
-            ("wreath(Sym(3), Z, translation)", 4),
-            ("imprimitive(wreath(C(3), Z, translation))", 8),
-            ("Z^2 / [5, 0]", 12),
-        )]
-        return [hash_order_outputs(ball) for ball in balls]
+HASH_ORDER_SPECS = (
+    ("wreath(Sym(3), Z, translation)", 4),
+    ("imprimitive(wreath(C(3), Z, translation))", 8),
+    ("Z^2 / [5, 0]", 12),
+    ("wreath(C(2), F(2), translation)", 3),
+    ("imprimitive(wreath(C(2), F(2), rule(f2_four_ends)))", 4),
+)
 
-    shipped = build_all()
+
+def hash_order_outputs_of_all():
+    w, gens = lamplighter(2)
+    balls = [build_ball(translation_action(w), gens, 6)]
+    balls += [spec_ball(text, radius) for text, radius in HASH_ORDER_SPECS]
+    return [hash_order_outputs(ball) for ball in balls]
+
+
+def test_outputs_do_not_depend_on_hash_order(monkeypatch):
+    shipped = hash_order_outputs_of_all()
+    # words hash as bytes, which follow PYTHONHASHSEED: two interpreters
+    # with different seeds reorder every frozenset and dict of words
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(endslab.__file__).resolve().parents[1]), str(tests)]))
+    script = "import test_balls; print(repr(test_balls.hash_order_outputs_of_all()))"
+    for seed in ("1", "2"):
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=dict(env, PYTHONHASHSEED=seed), cwd=tests,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == repr(shipped) + "\n"
     # another hash consistent with equality reorders every frozenset of
-    # words or vectors (wreath supports, orbits) without changing a value
-    monkeypatch.setattr(FreeWord, "__hash__", lambda self: hash((self.letters[::-1], 1)))
+    # vectors (wreath supports, orbits) without changing a value
     monkeypatch.setattr(IntVector, "__hash__", lambda self: hash((self.coords[::-1], 1)))
-    assert build_all() == shipped
+    assert hash_order_outputs_of_all() == shipped
 
 
 def sign_quotient_ball():
@@ -453,8 +480,8 @@ def spec_ball(text, radius):
 
 
 # sha256 of the indented ball JSON and of the DOT text of balls over free
-# words, computed with the signed-tuple FreeWord that byte codes replaced:
-# the representation of a word must not reach any export
+# words, computed when words were a value class of signed letters: the
+# representation of a word must not reach any export
 FREE_WORD_EXPORT_DIGESTS = [
     ("F(2)", 4,
      "4cb6fdc715b2549656737c7f3a70e1383a464a5d603dba793bc0d1d38d5ae6e6",

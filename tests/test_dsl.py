@@ -24,7 +24,7 @@ from endslab.dsl import (
     parse_spec,
     print_spec,
 )
-from endslab.groups import FreeAbelian, FreeGroup, FreeWord, IntVector
+from endslab.groups import FreeAbelian, FreeGroup, IntVector
 from endslab.wreath import WreathGroup
 
 
@@ -242,7 +242,7 @@ def test_elaborate_word_gens():
 def test_word_item_is_the_product_of_its_letters():
     for text, letters in (("abBA", ()), ("aAb", (2,)), ("BbbaAB", ()), ("Aba", (-1, 2, 1))):
         _, gens = elaborate(parse_spec(f"F(2) with gens {{{text}}}"))
-        assert gens.elements[0] == FreeWord(2, letters), text
+        assert gens.elements[0] == FreeGroup(2).word(letters), text
 
 
 def test_print_examples():

@@ -2,7 +2,7 @@ import copy
 import pickle
 import random
 import string
-from dataclasses import FrozenInstanceError, fields, replace
+from dataclasses import FrozenInstanceError, fields
 
 import pytest
 
@@ -16,7 +16,6 @@ from endslab.groups import (
     FamilyMismatchError,
     FreeAbelian,
     FreeGroup,
-    FreeWord,
     GroupError,
     IntVector,
     InvalidParameterError,
@@ -29,6 +28,7 @@ from endslab.groups import (
     make_gen_set,
     nonidentity_gens,
     perm_parity,
+    signed_letters,
     verify_gen_set,
 )
 from endslab.wreath import WreathElement, lamplighter
@@ -64,17 +64,17 @@ def sample_element(group, rng):
 def test_free_reduction():
     # "x y^-1" times "y x" reduces to "x x"
     f2 = FreeGroup(2)
-    a = FreeWord(2, (1, -2))
-    b = FreeWord(2, (2, 1))
-    assert f2.multiply(a, b) == FreeWord(2, (1, 1))
+    a = f2.word((1, -2))
+    b = f2.word((2, 1))
+    assert f2.multiply(a, b) == f2.word((1, 1))
     assert element_label(f2.multiply(a, b)) == "aa"
 
 
 def test_free_inverse_reverses_and_negates():
     f2 = FreeGroup(2)
-    w = FreeWord(2, (1, 2))
-    assert f2.inverse(w) == FreeWord(2, (-2, -1))
-    assert f2.multiply(w, f2.inverse(w)) == FreeWord(2, ())
+    w = f2.word((1, 2))
+    assert f2.inverse(w) == f2.word((-2, -1))
+    assert f2.multiply(w, f2.inverse(w)) == f2.word(())
 
 
 def test_cyclic_and_vector_examples():
@@ -91,7 +91,7 @@ def test_perm_inverse():
 
 
 def test_identity_elements():
-    assert FreeGroup(2).identity() == FreeWord(2, ())
+    assert FreeGroup(2).identity() == b""
     assert FreeAbelian(2).identity() == IntVector((0, 0))
     assert Cyclic(5).identity() == CyclicInt(5, 0)
     assert Cyclic(5).inverse(Cyclic(5).identity()) == Cyclic(5).identity()
@@ -101,9 +101,9 @@ def test_family_mismatch_errors():
     with pytest.raises(FamilyMismatchError):
         Cyclic(4).multiply(CyclicInt(4, 1), CyclicInt(5, 1))
     with pytest.raises(FamilyMismatchError):
-        FreeGroup(2).multiply(FreeWord(2, ()), IntVector((0,)))
+        FreeGroup(2).multiply(b"", IntVector((0,)))
     with pytest.raises(FamilyMismatchError):
-        FreeGroup(2).multiply(FreeWord(3, ()), FreeWord(3, ()))
+        FreeGroup(2).multiply(b"\x04", b"")  # the letter c has no code in F(2)
 
 
 def test_invalid_parameters():
@@ -114,13 +114,12 @@ def test_invalid_parameters():
     with pytest.raises(InvalidParameterError):
         Perm((0, 0, 1))
     with pytest.raises(InvalidParameterError):
-        FreeWord(2, (1, -1))  # not reduced
+        FreeGroup(2).word((1, -1))  # not reduced
 
 
 def test_free_rank_stays_within_the_alphabet():
     # one letter per generator, so every word of every legal rank has a label
-    for make in (lambda: FreeGroup(27), lambda: FreeWord(27, (27,)),
-                 lambda: FreeGroup(0), lambda: FreeWord(0)):
+    for make in (lambda: FreeGroup(27), lambda: FreeGroup(0)):
         with pytest.raises(InvalidParameterError, match=r"rank must lie in 1\.\.26"):
             make()
     f26 = FreeGroup(26)
@@ -244,11 +243,12 @@ def test_group_axioms_random(group):
         assert group.multiply(group.identity(), a) == a
 
 
-def rebuild(value):
-    """``value`` rebuilt through its checked constructor: a FreeWord from its
-    rank and signed letters, a value of any other family from its fields."""
-    if isinstance(value, FreeWord):
-        return FreeWord(value.rank, value.letters)
+def rebuild(group, value):
+    """``value`` rebuilt through its checked constructor: a word of a free
+    group from its signed letters, a value of any other family from its
+    fields."""
+    if isinstance(group, FreeGroup):
+        return group.word(signed_letters(value))
     return type(value)(*[getattr(value, f) for f in value.__dataclass_fields__])
 
 
@@ -261,7 +261,7 @@ def test_canonical_form_stability(group):
         # results are built without their checks: rebuilding each through
         # its checked constructor re-validates it and must give the same value
         for value in (group.multiply(a, b), group.inverse(a)):
-            assert rebuild(value) == value
+            assert rebuild(group, value) == value
 
 
 @pytest.mark.parametrize("group", ALL_GROUPS, ids=str)
@@ -271,7 +271,7 @@ def test_hash_agrees_with_equality(group):
     for _ in range(50):
         a = sample_element(group, rng)
         # multiply/inverse build their results with the trusted constructors
-        rebuilt = rebuild(a)
+        rebuilt = rebuild(group, a)
         for value in (rebuilt, group.multiply(a, ident), group.multiply(ident, a),
                       group.inverse(group.inverse(a))):
             assert value == a and hash(value) == hash(a)
@@ -307,15 +307,15 @@ def test_perm_parity():
 
 
 def test_element_labels():
-    assert element_label(FreeWord(2, (1, -2, 1))) == "aBa"
-    assert element_label(FreeWord(2, ())) == "1"
+    assert element_label(FreeGroup(2).word((1, -2, 1))) == "aBa"
+    assert element_label(FreeGroup(2).word(())) == "1"
     assert element_label(Perm((1, 0, 2))) == "(0 1)"
     assert element_label(IntVector((3,))) == "3"
     assert element_label(IntVector((1, -2))) == "(1,-2)"
 
 
 # ---------------------------------------------------------------------------
-# free words as byte codes
+# free words as bytes of letter codes
 
 
 def signed_label(letters):
@@ -329,40 +329,37 @@ def test_every_letter_of_f26_labels_as_its_signed_form():
     for i in range(26):
         for power in (1, -1):
             w = f26.letter(i, power)
-            assert w.letters == (power * (i + 1),)
-            assert element_label(w) == signed_label(w.letters)
-    word = FreeWord(26, tuple(range(1, 27)) + tuple(range(-1, -27, -1)))
-    assert element_label(word) == signed_label(word.letters)
+            assert signed_letters(w) == (power * (i + 1),)
+            assert element_label(w) == signed_label(signed_letters(w))
+    word = f26.word(tuple(range(1, 27)) + tuple(range(-1, -27, -1)))
+    assert element_label(word) == signed_label(signed_letters(word))
     assert element_label(f26.identity()) == "1"
 
 
-def test_letters_round_trip_and_repr():
+def test_signed_letters_round_trip():
     rng = random.Random(5)
     for group in (FreeGroup(1), FreeGroup(3), FreeGroup(26)):
         for _ in range(30):
             w = sample_element(group, rng)
-            assert FreeWord(group.rank, w.letters) == w
-            assert isinstance(w.letters, tuple)
-    assert repr(FreeWord(2, (1, -2))) == "FreeWord(rank=2, letters=(1, -2))"
-    assert repr(FreeGroup(3).identity()) == "FreeWord(rank=3, letters=())"
-    # letters is a view with no setter
-    w = FreeWord(2, (1,))
-    with pytest.raises(FrozenInstanceError):
-        w.letters = (2,)
-    assert w.letters == (1,) and w.codes == b"\x00"
+            assert group.word(signed_letters(w)) == w
+            assert isinstance(signed_letters(w), tuple)
+    assert FreeGroup(2).word((1, -2)) == b"\x00\x03"
+    assert FreeGroup(2).letter(1, -1) == b"\x03"
 
 
-def test_replace_on_a_word_raises_and_never_returns_a_word():
-    # the constructor takes letters, not the stored codes; were codes left
-    # out of __init__, replace would silently build the empty word
-    w = FreeWord(2, (1, -2))
-    for changes in ({"rank": 3}, {}):
-        with pytest.raises(TypeError, match="codes"):
-            replace(w, **changes)
-    assert FreeWord(3, w.letters).letters == (1, -2)
+def test_free_membership_is_a_shape_check():
+    # a member is bytes of in-range codes with no code next to its inverse;
+    # the group states the family, so a word of F(2) is also one of F(3)
+    f2 = FreeGroup(2)
+    for foreign in (bytearray(b"\x00"), "a", (0,), b"\x04", b"\x00\x01", b"\x03\x02"):
+        assert not f2.contains(foreign), foreign
+    for member in (FreeGroup(3).identity(), b"\x00\x00\x03", b"\x01\x02\x01"):
+        assert f2.contains(member), member
+    assert FreeGroup(3).contains(f2.letter(1))
+    assert not FreeGroup(1).contains(f2.letter(1))
 
 
-FROZEN_VALUES = [FreeWord(2, (1, -2)), IntVector((1, -1)), CyclicInt(3, 1), Perm((1, 0)),
+FROZEN_VALUES = [IntVector((1, -1)), CyclicInt(3, 1), Perm((1, 0)),
                  ModVector((2, 3), (1, 2)), PairPoint(CyclicInt(3, 1), IntVector((2,))),
                  WreathElement(frozenset([(IntVector((1,)), CyclicInt(2, 1))]),
                                IntVector((0,)))]
@@ -385,5 +382,6 @@ def test_free_inverse_is_the_reversed_negated_word():
     for group in (FreeGroup(1), FreeGroup(3), FreeGroup(26)):
         for _ in range(30):
             w = sample_element(group, rng)
-            assert group.inverse(w).letters == tuple(-l for l in reversed(w.letters))
+            assert signed_letters(group.inverse(w)) == tuple(
+                -l for l in reversed(signed_letters(w)))
 
