@@ -12,6 +12,7 @@ from endslab.actions import (
 )
 from endslab.balls import build_ball, pointed_labeled_isomorphic
 from endslab.dsl import elaborate, parse_spec
+from endslab.ends import ends_profile, profile_from_ball
 from endslab.groups import (
     Cyclic,
     CyclicInt,
@@ -297,6 +298,70 @@ def test_imprimitive_coset_action_examples():
     # K = full group: the leaf direction collapses to the orbit X'
     full = imprimitive_coset_action(w, GeneratedSubgroup((IntVector((1,)),)), ta.basepoint)
     assert len(build_ball(full, gens, 100, 100)) == 2
+
+
+# ---------------------------------------------------------------------------
+# the ends of G wr_X H on G x X: the paper's closed form as an oracle
+
+
+def _fiber_radius(ball, x0):
+    """The largest distance from the basepoint to a point of the fiber at x0."""
+    return max(ball.dist[v] for v, p in enumerate(ball.points) if p.pos == x0)
+
+
+def _closed_form_check(action, gens, K, leaves, ends_of_x):
+    # only a delta step at x0 changes a leaf, so once the deleted ball holds
+    # the fiber {leaves} x {x0}, what is left is one copy of Sch(H, X) minus
+    # a finite set per leaf: e = leaves * e(Sch(H, X)) for every inner radius
+    # k whose deleted ball B_{k-1} holds the fiber
+    ball = build_ball(action, gens, K)
+    profile = profile_from_ball(ball, range(1, K // 2 + 1))
+    r0 = _fiber_radius(ball, action.basepoint.pos)
+    trailing = [e for k, e in zip(profile.k_values, profile.stabilized()) if k > r0]
+    assert len(trailing) >= 2, (action, r0)
+    assert trailing == [leaves * ends_of_x] * len(trailing), (action, profile.stabilized())
+    assert str(profile.verdict) == f"STABLE({leaves * ends_of_x})"
+
+
+@pytest.mark.parametrize("text,K,leaves,ends_of_x", [
+    ("imprimitive(wreath(C(2), Z, translation))", 12, 2, 2),
+    ("imprimitive(wreath(C(3), Z, translation))", 12, 3, 2),
+    ("imprimitive(wreath(Sym(3), Z, translation))", 14, 6, 2),
+    ("imprimitive(wreath(C(2), Z^2, translation))", 10, 2, 1),
+    ("imprimitive(wreath(C(2), Z^2, coset([1, 0])))", 12, 2, 2),
+    ("imprimitive(wreath(C(4), Z, coset(trivial)))", 12, 4, 2),
+    ("imprimitive(wreath(C(4), Z, coset(3)))", 10, 4, 0),
+    ("imprimitive(wreath(C(2), Sym(3), regular))", 12, 2, 0),
+    ("imprimitive(wreath(C(2), Z, regular), 3)", 12, 2, 2),
+])
+def test_imprimitive_ends_match_the_closed_form(text, K, leaves, ends_of_x):
+    action, gens = elaborate(parse_spec(text))
+    _closed_form_check(action, gens, K, leaves, ends_of_x)
+
+
+@pytest.mark.parametrize("base_text,k_gens,index", [
+    ("Sym(3)", (Perm((1, 0, 2)),), 3),
+    ("C(4)", (CyclicInt(4, 2),), 2),
+    ("Sym(3)", (Perm((1, 2, 0)),), 2),
+])
+def test_imprimitive_coset_ends_match_the_closed_form(base_text, k_gens, index):
+    # with the leaf G replaced by G/K the same argument gives [G:K] * e(Sch(H, X))
+    action, gens = elaborate(parse_spec(f"imprimitive(wreath({base_text}, Z, translation))"))
+    w = action.group
+    coset_leaves = imprimitive_coset_action(w, GeneratedSubgroup(k_gens), w.orbit_reps[0])
+    _closed_form_check(coset_leaves, gens, 12, index, 2)
+
+
+@pytest.mark.parametrize("text,K,stabilized", [
+    # an infinite leaf group or an infinitely ended X: the count grows with k
+    ("imprimitive(wreath(Z, Z, translation))", 12, (4, 8, 12, 16, 20, 24)),
+    ("imprimitive(wreath(C(2), F(2), translation))", 7, (5, 16, 48)),
+])
+def test_imprimitive_ends_grow_without_a_closed_form(text, K, stabilized):
+    action, gens = elaborate(parse_spec(text))
+    profile = ends_profile(action, gens, range(1, K // 2 + 1), K)
+    assert profile.stabilized() == stabilized
+    assert str(profile.verdict) == "GROWING"
 
 
 def test_head_projection_action():
