@@ -34,7 +34,7 @@ from .balls import (
     simplify,
 )
 from .groups import FreeAbelian, Group, GroupElement, IntVector, SymmetricGenSet, make_gen_set
-from .wreath import WreathElement, WreathGroup
+from .wreath import WreathGroup
 
 
 class EndsError(Exception):
@@ -325,8 +325,8 @@ def coordinate_split(group: FreeAbelian, gens: SymmetricGenSet,
 
 
 def wreath_split(w: WreathGroup, gens: SymmetricGenSet) -> SemidirectSplit:
-    """Split a wreath product into base-sum and top parts."""
-    return _split_by_head(w, gens, lambda a: WreathElement(frozenset(), a.head))
+    """Split a wreath product into base-sum and top parts: (f, h) -> (1, h)."""
+    return _split_by_head(w, gens, lambda a: w.top_element(a.head))
 
 
 @dataclass(frozen=True)

@@ -154,7 +154,7 @@ GroupElement = Any
 
 
 def trusted_constructor(cls) -> Callable[..., Any]:
-    """The trusted constructor of a slotted value class with one or two
+    """The trusted constructor of a slotted value class with one to three
     fields, for values a law computes from members: such a value is a
     member, so it takes the field values in field order and runs no check.
     It sets each field through its slot descriptor, which skips the frozen
@@ -170,15 +170,26 @@ def trusted_constructor(cls) -> Callable[..., Any]:
             return v
 
         return build_one
-    set_first, set_second = setters
+    if len(setters) == 2:
+        set_first, set_second = setters
 
-    def build_two(first, second):
+        def build_two(first, second):
+            v = new(cls)
+            set_first(v, first)
+            set_second(v, second)
+            return v
+
+        return build_two
+    set_first, set_second, set_third = setters
+
+    def build_three(first, second, third):
         v = new(cls)
         set_first(v, first)
         set_second(v, second)
+        set_third(v, third)
         return v
 
-    return build_two
+    return build_three
 
 
 _raw_intvector = trusted_constructor(IntVector)

@@ -1,11 +1,13 @@
 """Restricted wreath products and their imprimitive actions.
 
-An element is a pair (support, head): a finitely supported map
-X -> base group (stored without identity values, as a frozenset of
-items) together with a top-group element.  The top group permutes the
-support coordinates through its action on X, and the top action's
-``is_point`` decides which values are points of X.  The trusted law
-``_mul`` moves coordinates with the top action's ``step``.  Both
+The mathematical element is a pair (f, h): a finitely supported map
+f: X -> base group and a top-group element h.  It is stored relative to
+its head, as (r, h) with r(y) = f(h.y), without identity values and as a
+frozenset of items; this is a bijection, so equality and hashing stay
+canonical.  The top group permutes coordinates through its action on X,
+and the top action's ``is_point`` decides which values are points of X.
+The trusted law ``_mul`` moves the left operand's entries with the top
+action's ``step``, so a top generator on the left moves nothing.  Both
 imprimitive actions pair a leaf action of the base group (on itself or
 on cosets) with the top action; the head projection steps with the top
 action alone.
@@ -14,9 +16,9 @@ action alone.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import partial, reduce
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .actions import (
     PairPoint,
@@ -50,15 +52,22 @@ class WreathError(GroupError):
 @frozen_value
 @dataclass(frozen=True, slots=True)
 class WreathElement:
-    """(support, head) with no identity values stored in the support."""
+    """(r, h) for the element (f, h) with r(y) = f(h.y); ``support`` holds
+    the entries of r, with no identity values.  ``top_step`` is the step of
+    the group's top action, which the label reads the absolute support
+    with; it takes no part in equality or hashing."""
 
     support: frozenset  # frozenset of (Point, base GroupElement) pairs
     head: GroupElement
+    top_step: Callable = field(compare=False, repr=False)
 
 
 def wreath_label(a: WreathElement) -> str:
+    """``(x:v,...; h)`` over the entries (x, v) of the absolute support f,
+    each at x = h.y for an entry (y, v) of r."""
     if a.support:
-        items = sorted(((point_label(p), element_label(v)) for p, v in a.support))
+        h, step = a.head, a.top_step
+        items = sorted((point_label(step(h, y)), element_label(v)) for y, v in a.support)
         sup = ",".join(f"{p}:{v}" for p, v in items)
     else:
         sup = "1"
@@ -99,6 +108,7 @@ class WreathGroup(Group):
         self.top_action = top_action
         self._base_identity = base.identity()
         self._top_identity = top.identity()
+        self._top_step = top_action.step
         self.orbit_reps = tuple(orbit_reps)
         if not self.orbit_reps:
             raise WreathError("at least one orbit representative is required")
@@ -118,7 +128,7 @@ class WreathGroup(Group):
                         f"same top-orbit")
 
     def identity(self) -> WreathElement:
-        return WreathElement(frozenset(), self.top.identity())
+        return WreathElement(frozenset(), self.top.identity(), self._top_step)
 
     def delta(self, point: Point, value: GroupElement) -> WreathElement:
         """The element supported at one point, with trivial head."""
@@ -126,11 +136,31 @@ class WreathGroup(Group):
         check_members(self.base, (value,))
         if value == self.base.identity():
             return self.identity()
-        return WreathElement(frozenset([(point, value)]), self.top.identity())
+        return WreathElement(frozenset([(point, value)]), self.top.identity(), self._top_step)
 
     def top_element(self, h: GroupElement) -> WreathElement:
         check_members(self.top, (h,))
-        return WreathElement(frozenset(), h)
+        return WreathElement(frozenset(), h, self._top_step)
+
+    def element(self, support: Iterable[tuple[Point, GroupElement]],
+                head: GroupElement) -> WreathElement:
+        """The member (f, head) whose absolute support f has the given
+        (point, value) entries; a non-member is a ``FamilyMismatchError``
+        and a non-point an ``ActionError``."""
+        entries = tuple(support)
+        check_members(self.top, (head,))
+        for x, _ in entries:
+            check_point(self.top_action, x)
+        h_inv, step = self.top._inv(head), self._top_step
+        a = WreathElement(frozenset((step(h_inv, x), v) for x, v in entries), head, step)
+        check_members(self, (a,))
+        return a
+
+    def absolute_support(self, a: WreathElement) -> frozenset:
+        """The (point, value) entries of f for the member a = (f, h)."""
+        check_members(self, (a,))
+        h, step = a.head, self._top_step
+        return frozenset((step(h, y), v) for y, v in a.support)
 
     def contains(self, a) -> bool:
         if not (isinstance(a, WreathElement) and self.top.contains(a.head)):
@@ -142,34 +172,31 @@ class WreathGroup(Group):
             base.contains(v) and v != ident and is_point(p) for p, v in a.support)
 
     def _mul(self, a: WreathElement, b: WreathElement) -> WreathElement:
-        # (f, h)(f', h') = (f * (h.f'), h h') with (h.f')(x) = f'(h^-1 x):
-        # the entry of f' at x moves to h.x, then f's entries multiply in
-        # from the left.  A delta's head moves nothing, and a top generator
-        # has no entries to multiply in.
-        h = a.head
-        if h == self._top_identity:
-            moved, head = b.support, b.head
-        else:
-            step = self.top_action.step
-            moved = [(step(h, p), v) for p, v in b.support]
-            head = self.top._mul(h, b.head)
+        # r_ab(y) = r_a(h_b.y) * r_b(y) and h_ab = h_a h_b: the entry of r_a
+        # at z moves to h_b^-1.z, then multiplies into r_b from the left.
+        # A top generator has no entries, so the product shares b's support
+        # (and its cached hash); a delta's trivial head leaves b's head.
+        h_a, h_b, step = a.head, b.head, self._top_step
+        head = h_b if h_a == self._top_identity else self.top._mul(h_a, h_b)
         if not a.support:
-            return _raw_wreath(frozenset(moved), head)
+            return _raw_wreath(b.support, head, step)
+        h_b_inv = self.top._inv(h_b)
         mul, ident = self.base._mul, self._base_identity
-        combined = dict(moved)
-        for p, v in a.support:
-            w = mul(v, combined[p]) if p in combined else v
+        combined = dict(b.support)
+        for z, v in a.support:
+            y = step(h_b_inv, z)
+            w = mul(v, combined[y]) if y in combined else v
             if w == ident:
-                del combined[p]
+                del combined[y]
             else:
-                combined[p] = w
-        return _raw_wreath(frozenset(combined.items()), head)
+                combined[y] = w
+        return _raw_wreath(frozenset(combined.items()), head, step)
 
     def _inv(self, a: WreathElement) -> WreathElement:
-        h_inv = self.top._inv(a.head)
-        step = self.top_action.step
-        inv = self.base._inv
-        return _raw_wreath(frozenset((step(h_inv, p), inv(v)) for p, v in a.support), h_inv)
+        # r'(y) = r(h^-1.y)^-1: the entry (z, v) goes to (h.z, v^-1)
+        h, step, inv = a.head, self._top_step, self.base._inv
+        return _raw_wreath(frozenset((step(h, z), inv(v)) for z, v in a.support),
+                           self.top._inv(h), step)
 
     def standard_gens(self) -> SymmetricGenSet:
         """The image of the standard base generators under delta(rep, .) for
@@ -189,23 +216,23 @@ class WreathGroup(Group):
 
 def _imprimitive(w: WreathGroup, orbit_rep: Point, leaf: PointedAction,
                  label: str) -> PointedAction:
-    """(f, h).(l, x) = (f(h.x).l, h.x), moving x with the top action's
-    ``step`` and l with the ``step`` of ``leaf``, an action of the base
-    group; a point is a ``PairPoint`` of a leaf point and a point of X,
-    and the basepoint is (leaf basepoint, ``orbit_rep``)."""
+    """(f, h).(l, x) = (f(h.x).l, h.x) = (r(x).l, h.x): the step reads r
+    at the old position x, moves l with the ``step`` of ``leaf``, an
+    action of the base group, and x with the top action's ``step``; a
+    point is a ``PairPoint`` of a leaf point and a point of X, and the
+    basepoint is (leaf basepoint, ``orbit_rep``)."""
     if orbit_rep not in w.orbit_reps:
         raise WreathError(f"{orbit_rep!r} is not one of the chosen orbit representatives")
     top_step, is_pos = w.top_action.step, w.top_action.is_point
     leaf_step, is_leaf = leaf.step, leaf.is_point
 
     def step(a: WreathElement, p: PairPoint) -> PairPoint:
-        x = top_step(a.head, p.pos)
-        leaf_pt = p.leaf
-        for q, v in a.support:
-            if q == x:
+        x, leaf_pt = p.pos, p.leaf
+        for y, v in a.support:
+            if y == x:
                 leaf_pt = leaf_step(v, leaf_pt)
                 break
-        return _raw_pair(leaf_pt, x)
+        return _raw_pair(leaf_pt, top_step(a.head, x))
 
     def is_point(p: Point) -> bool:
         return isinstance(p, PairPoint) and is_leaf(p.leaf) and is_pos(p.pos)

@@ -431,7 +431,7 @@ _LAMP3, _ = lamplighter(3)
 _ZERO = IntVector((0,))
 _NO_GENS = object()
 _TWO_VALUED = WreathElement(frozenset({(_ZERO, CyclicInt(3, 1)), (_ZERO, CyclicInt(3, 2))}),
-                            _ZERO)
+                            _ZERO, _LAMP3.top_action.step)
 
 
 def _foreign(group):

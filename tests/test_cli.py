@@ -340,6 +340,23 @@ def test_wreath_coset_lattice_and_quotient_requests_match_reference_digests(monk
     assert mismatched == []
 
 
+def _names_a_small_wreath_ball(req):
+    """A request that names a wreath product, unless it is a lamplighter
+    Cayley ball of radius 12 or more."""
+    spec = req.get("spec", "")
+    lamplighter_ball = req["kind"] == "ball" and spec.startswith("wreath(C(2), Z, ")
+    return "wreath(" in spec and not (lamplighter_ball and req["R"] >= 12)
+
+
+def test_wreath_coset_wreath_requests_match_reference_digests(monkeypatch):
+    # the wreath products of the wreath-coset catalog: 36 Cayley balls with
+    # their JSON or DOT export, 9 leaf decompositions and 6 head projections
+    requests, _, mismatched = _digest_mismatches(
+        monkeypatch, "wreath-coset", _names_a_small_wreath_ball)
+    assert len(requests) == 51
+    assert mismatched == []
+
+
 def test_every_leaf_hub_lies_in_its_ball(monkeypatch):
     # only a delta step at the orbit representative x0 changes the leaf, so
     # each leaf l of an imprimitive ball holds (l, x0) no farther out than

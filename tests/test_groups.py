@@ -31,7 +31,7 @@ from endslab.groups import (
     signed_letters,
     verify_gen_set,
 )
-from endslab.wreath import WreathElement, lamplighter
+from endslab.wreath import lamplighter
 
 ALL_GROUPS = [FreeGroup(2), FreeAbelian(2), Cyclic(5), SymmetricGroup(4),
               Torus((2, 3)),
@@ -155,8 +155,12 @@ def _quotient_gens(n):
     return pair.quotient_ball.gens
 
 
-def _wreath(head, *support):
-    return WreathElement(frozenset(support), head)
+_LAMP2 = lamplighter(2)[0]
+_C1_WR_C1 = elaborate(parse_spec("wreath(C(1), C(1), regular)"))[0].group
+
+
+def _wreath(w, head, *support):
+    return w.element(support, head)
 
 
 # generating set, then its elements, pairing and names
@@ -178,13 +182,13 @@ PINNED_GEN_SETS = [
      (ModVector((1, 4), (0, 0)), ModVector((1, 4), (0, 1)), ModVector((1, 4), (0, 3))),
      (0, 2, 1), ("+e1", "+e2", "-e2")),
     ("lamplighter(2)", lambda: lamplighter(2)[1],
-     (_wreath(IntVector((0,)), (IntVector((0,)), CyclicInt(2, 1))),
-      _wreath(IntVector((1,))), _wreath(IntVector((-1,)))),
+     (_wreath(_LAMP2, IntVector((0,)), (IntVector((0,)), CyclicInt(2, 1))),
+      _wreath(_LAMP2, IntVector((1,))), _wreath(_LAMP2, IntVector((-1,)))),
      (0, 2, 1), ("d(0:+1)", "h(+1)", "h(-1)")),
     # both images are identities: delta of the identity and the top identity
     ("wreath(C(1), C(1), regular)",
      lambda: elaborate(parse_spec("wreath(C(1), C(1), regular)"))[1],
-     (_wreath(CyclicInt(1, 0)), _wreath(CyclicInt(1, 0))),
+     (_wreath(_C1_WR_C1, CyclicInt(1, 0)), _wreath(_C1_WR_C1, CyclicInt(1, 0))),
      (0, 1), ("d(0:+1)", "h(+1)")),
     ("Z -> C(2)", lambda: _quotient_gens(2),
      (CyclicInt(2, 1), CyclicInt(2, 1)), (1, 0), ("+1", "-1")),
@@ -361,8 +365,7 @@ def test_free_membership_is_a_shape_check():
 
 FROZEN_VALUES = [IntVector((1, -1)), CyclicInt(3, 1), Perm((1, 0)),
                  ModVector((2, 3), (1, 2)), PairPoint(CyclicInt(3, 1), IntVector((2,))),
-                 WreathElement(frozenset([(IntVector((1,)), CyclicInt(2, 1))]),
-                               IntVector((0,)))]
+                 _wreath(_LAMP2, IntVector((0,)), (IntVector((1,)), CyclicInt(2, 1)))]
 
 
 @pytest.mark.parametrize("value", FROZEN_VALUES, ids=lambda v: type(v).__name__)

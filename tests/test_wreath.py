@@ -1,4 +1,6 @@
 import random
+from collections import Counter
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -21,6 +23,7 @@ from endslab.groups import (
     IntVector,
     Perm,
     SymmetricGroup,
+    element_label,
 )
 from endslab.wreath import (
     WreathElement,
@@ -53,9 +56,8 @@ def regular_wreath(n, m):
 def to_library(w, n, m, el):
     """Convert an oracle element (tuple of base values, head) to a WreathElement."""
     phi, h = el
-    support = frozenset((CyclicInt(m, x), CyclicInt(n, v))
-                        for x, v in enumerate(phi) if v != 0)
-    return WreathElement(support, CyclicInt(m, h))
+    return w.element(((CyclicInt(m, x), CyclicInt(n, v)) for x, v in enumerate(phi) if v != 0),
+                     CyclicInt(m, h))
 
 
 @pytest.mark.parametrize("n,m", [(2, 2), (3, 2)])
@@ -84,15 +86,15 @@ def test_shifted_delta_law():
     d = w.delta(x0, s)
     prod = w.multiply(t, d)
     moved = w.top_action.act(t.head, x0)
-    assert prod == WreathElement(frozenset([(moved, s)]), t.head)
+    assert prod == w.element([(moved, s)], t.head)
+    assert w.absolute_support(prod) == {(moved, s)}
 
     lamp, _ = lamplighter(2)
     x0 = lamp.top_action.basepoint
     t = lamp.top_element(IntVector((1,)))
     d = lamp.delta(x0, CyclicInt(2, 1))
     prod = lamp.multiply(t, d)
-    assert prod == WreathElement(frozenset([(IntVector((1,)), CyclicInt(2, 1))]),
-                                 IntVector((1,)))
+    assert prod == lamp.element([(IntVector((1,)), CyclicInt(2, 1))], IntVector((1,)))
 
 
 def test_inverse_examples():
@@ -103,12 +105,62 @@ def test_inverse_examples():
     assert w.inverse(d) == w.delta(w.top_action.basepoint, CyclicInt(3, 2))
 
     lamp, _ = lamplighter(2)
-    a = WreathElement(frozenset([(IntVector((0,)), CyclicInt(2, 1))]),
-                      IntVector((1,)))
+    a = lamp.element([(IntVector((0,)), CyclicInt(2, 1))], IntVector((1,)))
     inv = lamp.inverse(a)
-    assert inv == WreathElement(frozenset([(IntVector((-1,)), CyclicInt(2, 1))]),
-                                IntVector((-1,)))
+    assert inv == lamp.element([(IntVector((-1,)), CyclicInt(2, 1))], IntVector((-1,)))
     assert lamp.multiply(a, inv) == lamp.identity()
+
+
+def test_element_reads_back_its_absolute_support():
+    lamp, _ = lamplighter(3)
+    entries = {(IntVector((2,)), CyclicInt(3, 1)), (IntVector((-1,)), CyclicInt(3, 2))}
+    a = lamp.element(entries, IntVector((5,)))
+    assert lamp.absolute_support(a) == entries
+    assert lamp.element([], IntVector((5,))) == lamp.top_element(IntVector((5,)))
+    assert element_label(a) == "(-1:2,2:1; 5)"
+    for support, head, error in (
+            ([(CyclicInt(2, 1), CyclicInt(3, 1))], IntVector((0,)), ActionError),
+            ([(IntVector((0,)), CyclicInt(2, 1))], IntVector((0,)), FamilyMismatchError),
+            ([(IntVector((0,)), CyclicInt(3, 0))], IntVector((0,)), FamilyMismatchError),
+            ([(IntVector((0,)), CyclicInt(3, 1)), (IntVector((0,)), CyclicInt(3, 2))],
+             IntVector((0,)), FamilyMismatchError),
+            ([], CyclicInt(3, 1), FamilyMismatchError)):
+        with pytest.raises(error):
+            lamp.element(support, head)
+    with pytest.raises(FamilyMismatchError):
+        lamp.absolute_support(IntVector((0,)))
+
+
+def test_a_top_generator_step_shares_its_operands_support():
+    w, gens = lamplighter(2)
+    d, t = gens.elements[0], gens.elements[1]
+    b = w.multiply(d, w.multiply(t, d))
+    assert w.multiply(t, b).support is b.support
+
+    # in a Cayley ball build, a top generator step moves no support entry
+    # and a delta step moves its one entry
+    moves = Counter()
+
+    def counting(h, x):
+        moves["top action"] += 1
+        return w.top_action.step(h, x)
+
+    counted = WreathGroup(w.base, replace(w.top_action, step=counting), w.orbit_reps)
+    law = translation_action(counted).step
+
+    def act(a, p):
+        before = moves["top action"]
+        q = law(a, p)
+        kind = "delta" if a.support else "top"
+        moves[kind + " steps"] += 1
+        moves[kind + " moves"] += moves["top action"] - before
+        return q
+
+    ball = build_ball(replace(translation_action(counted), step=act),
+                      counted.standard_gens(), 10)
+    assert len(ball) == lamplighter2_ball_sizes(10)[-1]
+    assert moves["top moves"] == 0
+    assert moves["delta moves"] == moves["delta steps"] > 0
 
 
 def sample_wreath_element(w, rng, sites):
@@ -144,16 +196,16 @@ def test_top_action_is_by_automorphisms():
     for _ in range(100):
         f = sample_wreath_element(w, rng, sites)
         g = sample_wreath_element(w, rng, sites)
-        f = WreathElement(f.support, w.top.identity())
-        g = WreathElement(g.support, w.top.identity())
+        f = w.element(w.absolute_support(f), w.top.identity())
+        g = w.element(w.absolute_support(g), w.top.identity())
         h = CyclicInt(4, rng.randrange(4))
         t = w.top_element(h)
 
         def shift(a):
             return w.multiply(w.multiply(t, a), w.inverse(t))
 
-        moved = frozenset((w.top_action.act(h, x), v) for x, v in f.support)
-        assert shift(f) == WreathElement(moved, w.top.identity())
+        moved = [(w.top_action.act(h, x), v) for x, v in w.absolute_support(f)]
+        assert shift(f) == w.element(moved, w.top.identity())
         assert shift(w.multiply(f, g)) == w.multiply(shift(f), shift(g))
 
 
@@ -394,7 +446,8 @@ def test_multiply_and_inverse_reject_foreign_operands():
         with pytest.raises(FamilyMismatchError):
             w.inverse(foreign)
     # a support point outside Z is not a point of the top action
-    bad_point = WreathElement(frozenset([(CyclicInt(2, 1), CyclicInt(2, 1))]), IntVector((0,)))
+    bad_point = WreathElement(frozenset([(CyclicInt(2, 1), CyclicInt(2, 1))]), IntVector((0,)),
+                              w.top_action.step)
     assert not w.contains(bad_point)
     with pytest.raises(FamilyMismatchError):
         w.multiply(a, bad_point)
