@@ -53,9 +53,9 @@ class WreathError(GroupError):
 @dataclass(frozen=True, slots=True)
 class WreathElement:
     """(r, h) for the element (f, h) with r(y) = f(h.y); ``support`` holds
-    the entries of r, with no identity values.  ``top_step`` is the step of
-    the group's top action, which the label reads the absolute support
-    with; it takes no part in equality or hashing."""
+    the entries of r, with no identity values.  ``top_step``, the step of
+    the group's top action, lets the label render the absolute support f;
+    it takes no part in equality or hashing."""
 
     support: frozenset  # frozenset of (Point, base GroupElement) pairs
     head: GroupElement
