@@ -28,7 +28,6 @@ from .groups import (
     FreeGroup,
     Group,
     GroupElement,
-    IntVector,
     ModVector,
     Perm,
     SymmetricGroup,
@@ -103,14 +102,7 @@ def check_point(action: PointedAction, p: Point) -> None:
 point_label = element_label
 
 
-def _tuple_label(p: tuple) -> str:
-    return "(" + ",".join(map(point_label, p)) + ")"
-
-
-LABELS.update({
-    PairPoint: lambda p: f"({point_label(p.leaf)}, {point_label(p.pos)})",
-    tuple: _tuple_label,
-})
+LABELS[PairPoint] = lambda p: f"({point_label(p.leaf)}, {point_label(p.pos)})"
 
 
 # ---------------------------------------------------------------------------
@@ -148,8 +140,8 @@ class GeneratedSubgroup:
     def coset_law(self, group: Group):
         check_members(group, self.gens)
         if isinstance(group, FreeAbelian):
-            hnf = hermite_normal_form([g.coords for g in self.gens], group.rank)
-            return lambda g: IntVector(lattice_reduce(hnf, g.coords))
+            hnf = hermite_normal_form(self.gens, group.rank)
+            return lambda g: lattice_reduce(hnf, g)
         if group.order() is None:
             raise UnsupportedSubgroupError(f"GeneratedSubgroup requires Z^k or a finite "
                                            f"group; supported cases: {SUPPORTED_SUBGROUPS}")
@@ -289,13 +281,13 @@ class IntModQuotient(QuotientSpec):
         return FreeAbelian(1)
 
     def quotient(self):
-        return Cyclic(self.n), lambda g: CyclicInt(self.n, g.coords[0] % self.n)
+        return Cyclic(self.n), lambda g: CyclicInt(self.n, g[0] % self.n)
 
     def kernel_gens(self):
-        return (IntVector((self.n,)),)
+        return ((self.n,),)
 
     def lift(self, q):
-        return IntVector((q.value,))
+        return (q.value,)
 
 
 @dataclass(frozen=True)
@@ -310,15 +302,15 @@ class DiagonalLatticeQuotient(QuotientSpec):
     def quotient(self):
         moduli = self.moduli
         return (Torus(moduli),
-                lambda g: ModVector(moduli, tuple(c % m for c, m in zip(g.coords, moduli))))
+                lambda g: ModVector(moduli, tuple(c % m for c, m in zip(g, moduli))))
 
     def kernel_gens(self):
         k = len(self.moduli)
-        return tuple(IntVector(tuple(m if i == j else 0 for j in range(k)))
+        return tuple(tuple(m if i == j else 0 for j in range(k))
                      for i, m in enumerate(self.moduli))
 
     def lift(self, q):
-        return IntVector(q.coords)
+        return q.coords
 
 
 @dataclass(frozen=True)

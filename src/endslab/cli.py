@@ -226,7 +226,7 @@ def _check_three_segment(args) -> list[tuple[bool, str]]:
     # the H-line through (a, b) is the column {a} x Z; it misses B(r) iff |a| > r
     survivors = [v for v in range(len(ball))
                  if ball.dist[v] <= margin
-                 and abs(ball.points[v].coords[0]) > args.cut_radius]
+                 and abs(ball.points[v][0]) > args.cut_radius]
     if len(survivors) < 2:
         raise UsageError(f"--cut-radius {args.cut_radius} leaves fewer than two endpoints"
                          f" within --radius {args.radius}; need 2 * cut + 3 <= radius")

@@ -48,7 +48,6 @@ from .groups import (
     Group,
     GroupElement,
     GroupError,
-    IntVector,
     Perm,
     SymmetricGenSet,
     SymmetricGroup,
@@ -537,14 +536,14 @@ def _subgroup_spec(group: Group, c: CosetAst):
 def _element_from_item(group: Group, item: GenItem) -> GroupElement:
     if isinstance(item, IntItem):
         if isinstance(group, FreeAbelian) and group.rank == 1:
-            return IntVector((item.value,))
+            return (item.value,)
         if isinstance(group, Cyclic):
             return CyclicInt(group.modulus, item.value % group.modulus)
         raise ElaborationError(f"integer generator {item.value} needs Z or C(m), "
                                f"not {group}")
     if isinstance(item, VecItem):
         if isinstance(group, FreeAbelian) and group.rank == len(item.coords):
-            return IntVector(item.coords)
+            return item.coords
         raise ElaborationError(
             f"vector generator {list(item.coords)} needs Z^{len(item.coords)}, "
             f"not {group}")

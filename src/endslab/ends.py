@@ -33,7 +33,7 @@ from .balls import (
     pointed_labeled_isomorphic,
     simplify,
 )
-from .groups import FreeAbelian, Group, GroupElement, IntVector, SymmetricGenSet, make_gen_set
+from .groups import FreeAbelian, Group, GroupElement, SymmetricGenSet, make_gen_set
 from .wreath import WreathGroup
 
 
@@ -320,8 +320,8 @@ def coordinate_split(group: FreeAbelian, gens: SymmetricGenSet,
     if not 0 < len(n_ax) < group.rank:
         side = "H" if n_ax else "N"
         raise EndsError(f"N axes {sorted(n_ax)} leave the {side} side of {group} empty")
-    return _split_by_head(group, gens, lambda g: IntVector(
-        tuple(0 if j in n_ax else c for j, c in enumerate(g.coords))))
+    return _split_by_head(group, gens, lambda g: tuple(
+        0 if j in n_ax else c for j, c in enumerate(g)))
 
 
 def wreath_split(w: WreathGroup, gens: SymmetricGenSet) -> SemidirectSplit:

@@ -5,15 +5,14 @@ structural.  An element of F(n) is its reduced word as ``bytes`` of letter
 codes: the letter +i has code 2(i-1) and its inverse -i code 2(i-1)+1, so
 the inverse of code c is c ^ 1.  The group, not the value's type, states
 the family: a word is a member of every free group whose alphabet holds
-its codes.  ``IntVector`` hashes explicitly and collision-free on its
-signed coordinates: CPython has ``hash(-1) == hash(-2)``, so the generated
-hash would send two vectors that differ only by a -1 against a -2 to the
-same slot, and balls of free abelian groups would pay an ``__eq__`` call
-for each such pair.  The families implemented here are free groups
-(reduced words), free abelian groups (integer vectors), cyclic groups
-(residues), symmetric groups (permutations in one-line notation) and
-finite tori (integer vectors with per-coordinate moduli).  Wreath products
-live in :mod:`endslab.wreath`.
+its codes.  An element of Z^k is its plain ``tuple`` of k ints, so its
+hash and equality run in C; CPython's ``hash(-1) == hash(-2)`` makes two
+vectors that differ only by a -1 against a -2 share a hash, and one
+C-level comparison tells them apart.  The families implemented here are
+free groups (reduced words), free abelian groups (int tuples), cyclic
+groups (residues), symmetric groups (permutations in one-line notation)
+and finite tori (integer vectors with per-coordinate moduli).  Wreath
+products live in :mod:`endslab.wreath`.
 """
 
 from __future__ import annotations
@@ -78,24 +77,16 @@ def signed_letters(w: bytes) -> tuple[int, ...]:
     return tuple(map(_SIGNED_LETTER.__getitem__, w))
 
 
-@frozen_value
-@dataclass(frozen=True, slots=True)
-class IntVector:
-    """Element of a free abelian group, one coordinate per factor."""
-
-    coords: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.coords) < 1:
-            raise InvalidParameterError("integer vector needs at least one coordinate")
-
-    def __hash__(self):
-        # ~x would send 0 to -1.  Without a -1 the plain tuple has no colliding
-        # pair; with one, 2x is never -1, and the tag keeps the two forms apart
-        coords = self.coords
-        if -1 not in coords:
-            return hash(coords)
-        return hash((tuple([2 * x for x in coords]), None))
+def IntVector(coords: Iterable[int]) -> tuple[int, ...]:
+    """The checked constructor of a Z^k element: its coordinates as a
+    tuple of at least one ``int``."""
+    coords = tuple(coords)
+    if not coords:
+        raise InvalidParameterError("integer vector needs at least one coordinate")
+    for x in coords:
+        if type(x) is not int:
+            raise InvalidParameterError(f"coordinate {x!r} of {coords!r} is not an int")
+    return coords
 
 
 @frozen_value
@@ -192,7 +183,6 @@ def trusted_constructor(cls) -> Callable[..., Any]:
     return build_three
 
 
-_raw_intvector = trusted_constructor(IntVector)
 _raw_cyclicint = trusted_constructor(CyclicInt)
 _raw_perm = trusted_constructor(Perm)
 _raw_modvector = trusted_constructor(ModVector)
@@ -202,10 +192,11 @@ def _word_label(a: bytes) -> str:
     return a.translate(_LABEL_TABLE).decode("ascii") if a else "1"
 
 
-def _vector_label(a: IntVector) -> str:
-    if len(a.coords) == 1:
-        return str(a.coords[0])
-    return "(" + ",".join(map(str, a.coords)) + ")"
+def _tuple_label(a: tuple) -> str:
+    # a Z element is labelled by its one coordinate
+    if len(a) == 1:
+        return str(a[0])
+    return "(" + ",".join(map(str, a)) + ")"
 
 
 def element_label(a: GroupElement) -> str:
@@ -238,11 +229,12 @@ def perm_cycle_notation(p: Perm) -> str:
     return "".join(parts) or "()"
 
 
-# label of each element and point class, looked up by exact type;
-# endslab.actions adds its points and endslab.wreath its elements
+# label of each element and point type, looked up by exact type (a tuple is
+# a Z^k element or a rule-action point); endslab.actions adds its points and
+# endslab.wreath its elements
 LABELS = {
     bytes: _word_label,
-    IntVector: _vector_label,
+    tuple: _tuple_label,
     CyclicInt: lambda a: str(a.value),
     Perm: perm_cycle_notation,
     ModVector: lambda a: "(" + ",".join(map(str, a.coords)) + ")",
@@ -356,7 +348,8 @@ class Group:
     ``multiply`` and ``inverse`` are the checked entry points of the law:
     they check membership once per operand, then apply the family's
     ``_mul``/``_inv``, which take members and build their result with no
-    check: a trusted constructor, or ``bytes`` operations for words.
+    check: a trusted constructor, or plain ``bytes`` and ``tuple``
+    operations for words and Z^k.
     """
 
     def __post_init__(self):
@@ -461,24 +454,27 @@ class FreeGroup(Group):
 
 @dataclass(frozen=True)
 class FreeAbelian(Group):
+    """Free abelian group Z^rank.  An element is its tuple of ``rank`` ints."""
+
     rank: int
 
     def identity(self):
         return IntVector((0,) * self.rank)
 
     def contains(self, a):
-        return isinstance(a, IntVector) and len(a.coords) == self.rank
+        return (type(a) is tuple and len(a) == self.rank
+                and all(type(x) is int for x in a))
 
     def _mul(self, a, b):
-        return _raw_intvector(tuple(map(operator.add, a.coords, b.coords)))
+        return tuple(map(operator.add, a, b))
 
     def _inv(self, a):
-        return _raw_intvector(tuple(-x for x in a.coords))
+        return tuple([-x for x in a])
 
-    def unit(self, i: int) -> IntVector:
+    def unit(self, i: int) -> tuple[int, ...]:
         coords = [0] * self.rank
         coords[i] = 1
-        return IntVector(tuple(coords))
+        return tuple(coords)
 
     def standard_gens(self):
         return make_gen_set(self, [self.unit(i) for i in range(self.rank)],

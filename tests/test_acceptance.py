@@ -227,7 +227,7 @@ def test_criterion_11_three_segment_paths():
     # survivors sampled where the H-line misses the cut (the construction's
     # own precondition) and with radius margin for the detour
     survivors = [v for v in range(len(ball))
-                 if ball.dist[v] <= 8 and abs(ball.points[v].coords[0]) > 2]
+                 if ball.dist[v] <= 8 and abs(ball.points[v][0]) > 2]
     for _ in range(20):
         x, y = rng.sample(survivors, 2)
         res = three_segment_path(ball, x, y, cut, sd)

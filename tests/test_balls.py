@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -49,9 +50,9 @@ from endslab.groups import (
     make_gen_set,
     nonidentity_gens,
     perm_parity,
-    verify_gen_set,
 )
 from endslab.wreath import (
+    WreathElement,
     WreathGroup,
     head_projection_action,
     imprimitive_action,
@@ -297,44 +298,44 @@ def test_build_ball_makes_no_multiply(monkeypatch):
     assert len(calls) == len(ball) - 1
 
 
-def test_build_ball_hashes_each_acted_point_once(monkeypatch):
+def test_build_ball_hashes_each_acted_point_once():
     counts = {"eq": 0, "unequal": 0, "hash": 0, "act": 0}
-    eq, hash_ = IntVector.__eq__, IntVector.__hash__
 
-    def counting_eq(self, other):
-        counts["eq"] += 1
-        result = eq(self, other)
-        counts["unequal"] += result is False
-        return result
+    class CountedPoint:
+        """A point of Z^2 under translation that counts its hash and
+        equality calls.  Doubling the coordinates keeps CPython's
+        hash(-1) == hash(-2) out, so distinct points never share a hash."""
 
-    def counting_hash(self):
-        counts["hash"] += 1
-        return hash_(self)
+        __slots__ = ("coords",)
+
+        def __init__(self, coords):
+            self.coords = coords
+
+        def __hash__(self):
+            counts["hash"] += 1
+            return hash(tuple([2 * x for x in self.coords]))
+
+        def __eq__(self, other):
+            counts["eq"] += 1
+            result = self.coords == other.coords
+            counts["unequal"] += not result
+            return result
 
     group = FreeAbelian(2)
-    translation = translation_action(group)
 
-    def counting_act(g, p):
+    def counting_step(g, p):
         counts["act"] += 1
-        return translation.act(g, p)
+        return CountedPoint(group._mul(g, p.coords))
 
-    action = PointedAction(group, counting_act, translation.basepoint)
-    # make_gen_set compares vectors; only build_ball's lookups are counted
-    gens = group.standard_gens()
-    monkeypatch.setattr(IntVector, "__eq__", counting_eq)
-    monkeypatch.setattr(IntVector, "__hash__", counting_hash)
-    verify_gen_set(group, gens)
-    check_eq = counts["eq"]
-    counts["eq"] = 0
-    ball = build_ball(action, gens, 20)
+    action = PointedAction(group, counting_step, CountedPoint(group.identity()))
+    ball = build_ball(action, group.standard_gens(), 20)
     assert len(ball) == 2 * 20 * 21 + 1
-    # distinct vectors never share a hash, so no lookup compares two unequal
-    # vectors: besides the generating set's check, each comparison is of an
-    # acted point with its equal in the index, one for each act that
-    # neither adds a vertex nor leaves the ball
+    # no lookup compares two unequal points: each comparison is of an acted
+    # point with its equal in the index, one for each act that neither adds
+    # a vertex nor leaves the ball
     assert counts["unequal"] == 0
     found = counts["act"] - (len(ball) - 1) - ball.table.count(-1)
-    assert counts["eq"] == check_eq + found
+    assert counts["eq"] == found
     # one hash per acted point, plus the basepoint's own insert
     assert counts["hash"] == counts["act"] + 1
 
@@ -445,7 +446,7 @@ def hash_order_outputs_of_all():
     return [hash_order_outputs(ball) for ball in balls]
 
 
-def test_outputs_do_not_depend_on_hash_order(monkeypatch):
+def test_outputs_do_not_depend_on_hash_order():
     shipped = hash_order_outputs_of_all()
     # words hash as bytes, which follow PYTHONHASHSEED: two interpreters
     # with different seeds reorder every frozenset and dict of words
@@ -459,10 +460,25 @@ def test_outputs_do_not_depend_on_hash_order(monkeypatch):
                               timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == repr(shipped) + "\n"
-    # another hash consistent with equality reorders every frozenset of
-    # vectors (wreath supports, orbits) without changing a value
-    monkeypatch.setattr(IntVector, "__hash__", lambda self: hash((self.coords[::-1], 1)))
-    assert hash_order_outputs_of_all() == shipped
+    # Z^k points are int tuples, whose hashes ignore PYTHONHASHSEED; but
+    # hash(-1) == hash(-2), so a support holding entries at such points
+    # iterates in its insertion order.  Balls from two equal basepoints
+    # whose supports were built in the two orders, and whose products
+    # inherit those orders, must give the same outputs
+    lit = CyclicInt(2, 1)
+    for text, radius in (("wreath(C(2), Z, translation)", 5),
+                         ("wreath(C(2), Z^2, translation)", 3)):
+        action, gens = elaborate(parse_spec(text))
+        w = action.group
+        pad = (0,) * (w.top.rank - 1)
+        entries = [((-1,) + pad, lit), ((-2,) + pad, lit)]
+        assert list(frozenset(entries)) != list(frozenset(entries[::-1]))
+        balls = [build_ball(replace(action, basepoint=WreathElement(
+                     frozenset(order), w.top.identity(), w.top_action.step)), gens, radius)
+                 for order in (entries, entries[::-1])]
+        orders = [[list(p.support) for p in ball.points] for ball in balls]
+        assert orders[0] != orders[1]
+        assert hash_order_outputs(balls[0]) == hash_order_outputs(balls[1])
 
 
 def sign_quotient_ball():

@@ -374,7 +374,7 @@ def test_three_segment_randomized_pairs():
     # endpoints whose H-line (fixed first coordinate) misses the cut, with
     # radius margin for the detour; threshold recorded by the fixture
     survivors = [v for v in range(len(ball))
-                 if ball.dist[v] <= 8 and abs(ball.points[v].coords[0]) > 2]
+                 if ball.dist[v] <= 8 and abs(ball.points[v][0]) > 2]
     for _ in range(20):
         x, y = rng.sample(survivors, 2)
         res = three_segment_path(ball, x, y, cut, sd)

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import pickle
 import random
 import string
@@ -6,7 +7,7 @@ from dataclasses import FrozenInstanceError, fields
 
 import pytest
 
-from endslab.actions import IntModQuotient, PairPoint, TrivialSubgroup
+from endslab.actions import IntModQuotient, PairPoint, TrivialSubgroup, rule_action
 from endslab.balls import build_ball
 from endslab.dsl import elaborate, parse_spec
 from endslab.ends import quotient_schreier_pair
@@ -31,7 +32,7 @@ from endslab.groups import (
     signed_letters,
     verify_gen_set,
 )
-from endslab.wreath import lamplighter
+from endslab.wreath import WreathElement, lamplighter
 
 ALL_GROUPS = [FreeGroup(2), FreeAbelian(2), Cyclic(5), SymmetricGroup(4),
               Torus((2, 3)),
@@ -249,10 +250,12 @@ def test_group_axioms_random(group):
 
 def rebuild(group, value):
     """``value`` rebuilt through its checked constructor: a word of a free
-    group from its signed letters, a value of any other family from its
-    fields."""
+    group from its signed letters, a Z^k element from its coordinates, a
+    value of any other family from its fields."""
     if isinstance(group, FreeGroup):
         return group.word(signed_letters(value))
+    if isinstance(group, FreeAbelian):
+        return IntVector(value)
     return type(value)(*[getattr(value, f) for f in value.__dataclass_fields__])
 
 
@@ -281,16 +284,50 @@ def test_hash_agrees_with_equality(group):
             assert value == a and hash(value) == hash(a)
 
 
+def _fold(p):
+    """``p`` with every -2 coordinate of its Z^k points mapped to -1, in the
+    head and the support points of a wreath element."""
+    if type(p) is tuple:
+        return tuple([-1 if x == -2 else x for x in p])
+    if isinstance(p, WreathElement):
+        return frozenset((_fold(y), v) for y, v in p.support), _fold(p.head)
+    return p
+
+
+# (distinct hashes, points) of each ball
+HASH_CLASSES = {
+    "F(2)": (13121, 13121), "F(3)": (4687, 4687), "Z^2": (1748, 1861),
+    "Z^3": (1164, 1561), "Z": (100, 101), "wreath(C(2), Z, translation)": (401, 490),
+    "wreath(C(2), Z^2, translation)": (434, 610), "Z^2 / [5, 0]": (188, 193),
+}
+
+
 @pytest.mark.parametrize("text, radius", [
-    ("F(2)", 8), ("F(3)", 5), ("Z^2", 30), ("Z^3", 10),
+    ("F(2)", 8), ("F(3)", 5), ("Z^2", 30), ("Z^3", 10), ("Z", 50),
     ("wreath(C(2), Z, translation)", 8), ("wreath(C(2), Z^2, translation)", 5),
     ("Z^2 / [5, 0]", 20),
 ])
 def test_ball_points_have_distinct_hashes(text, radius):
-    # hash(-1) == hash(-2) in CPython: signed letters and coordinates
-    # must not inherit that collision
+    # words never share a hash.  A Z^k element is its int tuple, which
+    # inherits CPython's hash(-1) == hash(-2): two points share a hash only
+    # if they agree once every -2 coordinate reads -1, and a C-level tuple
+    # comparison tells them apart
     ball = build_ball(*elaborate(parse_spec(text)), radius)
-    assert len({hash(p) for p in ball.points}) == len(ball)
+    classes = {}
+    for p in ball.points:
+        classes.setdefault(hash(p), []).append(p)
+    assert (len(classes), len(ball)) == HASH_CLASSES[text]
+    mixed = [ps for ps in classes.values() if len(set(map(_fold, ps))) > 1]
+    if text != "wreath(C(2), Z^2, translation)":
+        assert mixed == []
+        return
+    # a frozenset hash XORs equal entry hashes away, so on Z^2 a support
+    # holding both (-2, y) and (-1, y), or (x, -2) and (x, -1), hashes as
+    # if that pair were any other such pair: 4 more classes at R = 5
+    assert len(mixed) == 4
+    for p in itertools.chain.from_iterable(mixed):
+        folds = [_fold(y) for y, v in p.support]
+        assert len(set(folds)) < len(folds)
 
 
 def test_nonidentity_gens_finite_groups():
@@ -316,6 +353,23 @@ def test_element_labels():
     assert element_label(Perm((1, 0, 2))) == "(0 1)"
     assert element_label(IntVector((3,))) == "3"
     assert element_label(IntVector((1, -2))) == "(1,-2)"
+
+
+def test_free_abelian_membership_is_a_shape_check():
+    # a member of Z^k is a tuple of k ints; the group states the family,
+    # so the rule core (0, 0) of f2_four_ends is also the identity of Z^2
+    z2 = FreeAbelian(2)
+    for foreign in ([0, 0], (0, 0, 0), (True, 0), (0.0, 0), ()):
+        assert not z2.contains(foreign), foreign
+    for member in ((0, 0), (-3, 7)):
+        assert z2.contains(member), member
+    for bad in ((), (1, "a")):
+        with pytest.raises(InvalidParameterError):
+            IntVector(bad)
+    assert element_label((5,)) == "5"
+    assert element_label((1, -2)) == "(1,-2)"
+    core = rule_action("f2_four_ends").basepoint
+    assert core == z2.identity() and element_label(core) == "(0,0)"
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +417,7 @@ def test_free_membership_is_a_shape_check():
     assert not FreeGroup(1).contains(f2.letter(1))
 
 
-FROZEN_VALUES = [IntVector((1, -1)), CyclicInt(3, 1), Perm((1, 0)),
+FROZEN_VALUES = [CyclicInt(3, 1), Perm((1, 0)),
                  ModVector((2, 3), (1, 2)), PairPoint(CyclicInt(3, 1), IntVector((2,))),
                  _wreath(_LAMP2, IntVector((0,)), (IntVector((1,)), CyclicInt(2, 1)))]
 

@@ -254,7 +254,7 @@ def test_orbit_reps_distinctness_is_checked():
 def _first_axis_action():
     """Z acting on Z^2 along the first axis: every orbit is an infinite row."""
     def step(g, p):
-        return IntVector((p.coords[0] + g.coords[0], p.coords[1]))
+        return (p[0] + g[0], p[1])
 
     return PointedAction(FreeAbelian(1), step, IntVector((0, 0)),
                          "Z on Z^2 along the first axis", FreeAbelian(2).contains)
