@@ -5,8 +5,11 @@ generated_spec_balls() + stepping_balls()``: indented JSON, DOT, the
 transition table, ``dist``, witness labels, the ends profile over
 k = 0..R-1, and, for imprimitive balls, the leaf decomposition.  The CLI
 kinds hash the exit code, stdout and stderr of ``endslab ball --spec S
---radius 2`` over 3,000 seed-11 ``random_spec`` draws.  A change that
-alters any output changes the manifest, and says which outputs and why.
+--radius 2`` over 3,000 seed-11 ``random_spec`` draws, most of which
+elaboration refuses, and the ``cli.typed`` kinds the same over 600
+seed-12 ``random_typed_spec`` draws, whose items belong to their groups.
+A change that alters any output changes the manifest, and says which
+outputs and why.
 
 Regenerate with ``PYTHONPATH=src python tests/output_manifest.py``.
 """
@@ -27,10 +30,11 @@ from endslab.ends import profile_from_ball
 from endslab.groups import element_label
 
 from test_balls import generated_spec_balls, random_fixture_balls, stepping_balls
-from test_dsl import random_spec
+from test_dsl import random_spec, random_typed_spec
 
 MANIFEST = Path(__file__).with_name("output_manifest.json")
 CLI_DRAWS = 3000
+TYPED_DRAWS = 600
 
 
 def _sha256(lines) -> str:
@@ -63,14 +67,14 @@ def manifest_balls():
     return [*random_fixture_balls(), *generated_spec_balls(), *stepping_balls()]
 
 
-def cli_outputs(draws=CLI_DRAWS):
+def cli_outputs(draw=random_spec, seed=11, draws=CLI_DRAWS):
     """(exit code, stdout, stderr) of ``ball --radius 2`` for each seeded
     draw; a spec text drawn again reuses its first run."""
-    rng = random.Random(11)
+    rng = random.Random(seed)
     runs = {}
     outputs = []
     for _ in range(draws):
-        text = print_spec(random_spec(rng))
+        text = print_spec(draw(rng))
         if text not in runs:
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -85,11 +89,12 @@ def compute_manifest() -> dict:
     manifest = {"balls": len(balls)}
     for kind, render in BALL_KINDS.items():
         manifest[f"ball.{kind}"] = _sha256(map(render, balls))
-    outputs = cli_outputs()
-    manifest["cli_draws"] = len(outputs)
-    manifest["cli.exit"] = _sha256(str(code) for code, _, _ in outputs)
-    manifest["cli.stdout"] = _sha256(out for _, out, _ in outputs)
-    manifest["cli.stderr"] = _sha256(err for _, _, err in outputs)
+    for prefix, outputs in (("cli", cli_outputs()),
+                            ("cli.typed", cli_outputs(random_typed_spec, 12, TYPED_DRAWS))):
+        manifest[f"{prefix}_draws"] = len(outputs)
+        manifest[f"{prefix}.exit"] = _sha256(str(code) for code, _, _ in outputs)
+        manifest[f"{prefix}.stdout"] = _sha256(out for _, out, _ in outputs)
+        manifest[f"{prefix}.stderr"] = _sha256(err for _, _, err in outputs)
     return manifest
 
 

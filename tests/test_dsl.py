@@ -334,10 +334,104 @@ def random_spec(rng):
     return SpecAst(group, action, gens)
 
 
+def random_typed_group(rng):
+    """A group of one family: Z^k, C(n), F(n) or Sym(n)."""
+    kind = rng.choice(["Z", "C", "F", "Sym"])
+    return GroupAst(kind, n=rng.randint(1, 3 if kind in ("Z", "F") else 6))
+
+
+def random_typed_item(rng, group):
+    """An item that spells an element of ``group``'s family, or None for
+    Sym(1), whose only element no cycle spells."""
+    n = group.n
+    if group.kind == "Z":
+        if n == 1 and rng.random() < 0.5:
+            return IntItem(rng.randint(-4, 4))
+        return VecItem(tuple(rng.randint(-3, 3) for _ in range(n)))
+    if group.kind == "C":
+        return IntItem(rng.randint(-9, 9))
+    if group.kind == "F":
+        letters = "".join(l + l.upper() for l in "abc"[:n])
+        return WordItem("".join(rng.choice(letters) for _ in range(rng.randint(1, 4))))
+    if n == 1:
+        return None
+    points = rng.sample(range(n), min(n, rng.randint(2, 5)))
+    cut = rng.randint(2, len(points))
+    cycles = [points[:cut]] + ([points[cut:]] if len(points) - cut >= 2 else [])
+    return PermItem(tuple(map(tuple, cycles)))
+
+
+def random_typed_items(rng, group, most=3):
+    items = tuple(random_typed_item(rng, group) for _ in range(rng.randint(1, most)))
+    return None if None in items else items
+
+
+def random_typed_coset(rng, group):
+    """A coset spec whose items are elements of ``group``'s family."""
+    choice = rng.randrange(3)
+    if choice == 0:
+        return CosetAst("trivial")
+    if choice == 1 and group.kind in ("Z", "C"):
+        if group.kind == "C" or group.n == 1:
+            return CosetAst("byint", n=rng.randint(1, 9))
+        rows = tuple(tuple(rng.randint(-4, 4) for _ in range(group.n))
+                     for _ in range(rng.randint(1, group.n)))
+        return CosetAst("lattice", basis=rows)
+    items = random_typed_items(rng, group)
+    return CosetAst("trivial") if items is None else CosetAst("generated", gens=items)
+
+
+def random_typed_wreath(rng):
+    """wreath(base, top, action) over two one-family groups."""
+    top = random_typed_group(rng)
+    choice = rng.randrange(4)
+    if choice == 3 and top == GroupAst("F", n=2):
+        action = ActionAst("rule", rule_name="f2_four_ends")
+    elif choice >= 2:
+        action = ActionAst("coset", coset=random_typed_coset(rng, top))
+    else:
+        action = ActionAst(("translation", "regular")[choice])
+    return GroupAst("wreath", base=random_typed_group(rng), top=top, top_action=action)
+
+
+def random_typed_spec(rng):
+    """A spec whose every item spells an element of the group it is read
+    in, with no nested wreath: a draw that elaboration can accept, unless a
+    subgroup law or an orbit representative refuses it."""
+    shape = rng.randrange(5)
+    if shape == 0:
+        group, action = None, ActionAst("rule", rule_name="f2_four_ends")
+        own = GroupAst("F", n=2)
+    elif shape == 1:
+        group = random_typed_wreath(rng)
+        rep = random_typed_item(rng, group.top) if rng.random() < 0.5 else None
+        return SpecAst(group, ActionAst("imprimitive", rep=rep), GensAst("standard"))
+    elif shape == 2:
+        return SpecAst(random_typed_wreath(rng), ActionAst("translation"),
+                       GensAst("standard"))
+    elif shape == 3:
+        group = own = random_typed_group(rng)
+        action = ActionAst("coset", coset=random_typed_coset(rng, group))
+    else:
+        group = own = random_typed_group(rng)
+        action = ActionAst("translation")
+    items = random_typed_items(rng, own) if rng.random() < 0.5 else None
+    gens = GensAst("standard") if items is None else GensAst("explicit", items)
+    return SpecAst(group, action, gens)
+
+
 def test_round_trip_generated_asts():
     rng = random.Random(2024)
     for _ in range(200):
         ast = random_spec(rng)
+        text = print_spec(ast)
+        assert parse_spec(text) == ast, text
+
+
+def test_round_trip_typed_asts():
+    rng = random.Random(2025)
+    for _ in range(300):
+        ast = random_typed_spec(rng)
         text = print_spec(ast)
         assert parse_spec(text) == ast, text
 
