@@ -18,23 +18,20 @@ coset laws, quotient specs their image, kernel and lift.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, ClassVar, Iterable, Sequence
+from typing import Any, Callable, ClassVar, Iterable, NamedTuple, Sequence
 
 from .groups import (
     LABELS,
     Cyclic,
-    CyclicInt,
     FreeAbelian,
     FreeGroup,
     Group,
     GroupElement,
-    ModVector,
     Perm,
     SymmetricGroup,
     Torus,
     check_members,
     element_label,
-    frozen_value,
     make_gen_set,
     perm_parity,
 )
@@ -54,10 +51,10 @@ class UnknownRuleActionError(ActionError):
     """Requested built-in rule action does not exist."""
 
 
-@frozen_value
-@dataclass(frozen=True, slots=True)
-class PairPoint:
-    """Point of an imprimitive action: (leaf coordinate, position coordinate)."""
+class PairPoint(NamedTuple):
+    """Point of an imprimitive action: (leaf coordinate, position
+    coordinate).  A tuple subclass so that its label can dispatch on its
+    type; it equals and hashes as the plain pair."""
 
     leaf: Any
     pos: Any
@@ -213,14 +210,14 @@ def lattice_reduce(hnf: tuple[tuple[int, ...], ...], coords: tuple[int, ...]) ->
 
 def _mulclose(group: Group, gens: Iterable[GroupElement]) -> list[GroupElement]:
     """All products of the generators (and their inverses) in a finite
-    group, in ``sort_key`` order."""
+    group, in their natural order."""
     # balls imports this module, so build_ball is looked up at call time
     from .balls import build_ball
     # the closure has at most order() points, so this build cannot overflow
     order = group.order()
     closure = build_ball(translation_action(group), make_gen_set(group, tuple(gens)),
                          order, order)
-    return sorted(closure.points, key=group.sort_key)
+    return sorted(closure.points)
 
 
 def coset_action(group: Group, subgroup_spec) -> PointedAction:
@@ -281,13 +278,13 @@ class IntModQuotient(QuotientSpec):
         return FreeAbelian(1)
 
     def quotient(self):
-        return Cyclic(self.n), lambda g: CyclicInt(self.n, g[0] % self.n)
+        return Cyclic(self.n), lambda g: g[0] % self.n
 
     def kernel_gens(self):
         return ((self.n,),)
 
     def lift(self, q):
-        return (q.value,)
+        return (q,)
 
 
 @dataclass(frozen=True)
@@ -301,8 +298,7 @@ class DiagonalLatticeQuotient(QuotientSpec):
 
     def quotient(self):
         moduli = self.moduli
-        return (Torus(moduli),
-                lambda g: ModVector(moduli, tuple(c % m for c, m in zip(g, moduli))))
+        return Torus(moduli), lambda g: tuple([c % m for c, m in zip(g, moduli)])
 
     def kernel_gens(self):
         k = len(self.moduli)
@@ -310,7 +306,7 @@ class DiagonalLatticeQuotient(QuotientSpec):
                      for i, m in enumerate(self.moduli))
 
     def lift(self, q):
-        return q.coords
+        return q
 
 
 @dataclass(frozen=True)
@@ -327,13 +323,13 @@ class CyclicDivisorQuotient(QuotientSpec):
         quotient = Cyclic(self.d)
         if self.n % self.d != 0:
             raise UnsupportedSubgroupError(f"{self.d} does not divide {self.n}")
-        return quotient, lambda g: CyclicInt(self.d, g.value % self.d)
+        return quotient, lambda g: g % self.d
 
     def kernel_gens(self):
-        return (CyclicInt(self.n, self.d % self.n),)
+        return (self.d % self.n,)
 
     def lift(self, q):
-        return CyclicInt(self.n, q.value)
+        return q
 
 
 @dataclass(frozen=True)
@@ -346,19 +342,19 @@ class SignQuotient(QuotientSpec):
         return SymmetricGroup(self.n)
 
     def quotient(self):
-        return Cyclic(2), lambda g: CyclicInt(2, perm_parity(g))
+        return Cyclic(2), perm_parity
 
     def kernel_gens(self):
         # the 3-cycles (i i+1 i+2) generate the alternating group
-        return tuple(Perm(tuple(range(i)) + (i + 1, i + 2, i) + tuple(range(i + 3, self.n)))
+        return tuple(Perm((*range(i), i + 1, i + 2, i, *range(i + 3, self.n)))
                      for i in range(self.n - 2))
 
     def lift(self, q):
         # 1 lifts to (0 1), or to the identity in Sym(1), which has no odd element
         img = list(range(self.n))
-        if q.value:
+        if q:
             img[:2] = img[1::-1]
-        return Perm(tuple(img))
+        return Perm(img)
 
 
 # ---------------------------------------------------------------------------

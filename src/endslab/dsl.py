@@ -42,7 +42,6 @@ from .actions import (
 from .groups import (
     LETTERS,
     Cyclic,
-    CyclicInt,
     FreeAbelian,
     FreeGroup,
     Group,
@@ -538,7 +537,7 @@ def _element_from_item(group: Group, item: GenItem) -> GroupElement:
         if isinstance(group, FreeAbelian) and group.rank == 1:
             return (item.value,)
         if isinstance(group, Cyclic):
-            return CyclicInt(group.modulus, item.value % group.modulus)
+            return item.value % group.modulus
         raise ElaborationError(f"integer generator {item.value} needs Z or C(m), "
                                f"not {group}")
     if isinstance(item, VecItem):
@@ -572,7 +571,7 @@ def _element_from_item(group: Group, item: GenItem) -> GroupElement:
                 raise ElaborationError(f"cycle {cyc} repeats a point")
             moved = {cyc[i]: cyc[(i + 1) % len(cyc)] for i in range(len(cyc))}
             img = [moved.get(x, x) for x in img]
-        return Perm(tuple(img))
+        return Perm(img)
     raise ElaborationError(f"unknown generator item {item!r}")
 
 

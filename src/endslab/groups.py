@@ -8,18 +8,23 @@ the family: a word is a member of every free group whose alphabet holds
 its codes.  An element of Z^k is its plain ``tuple`` of k ints, so its
 hash and equality run in C; CPython's ``hash(-1) == hash(-2)`` makes two
 vectors that differ only by a -1 against a -2 share a hash, and one
-C-level comparison tells them apart.  The families implemented here are
-free groups (reduced words), free abelian groups (int tuples), cyclic
-groups (residues), symmetric groups (permutations in one-line notation)
-and finite tori (integer vectors with per-coordinate moduli).  Wreath
-products live in :mod:`endslab.wreath`.
+C-level comparison tells them apart.  An element of C(n) is its residue,
+a plain ``int``, and an element of a finite torus its ``tuple`` of
+residues.  An element of Sym(n) is a :class:`Perm`, a tuple subclass that
+exists only so that its label can dispatch on its type.  Membership is a
+shape check, so equal data from two families is one value: the residue 1
+is an element of C(4) and of C(5), and a T(3,3) element is also one of
+Z^2; a plain tuple is no Perm, and a Perm no Z^k element.  The finite
+families' elements compare as ints and tuples, and that order is the one
+their cosets' canonical representatives use.  Wreath products live in
+:mod:`endslab.wreath`.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
@@ -49,19 +54,6 @@ def check_members(group: "Group", elements: Iterable[GroupElement]) -> None:
 # elements
 
 
-def _refuse(self, name, *value):
-    raise FrozenInstanceError(f"cannot assign to or delete {name!r}")
-
-
-def frozen_value(cls):
-    """Refuse every assignment and deletion on a frozen slotted dataclass
-    with ``FrozenInstanceError``: in CPython 3.11 its generated methods
-    raise ``TypeError`` for a non-field name.  Constructors set slots with
-    ``object.__setattr__`` or slot descriptors, which bypass both."""
-    cls.__setattr__ = cls.__delattr__ = _refuse
-    return cls
-
-
 # letter codes of free words: the signed letter of each code, the code of
 # each code's inverse, and the label character of each code
 _SIGNED_LETTER = tuple(c // 2 + 1 if c % 2 == 0 else -(c // 2 + 1)
@@ -89,103 +81,56 @@ def IntVector(coords: Iterable[int]) -> tuple[int, ...]:
     return coords
 
 
-@frozen_value
-@dataclass(frozen=True, slots=True)
-class CyclicInt:
-    """Residue modulo n, stored in [0, n)."""
-
-    modulus: int
-    value: int
-
-    def __post_init__(self):
-        if self.modulus < 1:
-            raise InvalidParameterError(f"cyclic modulus must be >= 1, got {self.modulus}")
-        if not 0 <= self.value < self.modulus:
-            raise InvalidParameterError(
-                f"residue {self.value} not in [0, {self.modulus})")
+def CyclicInt(modulus: int, value: int) -> int:
+    """The checked constructor of a C(modulus) element: its residue, an
+    ``int`` in [0, modulus)."""
+    if modulus < 1:
+        raise InvalidParameterError(f"cyclic modulus must be >= 1, got {modulus}")
+    if type(value) is not int:
+        raise InvalidParameterError(f"residue {value!r} is not an int")
+    if not 0 <= value < modulus:
+        raise InvalidParameterError(f"residue {value} not in [0, {modulus})")
+    return value
 
 
-@frozen_value
-@dataclass(frozen=True, slots=True)
-class Perm:
-    """Permutation of {0..n-1} in one-line notation: image[i] = sigma(i)."""
+class Perm(tuple):
+    """Permutation of {0..n-1} in one-line notation: p[i] = sigma(i).  A
+    tuple subclass only so that its label, the cycle notation, can
+    dispatch on its type; a law builds its results with ``tuple.__new__``,
+    which skips the check."""
 
-    image: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        n = len(self.image)
+    def __new__(cls, image: Iterable[int]):
+        image = tuple(image)
+        n = len(image)
         if n < 1:
             raise InvalidParameterError("permutation degree must be >= 1")
-        if sorted(self.image) != list(range(n)):
-            raise InvalidParameterError(f"{self.image} is not a permutation of 0..{n - 1}")
+        if sorted(image) != list(range(n)):
+            raise InvalidParameterError(f"{image} is not a permutation of 0..{n - 1}")
+        return tuple.__new__(cls, image)
 
 
-@frozen_value
-@dataclass(frozen=True, slots=True)
-class ModVector:
-    """Element of a product of cyclic groups, coordinate i taken mod moduli[i]."""
-
-    moduli: tuple[int, ...]
-    coords: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.moduli) < 1:
-            raise InvalidParameterError("torus needs at least one factor")
-        if len(self.moduli) != len(self.coords):
-            raise InvalidParameterError("moduli/coords length mismatch")
-        for m, c in zip(self.moduli, self.coords):
-            if m < 1:
-                raise InvalidParameterError(f"torus modulus must be >= 1, got {m}")
-            if not 0 <= c < m:
-                raise InvalidParameterError(f"coordinate {c} not in [0, {m})")
+def ModVector(moduli: Sequence[int], coords: Iterable[int]) -> tuple[int, ...]:
+    """The checked constructor of a torus element: its coordinates, an
+    ``int`` in [0, moduli[i]) at each i."""
+    coords = tuple(coords)
+    if len(moduli) < 1:
+        raise InvalidParameterError("torus needs at least one factor")
+    if len(moduli) != len(coords):
+        raise InvalidParameterError("moduli/coords length mismatch")
+    for m, c in zip(moduli, coords):
+        if m < 1:
+            raise InvalidParameterError(f"torus modulus must be >= 1, got {m}")
+        if type(c) is not int:
+            raise InvalidParameterError(f"coordinate {c!r} of {coords!r} is not an int")
+        if not 0 <= c < m:
+            raise InvalidParameterError(f"coordinate {c} not in [0, {m})")
+    return coords
 
 
 # WreathElement (endslab.wreath) is also a valid GroupElement.
 GroupElement = Any
-
-
-def trusted_constructor(cls) -> Callable[..., Any]:
-    """The trusted constructor of a slotted value class with one to three
-    fields, for values a law computes from members: such a value is a
-    member, so it takes the field values in field order and runs no check.
-    It sets each field through its slot descriptor, which skips the frozen
-    ``__setattr__`` and costs less than ``object.__setattr__`` by name."""
-    new = object.__new__
-    setters = [getattr(cls, name).__set__ for name in cls.__dataclass_fields__]
-    if len(setters) == 1:
-        (set_only,) = setters
-
-        def build_one(value):
-            v = new(cls)
-            set_only(v, value)
-            return v
-
-        return build_one
-    if len(setters) == 2:
-        set_first, set_second = setters
-
-        def build_two(first, second):
-            v = new(cls)
-            set_first(v, first)
-            set_second(v, second)
-            return v
-
-        return build_two
-    set_first, set_second, set_third = setters
-
-    def build_three(first, second, third):
-        v = new(cls)
-        set_first(v, first)
-        set_second(v, second)
-        set_third(v, third)
-        return v
-
-    return build_three
-
-
-_raw_cyclicint = trusted_constructor(CyclicInt)
-_raw_perm = trusted_constructor(Perm)
-_raw_modvector = trusted_constructor(ModVector)
 
 
 def _word_label(a: bytes) -> str:
@@ -193,7 +138,7 @@ def _word_label(a: bytes) -> str:
 
 
 def _tuple_label(a: tuple) -> str:
-    # a Z element is labelled by its one coordinate
+    # a Z or one-factor torus element is labelled by its one coordinate
     if len(a) == 1:
         return str(a[0])
     return "(" + ",".join(map(str, a)) + ")"
@@ -208,18 +153,17 @@ def element_label(a: GroupElement) -> str:
 
 def _perm_cycles(p: Perm) -> list[list[int]]:
     """The cycles of p, fixed points included, each from its least point."""
-    image = p.image
     seen: set[int] = set()
     cycles = []
-    for i in range(len(image)):
+    for i in range(len(p)):
         if i in seen:
             continue
         cyc = [i]
-        j = image[i]
+        j = p[i]
         while j != i:
             seen.add(j)
             cyc.append(j)
-            j = image[j]
+            j = p[j]
         cycles.append(cyc)
     return cycles
 
@@ -230,20 +174,19 @@ def perm_cycle_notation(p: Perm) -> str:
 
 
 # label of each element and point type, looked up by exact type (a tuple is
-# a Z^k element or a rule-action point); endslab.actions adds its points and
-# endslab.wreath its elements
+# a Z^k or torus element or a rule-action point, and a residue, an int, is
+# its own label); endslab.actions adds its points and endslab.wreath its
+# elements
 LABELS = {
     bytes: _word_label,
     tuple: _tuple_label,
-    CyclicInt: lambda a: str(a.value),
     Perm: perm_cycle_notation,
-    ModVector: lambda a: "(" + ",".join(map(str, a.coords)) + ")",
 }
 
 
 def perm_parity(p: Perm) -> int:
     """0 for even permutations, 1 for odd: a k-cycle is k - 1 transpositions."""
-    return (len(p.image) - len(_perm_cycles(p))) % 2
+    return (len(p) - len(_perm_cycles(p))) % 2
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +291,10 @@ class Group:
     ``multiply`` and ``inverse`` are the checked entry points of the law:
     they check membership once per operand, then apply the family's
     ``_mul``/``_inv``, which take members and build their result with no
-    check: a trusted constructor, or plain ``bytes`` and ``tuple``
-    operations for words and Z^k.
+    check: plain ``bytes``, ``int`` and ``tuple`` operations, or
+    ``tuple.__new__`` for a ``Perm``.  A finite family's elements are ints
+    or tuples, so their natural order is a total order, and the least
+    product of a coset by it is the coset's canonical representative.
     """
 
     def __post_init__(self):
@@ -378,16 +323,11 @@ class Group:
     def standard_gens(self) -> SymmetricGenSet:
         raise NotImplementedError
 
-    def sort_key(self, a: GroupElement):
-        """Total order on the elements of a finite group; the least product
-        of a coset by it is the coset's canonical representative."""
-        raise NotImplementedError
-
     def _min_product(self, members: Sequence[GroupElement]):
-        """The map g -> least g*h over h in ``members`` by ``sort_key``, for
-        g and every h members: the canonical representative of gH."""
-        mul, key = self._mul, self.sort_key
-        return lambda g: min(map(partial(mul, g), members), key=key)
+        """The map g -> least g*h over h in ``members``, for g and every h
+        members: the canonical representative of gH."""
+        mul = self._mul
+        return lambda g: min(map(partial(mul, g), members))
 
     def order(self) -> Optional[int]:
         """Group order, or None when infinite."""
@@ -487,33 +427,33 @@ class FreeAbelian(Group):
 
 @dataclass(frozen=True)
 class Cyclic(Group):
+    """Cyclic group Z/modulus.  An element is its residue, an ``int`` in
+    [0, modulus)."""
+
     modulus: int
 
     def identity(self):
         return CyclicInt(self.modulus, 0)
 
     def contains(self, a):
-        return isinstance(a, CyclicInt) and a.modulus == self.modulus
+        return type(a) is int and 0 <= a < self.modulus
 
     def _mul(self, a, b):
-        return _raw_cyclicint(self.modulus, (a.value + b.value) % self.modulus)
+        return (a + b) % self.modulus
 
     def _inv(self, a):
-        return _raw_cyclicint(self.modulus, -a.value % self.modulus)
-
-    def sort_key(self, a):
-        return a.value
+        return -a % self.modulus
 
     def standard_gens(self):
         # in C(1) the only "generator" is the identity, kept as a loop
-        return make_gen_set(self, [CyclicInt(self.modulus, 1 % self.modulus)],
+        return make_gen_set(self, [1 % self.modulus],
                             names=["+1"])
 
     def order(self):
         return self.modulus
 
     def elements(self):
-        return (CyclicInt(self.modulus, v) for v in range(self.modulus))
+        return iter(range(self.modulus))
 
     def __str__(self):
         return f"C({self.modulus})"
@@ -521,38 +461,38 @@ class Cyclic(Group):
 
 @dataclass(frozen=True)
 class SymmetricGroup(Group):
+    """Symmetric group on {0..degree-1}.  An element is a ``Perm``."""
+
     degree: int
 
     def identity(self):
-        return Perm(tuple(range(self.degree)))
+        return Perm(range(self.degree))
 
     def contains(self, a):
-        return isinstance(a, Perm) and len(a.image) == self.degree
+        return type(a) is Perm and len(a) == self.degree
 
     def _mul(self, a, b):
-        return _raw_perm(tuple(map(a.image.__getitem__, b.image)))
+        return tuple.__new__(Perm, map(a.__getitem__, b))
 
     def _inv(self, a):
         img = [0] * self.degree
-        for i, j in enumerate(a.image):
+        for i, j in enumerate(a):
             img[j] = i
-        return _raw_perm(tuple(img))
-
-    def sort_key(self, a):
-        return a.image
+        return tuple.__new__(Perm, img)
 
     def _min_product(self, members):
-        # itemgetter(*h.image) maps g.image to (g*h).image, and sort_key is the
-        # image, so the least image tuple is the least product: one Perm is built
+        # itemgetter(*h) maps g to g*h as a plain tuple, and a Perm orders as
+        # its tuple, so the least such tuple is the least product: one Perm
+        # is built
         if self.degree == 1:
             return lambda g: g  # itemgetter of one index returns no tuple
-        getters = [operator.itemgetter(*h.image) for h in members]
-        return lambda g: _raw_perm(min([f(g.image) for f in getters]))
+        getters = [operator.itemgetter(*h) for h in members]
+        return lambda g: tuple.__new__(Perm, min([f(g) for f in getters]))
 
     def transposition(self, i: int, j: int) -> Perm:
         img = list(range(self.degree))
         img[i], img[j] = img[j], img[i]
-        return Perm(tuple(img))
+        return Perm(img)
 
     def standard_gens(self):
         return make_gen_set(self, [self.transposition(i, i + 1)
@@ -566,7 +506,7 @@ class SymmetricGroup(Group):
         return n
 
     def elements(self):
-        return (Perm(img) for img in itertools.permutations(range(self.degree)))
+        return map(Perm, itertools.permutations(range(self.degree)))
 
     def __str__(self):
         return f"Sym({self.degree})"
@@ -574,7 +514,8 @@ class SymmetricGroup(Group):
 
 @dataclass(frozen=True)
 class Torus(Group):
-    """Product of cyclic groups Z/d1 x ... x Z/dk."""
+    """Product of cyclic groups Z/d1 x ... x Z/dk.  An element is its tuple
+    of k ints, coordinate i in [0, di)."""
 
     moduli: tuple[int, ...]
 
@@ -582,23 +523,19 @@ class Torus(Group):
         return ModVector(self.moduli, (0,) * len(self.moduli))
 
     def contains(self, a):
-        return isinstance(a, ModVector) and a.moduli == self.moduli
+        return (type(a) is tuple and len(a) == len(self.moduli)
+                and all(type(x) is int and 0 <= x < m for x, m in zip(a, self.moduli)))
 
     def _mul(self, a, b):
-        return _raw_modvector(self.moduli, tuple(
-            map(operator.mod, map(operator.add, a.coords, b.coords), self.moduli)))
+        return tuple(map(operator.mod, map(operator.add, a, b), self.moduli))
 
     def _inv(self, a):
-        return _raw_modvector(self.moduli,
-                              tuple(-x % m for x, m in zip(a.coords, self.moduli)))
+        return tuple([-x % m for x, m in zip(a, self.moduli)])
 
-    def sort_key(self, a):
-        return a.coords
-
-    def unit(self, i: int) -> ModVector:
+    def unit(self, i: int) -> tuple[int, ...]:
         coords = [0] * len(self.moduli)
         coords[i] = 1 % self.moduli[i]
-        return ModVector(self.moduli, tuple(coords))
+        return tuple(coords)
 
     def standard_gens(self):
         return make_gen_set(self, [self.unit(i) for i in range(len(self.moduli))],
@@ -611,8 +548,7 @@ class Torus(Group):
         return n
 
     def elements(self):
-        return (ModVector(self.moduli, c)
-                for c in itertools.product(*(range(m) for m in self.moduli)))
+        return itertools.product(*(range(m) for m in self.moduli))
 
     def __str__(self):
         return "T(" + ",".join(map(str, self.moduli)) + ")"
@@ -623,8 +559,7 @@ def nonidentity_gens(group: Group) -> SymmetricGenSet:
     if group.order() is None:
         raise GroupError(f"{group} is infinite; cannot form the full generating set")
     ident = group.identity()
-    elements = [g for g in group.elements() if g != ident]
-    elements.sort(key=group.sort_key)
+    elements = sorted(g for g in group.elements() if g != ident)
     seen: set[GroupElement] = set()
     items = []
     for g in elements:

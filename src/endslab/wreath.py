@@ -16,7 +16,7 @@ action alone.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import FrozenInstanceError, dataclass, field, replace
 from functools import partial, reduce
 from typing import Callable, Iterable
 
@@ -40,13 +40,24 @@ from .groups import (
     SymmetricGenSet,
     check_members,
     element_label,
-    frozen_value,
-    trusted_constructor,
 )
 
 
 class WreathError(GroupError):
     """Wreath-product construction or operation error."""
+
+
+def _refuse(self, name, *value):
+    raise FrozenInstanceError(f"cannot assign to or delete {name!r}")
+
+
+def frozen_value(cls):
+    """Refuse every assignment and deletion on a frozen slotted dataclass
+    with ``FrozenInstanceError``: in CPython 3.11 its generated methods
+    raise ``TypeError`` for a non-field name.  Constructors set slots with
+    ``object.__setattr__`` or slot descriptors, which bypass both."""
+    cls.__setattr__ = cls.__delattr__ = _refuse
+    return cls
 
 
 @frozen_value
@@ -75,8 +86,19 @@ def wreath_label(a: WreathElement) -> str:
 
 
 LABELS[WreathElement] = wreath_label
-_raw_wreath = trusted_constructor(WreathElement)
-_raw_pair = trusted_constructor(PairPoint)
+_set_support, _set_head, _set_top_step = (
+    getattr(WreathElement, name).__set__ for name in ("support", "head", "top_step"))
+
+
+def _raw_wreath(support: frozenset, head: GroupElement, top_step: Callable) -> WreathElement:
+    """The trusted constructor of a law result: it sets the three slots
+    through their descriptors, which skip the frozen ``__setattr__``, and
+    runs no check."""
+    a = object.__new__(WreathElement)
+    _set_support(a, support)
+    _set_head(a, head)
+    _set_top_step(a, top_step)
+    return a
 
 
 # ball budget per orbit representative when checking that the
@@ -227,15 +249,16 @@ def _imprimitive(w: WreathGroup, orbit_rep: Point, leaf: PointedAction,
     leaf_step, is_leaf = leaf.step, leaf.is_point
 
     def step(a: WreathElement, p: PairPoint) -> PairPoint:
-        x, leaf_pt = p.pos, p.leaf
+        leaf_pt, x = p
         for y, v in a.support:
             if y == x:
                 leaf_pt = leaf_step(v, leaf_pt)
                 break
-        return _raw_pair(leaf_pt, top_step(a.head, x))
+        # tuple.__new__ skips the Python-level __new__ of the named tuple
+        return tuple.__new__(PairPoint, (leaf_pt, top_step(a.head, x)))
 
     def is_point(p: Point) -> bool:
-        return isinstance(p, PairPoint) and is_leaf(p.leaf) and is_pos(p.pos)
+        return type(p) is PairPoint and is_leaf(p.leaf) and is_pos(p.pos)
 
     return PointedAction(w, step, PairPoint(leaf.basepoint, orbit_rep), label, is_point)
 

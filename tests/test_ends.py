@@ -617,7 +617,7 @@ def test_quotient_unsupported_specs(monkeypatch):
         raise AssertionError("a ball was built for an ill-typed K")
 
     monkeypatch.setattr(endslab.ends, "build_ball", no_ball)
-    for bad in (IntVector((1,)), CyclicInt(5, 1)):
+    for bad in (IntVector((1,)), CyclicInt(5, 4)):
         with pytest.raises(FamilyMismatchError, match="is not an element of C\\(4\\)"):
             quotient_schreier_pair(z, IntModQuotient(4), GeneratedSubgroup((bad,)),
                                    z.standard_gens(), 3)

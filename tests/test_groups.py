@@ -3,11 +3,17 @@ import itertools
 import pickle
 import random
 import string
-from dataclasses import FrozenInstanceError, fields
+from dataclasses import FrozenInstanceError
 
 import pytest
 
-from endslab.actions import IntModQuotient, PairPoint, TrivialSubgroup, rule_action
+from endslab.actions import (
+    IntModQuotient,
+    PairPoint,
+    TrivialSubgroup,
+    rule_action,
+    translation_action,
+)
 from endslab.balls import build_ball
 from endslab.dsl import elaborate, parse_spec
 from endslab.ends import quotient_schreier_pair
@@ -100,7 +106,7 @@ def test_identity_elements():
 
 def test_family_mismatch_errors():
     with pytest.raises(FamilyMismatchError):
-        Cyclic(4).multiply(CyclicInt(4, 1), CyclicInt(5, 1))
+        Cyclic(4).multiply(CyclicInt(4, 1), CyclicInt(5, 4))  # no residue mod 4
     with pytest.raises(FamilyMismatchError):
         FreeGroup(2).multiply(b"", IntVector((0,)))
     with pytest.raises(FamilyMismatchError):
@@ -249,14 +255,18 @@ def test_group_axioms_random(group):
 
 
 def rebuild(group, value):
-    """``value`` rebuilt through its checked constructor: a word of a free
-    group from its signed letters, a Z^k element from its coordinates, a
-    value of any other family from its fields."""
+    """``value`` rebuilt through its family's checked constructor: a word
+    of a free group from its signed letters, any other value from its
+    data."""
     if isinstance(group, FreeGroup):
         return group.word(signed_letters(value))
     if isinstance(group, FreeAbelian):
         return IntVector(value)
-    return type(value)(*[getattr(value, f) for f in value.__dataclass_fields__])
+    if isinstance(group, Cyclic):
+        return CyclicInt(group.modulus, value)
+    if isinstance(group, SymmetricGroup):
+        return Perm(value)
+    return ModVector(group.moduli, value)
 
 
 @pytest.mark.parametrize("group", ALL_GROUPS, ids=str)
@@ -372,6 +382,75 @@ def test_free_abelian_membership_is_a_shape_check():
     assert core == z2.identity() and element_label(core) == "(0,0)"
 
 
+def test_finite_membership_is_a_shape_check():
+    # a residue of C(n) is an int in [0, n), a torus element a tuple of
+    # residues and a permutation a Perm of the degree; the group states the
+    # family, so the residue 1 of C(5) is also one of C(4), and a T(3,3)
+    # element is also one of Z^2.  A Perm keeps its type: a plain tuple is
+    # no element of Sym(n), and a Perm none of Z^k
+    c4 = Cyclic(4)
+    for foreign in (4, -1, True, 1.0, "1", (1,), Perm((0,))):
+        assert not c4.contains(foreign), foreign
+    for member in (0, 3, CyclicInt(5, 1)):
+        assert c4.contains(member), member
+    t33 = Torus((3, 3))
+    for foreign in ((0, 3), (-1, 0), (0,), (0, 0, 0), [0, 0], (True, 0), (0.0, 0),
+                    Perm((1, 0)), PairPoint(0, 0)):
+        assert not t33.contains(foreign), foreign
+    for member in ((0, 0), (2, 1), ModVector((3, 4), (2, 1))):
+        assert t33.contains(member), member
+    assert FreeAbelian(2).contains(t33.unit(0))
+    s2 = SymmetricGroup(2)
+    for foreign in ((1, 0), [1, 0], Perm((0, 1, 2)), Perm((0,)), 1):
+        assert not s2.contains(foreign), foreign
+    assert s2.contains(Perm((1, 0))) and s2.contains(s2.identity())
+    assert not FreeAbelian(2).contains(Perm((1, 0)))
+    for modulus, value in ((4, 4), (4, -1), (4, True), (4, 1.0), (0, 0)):
+        with pytest.raises(InvalidParameterError):
+            CyclicInt(modulus, value)
+    for moduli, coords in (((3,), (3,)), ((3, 3), (0,)), ((), ()), ((3,), (True,))):
+        with pytest.raises(InvalidParameterError):
+            ModVector(moduli, coords)
+    for image in ((), (0, 0), (1, 2)):
+        with pytest.raises(InvalidParameterError):
+            Perm(image)
+
+
+def test_torus_labels():
+    # a torus element is its tuple, labelled as a Z^k element is: one
+    # factor renders as its one coordinate
+    assert [element_label(g) for g in Torus((5,)).elements()] == list("01234")
+    assert [element_label(g) for g in Torus((2, 3)).standard_gens().elements] == [
+        "(1,0)", "(0,1)", "(0,2)"]
+    assert Torus((5,)).standard_gens().names == ("+e1", "-e1")
+
+
+# one ball of each family whose points are builtin values: words, Z^k and
+# torus tuples, residues, permutations, cosets and pairs of an imprimitive
+# action
+BUILTIN_POINT_BALLS = [
+    ("F(2)", 3), ("Z^2", 3), ("C(7)", 3), ("Sym(4)", 3), ("Z^2 / [[2, 0], [0, 3]]", 3),
+    ("Sym(4) / {(0 1 2)}", 3), ("C(12) / 4", 3), ("imprimitive(wreath(Sym(3), C(2), regular))", 3),
+    ("imprimitive(wreath(C(2), Z, translation))", 3),
+]
+
+
+@pytest.mark.parametrize("text, radius", BUILTIN_POINT_BALLS)
+def test_ball_points_hash_in_c(text, radius):
+    # a point hashes with the builtin hash of its base type, so no Python
+    # frame runs per hash
+    ball = build_ball(*elaborate(parse_spec(text)), radius)
+    builtin = {int.__hash__, bytes.__hash__, tuple.__hash__}
+    assert {type(p).__hash__ for p in ball.points} <= builtin, text
+
+
+def test_torus_ball_points_hash_in_c():
+    torus = Torus((3, 4))
+    ball = build_ball(translation_action(torus), torus.standard_gens(), 4)
+    assert len(ball) == 12
+    assert {type(p).__hash__ for p in ball.points} == {tuple.__hash__}
+
+
 # ---------------------------------------------------------------------------
 # free words as bytes of letter codes
 
@@ -417,21 +496,32 @@ def test_free_membership_is_a_shape_check():
     assert not FreeGroup(1).contains(f2.letter(1))
 
 
-FROZEN_VALUES = [CyclicInt(3, 1), Perm((1, 0)),
-                 ModVector((2, 3), (1, 2)), PairPoint(CyclicInt(3, 1), IntVector((2,))),
-                 _wreath(_LAMP2, IntVector((0,)), (IntVector((1,)), CyclicInt(2, 1)))]
+# each value with the constructor that built it, an attribute it has, and
+# the error an assignment raises: the int- and tuple-backed values raise
+# AttributeError, the base class of the FrozenInstanceError of a frozen
+# dataclass
+FROZEN_VALUES = [
+    ("CyclicInt", CyclicInt(3, 1), "real", AttributeError),
+    ("Perm", Perm((1, 0)), "count", AttributeError),
+    ("ModVector", ModVector((2, 3), (1, 2)), "count", AttributeError),
+    ("PairPoint", PairPoint(CyclicInt(3, 1), IntVector((2,))), "leaf", AttributeError),
+    ("WreathElement", _wreath(_LAMP2, IntVector((0,)), (IntVector((1,)), CyclicInt(2, 1))),
+     "support", FrozenInstanceError),
+]
 
 
-@pytest.mark.parametrize("value", FROZEN_VALUES, ids=lambda v: type(v).__name__)
-def test_frozen_values_refuse_every_assignment(value):
-    field = fields(value)[0].name
+@pytest.mark.parametrize("value, field, error", [case[1:] for case in FROZEN_VALUES],
+                         ids=[case[0] for case in FROZEN_VALUES])
+def test_frozen_values_refuse_every_assignment(value, field, error):
     for name in (field, "other"):
-        with pytest.raises(FrozenInstanceError):
+        with pytest.raises(error):
             setattr(value, name, 0)
-        with pytest.raises(FrozenInstanceError):
+        with pytest.raises(error):
             delattr(value, name)
+    # a copy, a deep copy and a pickle round trip rebuild a Perm through its
+    # checked __new__, and keep every value's type
     for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
-        assert twin == value and hash(twin) == hash(value)
+        assert twin == value and hash(twin) == hash(value) and type(twin) is type(value)
 
 
 def test_free_inverse_is_the_reversed_negated_word():

@@ -120,7 +120,7 @@ def test_element_reads_back_its_absolute_support():
     assert element_label(a) == "(-1:2,2:1; 5)"
     for support, head, error in (
             ([(CyclicInt(2, 1), CyclicInt(3, 1))], IntVector((0,)), ActionError),
-            ([(IntVector((0,)), CyclicInt(2, 1))], IntVector((0,)), FamilyMismatchError),
+            ([(IntVector((0,)), CyclicInt(5, 4))], IntVector((0,)), FamilyMismatchError),
             ([(IntVector((0,)), CyclicInt(3, 0))], IntVector((0,)), FamilyMismatchError),
             ([(IntVector((0,)), CyclicInt(3, 1)), (IntVector((0,)), CyclicInt(3, 2))],
              IntVector((0,)), FamilyMismatchError),
@@ -438,7 +438,8 @@ def test_lamplighter_constructor():
 def test_multiply_and_inverse_reject_foreign_operands():
     w, gens = lamplighter(2)
     a = gens.elements[0]
-    for foreign in (IntVector((0,)), CyclicInt(2, 1), lamplighter(3)[1].elements[0]):
+    w3 = lamplighter(3)[0]
+    for foreign in (IntVector((0,)), CyclicInt(2, 1), w3.delta(IntVector((0,)), CyclicInt(3, 2))):
         with pytest.raises(FamilyMismatchError):
             w.multiply(a, foreign)
         with pytest.raises(FamilyMismatchError):
