@@ -14,10 +14,8 @@ residues.  An element of Sym(n) is a :class:`Perm`, a tuple subclass that
 exists only so that its label can dispatch on its type.  Membership is a
 shape check, so equal data from two families is one value: the residue 1
 is an element of C(4) and of C(5), and a T(3,3) element is also one of
-Z^2; a plain tuple is no Perm, and a Perm no Z^k element.  The finite
-families' elements compare as ints and tuples, and that order is the one
-their cosets' canonical representatives use.  Wreath products live in
-:mod:`endslab.wreath`.
+Z^2; a plain tuple is no Perm, and a Perm no Z^k element.  Wreath
+products live in :mod:`endslab.wreath`.
 """
 
 from __future__ import annotations
@@ -106,7 +104,9 @@ class Perm(tuple):
         n = len(image)
         if n < 1:
             raise InvalidParameterError("permutation degree must be >= 1")
-        if sorted(image) != list(range(n)):
+        # an entry of another type, such as True for 1, would give an equal
+        # Perm another label
+        if any(type(x) is not int for x in image) or sorted(image) != list(range(n)):
             raise InvalidParameterError(f"{image} is not a permutation of 0..{n - 1}")
         return tuple.__new__(cls, image)
 
@@ -446,8 +446,7 @@ class Cyclic(Group):
 
     def standard_gens(self):
         # in C(1) the only "generator" is the identity, kept as a loop
-        return make_gen_set(self, [1 % self.modulus],
-                            names=["+1"])
+        return make_gen_set(self, [1 % self.modulus], names=["+1"])
 
     def order(self):
         return self.modulus

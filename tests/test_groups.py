@@ -411,7 +411,7 @@ def test_finite_membership_is_a_shape_check():
     for moduli, coords in (((3,), (3,)), ((3, 3), (0,)), ((), ()), ((3,), (True,))):
         with pytest.raises(InvalidParameterError):
             ModVector(moduli, coords)
-    for image in ((), (0, 0), (1, 2)):
+    for image in ((), (0, 0), (1, 2), (True, False), (0, "1")):
         with pytest.raises(InvalidParameterError):
             Perm(image)
 
@@ -427,28 +427,22 @@ def test_torus_labels():
 
 # one ball of each family whose points are builtin values: words, Z^k and
 # torus tuples, residues, permutations, cosets and pairs of an imprimitive
-# action
-BUILTIN_POINT_BALLS = [
-    ("F(2)", 3), ("Z^2", 3), ("C(7)", 3), ("Sym(4)", 3), ("Z^2 / [[2, 0], [0, 3]]", 3),
-    ("Sym(4) / {(0 1 2)}", 3), ("C(12) / 4", 3), ("imprimitive(wreath(Sym(3), C(2), regular))", 3),
-    ("imprimitive(wreath(C(2), Z, translation))", 3),
-]
-
-
-@pytest.mark.parametrize("text, radius", BUILTIN_POINT_BALLS)
-def test_ball_points_hash_in_c(text, radius):
+# action (a torus has no spec spelling)
+@pytest.mark.parametrize("spec", [
+    "F(2)", "Z^2", "C(7)", "Sym(4)", Torus((3, 4)), "Z^2 / [[2, 0], [0, 3]]",
+    "Sym(4) / {(0 1 2)}", "C(12) / 4", "imprimitive(wreath(Sym(3), C(2), regular))",
+    "imprimitive(wreath(C(2), Z, translation))"], ids=str)
+def test_ball_points_hash_in_c(spec):
     # a point hashes with the builtin hash of its base type, so no Python
     # frame runs per hash
-    ball = build_ball(*elaborate(parse_spec(text)), radius)
-    builtin = {int.__hash__, bytes.__hash__, tuple.__hash__}
-    assert {type(p).__hash__ for p in ball.points} <= builtin, text
-
-
-def test_torus_ball_points_hash_in_c():
-    torus = Torus((3, 4))
-    ball = build_ball(translation_action(torus), torus.standard_gens(), 4)
-    assert len(ball) == 12
-    assert {type(p).__hash__ for p in ball.points} == {tuple.__hash__}
+    if isinstance(spec, str):
+        action, gens = elaborate(parse_spec(spec))
+    else:
+        action, gens = translation_action(spec), spec.standard_gens()
+    ball = build_ball(action, gens, 3)
+    assert len(ball) > 1
+    assert {type(p).__hash__ for p in ball.points} <= {
+        int.__hash__, bytes.__hash__, tuple.__hash__}
 
 
 # ---------------------------------------------------------------------------
