@@ -110,6 +110,11 @@ class Perm(tuple):
             raise InvalidParameterError(f"{image} is not a permutation of 0..{n - 1}")
         return tuple.__new__(cls, image)
 
+    def __repr__(self):
+        # the tuple repr would make "(1, 0) is not an element of Z^2" read
+        # as a refusal of the plain tuple, which is a member
+        return f"Perm({tuple(self)!r})"
+
 
 def ModVector(moduli: Sequence[int], coords: Iterable[int]) -> tuple[int, ...]:
     """The checked constructor of a torus element: its coordinates, an

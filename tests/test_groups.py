@@ -405,6 +405,8 @@ def test_finite_membership_is_a_shape_check():
         assert not s2.contains(foreign), foreign
     assert s2.contains(Perm((1, 0))) and s2.contains(s2.identity())
     assert not FreeAbelian(2).contains(Perm((1, 0)))
+    with pytest.raises(FamilyMismatchError, match=r"^Perm\(\(1, 0\)\) is not an element of Z\^2$"):
+        FreeAbelian(2).inverse(Perm((1, 0)))
     for modulus, value in ((4, 4), (4, -1), (4, True), (4, 1.0), (0, 0)):
         with pytest.raises(InvalidParameterError):
             CyclicInt(modulus, value)
