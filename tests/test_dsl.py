@@ -361,8 +361,8 @@ def random_typed_item(rng, group):
     return PermItem(tuple(map(tuple, cycles)))
 
 
-def random_typed_items(rng, group, most=3):
-    items = tuple(random_typed_item(rng, group) for _ in range(rng.randint(1, most)))
+def random_typed_items(rng, group):
+    items = tuple(random_typed_item(rng, group) for _ in range(rng.randint(1, 3)))
     return None if None in items else items
 
 
