@@ -8,6 +8,9 @@ kinds hash the exit code, stdout and stderr of ``endslab ball --spec S
 --radius 2`` over 3,000 seed-11 ``random_spec`` draws, most of which
 elaboration refuses, and the ``cli.typed`` kinds the same over 600
 seed-12 ``random_typed_spec`` draws, whose items belong to their groups.
+The ``cli.ends`` kinds run ``endslab ends --k 0..1 --K 3`` on those 600
+typed draws, and the ``cli.leaves`` kinds ``endslab leaves --radius 3``
+on their wreath draws, so all three JSON reports are pinned.
 A change that alters any output changes the manifest, and says which
 outputs and why.
 
@@ -67,21 +70,42 @@ def manifest_balls():
     return [*random_fixture_balls(), *generated_spec_balls(), *stepping_balls()]
 
 
-def cli_outputs(draw=random_spec, seed=11, draws=CLI_DRAWS):
-    """(exit code, stdout, stderr) of ``ball --radius 2`` for each seeded
-    draw; a spec text drawn again reuses its first run."""
+def draw_specs(draw, seed, draws):
     rng = random.Random(seed)
+    return [draw(rng) for _ in range(draws)]
+
+
+def cli_outputs(argvs):
+    """(exit code, stdout, stderr) of ``cli_main`` on each argument list;
+    an argument list drawn again reuses its first run."""
     runs = {}
     outputs = []
-    for _ in range(draws):
-        text = print_spec(draw(rng))
-        if text not in runs:
+    for argv in argvs:
+        key = tuple(argv)
+        if key not in runs:
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = cli_main(["ball", "--spec", text, "--radius", "2"])
-            runs[text] = (code, out.getvalue(), err.getvalue())
-        outputs.append(runs[text])
+                code = cli_main(argv)
+            runs[key] = (code, out.getvalue(), err.getvalue())
+        outputs.append(runs[key])
     return outputs
+
+
+def cli_corpora() -> dict:
+    """The argument lists of each CLI corpus, by manifest prefix."""
+    typed = draw_specs(random_typed_spec, 12, TYPED_DRAWS)
+
+    def ball(specs):
+        return [["ball", "--spec", print_spec(s), "--radius", "2"] for s in specs]
+
+    return {
+        "cli": ball(draw_specs(random_spec, 11, CLI_DRAWS)),
+        "cli.typed": ball(typed),
+        "cli.ends": [["ends", "--spec", print_spec(s), "--k", "0..1", "--K", "3"]
+                     for s in typed],
+        "cli.leaves": [["leaves", "--spec", print_spec(s), "--radius", "3"]
+                       for s in typed if s.group is not None and s.group.kind == "wreath"],
+    }
 
 
 def compute_manifest() -> dict:
@@ -89,8 +113,8 @@ def compute_manifest() -> dict:
     manifest = {"balls": len(balls)}
     for kind, render in BALL_KINDS.items():
         manifest[f"ball.{kind}"] = _sha256(map(render, balls))
-    for prefix, outputs in (("cli", cli_outputs()),
-                            ("cli.typed", cli_outputs(random_typed_spec, 12, TYPED_DRAWS))):
+    for prefix, argvs in cli_corpora().items():
+        outputs = cli_outputs(argvs)
         manifest[f"{prefix}_draws"] = len(outputs)
         manifest[f"{prefix}.exit"] = _sha256(str(code) for code, _, _ in outputs)
         manifest[f"{prefix}.stdout"] = _sha256(out for _, out, _ in outputs)
