@@ -34,6 +34,7 @@ from .groups import (
     element_label,
     make_gen_set,
     perm_parity,
+    shared_label,
 )
 
 Point = Any
@@ -99,7 +100,17 @@ def check_point(action: PointedAction, p: Point) -> None:
 point_label = element_label
 
 
-LABELS[PairPoint] = lambda p: f"({point_label(p.leaf)}, {point_label(p.pos)})"
+def point_labels(points: Iterable[Point]) -> list[str]:
+    """``[point_label(p) for p in points]``, in one labelling call: the
+    points of one ball share most of their parts, such as the (head,
+    entry) pairs of wreath elements, so a memo that lives for this call
+    labels each shared part once.  No state outlives the call."""
+    memo: dict = {}
+    return [shared_label(p, memo) for p in points]
+
+
+LABELS[PairPoint] = lambda p, memo: (
+    f"({shared_label(p.leaf, memo)}, {shared_label(p.pos, memo)})")
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import ClassVar, Iterable
 
-from .actions import PairPoint, Point, PointedAction, check_point, point_label
+from .actions import PairPoint, Point, PointedAction, check_point, point_labels
 from .groups import GroupElement, SymmetricGenSet, verify_gen_set
 
 DEFAULT_VERTEX_BUDGET = 2_000_000
@@ -324,22 +324,29 @@ def leaf_decomposition(ball: GraphBall) -> dict:
 
 
 def to_json_dict(ball: GraphBall) -> dict:
+    pairing = ball.gens.pairing
+    ngens = len(pairing)
+    table = ball.table
+    # the edges of ``ball.edges``, each built once as its JSON list
+    edges = [[u, v, i] for u in range(len(ball.points))
+             for i, v in enumerate(table[u * ngens:(u + 1) * ngens])
+             if v >= 0 and (i < pairing[i] or (i == pairing[i] and u <= v))]
     return {
         "radius": ball.radius,
         "basepoint": ball.basepoint_index,
         "generators": list(ball.gens.names),
-        "pairing": list(ball.gens.pairing),
-        "vertices": [point_label(p) for p in ball.points],
+        "pairing": list(pairing),
+        "vertices": point_labels(ball.points),
         "dist": list(ball.dist),
-        "edges": [[u, v, g] for u, v, g in ball.edges],
+        "edges": edges,
     }
 
 
 def to_dot(ball: GraphBall) -> str:
     lines = ["graph ball {"]
-    for v, p in enumerate(ball.points):
+    for v, label in enumerate(point_labels(ball.points)):
         shape = ", shape=doublecircle" if v == ball.basepoint_index else ""
-        lines.append(f'  v{v} [label="{point_label(p)}"{shape}];')
+        lines.append(f'  v{v} [label="{label}"{shape}];')
     for u, v, g in ball.edges:
         lines.append(f'  v{u} -- v{v} [label="{ball.gens.names[g]}"];')
     lines.append("}")

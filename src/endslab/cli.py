@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import random
 import sys
+from json.encoder import encode_basestring_ascii as _json_string
 from typing import Optional, Sequence
 
 from . import __version__
@@ -25,6 +25,7 @@ from .actions import (
     PairPoint,
     TrivialSubgroup,
     point_label,
+    point_labels,
     translation_action,
 )
 from .balls import (
@@ -111,13 +112,55 @@ def parse_k_values(text: str) -> Sequence[int]:
     return ks
 
 
+def json_text(obj) -> str:
+    """``json.dumps(obj, indent=2)`` for the values the reports hold: dicts
+    with str keys, lists, str, int, bool and None.  Any other value raises
+    ``TypeError``.  A list of only ints or only strs, such as a profile row
+    or a ball's labels, is checked by type and joined at C level."""
+    return _json_text(obj, "")
+
+
+def _json_text(obj, indent: str) -> str:
+    kind = type(obj)
+    if kind is str:
+        return _json_string(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if kind is bool:
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if kind is list:
+        if not obj:
+            return "[]"
+        kinds = set(map(type, obj))
+        if kinds == {int}:
+            items = map(int.__repr__, obj)
+        elif kinds == {str}:
+            items = map(_json_string, obj)
+        else:
+            items = [_json_text(x, inner) for x in obj]
+        return f"[\n{inner}{sep.join(items)}\n{indent}]"
+    if kind is dict:
+        if not obj:
+            return "{}"
+        for key in obj:
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+        items = [f"{_json_string(k)}: {_json_text(v, inner)}" for k, v in obj.items()]
+        return f"{{\n{inner}{sep.join(items)}\n{indent}}}"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
 def cmd_ball(args) -> int:
     action, gens = elaborate(parse_spec(args.spec))
     ball = build_ball(action, gens, args.radius, args.budget)
     if args.format == "dot":
         out = to_dot(ball)
     else:
-        out = json.dumps(to_json_dict(ball), indent=2)
+        out = json_text(to_json_dict(ball))
     if args.output:
         try:
             with open(args.output, "w") as fh:
@@ -136,7 +179,7 @@ def cmd_ends(args) -> int:
     action, gens = elaborate(parse_spec(args.spec))
     # a list too large for memory fails at once; the profile's set() of a range would grow
     profile = ends_profile(action, gens, list(args.k), args.K, args.budget)
-    print(json.dumps(profile.to_json_dict(), indent=2))
+    print(json_text(profile.to_json_dict()))
     return 0
 
 
@@ -150,26 +193,32 @@ def _leaf_ball(args, command: str):
     return build_ball(action, gens, args.radius, args.budget)
 
 
-def cmd_leaves(args) -> int:
-    ball = _leaf_ball(args, "leaves")
+def leaves_report(ball) -> dict:
+    """The report of ``endslab leaves`` on a ball of ``PairPoint``
+    vertices: each leaf with its vertex labels, and the edges between
+    leaves."""
     leaves = leaf_decomposition(ball)
-    report = {
-        "radius": args.radius,
+    labels = point_labels(ball.points)
+    return {
+        "radius": ball.radius,
         "vertex_count": len(ball),
         "leaf_count": len(leaves),
         "leaves": [
             {
-                "leaf": point_label(leaf),
+                "leaf": leaf_label,
                 "size": len(vs),
-                "vertices": [point_label(ball.points[v]) for v in vs],
+                "vertices": [labels[v] for v in vs],
             }
-            for leaf, vs in leaves.items()
+            for leaf_label, vs in zip(point_labels(leaves), leaves.values())
         ],
         "cross_leaf_edges": sum(
             1 for u, v, _ in ball.edges
             if u != v and ball.points[u].leaf != ball.points[v].leaf),
     }
-    print(json.dumps(report, indent=2))
+
+
+def cmd_leaves(args) -> int:
+    print(json_text(leaves_report(_leaf_ball(args, "leaves"))))
     return 0
 
 

@@ -147,7 +147,7 @@ def _step(labels: tuple[int, ...], shell: _Shell) -> tuple[int, ...]:
 
 
 def _decide_verdict(k_values: Sequence[int], matrix: Sequence[Sequence[int]]) -> Verdict:
-    observed = max((x for row in matrix for x in row), default=0)
+    observed = max(map(max, matrix), default=0)
     at_most = Verdict("AT_MOST", observed)
     if any(len(row) < 2 for row in matrix):
         return at_most
@@ -207,11 +207,12 @@ def profile_from_ball(ball: GraphBall, k_values: Iterable[int]) -> EndsProfile:
                 rows[k].append(count)
             stepped.setdefault(nxt, []).extend(members)
         groups = stepped
-    matrix = tuple(tuple(rows[k] + [0] * (ball.radius - k - len(rows[k]))) for k in ks)
-    for row in matrix:
+    for k, row in rows.items():
+        # the zeros that pad a row after an empty sphere cannot break it
         for a, b in zip(row, row[1:]):
             if b > a:
-                raise EndsError(f"monotonicity violated in profile row {row}")
+                raise EndsError(f"monotonicity violated in profile row {row} for k={k}")
+    matrix = tuple(tuple(rows[k]) + (0,) * (ball.radius - k - len(rows[k])) for k in ks)
     return EndsProfile(ks, ball.radius, matrix, _decide_verdict(ks, matrix),
                        ball.max_vertices)
 

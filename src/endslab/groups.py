@@ -138,11 +138,11 @@ def ModVector(moduli: Sequence[int], coords: Iterable[int]) -> tuple[int, ...]:
 GroupElement = Any
 
 
-def _word_label(a: bytes) -> str:
+def _word_label(a: bytes, memo: dict) -> str:
     return a.translate(_LABEL_TABLE).decode("ascii") if a else "1"
 
 
-def _tuple_label(a: tuple) -> str:
+def _tuple_label(a: tuple, memo: dict) -> str:
     # a Z or one-factor torus element is labelled by its one coordinate
     if len(a) == 1:
         return str(a[0])
@@ -152,8 +152,15 @@ def _tuple_label(a: tuple) -> str:
 def element_label(a: GroupElement) -> str:
     """Short human-readable label of an element or a point (uppercase
     letter = inverse letter)."""
+    return shared_label(a, {})
+
+
+def shared_label(a: GroupElement, memo: dict) -> str:
+    """``element_label(a)`` as one of the labels of a single labelling
+    call, which share their common parts through ``memo``; the memo lives
+    for that call only."""
     label = LABELS.get(type(a))
-    return str(a) if label is None else label(a)
+    return str(a) if label is None else label(a, memo)
 
 
 def _perm_cycles(p: Perm) -> list[list[int]]:
@@ -173,7 +180,7 @@ def _perm_cycles(p: Perm) -> list[list[int]]:
     return cycles
 
 
-def perm_cycle_notation(p: Perm) -> str:
+def perm_cycle_notation(p: Perm, memo: dict) -> str:
     parts = ["(" + " ".join(map(str, c)) + ")" for c in _perm_cycles(p) if len(c) > 1]
     return "".join(parts) or "()"
 
@@ -181,7 +188,8 @@ def perm_cycle_notation(p: Perm) -> str:
 # label of each element and point type, looked up by exact type (a tuple is
 # a Z^k or torus element or a rule-action point, and a residue, an int, is
 # its own label); endslab.actions adds its points and endslab.wreath its
-# elements
+# elements.  Each label is a function of the value and the memo of the
+# labelling call (see shared_label), which only composite labels read.
 LABELS = {
     bytes: _word_label,
     tuple: _tuple_label,

@@ -39,7 +39,7 @@ from .groups import (
     GroupError,
     SymmetricGenSet,
     check_members,
-    element_label,
+    shared_label,
 )
 
 
@@ -73,16 +73,35 @@ class WreathElement:
     top_step: Callable = field(compare=False, repr=False)
 
 
-def wreath_label(a: WreathElement) -> str:
+def wreath_label(a: WreathElement, memo: dict) -> str:
     """``(x:v,...; h)`` over the entries (x, v) of the absolute support f,
-    each at x = h.y for an entry (y, v) of r."""
-    if a.support:
-        h, step = a.head, a.top_step
-        items = sorted((point_label(step(h, y)), element_label(v)) for y, v in a.support)
-        sup = ",".join(f"{p}:{v}" for p, v in items)
-    else:
-        sup = "1"
-    return f"({sup}; {element_label(a.head)})"
+    each at x = h.y for an entry (y, v) of r.
+
+    Elements of one ball share most (head, entry) pairs, so within one
+    labelling call ``memo`` keeps the label pair of each entry under
+    (h, entry) and each head label under h.  A pair's point label also
+    depends on the top action, so each top action's ``step`` keeps its
+    own pairs."""
+    h, step = a.head, a.top_step
+    shared = memo.get(step)
+    if shared is None:
+        shared = memo[step] = ({}, {})
+    pairs, heads = shared
+    head = heads.get(h)
+    if head is None:
+        head = heads[h] = shared_label(h, memo)
+    if not a.support:
+        return f"(1; {head})"
+    items = []
+    for entry in a.support:
+        key = (h, entry)
+        pair = pairs.get(key)
+        if pair is None:
+            y, v = entry
+            pair = pairs[key] = (shared_label(step(h, y), memo), shared_label(v, memo))
+        items.append(pair)
+    items.sort()
+    return "(" + ",".join([f"{p}:{v}" for p, v in items]) + f"; {head})"
 
 
 LABELS[WreathElement] = wreath_label

@@ -108,8 +108,7 @@ def cli_corpora() -> dict:
     }
 
 
-def compute_manifest() -> dict:
-    balls = manifest_balls()
+def compute_manifest(balls) -> dict:
     manifest = {"balls": len(balls)}
     for kind, render in BALL_KINDS.items():
         manifest[f"ball.{kind}"] = _sha256(map(render, balls))
@@ -123,5 +122,5 @@ def compute_manifest() -> dict:
 
 
 if __name__ == "__main__":
-    MANIFEST.write_text(json.dumps(compute_manifest(), indent=2) + "\n")
+    MANIFEST.write_text(json.dumps(compute_manifest(manifest_balls()), indent=2) + "\n")
     sys.stdout.write(f"wrote {MANIFEST}\n")

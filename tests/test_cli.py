@@ -13,7 +13,7 @@ import pytest
 import endslab
 from endslab.actions import SUPPORTED_SUBGROUPS, PairPoint
 from endslab.balls import DEFAULT_VERTEX_BUDGET, leaf_decomposition
-from endslab.cli import _leaf_ball, cli_main, parse_k_values
+from endslab.cli import _leaf_ball, cli_main, json_text, parse_k_values
 from endslab.dsl import print_spec
 
 from test_dsl import random_spec
@@ -449,3 +449,23 @@ def test_cli_fuzz_reports_every_outcome_in_one_line(capsys):
         if code == 2:
             assert len(lines) == 1 and re.match(r"endslab[^:]*: ", lines[0]), (argv, err)
         assert not re.search(r"(?<![\w'\"])b['\"]", err), (argv, err)  # a bytes repr
+
+
+@pytest.mark.parametrize("value", [
+    "", '"', "\\", "é", "\x00", "\u2028", " ", "a\nb\tc", "\U0001f600",
+    [], {}, [[]], [{}], {"a": []}, {"a": {}}, [[], {}, [[]]],
+    True, False, None, 0, -7, 2**64 + 1, -(2**70),
+    [True, 1], [1, True], [False, 0, None], [1, "1"], ["a", None],
+    [1, 2, 3], ["x", "é", '"'], [[1, 2], [3]], {"k": [1, "two", [True, None]]},
+    {"é": 1, "\x00": {"": [0]}, '"': None},
+])
+def test_json_text_matches_json_dumps(value):
+    assert json_text(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [
+    1.5, (1, 2), [1, 2.0], [(1,)], {1: "a"}, {"a": {None: 1}}, {"a": [1, (2,)]},
+])
+def test_json_text_refuses_other_values(value):
+    with pytest.raises(TypeError):
+        json_text(value)

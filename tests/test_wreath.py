@@ -10,6 +10,8 @@ from endslab.actions import (
     PairPoint,
     PointedAction,
     coset_action,
+    point_label,
+    point_labels,
     translation_action,
 )
 from endslab.balls import build_ball, pointed_labeled_isomorphic
@@ -509,3 +511,21 @@ def test_infinite_wreath_law_folds_onto_a_finite_one(b, radius):
         folded = build_ball(translation_action(wn), gens_n, radius)
         assert len(folded) == len(ball)
         assert pointed_labeled_isomorphic(ball, folded) is same
+
+
+def test_labels_keep_two_top_actions_apart():
+    # the same stored (head, entry) values under Z by translation and Z on
+    # Z/3Z: equal elements whose absolute supports, and so labels, differ
+    lamp, _ = lamplighter(2)
+    z_mod_3 = coset_action(FreeAbelian(1), GeneratedSubgroup((IntVector((3,)),)))
+    w3 = WreathGroup(Cyclic(2), z_mod_3, (IntVector((0,)),))
+    head = IntVector((2,))
+    a = lamp.element([(IntVector((4,)), CyclicInt(2, 1))], head)
+    b = w3.element([(IntVector((1,)), CyclicInt(2, 1))], head)
+    assert a.support == b.support == frozenset({(head, 1)}) and a == b
+    labels = ["(4:1; 2)", "(1:1; 2)"]
+    assert [point_label(a), point_label(b)] == labels
+    assert point_labels([a, b]) == labels
+    # a memo that outlived its call would hand the second call the first label
+    assert point_labels([a]) + point_labels([b]) == labels
+    assert point_labels([b]) + point_labels([a]) == labels[::-1]
