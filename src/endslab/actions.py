@@ -11,8 +11,10 @@ then only steps, since every later point is a ``step`` result.
 Points are plain hashable values: group elements (for translation
 actions, and for coset actions, where a coset is its canonical
 representative), :class:`PairPoint` (imprimitive wreath actions) and
-small tuples for the built-in rule actions.  Subgroup specs state their
-coset laws, quotient specs their image, kernel and lift.
+small tuples for the built-in rule actions.  A point's label comes from
+the acting group (``Group.label``), so an export labels a ball's points
+with ``point_labels(points, ball.action.group.label)``.  Subgroup specs
+state their coset laws, quotient specs their image, kernel and lift.
 """
 
 from __future__ import annotations
@@ -100,13 +102,15 @@ def check_point(action: PointedAction, p: Point) -> None:
 point_label = element_label
 
 
-def point_labels(points: Iterable[Point]) -> list[str]:
-    """``[point_label(p) for p in points]``, in one labelling call: the
+def point_labels(points: Iterable[Point],
+                 label: Callable[[Point, dict], str] = shared_label) -> list[str]:
+    """``[label(p, {}) for p in points]``, in one labelling call: the
     points of one ball share most of their parts, such as the (head,
     entry) pairs of wreath elements, so a memo that lives for this call
-    labels each shared part once.  No state outlives the call."""
+    labels each shared part once.  ``label`` is a group's ``label``; the
+    default labels base values and pair points.  No state outlives it."""
     memo: dict = {}
-    return [shared_label(p, memo) for p in points]
+    return [label(p, memo) for p in points]
 
 
 LABELS[PairPoint] = lambda p, memo: (

@@ -228,29 +228,33 @@ def check_indices(kind: str, indices: Iterable[int], n: int) -> None:
 
 
 def delete_and_split(ball: GraphBall, removed: Iterable[int]) -> CutResult:
-    """Components of the ball minus the given vertex indices."""
+    """Components of the ball minus the given vertex indices, each found by
+    a flood fill over the table rows from its smallest vertex."""
     removed_set = frozenset(removed)
     n = len(ball.points)
     check_indices("vertex", removed_set, n)
     table = ball.table
     ngens = len(ball.gens)
-    uf = UnionFind(n)
-    for u in range(n):
-        if u in removed_set:
-            continue
-        for v in table[u * ngens:(u + 1) * ngens]:
-            if v > u and v not in removed_set:
-                uf.union(u, v)
-    groups: dict[int, list[int]] = {}
-    for v in range(n):
-        if v in removed_set:
-            continue
-        groups.setdefault(uf.find(v), []).append(v)
-    # v ran upward, so components are ascending and come by smallest vertex;
+    # comp[v] is -1 until v is reached and -2 for a removed vertex; the extra
+    # last entry makes a target outside the ball (-1) read as removed
+    comp = [-1] * n + [-2]
+    for v in removed_set:
+        comp[v] = -2
+    components = []
+    for s in range(n):  # seeds run upward, so s is its component's smallest
+        if comp[s] == -1:
+            comp[s] = s
+            members = [s]
+            for u in members:  # the loop also walks the vertices it appends
+                for v in table[u * ngens:(u + 1) * ngens]:
+                    if comp[v] == -1:
+                        comp[v] = s
+                        members.append(v)
+            members.sort()
+            components.append(tuple(members))
     # dist is non-decreasing, so a component's last vertex is its farthest
-    components = tuple(map(tuple, groups.values()))
-    touching = tuple(ball.dist[comp[-1]] == ball.radius for comp in components)
-    return CutResult(removed_set, components, touching)
+    touching = tuple([ball.dist[c[-1]] == ball.radius for c in components])
+    return CutResult(removed_set, tuple(components), touching)
 
 
 def simplify(ball: GraphBall) -> GraphBall:
@@ -336,7 +340,7 @@ def to_json_dict(ball: GraphBall) -> dict:
         "basepoint": ball.basepoint_index,
         "generators": list(ball.gens.names),
         "pairing": list(pairing),
-        "vertices": point_labels(ball.points),
+        "vertices": point_labels(ball.points, ball.action.group.label),
         "dist": list(ball.dist),
         "edges": edges,
     }
@@ -344,7 +348,7 @@ def to_json_dict(ball: GraphBall) -> dict:
 
 def to_dot(ball: GraphBall) -> str:
     lines = ["graph ball {"]
-    for v, label in enumerate(point_labels(ball.points)):
+    for v, label in enumerate(point_labels(ball.points, ball.action.group.label)):
         shape = ", shape=doublecircle" if v == ball.basepoint_index else ""
         lines.append(f'  v{v} [label="{label}"{shape}];')
     for u, v, g in ball.edges:

@@ -24,7 +24,6 @@ from .actions import (
     IntModQuotient,
     PairPoint,
     TrivialSubgroup,
-    point_label,
     point_labels,
     translation_action,
 )
@@ -198,7 +197,8 @@ def leaves_report(ball) -> dict:
     vertices: each leaf with its vertex labels, and the edges between
     leaves."""
     leaves = leaf_decomposition(ball)
-    labels = point_labels(ball.points)
+    group = ball.action.group
+    labels = point_labels(ball.points, group.label)
     return {
         "radius": ball.radius,
         "vertex_count": len(ball),
@@ -209,7 +209,8 @@ def leaves_report(ball) -> dict:
                 "size": len(vs),
                 "vertices": [labels[v] for v in vs],
             }
-            for leaf_label, vs in zip(point_labels(leaves), leaves.values())
+            for leaf_label, vs in zip(point_labels(leaves, group.base.label),
+                                      leaves.values())
         ],
         "cross_leaf_edges": sum(
             1 for u, v, _ in ball.edges
@@ -252,7 +253,7 @@ def _check_leaf_disconnect(args) -> list[tuple[bool, str]]:
         for c, touch in zip(cut.components, cut.touching):
             if set(c) <= rest:
                 comp_desc.append(f"size {len(c)} ({'touching' if touch else 'isolated'})")
-        results.append((ok, f"leaf {point_label(leaf)}: deleting its hub leaves "
+        results.append((ok, f"leaf {group.base.label(leaf, {})}: deleting its hub leaves "
                             f"leaf components [{', '.join(comp_desc) or 'none'}] "
                             f"with {'no' if ok else 'SOME'} edges to other leaves"))
     return results

@@ -15,7 +15,7 @@ exists only so that its label can dispatch on its type.  Membership is a
 shape check, so equal data from two families is one value: the residue 1
 is an element of C(4) and of C(5), and a T(3,3) element is also one of
 Z^2; a plain tuple is no Perm, and a Perm no Z^k element.  Wreath
-products live in :mod:`endslab.wreath`.
+products, whose elements their group labels, live in :mod:`endslab.wreath`.
 """
 
 from __future__ import annotations
@@ -134,7 +134,7 @@ def ModVector(moduli: Sequence[int], coords: Iterable[int]) -> tuple[int, ...]:
     return coords
 
 
-# WreathElement (endslab.wreath) is also a valid GroupElement.
+# any member of a family; a wreath element (endslab.wreath) is a named tuple
 GroupElement = Any
 
 
@@ -150,8 +150,8 @@ def _tuple_label(a: tuple, memo: dict) -> str:
 
 
 def element_label(a: GroupElement) -> str:
-    """Short human-readable label of an element or a point (uppercase
-    letter = inverse letter)."""
+    """Short human-readable label of a base value or a point (uppercase
+    letter = inverse letter); a wreath element's comes from its group."""
     return shared_label(a, {})
 
 
@@ -187,9 +187,10 @@ def perm_cycle_notation(p: Perm, memo: dict) -> str:
 
 # label of each element and point type, looked up by exact type (a tuple is
 # a Z^k or torus element or a rule-action point, and a residue, an int, is
-# its own label); endslab.actions adds its points and endslab.wreath its
-# elements.  Each label is a function of the value and the memo of the
-# labelling call (see shared_label), which only composite labels read.
+# its own label); endslab.actions adds PairPoint.  Each label is a function
+# of the value and the memo of one labelling call (see shared_label).  A
+# wreath label needs the top action, so its group states it; the registry
+# stays for the one-argument point_label of base values and pair points.
 LABELS = {
     bytes: _word_label,
     tuple: _tuple_label,
@@ -265,7 +266,7 @@ def make_gen_set(group: "Group",
     out_names: list[str] = []
     for pos, item in enumerate(items):
         inv = group._inv(item)
-        name = names[pos] if names is not None else element_label(item)
+        name = names[pos] if names is not None else group.label(item, {})
         if inv == item:
             pairing.append(len(elements))
             elements.append(item)
@@ -275,7 +276,7 @@ def make_gen_set(group: "Group",
             pairing.extend([i + 1, i])
             elements.extend([item, inv])
             if names is None:
-                inv_name = element_label(inv)
+                inv_name = group.label(inv, {})
             else:
                 inv_name = "-" + name[1:] if name.startswith("+") else name + "^-1"
             out_names.extend([name, inv_name])
@@ -309,6 +310,10 @@ class Group:
     or tuples, so their natural order is a total order, and the least
     product of a coset by it is the coset's canonical representative.
     """
+
+    # the label of a member or of a point of an action of the group, within
+    # one labelling call (see shared_label); WreathGroup states its own
+    label = staticmethod(shared_label)
 
     def __post_init__(self):
         self.identity()

@@ -4,21 +4,24 @@ The mathematical element is a pair (f, h): a finitely supported map
 f: X -> base group and a top-group element h.  It is stored relative to
 its head, as (r, h) with r(y) = f(h.y), without identity values and as a
 frozenset of items; this is a bijection, so equality and hashing stay
-canonical.  The top group permutes coordinates through its action on X,
-and the top action's ``is_point`` decides which values are points of X.
-The trusted law ``_mul`` moves the left operand's entries with the top
-action's ``step``, so a top generator on the left moves nothing.  Both
-imprimitive actions pair a leaf action of the base group (on itself or
-on cosets) with the top action; the head projection steps with the top
-action alone.
+canonical.  An element is a :class:`WreathElement`, a named tuple
+(support, head), and a law result is built with ``tuple.__new__``, which
+runs no check.  The top group permutes coordinates through its action on
+X, and the top action's ``is_point`` decides which values are points of
+X.  The trusted law ``_mul`` moves the left operand's entries with the
+top action's ``step``, so a top generator on the left moves nothing.  An
+element does not carry the top action, so its label comes from its
+group (``WreathGroup.label``).  Both imprimitive actions pair a leaf
+action of the base group (on itself or on cosets) with the top action;
+the head projection steps with the top action alone.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import FrozenInstanceError, dataclass, field, replace
+from dataclasses import replace
 from functools import partial, reduce
-from typing import Callable, Iterable
+from typing import Iterable, NamedTuple
 
 from .actions import (
     PairPoint,
@@ -26,12 +29,10 @@ from .actions import (
     PointedAction,
     check_point,
     coset_action,
-    point_label,
     translation_action,
 )
 from .balls import BallOverflowError, build_ball
 from .groups import (
-    LABELS,
     Cyclic,
     FreeAbelian,
     Group,
@@ -39,7 +40,6 @@ from .groups import (
     GroupError,
     SymmetricGenSet,
     check_members,
-    shared_label,
 )
 
 
@@ -47,77 +47,19 @@ class WreathError(GroupError):
     """Wreath-product construction or operation error."""
 
 
-def _refuse(self, name, *value):
-    raise FrozenInstanceError(f"cannot assign to or delete {name!r}")
-
-
-def frozen_value(cls):
-    """Refuse every assignment and deletion on a frozen slotted dataclass
-    with ``FrozenInstanceError``: in CPython 3.11 its generated methods
-    raise ``TypeError`` for a non-field name.  Constructors set slots with
-    ``object.__setattr__`` or slot descriptors, which bypass both."""
-    cls.__setattr__ = cls.__delattr__ = _refuse
-    return cls
-
-
-@frozen_value
-@dataclass(frozen=True, slots=True)
-class WreathElement:
+class WreathElement(NamedTuple):
     """(r, h) for the element (f, h) with r(y) = f(h.y); ``support`` holds
-    the entries of r, with no identity values.  ``top_step``, the step of
-    the group's top action, lets the label render the absolute support f;
-    it takes no part in equality or hashing."""
+    the entries of r, with no identity values.  A named tuple, so it hashes
+    and compares in C and equals the plain pair (support, head); its group,
+    which knows the top action, renders the absolute support f in labels."""
 
     support: frozenset  # frozenset of (Point, base GroupElement) pairs
     head: GroupElement
-    top_step: Callable = field(compare=False, repr=False)
 
 
-def wreath_label(a: WreathElement, memo: dict) -> str:
-    """``(x:v,...; h)`` over the entries (x, v) of the absolute support f,
-    each at x = h.y for an entry (y, v) of r.
-
-    Elements of one ball share most (head, entry) pairs, so within one
-    labelling call ``memo`` keeps the label pair of each entry under
-    (h, entry) and each head label under h.  A pair's point label also
-    depends on the top action, so each top action's ``step`` keeps its
-    own pairs."""
-    h, step = a.head, a.top_step
-    shared = memo.get(step)
-    if shared is None:
-        shared = memo[step] = ({}, {})
-    pairs, heads = shared
-    head = heads.get(h)
-    if head is None:
-        head = heads[h] = shared_label(h, memo)
-    if not a.support:
-        return f"(1; {head})"
-    items = []
-    for entry in a.support:
-        key = (h, entry)
-        pair = pairs.get(key)
-        if pair is None:
-            y, v = entry
-            pair = pairs[key] = (shared_label(step(h, y), memo), shared_label(v, memo))
-        items.append(pair)
-    items.sort()
-    return "(" + ",".join([f"{p}:{v}" for p, v in items]) + f"; {head})"
-
-
-LABELS[WreathElement] = wreath_label
-_set_support, _set_head, _set_top_step = (
-    getattr(WreathElement, name).__set__ for name in ("support", "head", "top_step"))
-
-
-def _raw_wreath(support: frozenset, head: GroupElement, top_step: Callable) -> WreathElement:
-    """The trusted constructor of a law result: it sets the three slots
-    through their descriptors, which skip the frozen ``__setattr__``, and
-    runs no check."""
-    a = object.__new__(WreathElement)
-    _set_support(a, support)
-    _set_head(a, head)
-    _set_top_step(a, top_step)
-    return a
+# builds a law result from its field tuple: it skips the Python-level
+# __new__ of the named tuples, and checks nothing
+_new = tuple.__new__
 
 
 # ball budget per orbit representative when checking that the
@@ -169,7 +111,7 @@ class WreathGroup(Group):
                         f"same top-orbit")
 
     def identity(self) -> WreathElement:
-        return WreathElement(frozenset(), self.top.identity(), self._top_step)
+        return WreathElement(frozenset(), self.top.identity())
 
     def delta(self, point: Point, value: GroupElement) -> WreathElement:
         """The element supported at one point, with trivial head."""
@@ -177,11 +119,11 @@ class WreathGroup(Group):
         check_members(self.base, (value,))
         if value == self.base.identity():
             return self.identity()
-        return WreathElement(frozenset([(point, value)]), self.top.identity(), self._top_step)
+        return WreathElement(frozenset([(point, value)]), self.top.identity())
 
     def top_element(self, h: GroupElement) -> WreathElement:
         check_members(self.top, (h,))
-        return WreathElement(frozenset(), h, self._top_step)
+        return WreathElement(frozenset(), h)
 
     def element(self, support: Iterable[tuple[Point, GroupElement]],
                 head: GroupElement) -> WreathElement:
@@ -193,7 +135,7 @@ class WreathGroup(Group):
         for x, _ in entries:
             check_point(self.top_action, x)
         h_inv, step = self.top._inv(head), self._top_step
-        a = WreathElement(frozenset((step(h_inv, x), v) for x, v in entries), head, step)
+        a = WreathElement(frozenset((step(h_inv, x), v) for x, v in entries), head)
         check_members(self, (a,))
         return a
 
@@ -204,7 +146,7 @@ class WreathGroup(Group):
         return frozenset((step(h, y), v) for y, v in a.support)
 
     def contains(self, a) -> bool:
-        if not (isinstance(a, WreathElement) and self.top.contains(a.head)):
+        if not (type(a) is WreathElement and self.top.contains(a.head)):
             return False
         base, ident = self.base, self._base_identity
         is_point = self.top_action.is_point
@@ -217,27 +159,64 @@ class WreathGroup(Group):
         # at z moves to h_b^-1.z, then multiplies into r_b from the left.
         # A top generator has no entries, so the product shares b's support
         # (and its cached hash); a delta's trivial head leaves b's head.
-        h_a, h_b, step = a.head, b.head, self._top_step
+        r_a, h_a = a
+        r_b, h_b = b
         head = h_b if h_a == self._top_identity else self.top._mul(h_a, h_b)
-        if not a.support:
-            return _raw_wreath(b.support, head, step)
-        h_b_inv = self.top._inv(h_b)
+        if not r_a:
+            return _new(WreathElement, (r_b, head))
+        h_b_inv, step = self.top._inv(h_b), self._top_step
         mul, ident = self.base._mul, self._base_identity
-        combined = dict(b.support)
-        for z, v in a.support:
+        combined = dict(r_b)
+        for z, v in r_a:
             y = step(h_b_inv, z)
             w = mul(v, combined[y]) if y in combined else v
             if w == ident:
                 del combined[y]
             else:
                 combined[y] = w
-        return _raw_wreath(frozenset(combined.items()), head, step)
+        return _new(WreathElement, (frozenset(combined.items()), head))
 
     def _inv(self, a: WreathElement) -> WreathElement:
         # r'(y) = r(h^-1.y)^-1: the entry (z, v) goes to (h.z, v^-1)
-        h, step, inv = a.head, self._top_step, self.base._inv
-        return _raw_wreath(frozenset((step(h, z), inv(v)) for z, v in a.support),
-                           self.top._inv(h), step)
+        r, h = a
+        step, inv = self._top_step, self.base._inv
+        return _new(WreathElement, (frozenset((step(h, z), inv(v)) for z, v in r),
+                                    self.top._inv(h)))
+
+    def label(self, a, memo: dict) -> str:
+        """``(x:v,...; h)`` over the entries (x, v) of the absolute support f
+        of a = (f, h), each at x = h.y for an entry (y, v) of r.  A point of
+        the group's actions gets the labels of the factors, so the parts of
+        a nested wreath product render too: a ``PairPoint`` (l, x) of an
+        imprimitive action is ``(l, x)`` with l labelled by the base group,
+        and any other value, a point of X, gets the top group's label.
+
+        Elements of one ball share most (head, entry) pairs, so within one
+        labelling call ``memo`` keeps each head label under (group, h) and
+        the label pair of each entry under (group, h, entry): a pair's point
+        label depends on the top action, so each group keeps its own."""
+        if type(a) is PairPoint:
+            return f"({self.base.label(a.leaf, memo)}, {self.top.label(a.pos, memo)})"
+        if type(a) is not WreathElement:
+            return self.top.label(a, memo)
+        support, h = a
+        head = memo.get((self, h))
+        if head is None:
+            if not self.top.contains(h):
+                return self.top.label(a, memo)
+            head = memo[self, h] = self.top.label(h, memo)
+        if not support:
+            return f"(1; {head})"
+        items = []
+        for entry in support:
+            pair = memo.get((self, h, entry))
+            if pair is None:
+                y, v = entry
+                pair = memo[self, h, entry] = (self.top.label(self._top_step(h, y), memo),
+                                               self.base.label(v, memo))
+            items.append(pair)
+        items.sort()
+        return "(" + ",".join([f"{p}:{v}" for p, v in items]) + f"; {head})"
 
     def standard_gens(self) -> SymmetricGenSet:
         """The image of the standard base generators under delta(rep, .) for
@@ -245,7 +224,7 @@ class WreathGroup(Group):
         base_gens, top_gens = self.base.standard_gens(), self.top.standard_gens()
 
         def at(rep: Point) -> SymmetricGenSet:
-            label = point_label(rep)
+            label = self.top.label(rep, {})
             return base_gens.image(partial(self.delta, rep), lambda n: f"d({label}:{n})")
 
         return reduce(operator.add, [*map(at, self.orbit_reps),
@@ -269,12 +248,12 @@ def _imprimitive(w: WreathGroup, orbit_rep: Point, leaf: PointedAction,
 
     def step(a: WreathElement, p: PairPoint) -> PairPoint:
         leaf_pt, x = p
-        for y, v in a.support:
+        support, head = a
+        for y, v in support:
             if y == x:
                 leaf_pt = leaf_step(v, leaf_pt)
                 break
-        # tuple.__new__ skips the Python-level __new__ of the named tuple
-        return tuple.__new__(PairPoint, (leaf_pt, top_step(a.head, x)))
+        return _new(PairPoint, (leaf_pt, top_step(head, x)))
 
     def is_point(p: Point) -> bool:
         return type(p) is PairPoint and is_leaf(p.leaf) and is_pos(p.pos)

@@ -30,7 +30,6 @@ from endslab.balls import leaf_decomposition, to_dot, to_json_dict
 from endslab.cli import cli_main
 from endslab.dsl import print_spec
 from endslab.ends import profile_from_ball
-from endslab.groups import element_label
 
 from test_balls import generated_spec_balls, random_fixture_balls, stepping_balls
 from test_dsl import random_spec, random_typed_spec
@@ -59,7 +58,8 @@ BALL_KINDS = {
     "dot": to_dot,
     "table": lambda ball: json.dumps(ball.table),
     "dist": lambda ball: json.dumps(ball.dist),
-    "witness_labels": lambda ball: json.dumps(list(map(element_label, ball.witness))),
+    "witness_labels": lambda ball: json.dumps(
+        [ball.action.group.label(w, {}) for w in ball.witness]),
     "profile": lambda ball: json.dumps(
         profile_from_ball(ball, range(ball.radius)).to_json_dict()),
     "leaves": lambda ball: json.dumps(_leaves(ball)),

@@ -434,7 +434,7 @@ _LAMP3, _ = lamplighter(3)
 _ZERO = IntVector((0,))
 _NO_GENS = object()
 _TWO_VALUED = WreathElement(frozenset({(_ZERO, CyclicInt(3, 1)), (_ZERO, CyclicInt(3, 2))}),
-                            _ZERO, _LAMP3.top_action.step)
+                            _ZERO)
 
 
 def _foreign(group):

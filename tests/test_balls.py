@@ -474,7 +474,7 @@ def test_outputs_do_not_depend_on_hash_order():
         entries = [((-1,) + pad, lit), ((-2,) + pad, lit)]
         assert list(frozenset(entries)) != list(frozenset(entries[::-1]))
         balls = [build_ball(replace(action, basepoint=WreathElement(
-                     frozenset(order), w.top.identity(), w.top_action.step)), gens, radius)
+                     frozenset(order), w.top.identity())), gens, radius)
                  for order in (entries, entries[::-1])]
         orders = [[list(p.support) for p in ball.points] for ball in balls]
         assert orders[0] != orders[1]

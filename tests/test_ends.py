@@ -12,6 +12,7 @@ from endslab.actions import (
     PointedAction,
     SignQuotient,
     TrivialSubgroup,
+    point_labels,
     rule_action,
     translation_action,
 )
@@ -40,7 +41,6 @@ from endslab.groups import (
     Group,
     IntVector,
     SymmetricGroup,
-    element_label,
     make_gen_set,
 )
 from endslab.actions import UnsupportedSubgroupError
@@ -469,7 +469,7 @@ def lamplighter_cayley_fixture():
     w, gens = lamplighter(2)
     ball = build_ball(translation_action(w), gens, 9)
     cut = frozenset(v for v in range(len(ball)) if ball.dist[v] <= 1)
-    at = {element_label(p): v for v, p in enumerate(ball.points)}
+    at = {label: v for v, label in enumerate(point_labels(ball.points, w.label))}
     return ball, cut, wreath_split(w, gens), at
 
 

@@ -1,12 +1,14 @@
 import json
+import random
 
 import pytest
 
 from endslab.actions import PairPoint, point_label, point_labels
-from endslab.balls import to_json_dict
+from endslab.balls import delete_and_split, simplify, to_json_dict
 from endslab.cli import json_text, leaves_report
 from endslab.ends import profile_from_ball
 
+from oracles import components
 from output_manifest import MANIFEST, compute_manifest, manifest_balls
 
 
@@ -34,3 +36,36 @@ def test_json_text_matches_json_dumps_on_the_reports(balls):
 def test_point_labels_match_point_label(balls):
     for ball in balls:
         assert point_labels(ball.points) == [point_label(p) for p in ball.points]
+
+
+def test_group_labels_match_one_point_at_a_time(balls):
+    for ball in balls:
+        label = ball.action.group.label
+        assert point_labels(ball.points, label) == [label(p, {}) for p in ball.points]
+
+
+def _oracle_cut(ball, removed):
+    """The components of the ball minus ``removed`` by the oracle's DFS over
+    the edge list, in ``delete_and_split``'s order, and whether each
+    reaches distance R."""
+    adj = {v: set() for v in range(len(ball))}
+    for u, v, _ in ball.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    comps = sorted(tuple(sorted(c)) for c in components(adj, lambda v: v not in removed))
+    return tuple(comps), tuple(any(ball.dist[v] == ball.radius for v in c) for c in comps)
+
+
+def test_cuts_match_the_component_oracle(balls):
+    # removed sets that are not distance prefixes: none, the basepoint hub,
+    # one seeded vertex and seeded samples of about a quarter and a half
+    rng = random.Random(26)
+    for ball in balls:
+        n = len(ball)
+        for b in (ball, simplify(ball)):
+            for removed in (set(), {0}, {rng.randrange(n)},
+                            set(rng.sample(range(n), n // 4)),
+                            set(rng.sample(range(n), n // 2))):
+                cut = delete_and_split(b, removed)
+                assert cut.removed == frozenset(removed)
+                assert (cut.components, cut.touching) == _oracle_cut(b, removed)

@@ -10,12 +10,11 @@ from endslab.actions import (
     PairPoint,
     PointedAction,
     coset_action,
-    point_label,
     point_labels,
     translation_action,
 )
 from endslab.balls import build_ball, pointed_labeled_isomorphic
-from endslab.dsl import elaborate, parse_spec
+from endslab.dsl import ActionAst, ElaborationError, GensAst, SpecAst, elaborate, parse_spec
 from endslab.ends import ends_profile, profile_from_ball
 from endslab.groups import (
     Cyclic,
@@ -25,7 +24,6 @@ from endslab.groups import (
     IntVector,
     Perm,
     SymmetricGroup,
-    element_label,
 )
 from endslab.wreath import (
     WreathElement,
@@ -45,6 +43,7 @@ from oracles import (
     lamplighter2_ball_sizes,
     trivial_action,
 )
+from test_dsl import random_typed_spec
 
 
 def regular_wreath(n, m):
@@ -119,7 +118,7 @@ def test_element_reads_back_its_absolute_support():
     a = lamp.element(entries, IntVector((5,)))
     assert lamp.absolute_support(a) == entries
     assert lamp.element([], IntVector((5,))) == lamp.top_element(IntVector((5,)))
-    assert element_label(a) == "(-1:2,2:1; 5)"
+    assert lamp.label(a, {}) == "(-1:2,2:1; 5)"
     for support, head, error in (
             ([(CyclicInt(2, 1), CyclicInt(3, 1))], IntVector((0,)), ActionError),
             ([(IntVector((0,)), CyclicInt(5, 4))], IntVector((0,)), FamilyMismatchError),
@@ -426,6 +425,38 @@ def test_head_projection_action():
     assert action.act(gens.elements[1], IntVector((3,))) == IntVector((4,))
 
 
+def test_head_projection_profile_is_the_top_actions_on_typed_draws():
+    # the paper's witness for H without FW: delta generators are loops under
+    # the head projection, so its ball is that of Sch(H, X) under the top
+    # generators with a loop per delta, and its profile is the top action's,
+    # entry by entry; a delta that moved x along a top generator would
+    # leave the profile alone, so the loops are checked too
+    rng = random.Random(12)
+    draws = [random_typed_spec(rng) for _ in range(600)]
+    checked = 0
+    for spec in draws:
+        if spec.group is None or spec.group.kind != "wreath":
+            continue
+        try:
+            action, gens = elaborate(
+                SpecAst(spec.group, ActionAst("translation"), GensAst("standard")))
+        except ElaborationError:  # a generated subgroup of F(n) has no coset law
+            continue
+        w = action.group
+        head = build_ball(head_projection_action(w), gens, 4)
+        top = build_ball(w.top_action, w.top.standard_gens(), 4)
+        assert profile_from_ball(head, range(3)) == profile_from_ball(top, range(3)), spec
+        deltas, ngens = len(gens) - len(top.gens), len(gens)
+        assert head.points == top.points
+        for u in range(len(head)):
+            row = head.table[u * ngens:(u + 1) * ngens]
+            assert row[:deltas] == (u,) * deltas, spec
+            assert row[deltas:] == top.table[u * len(top.gens):(u + 1) * len(top.gens)]
+        checked += 1
+    # 243 wreath draws, of which 17 name a generated subgroup of F(n)
+    assert checked == 226
+
+
 def test_lamplighter_constructor():
     with pytest.raises(WreathError):
         lamplighter(1)
@@ -449,8 +480,7 @@ def test_multiply_and_inverse_reject_foreign_operands():
         with pytest.raises(FamilyMismatchError):
             w.inverse(foreign)
     # a support point outside Z is not a point of the top action
-    bad_point = WreathElement(frozenset([(CyclicInt(2, 1), CyclicInt(2, 1))]), IntVector((0,)),
-                              w.top_action.step)
+    bad_point = WreathElement(frozenset([(CyclicInt(2, 1), CyclicInt(2, 1))]), IntVector((0,)))
     assert not w.contains(bad_point)
     with pytest.raises(FamilyMismatchError):
         w.multiply(a, bad_point)
@@ -513,6 +543,25 @@ def test_infinite_wreath_law_folds_onto_a_finite_one(b, radius):
         assert pointed_labeled_isomorphic(ball, folded) is same
 
 
+def test_nested_wreath_points_label_through_the_factors():
+    # (C(2) wr Z) wr Z and C(2) wr (C(2) wr Z): the inner elements are leaves
+    # of imprimitive points, points of X under the head projection, and
+    # heads and support points of the outer elements
+    inner, _ = lamplighter(2)
+    outer_base = WreathGroup(inner, translation_action(FreeAbelian(1)), (IntVector((0,)),))
+    imprimitive = imprimitive_action(outer_base, IntVector((0,)))
+    outer_top = WreathGroup(Cyclic(2), translation_action(inner), (inner.identity(),))
+    expected = [
+        (imprimitive, outer_base, ["((1; 0), 0)", "((0:1; 0), 0)", "((1; 1), 0)"]),
+        (head_projection_action(outer_top), outer_top, ["(1; 0)", "(0:1; 0)", "(1; 1)"]),
+        (translation_action(outer_top), outer_top,
+         ["(1; (1; 0))", "((1; 0):1; (1; 0))", "(1; (0:1; 0))"]),
+    ]
+    for action, w, labels in expected:
+        ball = build_ball(action, w.standard_gens(), 1)
+        assert point_labels(ball.points[:3], w.label) == labels
+
+
 def test_labels_keep_two_top_actions_apart():
     # the same stored (head, entry) values under Z by translation and Z on
     # Z/3Z: equal elements whose absolute supports, and so labels, differ
@@ -524,8 +573,10 @@ def test_labels_keep_two_top_actions_apart():
     b = w3.element([(IntVector((1,)), CyclicInt(2, 1))], head)
     assert a.support == b.support == frozenset({(head, 1)}) and a == b
     labels = ["(4:1; 2)", "(1:1; 2)"]
-    assert [point_label(a), point_label(b)] == labels
-    assert point_labels([a, b]) == labels
+    assert [lamp.label(a, {}), w3.label(b, {})] == labels
+    # one labelling call keeps each group's pairs apart
+    memo = {}
+    assert [lamp.label(a, memo), w3.label(b, memo)] == labels
     # a memo that outlived its call would hand the second call the first label
-    assert point_labels([a]) + point_labels([b]) == labels
-    assert point_labels([b]) + point_labels([a]) == labels[::-1]
+    assert point_labels([a], lamp.label) + point_labels([b], w3.label) == labels
+    assert point_labels([b], w3.label) + point_labels([a], lamp.label) == labels[::-1]
