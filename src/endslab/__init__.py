@@ -24,6 +24,7 @@ from .groups import (
     Torus,
     make_gen_set,
     nonidentity_gens,
+    point_label,
 )
 from .actions import (
     ActionError,
@@ -38,7 +39,6 @@ from .actions import (
     UnknownRuleActionError,
     UnsupportedSubgroupError,
     coset_action,
-    point_label,
     rule_action,
     translation_action,
 )

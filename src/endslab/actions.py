@@ -13,8 +13,10 @@ actions, and for coset actions, where a coset is its canonical
 representative), :class:`PairPoint` (imprimitive wreath actions) and
 small tuples for the built-in rule actions.  A point's label comes from
 the acting group (``Group.label``), so an export labels a ball's points
-with ``point_labels(points, ball.action.group.label)``.  Subgroup specs
-state their coset laws, quotient specs their image, kernel and lift.
+with ``point_labels(points, ball.action.group.label)``.  A base value and
+a rule-action point also label with no group at hand (``point_label``);
+a pair point labels only through its wreath group.  Subgroup specs state
+their coset laws, quotient specs their image, kernel and lift.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, ClassVar, Iterable, NamedTuple, Sequence
 
 from .groups import (
-    LABELS,
     Cyclic,
     FreeAbelian,
     FreeGroup,
@@ -33,10 +34,8 @@ from .groups import (
     SymmetricGroup,
     Torus,
     check_members,
-    element_label,
     make_gen_set,
     perm_parity,
-    shared_label,
 )
 
 Point = Any
@@ -56,8 +55,10 @@ class UnknownRuleActionError(ActionError):
 
 class PairPoint(NamedTuple):
     """Point of an imprimitive action: (leaf coordinate, position
-    coordinate).  A tuple subclass so that its label can dispatch on its
-    type; it equals and hashes as the plain pair."""
+    coordinate).  It equals and hashes as the plain pair, and its wreath
+    group labels it ``(l, x)``.  A type of its own, because
+    ``leaf_decomposition`` and ``WreathGroup.label`` tell it from a point
+    of X, which may itself be a pair (a Z^2 point)."""
 
     leaf: Any
     pos: Any
@@ -99,22 +100,15 @@ def check_point(action: PointedAction, p: Point) -> None:
         raise ActionError(f"{p!r} is not a point of {action}")
 
 
-point_label = element_label
-
-
 def point_labels(points: Iterable[Point],
-                 label: Callable[[Point, dict], str] = shared_label) -> list[str]:
+                 label: Callable[[Point, dict], str]) -> list[str]:
     """``[label(p, {}) for p in points]``, in one labelling call: the
     points of one ball share most of their parts, such as the (head,
     entry) pairs of wreath elements, so a memo that lives for this call
-    labels each shared part once.  ``label`` is a group's ``label``; the
-    default labels base values and pair points.  No state outlives it."""
+    labels each shared part once.  ``label`` is a group's ``label``.  No
+    state outlives it."""
     memo: dict = {}
     return [label(p, memo) for p in points]
-
-
-LABELS[PairPoint] = lambda p, memo: (
-    f"({shared_label(p.leaf, memo)}, {shared_label(p.pos, memo)})")
 
 
 # ---------------------------------------------------------------------------

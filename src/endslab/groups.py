@@ -10,17 +10,25 @@ hash and equality run in C; CPython's ``hash(-1) == hash(-2)`` makes two
 vectors that differ only by a -1 against a -2 share a hash, and one
 C-level comparison tells them apart.  An element of C(n) is its residue,
 a plain ``int``, and an element of a finite torus its ``tuple`` of
-residues.  An element of Sym(n) is a :class:`Perm`, a tuple subclass that
-exists only so that its label can dispatch on its type.  Membership is a
-shape check, so equal data from two families is one value: the residue 1
-is an element of C(4) and of C(5), and a T(3,3) element is also one of
-Z^2; a plain tuple is no Perm, and a Perm no Z^k element.  Wreath
-products, whose elements their group labels, live in :mod:`endslab.wreath`.
+residues.  An element of Sym(n) is a :class:`Perm`, a tuple subclass.
+Membership is a shape check, so equal data from two families is one
+value: the residue 1 is an element of C(4) and of C(5), and a T(3,3)
+element is also one of Z^2; a plain tuple is no Perm, and a Perm no Z^k
+element.  Wreath products live in :mod:`endslab.wreath`.
+
+Labels follow two rules.  A base value and a point of a rule action is
+labelled by :func:`point_label`, which tests its type.  Every other value,
+such as a wreath element or a pair point of an imprimitive action, is
+labelled by its group (``Group.label``; a base family's is
+``point_label``).  ``Perm`` stays a type of its own because a
+permutation must label as cycles with no group at hand (the benchmark
+labels Sym(3) leaves so), and the plain tuple (1, 0, 2) is a Z^3 element.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from functools import partial
@@ -93,9 +101,9 @@ def CyclicInt(modulus: int, value: int) -> int:
 
 class Perm(tuple):
     """Permutation of {0..n-1} in one-line notation: p[i] = sigma(i).  A
-    tuple subclass only so that its label, the cycle notation, can
-    dispatch on its type; a law builds its results with ``tuple.__new__``,
-    which skips the check."""
+    tuple subclass so that ``point_label`` can tell it from a Z^k element
+    and label it by its cycles; a law builds its results with
+    ``tuple.__new__``, which skips the check."""
 
     __slots__ = ()
 
@@ -138,31 +146,6 @@ def ModVector(moduli: Sequence[int], coords: Iterable[int]) -> tuple[int, ...]:
 GroupElement = Any
 
 
-def _word_label(a: bytes, memo: dict) -> str:
-    return a.translate(_LABEL_TABLE).decode("ascii") if a else "1"
-
-
-def _tuple_label(a: tuple, memo: dict) -> str:
-    # a Z or one-factor torus element is labelled by its one coordinate
-    if len(a) == 1:
-        return str(a[0])
-    return "(" + ",".join(map(str, a)) + ")"
-
-
-def element_label(a: GroupElement) -> str:
-    """Short human-readable label of a base value or a point (uppercase
-    letter = inverse letter); a wreath element's comes from its group."""
-    return shared_label(a, {})
-
-
-def shared_label(a: GroupElement, memo: dict) -> str:
-    """``element_label(a)`` as one of the labels of a single labelling
-    call, which share their common parts through ``memo``; the memo lives
-    for that call only."""
-    label = LABELS.get(type(a))
-    return str(a) if label is None else label(a, memo)
-
-
 def _perm_cycles(p: Perm) -> list[list[int]]:
     """The cycles of p, fixed points included, each from its least point."""
     seen: set[int] = set()
@@ -180,22 +163,22 @@ def _perm_cycles(p: Perm) -> list[list[int]]:
     return cycles
 
 
-def perm_cycle_notation(p: Perm, memo: dict) -> str:
-    parts = ["(" + " ".join(map(str, c)) + ")" for c in _perm_cycles(p) if len(c) > 1]
-    return "".join(parts) or "()"
-
-
-# label of each element and point type, looked up by exact type (a tuple is
-# a Z^k or torus element or a rule-action point, and a residue, an int, is
-# its own label); endslab.actions adds PairPoint.  Each label is a function
-# of the value and the memo of one labelling call (see shared_label).  A
-# wreath label needs the top action, so its group states it; the registry
-# stays for the one-argument point_label of base values and pair points.
-LABELS = {
-    bytes: _word_label,
-    tuple: _tuple_label,
-    Perm: perm_cycle_notation,
-}
+def point_label(a: GroupElement) -> str:
+    """Short human-readable label of a base value or a rule-action point: a
+    word's letters (uppercase letter = inverse letter), or ``1`` for the
+    empty word; a ``Perm``'s cycles, or ``()`` for the identity; a tuple's
+    coordinates, and a 1-tuple's one entry; ``str`` of anything else.  A
+    wreath element or a pair point gets its label from its group."""
+    t = type(a)
+    if t is bytes:
+        return a.translate(_LABEL_TABLE).decode("ascii") if a else "1"
+    if t is tuple:
+        # a Z or one-factor torus element is labelled by its one coordinate
+        return str(a[0]) if len(a) == 1 else "(" + ",".join(map(str, a)) + ")"
+    if t is Perm:
+        return "".join(["(" + " ".join(map(str, c)) + ")"
+                        for c in _perm_cycles(a) if len(c) > 1]) or "()"
+    return str(a)
 
 
 def perm_parity(p: Perm) -> int:
@@ -311,9 +294,12 @@ class Group:
     product of a coset by it is the coset's canonical representative.
     """
 
-    # the label of a member or of a point of an action of the group, within
-    # one labelling call (see shared_label); WreathGroup states its own
-    label = staticmethod(shared_label)
+    def label(self, a: GroupElement, memo: dict) -> str:
+        """The label of a member or of a point of an action of the group,
+        within one labelling call whose labels share their parts through
+        ``memo``; a base family's is ``point_label``, and WreathGroup
+        states its own."""
+        return point_label(a)
 
     def __post_init__(self):
         self.identity()
@@ -517,10 +503,7 @@ class SymmetricGroup(Group):
                             names=[f"({i} {i + 1})" for i in range(self.degree - 1)])
 
     def order(self):
-        n = 1
-        for k in range(2, self.degree + 1):
-            n *= k
-        return n
+        return math.factorial(self.degree)
 
     def elements(self):
         return map(Perm, itertools.permutations(range(self.degree)))
@@ -559,10 +542,7 @@ class Torus(Group):
                             names=[f"+e{i + 1}" for i in range(len(self.moduli))])
 
     def order(self):
-        n = 1
-        for m in self.moduli:
-            n *= m
-        return n
+        return math.prod(self.moduli)
 
     def elements(self):
         return itertools.product(*(range(m) for m in self.moduli))

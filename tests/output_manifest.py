@@ -25,11 +25,12 @@ import random
 import sys
 from pathlib import Path
 
-from endslab.actions import PairPoint, point_label
+from endslab.actions import PairPoint
 from endslab.balls import leaf_decomposition, to_dot, to_json_dict
 from endslab.cli import cli_main
 from endslab.dsl import print_spec
 from endslab.ends import profile_from_ball
+from endslab.groups import point_label
 
 from test_balls import generated_spec_balls, random_fixture_balls, stepping_balls
 from test_dsl import random_spec, random_typed_spec

@@ -22,7 +22,6 @@ from endslab.actions import (
     coset_action,
     hermite_normal_form,
     lattice_reduce,
-    point_label,
     rule_action,
     translation_action,
 )
@@ -43,6 +42,7 @@ from endslab.groups import (
     Torus,
     make_gen_set,
     perm_parity,
+    point_label,
 )
 from endslab.wreath import (
     WreathElement,

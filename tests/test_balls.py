@@ -18,7 +18,6 @@ from endslab.actions import (
     PointedAction,
     TrivialSubgroup,
     coset_action,
-    point_label,
     rule_action,
     translation_action,
 )
@@ -50,6 +49,7 @@ from endslab.groups import (
     make_gen_set,
     nonidentity_gens,
     perm_parity,
+    point_label,
 )
 from endslab.wreath import (
     WreathElement,

@@ -30,10 +30,10 @@ from endslab.groups import (
     SymmetricGenSet,
     SymmetricGroup,
     Torus,
-    element_label,
     make_gen_set,
     nonidentity_gens,
     perm_parity,
+    point_label,
     signed_letters,
     verify_gen_set,
 )
@@ -73,7 +73,7 @@ def test_free_reduction():
     a = f2.word((1, -2))
     b = f2.word((2, 1))
     assert f2.multiply(a, b) == f2.word((1, 1))
-    assert element_label(f2.multiply(a, b)) == "aa"
+    assert point_label(f2.multiply(a, b)) == "aa"
 
 
 def test_free_inverse_reverses_and_negates():
@@ -130,8 +130,8 @@ def test_free_rank_stays_within_the_alphabet():
             make()
     f26 = FreeGroup(26)
     assert f26.standard_gens().names[-2:] == ("z", "z^-1")
-    assert element_label(f26.letter(25)) == "z"
-    assert element_label(f26.letter(25, -1)) == "Z"
+    assert point_label(f26.letter(25)) == "z"
+    assert point_label(f26.letter(25, -1)) == "Z"
 
 
 def test_degenerate_groups_are_legal():
@@ -357,11 +357,15 @@ def test_perm_parity():
 
 
 def test_element_labels():
-    assert element_label(FreeGroup(2).word((1, -2, 1))) == "aBa"
-    assert element_label(FreeGroup(2).word(())) == "1"
-    assert element_label(Perm((1, 0, 2))) == "(0 1)"
-    assert element_label(IntVector((3,))) == "3"
-    assert element_label(IntVector((1, -2))) == "(1,-2)"
+    assert point_label(FreeGroup(2).word((1, -2, 1))) == "aBa"
+    assert point_label(FreeGroup(2).word(())) == "1"
+    assert point_label(Perm((1, 0, 2))) == "(0 1)"
+    assert point_label(IntVector((3,))) == "3"
+    assert point_label(IntVector((1, -2))) == "(1,-2)"
+    assert point_label(SymmetricGroup(3).identity()) == "()"
+    assert point_label(CyclicInt(5, 3)) == "3"
+    # a pair point is labelled by its wreath group alone
+    assert lamplighter(2)[0].label(PairPoint(1, (0,)), {}) == "(1, 0)"
 
 
 def test_free_abelian_membership_is_a_shape_check():
@@ -375,10 +379,10 @@ def test_free_abelian_membership_is_a_shape_check():
     for bad in ((), (1, "a")):
         with pytest.raises(InvalidParameterError):
             IntVector(bad)
-    assert element_label((5,)) == "5"
-    assert element_label((1, -2)) == "(1,-2)"
+    assert point_label((5,)) == "5"
+    assert point_label((1, -2)) == "(1,-2)"
     core = rule_action("f2_four_ends").basepoint
-    assert core == z2.identity() and element_label(core) == "(0,0)"
+    assert core == z2.identity() and point_label(core) == "(0,0)"
 
 
 def test_finite_membership_is_a_shape_check():
@@ -420,8 +424,8 @@ def test_finite_membership_is_a_shape_check():
 def test_torus_labels():
     # a torus element is its tuple, labelled as a Z^k element is: one
     # factor renders as its one coordinate
-    assert [element_label(g) for g in Torus((5,)).elements()] == list("01234")
-    assert [element_label(g) for g in Torus((2, 3)).standard_gens().elements] == [
+    assert [point_label(g) for g in Torus((5,)).elements()] == list("01234")
+    assert [point_label(g) for g in Torus((2, 3)).standard_gens().elements] == [
         "(1,0)", "(0,1)", "(0,2)"]
     assert Torus((5,)).standard_gens().names == ("+e1", "-e1")
 
@@ -462,10 +466,10 @@ def test_every_letter_of_f26_labels_as_its_signed_form():
         for power in (1, -1):
             w = f26.letter(i, power)
             assert signed_letters(w) == (power * (i + 1),)
-            assert element_label(w) == signed_label(signed_letters(w))
+            assert point_label(w) == signed_label(signed_letters(w))
     word = f26.word(tuple(range(1, 27)) + tuple(range(-1, -27, -1)))
-    assert element_label(word) == signed_label(signed_letters(word))
-    assert element_label(f26.identity()) == "1"
+    assert point_label(word) == signed_label(signed_letters(word))
+    assert point_label(f26.identity()) == "1"
 
 
 def test_signed_letters_round_trip():

@@ -3,10 +3,12 @@ import random
 
 import pytest
 
-from endslab.actions import PairPoint, point_label, point_labels
+from endslab.actions import PairPoint, point_labels
 from endslab.balls import delete_and_split, simplify, to_json_dict
 from endslab.cli import json_text, leaves_report
 from endslab.ends import profile_from_ball
+from endslab.groups import point_label
+from endslab.wreath import WreathGroup
 
 from oracles import components
 from output_manifest import MANIFEST, compute_manifest, manifest_balls
@@ -34,8 +36,11 @@ def test_json_text_matches_json_dumps_on_the_reports(balls):
 
 
 def test_point_labels_match_point_label(balls):
+    # a base family's label is point_label; a wreath group states its own
     for ball in balls:
-        assert point_labels(ball.points) == [point_label(p) for p in ball.points]
+        if not isinstance(ball.action.group, WreathGroup):
+            assert (point_labels(ball.points, ball.action.group.label)
+                    == [point_label(p) for p in ball.points])
 
 
 def test_group_labels_match_one_point_at_a_time(balls):
