@@ -22,7 +22,7 @@ their coset laws, quotient specs their image, kernel and lift.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, ClassVar, Iterable, NamedTuple, Sequence
+from typing import Any, Callable, ClassVar, Iterable, NamedTuple, Optional, Sequence
 
 from .groups import (
     Cyclic,
@@ -74,7 +74,16 @@ class PointedAction:
     """A computable left action of ``group`` with a distinguished basepoint.
 
     ``step`` is the law: it applies a member of ``group`` to a point of the
-    action.  ``is_point`` tells the points from other values.
+    action.  ``is_point`` tells the points from other values.  ``parity``,
+    when set, colours the points by 0 and 1 with
+    c(g.p) = c(p) xor ``group.parity(g)`` for every member g and point p,
+    wherever the group states a parity (``Group.parity``); only a
+    translation action sets it, to ``group.parity``.  With it, every
+    edge of a generator of parity 1 joins two colours, so when all
+    generators have parity 1 the orbital graph is bipartite by distance
+    parity and ``build_ball`` skips the lookups of the radius-R rows.
+    ``replace(action, basepoint=...)`` keeps it, which is sound: c is
+    stated on every point.
     """
 
     group: Group
@@ -83,6 +92,8 @@ class PointedAction:
     label: str = ""
     is_point: Callable[[Point], bool] = field(
         default=_any_point, repr=False, compare=False)
+    parity: Optional[Callable[[Point], Optional[int]]] = field(
+        default=None, repr=False, compare=False)
 
     def act(self, g: GroupElement, p: Point) -> Point:
         """``step`` behind a check of both operands."""
@@ -116,9 +127,10 @@ def point_labels(points: Iterable[Point],
 
 
 def translation_action(group: Group) -> PointedAction:
-    """The group acting on itself by left multiplication, based at the identity."""
+    """The group acting on itself by left multiplication, based at the
+    identity; its points are coloured by the group's parity."""
     return PointedAction(group, group._mul, group.identity(),
-                         f"{group} on itself", group.contains)
+                         f"{group} on itself", group.contains, group.parity)
 
 
 # ---------------------------------------------------------------------------

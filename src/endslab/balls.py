@@ -9,13 +9,19 @@ by the smaller index of the pair, is derived from it.  A build, the
 library's one walk over an action, checks its generators, basepoint and
 budget once and then applies the action's law ``step``; it never calls
 the derived ``act``, whose point test ``is_point`` every ball point passes.
+The walk goes sphere by sphere, with -1 as the one mark of an unfilled
+entry, and ends with a lookup-only pass over the radius-R rows for the
+edges inside S_R.  It skips that pass when the action's point parity and
+an odd parity of every generator prove the graph bipartite by distance.
 """
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import repeat
 from typing import ClassVar, Iterable
 
 from .actions import PairPoint, Point, PointedAction, check_point, point_labels
@@ -73,6 +79,16 @@ class GraphBall:
         return len(self.points)
 
     @property
+    def sphere_sizes(self) -> tuple[int, ...]:
+        """The growth series: entry r is the number of points at distance r,
+        for r from 0 to the largest distance in the ball, which is less
+        than R only when the orbit closed inside the ball.  Read off
+        ``dist`` by bisection on every access."""
+        dist = self.dist
+        bounds = [bisect_left(dist, r) for r in range(dist[-1] + 2)]
+        return tuple(map(operator.sub, bounds[1:], bounds[:-1]))
+
+    @property
     def edges(self) -> list[tuple[int, int, int]]:
         """(u, v, label) by u, then label, for each entry (u, label) -> v
         whose label is the smaller of its pair, or an involution and u <= v."""
@@ -120,59 +136,78 @@ def build_ball(action: PointedAction, gens: SymmetricGenSet, radius: int,
     every point is the basepoint or a ``step`` result, so the build calls
     only ``step``.  An orbit of at most B points lies within radius B - 1,
     so a build at radius = budget = B holds the whole orbit or overflows.
+
+    The build walks the spheres S_0 .. S_{R-1} one at a time, filling each
+    row and appending the new points of the next sphere; -1 marks an entry
+    not yet filled, and after the walk every -1 is a target outside the
+    ball.  A radius-R row can then only reach S_{R-1}, whose rows already
+    filled those entries from their pairs, or S_R, which a lookup pass
+    over the radius-R rows finds.  That pass is skipped when the action
+    states a point parity (``PointedAction.parity``) and every generator
+    has group parity 1: each edge then changes the distance parity, so no
+    edge joins two points of S_R.
     """
     check_budget(max_vertices)
     if radius < 0:
         raise BallError(f"radius must be >= 0, got {radius}")
-    gen_elements = gens.elements
     verify_gen_set(action.group, gens)
     check_point(action, action.basepoint)
-    act = action.step
-    pairing = gens.pairing
-    ngens = len(gen_elements)
-    unset_row = [None] * ngens
+    step = action.step
+    ngens = len(gens)
+    unset_row = [-1] * ngens
+    # (label, generator, label of its inverse) of each table column
+    columns = tuple(zip(range(ngens), gens.elements, gens.pairing))
 
     points = [action.basepoint]
     index = {action.basepoint: 0}
     index_get = index.get
     index_setdefault = index.setdefault
     dist = [0]
-    # None = not yet computed.  Each geometric edge is act-computed once:
-    # the paired reverse transition is filled in for free.  Rows are filled
-    # in BFS order; a radius-R row adds no vertex and marks outside as -1.
-    # Each acted point is hashed once: an inner row inserts it with
-    # setdefault (a result of len(points) means it is new), and a radius-R
-    # row only looks it up, so no boundary point enters the index.
-    table: list = unset_row[:]
-    u = 0
-    while u < len(points):
-        pu = points[u]
-        base = u * ngens
-        du = dist[u]
-        inner = du < radius
-        for i in range(ngens):
-            if table[base + i] is not None:
-                continue
-            q = act(gen_elements[i], pu)
-            if inner:
+    # Each geometric edge is stepped once: the paired reverse transition is
+    # filled in for free.  Each stepped point is hashed once: an inner row
+    # inserts it with setdefault (a result of len(points) means it is new),
+    # and a radius-R row only looks it up, so no outside point enters the
+    # index.
+    table = unset_row[:]
+    start, end = 0, 1  # S_r is points[start:end]
+    for r in range(radius):
+        for u in range(start, end):
+            pu = points[u]
+            row = u * ngens
+            for i, g, j in columns:
+                if table[row + i] >= 0:
+                    continue
+                q = step(g, pu)
                 n = len(points)
                 v = index_setdefault(q, n)
                 if v == n:
                     if n >= max_vertices:
-                        raise BallOverflowError(max_vertices, du)
+                        raise BallOverflowError(max_vertices, r)
                     points.append(q)
-                    dist.append(du + 1)
                     table.extend(unset_row)
-            else:
-                v = index_get(q)
-                if v is None:
-                    table[base + i] = -1
+                table[row + i] = v
+                back = v * ngens + j
+                if table[back] < 0:
+                    table[back] = u
+        dist.extend(repeat(r + 1, len(points) - end))
+        start, end = end, len(points)
+        if start == end:  # the orbit closed inside the ball
+            break
+
+    group = action.group
+    if action.parity is None or any(group.parity(g) != 1 for g in gens.elements):
+        for u in range(start, end):
+            pu = points[u]
+            row = u * ngens
+            for i, g, j in columns:
+                if table[row + i] >= 0:
                     continue
-            table[base + i] = v
-            back = v * ngens + pairing[i]
-            if table[back] is None:
-                table[back] = u
-        u += 1
+                v = index_get(step(g, pu))
+                if v is not None:
+                    table[row + i] = v
+                    back = v * ngens + j
+                    if table[back] < 0:
+                        table[back] = u
 
     return GraphBall(action=action, gens=gens, radius=radius,
                      points=tuple(points), dist=tuple(dist), table=tuple(table),

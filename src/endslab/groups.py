@@ -301,6 +301,11 @@ class Group:
         states its own."""
         return point_label(a)
 
+    def parity(self, a: GroupElement) -> Optional[int]:
+        """The image 0 or 1 of a member under a homomorphism onto Z/2 that
+        the family states, or None when it states none."""
+        return None
+
     def __post_init__(self):
         self.identity()
 
@@ -371,6 +376,10 @@ class FreeGroup(Group):
     def _inv(self, a):
         return a[::-1].translate(_INV_TABLE)
 
+    def parity(self, a):
+        # word length mod 2: a cancelling pair drops two letters
+        return len(a) & 1
+
     def word(self, letters: Sequence[int]) -> bytes:
         """The checked constructor of a word from nonzero signed letters: +i
         is the i-th letter (1-based), -i its inverse, and no adjacent
@@ -415,6 +424,9 @@ class FreeAbelian(Group):
     def _inv(self, a):
         return tuple([-x for x in a])
 
+    def parity(self, a):
+        return sum(a) & 1
+
     def unit(self, i: int) -> tuple[int, ...]:
         coords = [0] * self.rank
         coords[i] = 1
@@ -447,6 +459,10 @@ class Cyclic(Group):
 
     def _inv(self, a):
         return -a % self.modulus
+
+    def parity(self, a):
+        # a residue mod 2m has the parity of every integer it stands for
+        return None if self.modulus & 1 else a & 1
 
     def standard_gens(self):
         # in C(1) the only "generator" is the identity, kept as a loop
@@ -482,6 +498,9 @@ class SymmetricGroup(Group):
         for i, j in enumerate(a):
             img[j] = i
         return tuple.__new__(Perm, img)
+
+    def parity(self, a):
+        return perm_parity(a)
 
     def _min_product(self, members):
         # itemgetter(*h) maps g to g*h as a plain tuple, and a Perm orders as

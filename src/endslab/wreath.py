@@ -92,6 +92,8 @@ class WreathGroup(Group):
         self._base_identity = base.identity()
         self._top_identity = top.identity()
         self._top_step = top_action.step
+        self._states_parity = (base.parity(self._base_identity) is not None
+                               and top.parity(self._top_identity) is not None)
         self.orbit_reps = tuple(orbit_reps)
         if not self.orbit_reps:
             raise WreathError("at least one orbit representative is required")
@@ -182,6 +184,17 @@ class WreathGroup(Group):
         step, inv = self._top_step, self.base._inv
         return _new(WreathElement, (frozenset((step(h, z), inv(v)) for z, v in r),
                                     self.top._inv(h)))
+
+    def parity(self, a: WreathElement):
+        """The top parity of the head plus the base parities of the support
+        entries, when both factors state one: r holds the values of f, and
+        a product's values are the products of its operands' values, so the
+        sum is a homomorphism onto Z/2."""
+        if not self._states_parity:
+            return None
+        base_parity = self.base.parity
+        support, head = a
+        return (self.top.parity(head) + sum([base_parity(v) for _, v in support])) & 1
 
     def label(self, a, memo: dict) -> str:
         """``(x:v,...; h)`` over the entries (x, v) of the absolute support f

@@ -67,7 +67,7 @@ from oracles import (
     f2_words_up_to,
     simple_edges,
 )
-from test_dsl import random_spec
+from test_dsl import random_spec, random_typed_spec
 
 
 def ball_of(group, radius, gens=None):
@@ -647,3 +647,154 @@ def test_exports_are_deterministic_and_wellformed():
     dot = to_dot(ball)
     assert dot.startswith("graph ball {") and "doublecircle" in dot
     assert 'label="+1"' in dot
+
+
+# ---------------------------------------------------------------------------
+# the parity certificate and the growth series
+
+
+def _build_outcome(action, gens, radius, max_vertices):
+    """(points, dist, table, index order) of a build, or the overflow's
+    (budget, completed radius)."""
+    try:
+        ball = build_ball(action, gens, radius, max_vertices)
+    except BallOverflowError as exc:
+        return exc.max_vertices, exc.reached_radius
+    return ball.points, ball.dist, ball.table, list(ball.index)
+
+
+def _certified(action, gens):
+    group = action.group
+    return action.parity is not None and all(group.parity(g) == 1 for g in gens.elements)
+
+
+def typed_translation_draws(draws=600, radius=3, max_vertices=5000):
+    """(action, gens, radius, budget) of each translation draw of the seed-12
+    typed corpus that elaborates."""
+    rng = random.Random(12)
+    builds = []
+    for _ in range(draws):
+        spec = random_typed_spec(rng)
+        if spec.action.kind != "translation":
+            continue
+        try:
+            action, gens = elaborate(spec)
+        except (SpecError, ActionError):
+            continue
+        builds.append((action, gens, radius, max_vertices))
+    return builds
+
+
+def test_builds_without_the_certificate_are_identical():
+    # the radius-R lookups that the certificate skips find nothing: a build
+    # with the action's parity dropped gives the same points, dist, table
+    # and index order, on the manifest balls and the typed translation draws
+    builds = [(b.action, b.gens, b.radius, b.max_vertices) for b in
+              [*random_fixture_balls(), *generated_spec_balls(), *stepping_balls()]]
+    builds += typed_translation_draws()
+    certified = 0
+    for action, gens, radius, budget in builds:
+        plain = replace(action, parity=None)
+        assert not _certified(plain, gens)
+        certified += _certified(action, gens)
+        assert (_build_outcome(action, gens, radius, budget)
+                == _build_outcome(plain, gens, radius, budget)), str(action)
+    assert certified == 179  # 31 manifest balls and 148 typed draws
+
+
+def test_translation_parity_colours_every_edge():
+    # c(s.p) = c(p) xor parity(s) on every edge of a translation ball whose
+    # group states a parity
+    checked = 0
+    for ball in [*random_fixture_balls(), *generated_spec_balls(), *stepping_balls()]:
+        action, elements = ball.action, ball.gens.elements
+        if action.parity is None or action.group.parity(action.basepoint) is None:
+            continue
+        colour = list(map(action.parity, ball.points))
+        for u, v, i in ball.edges:
+            assert colour[v] == colour[u] ^ action.group.parity(elements[i])
+        checked += 1
+    assert checked >= 20
+
+
+def _stepped_radius_r(action, gens, radius):
+    """The ball, and whether its build stepped any point at distance R."""
+    stepped = []
+    law = action.step
+
+    def step(g, p):
+        stepped.append(p)
+        return law(g, p)
+
+    ball = build_ball(replace(action, step=step), gens, radius)
+    return ball, any(ball.dist[ball.index[p]] == radius for p in stepped)
+
+
+def _inner_sphere_entries(ball):
+    ngens, dist, r = len(ball.gens), ball.dist, ball.radius
+    return sum(1 for e, v in enumerate(ball.table)
+               if v >= 0 and dist[e // ngens] == r and dist[v] == r)
+
+
+@pytest.mark.parametrize("text, radius, entries", [
+    ("C(3)", 1, 2),
+    ("Sym(3) with gens {(0 1), (0 1 2)}", 1, 2),
+    ("F(2) with gens {a, b, ab}", 3, 96),
+    ("Z^2 with gens {[1, 0], [0, 1], [1, 1]}", 3, 36),
+    # a free basis, so a tree, but ab is even: not certified
+    ("F(2) with gens {a, ab}", 3, 0),
+    ("Z with gens {0, 1}", 2, 2),  # an identity generator is a loop
+    ("Z with gens {1, 2}", 3, 4),
+    ("C(4) with gens {1, 2}", 1, 6),
+    ("Z / [3]", 1, 2),  # a coset action states no point parity
+    ("imprimitive(wreath(C(2), Z, translation))", 2, 4),
+])
+def test_uncertified_builds_take_the_radius_r_pass(text, radius, entries):
+    action, gens = elaborate(parse_spec(text))
+    assert not _certified(action, gens)
+    ball, stepped = _stepped_radius_r(action, gens, radius)
+    assert stepped
+    assert _inner_sphere_entries(ball) == entries
+    assert _build_outcome(action, gens, radius, 5000) == \
+        _build_outcome(replace(action, parity=None), gens, radius, 5000)
+
+
+@pytest.mark.parametrize("text, radius", [
+    ("F(2)", 5), ("F(3) with gens {a, bca, c}", 3), ("Z^2", 6),
+    ("Z^3 with gens {[1, 1, 1], [0, 1, 0], [0, 0, 1]}", 3), ("C(6)", 2),
+    ("Sym(4)", 5), ("wreath(C(2), Z, translation)", 6),
+    ("wreath(Sym(3), Z^2, translation)", 2),
+])
+def test_certified_builds_skip_the_radius_r_pass(text, radius):
+    action, gens = elaborate(parse_spec(text))
+    assert _certified(action, gens)
+    ball, stepped = _stepped_radius_r(action, gens, radius)
+    assert ball.dist[-1] == radius and not stepped
+    assert _inner_sphere_entries(ball) == 0
+    assert _build_outcome(action, gens, radius, 5000) == \
+        _build_outcome(replace(action, parity=None), gens, radius, 5000)
+
+
+@pytest.mark.parametrize("n, radius", [(1, 8), (2, 6), (3, 4)])
+def test_free_group_sphere_sizes(n, radius):
+    ball = ball_of(FreeGroup(n), radius)
+    assert ball.sphere_sizes == (1, *(2 * n * (2 * n - 1) ** (r - 1)
+                                      for r in range(1, radius + 1)))
+
+
+def test_free_abelian_sphere_sizes():
+    assert ball_of(FreeAbelian(2), 20).sphere_sizes == (1, *(4 * r for r in range(1, 21)))
+    assert ball_of(FreeAbelian(3), 8).sphere_sizes == (1, *(4 * r * r + 2 for r in range(1, 9)))
+
+
+def test_sphere_sizes_count_the_ball():
+    for ball in [*random_fixture_balls(), *generated_spec_balls(), *stepping_balls()]:
+        sizes = ball.sphere_sizes
+        assert sum(sizes) == len(ball) and 0 not in sizes
+        assert len(sizes) == ball.dist[-1] + 1 <= ball.radius + 1
+    # an orbit that closes inside the ball lists no empty sphere
+    assert ball_of(Cyclic(5), 9).sphere_sizes == (1, 2, 2)
+    # the head projection of a wreath product grows as its top action
+    w, gens = lamplighter(2)
+    head = build_ball(head_projection_action(w), gens, 7)
+    assert head.sphere_sizes == build_ball(w.top_action, w.top.standard_gens(), 7).sphere_sizes

@@ -37,7 +37,7 @@ from endslab.groups import (
     signed_letters,
     verify_gen_set,
 )
-from endslab.wreath import WreathElement, lamplighter
+from endslab.wreath import WreathElement, WreathGroup, lamplighter
 
 ALL_GROUPS = [FreeGroup(2), FreeAbelian(2), Cyclic(5), SymmetricGroup(4),
               Torus((2, 3)),
@@ -530,3 +530,66 @@ def test_free_inverse_is_the_reversed_negated_word():
             assert signed_letters(group.inverse(w)) == tuple(
                 -l for l in reversed(signed_letters(w)))
 
+
+
+def _spec_group(text):
+    return elaborate(parse_spec(text))[0].group
+
+
+def _random_product(group, rng, length=8):
+    """A seeded product of standard generators and their inverses (Sym(1)
+    has none, so its products are the identity)."""
+    elements = group.standard_gens().elements or (group.identity(),)
+    a = group.identity()
+    for _ in range(rng.randrange(length + 1)):
+        a = group.multiply(a, rng.choice(elements))
+    return a
+
+
+PARITY_GROUPS = [FreeGroup(2), FreeGroup(1), FreeAbelian(3), FreeAbelian(1),
+                 Cyclic(6), Cyclic(2), SymmetricGroup(4), SymmetricGroup(1)]
+PARITY_WREATHS = ["wreath(C(2), Z, translation)", "wreath(Sym(3), Z^2, translation)",
+                  "wreath(C(4), F(2), translation)"]
+
+
+@pytest.mark.parametrize("group", [*PARITY_GROUPS, *PARITY_WREATHS], ids=str)
+def test_parity_is_a_homomorphism_onto_z2(group):
+    if isinstance(group, str):
+        group = _spec_group(group)
+    rng = random.Random(28)
+    assert group.parity(group.identity()) == 0
+    for _ in range(200):
+        a, b = _random_product(group, rng), _random_product(group, rng)
+        assert group.parity(a) in (0, 1)
+        assert group.parity(group.multiply(a, b)) == group.parity(a) ^ group.parity(b)
+        assert group.parity(group.inverse(a)) == group.parity(a)
+
+
+def test_parity_values():
+    f2 = FreeGroup(2)
+    assert [f2.parity(f2.word(w)) for w in ((), (1,), (1, -2), (2, 2, -1))] == [0, 1, 0, 1]
+    assert [FreeAbelian(2).parity(v) for v in ((0, 0), (1, 0), (-3, 1), (2, -5))] == [0, 1, 0, 1]
+    assert [Cyclic(4).parity(r) for r in range(4)] == [0, 1, 0, 1]
+    assert SymmetricGroup(3).parity(Perm((1, 0, 2))) == 1
+    assert SymmetricGroup(3).parity(Perm((1, 2, 0))) == 0
+    w, gens = lamplighter(2)
+    # a lamp toggle and a move each have parity 1
+    assert [w.parity(g) for g in gens.elements] == [1, 1, 1]
+    assert w.parity(w.multiply(gens.elements[0], gens.elements[1])) == 0
+
+
+def _wreath_over_torus():
+    top = translation_action(Torus((2, 2)))
+    return WreathGroup(Cyclic(2), top, (top.basepoint,))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Cyclic(3), lambda: Cyclic(1), lambda: Torus((2, 2)), lambda: Torus((2, 3)),
+    lambda: _spec_group("wreath(C(3), Z, translation)"), _wreath_over_torus,
+], ids=["C(3)", "C(1)", "T(2,2)", "T(2,3)", "C(3) wr Z", "C(2) wr T(2,2)"])
+def test_parity_is_none_where_no_family_states_one(make):
+    group = make()
+    rng = random.Random(28)
+    assert group.parity(group.identity()) is None
+    for _ in range(20):
+        assert group.parity(_random_product(group, rng)) is None
