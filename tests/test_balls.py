@@ -668,12 +668,12 @@ def _certified(action, gens):
     return action.parity is not None and all(group.parity(g) == 1 for g in gens.elements)
 
 
-def typed_translation_draws(draws=600, radius=3, max_vertices=5000):
-    """(action, gens, radius, budget) of each translation draw of the seed-12
-    typed corpus that elaborates."""
+def typed_translation_draws():
+    """(action, gens, radius 3, budget 5000) of each translation draw of the
+    600 seed-12 typed draws that elaborates."""
     rng = random.Random(12)
     builds = []
-    for _ in range(draws):
+    for _ in range(600):
         spec = random_typed_spec(rng)
         if spec.action.kind != "translation":
             continue
@@ -681,7 +681,7 @@ def typed_translation_draws(draws=600, radius=3, max_vertices=5000):
             action, gens = elaborate(spec)
         except (SpecError, ActionError):
             continue
-        builds.append((action, gens, radius, max_vertices))
+        builds.append((action, gens, 3, 5000))
     return builds
 
 
