@@ -218,27 +218,6 @@ def build_ball(action: PointedAction, gens: SymmetricGenSet, radius: int,
 # components
 
 
-class UnionFind:
-    """Union-find with path compression over 0..n-1."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-
 @dataclass(frozen=True)
 class CutResult:
     """Connected components of the ball after deleting a vertex set.

@@ -6,6 +6,14 @@ distance exactly K' (the finite surrogate for an unbounded component
 left after deleting the open ball of radius k).  For fixed k the count
 is non-increasing in K', so the last column is a certified upper-bound
 estimate, never a proof of the exact end count.
+
+The profile comes from one outward sweep.  Every edge joins equal or
+adjacent spheres, so the partition of S_{r+1} by connectivity in the
+annulus k..r+1 follows from that of S_r and the rows of S_{r+1}; its
+class count is e(k, r+1).  For k < k' the annulus k'..r lies inside k..r,
+so the partitions are nested: the sweep labels S_r for the largest k
+entered and maps those classes onto each smaller k's own.  Nested
+partitions with equal counts are equal, so such k share one map.
 """
 
 from __future__ import annotations
@@ -26,7 +34,6 @@ from .balls import (
     DEFAULT_VERTEX_BUDGET,
     BallOverflowError,
     GraphBall,
-    UnionFind,
     build_ball,
     check_budget,
     check_indices,
@@ -87,63 +94,53 @@ class EndsProfile:
         }
 
 
-class _Shell(NamedTuple):
-    """The edges of sphere S_r that reach no further out, as offsets into
-    their spheres.  ``up[j]`` is the first neighbour of vertex j in S_{r-1}
-    (every vertex at r >= 1 keeps the edge that discovered it, also after
-    ``simplify``), ``back`` holds its further edges to S_{r-1} as pairs
-    (j, i), and ``inner`` the edges (j, j') with j < j' inside S_r."""
+def _merge(size: int, pairs: Iterable[tuple[int, int]]) -> tuple[list[int], list[tuple[int, int]]]:
+    """Union the linked pairs over the ids 0..size-1.  Returns each id's
+    root, the smallest id of its class, and the pairs of roots that a union
+    joined: a spanning forest of the links, so they make the same classes."""
+    parent = list(range(size))
+    joined = []
+    for a, b in pairs:
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a != b:
+            parent[max(a, b)] = min(a, b)
+            joined.append((a, b))
+    for x in range(size):  # a parent is never above its id: one pass up ends at roots
+        parent[x] = parent[parent[x]]
+    return parent, joined
 
-    up: list[int]
-    back: list[tuple[int, int]]
-    inner: list[tuple[int, int]]
 
-
-def _shell(ball: GraphBall, r: int) -> _Shell:
-    dist = ball.dist
-    table = ball.table
-    ngens = len(ball.gens)
-    prev = bisect_left(dist, r - 1)
-    lo = bisect_left(dist, r)
-    hi = bisect_left(dist, r + 1)
-    up, back, inner = [], [], []
+def _read_sphere(table: Sequence[int], ngens: int, lo: int, hi: int, labels: list[int]):
+    """Read the rows of the sphere at indices lo..hi-1 once, given the
+    classes ``labels`` of the sphere before it.  A vertex starts in the class
+    of its first neighbour there, which every vertex at r >= 1 has.  Returns
+    the starts, the class pairs that its other edges back and its inner edges
+    link, and the inner edges (j, j') with j' < j as offsets into the sphere."""
+    prev = lo - len(labels)
+    # entries in 0..hi-1 lie here or a sphere back: one per row is each row's edge back
+    near = [w for w in table[lo * ngens:hi * ngens] if 0 <= w < hi]
+    if len(near) == hi - lo:
+        return [labels[w - prev] for w in near], [], []
+    start, links, inner = [], [], []
     for v in range(lo, hi):
         first = -1
         for w in table[v * ngens:(v + 1) * ngens]:
-            # every edge joins equal or adjacent spheres (-1: outside the ball)
-            if w < 0 or w >= hi:
-                continue
-            if w >= lo:
-                if w > v:
-                    inner.append((v - lo, w - lo))
-            elif first < 0:
-                first = w - prev
-            else:
-                back.append((v - lo, w - prev))
-        up.append(first)
-    return _Shell(up, back, inner)
-
-
-def _partition(start: list[int], classes: int,
-               links: list[tuple[int, int]]) -> tuple[int, ...]:
-    """Merge the linked pairs among ``classes`` classes, then give vertex j
-    of a sphere the class of ``start[j]``, numbered by first occurrence."""
-    if links:
-        uf = UnionFind(classes)
-        for a, b in links:
-            uf.union(a, b)
-        start = [uf.find(x) for x in start]
-    number = {x: n for n, x in enumerate(dict.fromkeys(start))}
-    return tuple(map(number.__getitem__, start))
-
-
-def _step(labels: tuple[int, ...], shell: _Shell) -> tuple[int, ...]:
-    """The partition of S_r by connectivity in the annulus k..r, from
-    ``labels``, that of S_{r-1} in the annulus k..r-1, and S_r's shell."""
-    start = list(map(labels.__getitem__, shell.up))
-    links = [(start[j], labels[i]) for j, i in shell.back]
-    links += [(start[j], start[j2]) for j, j2 in shell.inner]
-    return _partition(start, max(labels, default=-1) + 1, links)
+            if w < lo:
+                if w < 0:
+                    continue
+                x = labels[w - prev]
+                if first < 0:
+                    first = x
+                elif x != first:
+                    links.append((first, x))
+            elif w < v:
+                inner.append((v - lo, w - lo))
+        start.append(first)
+    links += [(start[j], start[j2]) for j, j2 in inner]
+    return start, links, inner
 
 
 def _decide_verdict(k_values: Sequence[int], matrix: Sequence[Sequence[int]]) -> Verdict:
@@ -182,31 +179,55 @@ def _inner_radii(k_values: Iterable[int], outer_radius: int) -> tuple[int, ...]:
 
 def profile_from_ball(ball: GraphBall, k_values: Iterable[int]) -> EndsProfile:
     ks = _inner_radii(k_values, ball.radius)
-    # One outward sweep.  Every edge joins equal or adjacent spheres, so the
-    # partition of S_{r+1} for k follows from that of S_r and S_{r+1}'s
-    # shell alone; k whose partitions coincide share every later entry, and
-    # each distinct partition is stepped once per sphere.  Once a sphere is
-    # empty so is every later one, and every remaining entry is 0.
+    dist, table, ngens = ball.dist, ball.table, len(ball.gens)
     rows: dict[int, list[int]] = {k: [] for k in ks}
-    groups: dict[tuple[int, ...], list[int]] = {}
-    shell = _shell(ball, ks[0])
-    for r in range(ks[0], ball.radius):
+    # ``labels`` classes S_r for the largest k entered, by ids below ``size``
+    # (a class that reaches no further leaves its id unused); ``groups`` holds,
+    # coarsest first, the k of each partition and its map from the fine ids.
+    # Before the first k enters, S_r is one class and no row is kept.
+    r0 = max(ks[0] - 1, 0)
+    lo, hi = bisect_left(dist, r0), bisect_left(dist, r0 + 1)
+    labels, size, inner, groups = [0] * (hi - lo), 1, [], []
+    for r in range(r0, ball.radius):
         if r in rows:
             # k enters at r = k with S_k split by its own edges only
-            size = len(shell.up)
-            entering = _partition(list(range(size)), size, shell.inner)
-            groups.setdefault(entering, []).append(r)
-        shell = _shell(ball, r + 1)
-        if not shell.up:
-            break
-        stepped: dict[tuple[int, ...], list[int]] = {}
-        for labels, members in groups.items():
-            nxt = _step(labels, shell)
-            count = max(nxt, default=-1) + 1
+            roots, _ = _merge(hi - lo, inner)
+            number = {x: c for c, x in enumerate(dict.fromkeys(roots))}
+            if groups and len(number) == len(set(labels)):
+                groups[-1][0].append(r)
+            else:
+                fine = list(map(number.__getitem__, roots))
+                to_old = list(dict(zip(fine, labels)).values())
+                groups = [[members, to_old if m is None else [m[x] for x in to_old]]
+                          for members, m in groups] + [[[r], None]]
+                labels, size = fine, len(number)
+        lo, hi = hi, bisect_left(dist, r + 2)
+        if lo == hi:
+            break  # so is every later sphere, and every remaining entry is 0
+        labels, links, inner = _read_sphere(table, ngens, lo, hi, labels)
+        if links:
+            roots, joined = _merge(size, links)
+            live = dict.fromkeys(map(roots.__getitem__, labels))
+            for group in groups[:-1]:  # the last is the finest
+                # merge the coarse classes of the pairs the fine merge
+                # joined; a coarse id may exceed any fine one
+                m = group[1]
+                coarse, _ = _merge(max(m) + 1, [(m[a], m[b]) for a, b in joined])
+                group[1] = [coarse[m[x]] for x in live]
+            number = {x: c for c, x in enumerate(live)}
+            labels = [number[roots[x]] for x in labels]
+            size = len(live)
+        live = set(labels)
+        merged, last = [], None
+        for members, m in groups:
+            count = len(live) if m is None else len(set(map(m.__getitem__, live)))
             for k in members:
                 rows[k].append(count)
-            stepped.setdefault(nxt, []).extend(members)
-        groups = stepped
+            if count == last:  # nested partitions with equal counts are equal
+                members = merged.pop()[0] + members
+            merged.append([members, m])
+            last = count
+        groups = merged
     for k, row in rows.items():
         # the zeros that pad a row after an empty sphere cannot break it
         for a, b in zip(row, row[1:]):

@@ -231,19 +231,21 @@ def test_cut_results_stable_under_simplify():
 
 
 @functools.cache
-def generated_spec_balls(count=100, radius=3, max_draws=400):
+def generated_spec_balls(count=100, radius=3, max_draws=400, draw=random_spec, seed=11,
+                         budget=5000):
     """Balls of the first ``count`` seeded generated specs that elaborate;
-    refused specs are skipped, drawing on until ``count`` balls are built.
-    Built once per test run; the balls are frozen, so the tests share them."""
-    rng = random.Random(11)
+    refused specs and balls over the budget are skipped, drawing on until
+    ``count`` balls are built.  Built once per test run; the balls are
+    frozen, so the tests share them."""
+    rng = random.Random(seed)
     balls = []
     for _ in range(max_draws):
         if len(balls) == count:
             break
         try:
-            action, gens = elaborate(random_spec(rng))
-            balls.append(build_ball(action, gens, radius, max_vertices=5000))
-        except (SpecError, ActionError):
+            action, gens = elaborate(draw(rng))
+            balls.append(build_ball(action, gens, radius, max_vertices=budget))
+        except (SpecError, ActionError, BallOverflowError):
             continue
     assert len(balls) == count, f"{len(balls)} balls from {max_draws} draws"
     return tuple(balls)

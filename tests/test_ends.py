@@ -59,6 +59,7 @@ from oracles import (
     int_line_graph,
 )
 from test_balls import generated_spec_balls, random_fixture_balls, spec_ball
+from test_dsl import random_typed_spec
 
 
 def assert_monotone(profile):
@@ -146,16 +147,18 @@ def test_profile_stops_at_the_last_sphere(monkeypatch):
     # a finite orbit stops growing: the sweep must not walk every r < K
     c3 = Cyclic(3)
     ball = build_ball(translation_action(c3), c3.standard_gens(), 300_000)
-    calls = []
+    spheres = []
 
-    def counting_shell(ball, r):
-        calls.append(r)
-        return shell(ball, r)
+    def counting_read(table, ngens, lo, hi, labels):
+        spheres.append(ball.dist[lo])
+        return read(table, ngens, lo, hi, labels)
 
-    shell = endslab.ends._shell
-    monkeypatch.setattr(endslab.ends, "_shell", counting_shell)
+    read = endslab.ends._read_sphere
+    monkeypatch.setattr(endslab.ends, "_read_sphere", counting_read)
     p = profile_from_ball(ball, [1])
-    assert len(calls) <= ball.dist[-1] + 1 + 2
+    # the sweep reads S_1, the sphere k = 1 enters on, and no sphere twice
+    assert ball.dist[-1] in spheres and len(set(spheres)) == len(spheres)
+    assert len(spheres) <= ball.dist[-1] + 1 + 2
     assert p.matrix == ((0,) * (300_000 - 1),)
 
 
@@ -232,6 +235,35 @@ def test_profile_matches_component_oracle():
         # k swept together share partitions; none may leak into another row
         assert matrix == tuple(profile_from_ball(ball, [k]).matrix[0] for k in ks)
         assert profile_from_ball(simplify(ball), ks).matrix == matrix
+
+
+def test_profile_matches_component_oracle_on_typed_draws():
+    # 140 of the first 200 seed-12 typed draws elaborate within the budget
+    balls = generated_spec_balls(140, radius=6, max_draws=200, draw=random_typed_spec,
+                                 seed=12, budget=400)
+    rng = random.Random(29)
+    for ball in balls:
+        k_sets = [range(ball.radius)] + [
+            sorted(rng.sample(range(ball.radius), rng.randint(1, ball.radius)))
+            for _ in range(3)]
+        for ks in k_sets:
+            assert profile_from_ball(ball, ks).matrix == oracle_profile(ball, ks)
+
+
+@pytest.mark.parametrize("text, radius, ks", [
+    # coarse class ids that outrun the count of fine classes
+    ("Sym(6) / trivial with gens {(3 2), (2 1 4)}", 7, range(7)),
+    # three of the four classes of S_1 end there, so the id of the live one
+    # exceeds the count of S_2's own classes when k = 2 enters; S_3 joins them
+    ("Sym(8) / {(1 2), (1 2 3 4 5 6 7)} with gens "
+     "{(0 1)(4 5)(6 7), (0 2)(4 6)(5 7), (0 3), (0 4)}", 4, [1, 2]),
+    # a class of k = 3 ends at S_3, so S_4's own edges split it into as many
+    # classes as k = 3 has class ids, but into more than its live classes
+    ("imprimitive(wreath(F(1), Sym(3), coset({(1 2), (2 1)})))", 8, [3, 4]),
+])
+def test_profile_matches_component_oracle_on_pinned_balls(text, radius, ks):
+    ball = spec_ball(text, radius)
+    assert profile_from_ball(ball, ks).matrix == oracle_profile(ball, ks)
 
 
 def test_profile_entry_rejects_out_of_range():
