@@ -158,8 +158,7 @@ class GeneratedSubgroup:
     def coset_law(self, group: Group):
         check_members(group, self.gens)
         if isinstance(group, FreeAbelian):
-            hnf = hermite_normal_form(self.gens, group.rank)
-            return lambda g: lattice_reduce(hnf, g)
+            return lattice_law(hermite_normal_form(self.gens, group.rank))
         if group.order() is None:
             raise UnsupportedSubgroupError(f"GeneratedSubgroup requires Z^k or a finite "
                                            f"group; supported cases: {SUPPORTED_SUBGROUPS}")
@@ -218,15 +217,25 @@ def hermite_normal_form(basis: Sequence[tuple[int, ...]], width: int) -> tuple[t
     return tuple(tuple(r) for r in done)
 
 
+def lattice_law(hnf: tuple[tuple[int, ...], ...]) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+    """The map coords -> canonical representative modulo the lattice
+    spanned by hnf, with each row's pivot column found once."""
+    pivots = tuple((next(i for i, x in enumerate(row) if x != 0), row) for row in hnf)
+
+    def reduce(coords: tuple[int, ...]) -> tuple[int, ...]:
+        v = list(coords)
+        for c, row in pivots:
+            q = v[c] // row[c]
+            if q:
+                v = [x - q * y for x, y in zip(v, row)]
+        return tuple(v)
+
+    return reduce
+
+
 def lattice_reduce(hnf: tuple[tuple[int, ...], ...], coords: tuple[int, ...]) -> tuple[int, ...]:
     """Canonical representative of coords modulo the lattice spanned by hnf."""
-    v = list(coords)
-    for row in hnf:
-        c = next(i for i, x in enumerate(row) if x != 0)
-        q = v[c] // row[c]
-        if q:
-            v = [x - q * y for x, y in zip(v, row)]
-    return tuple(v)
+    return lattice_law(hnf)(coords)
 
 
 def _mulclose(group: Group, gens: Iterable[GroupElement]) -> list[GroupElement]:

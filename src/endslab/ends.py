@@ -113,18 +113,25 @@ def _merge(size: int, pairs: Iterable[tuple[int, int]]) -> tuple[list[int], list
     return parent, joined
 
 
-def _read_sphere(table: Sequence[int], ngens: int, lo: int, hi: int, labels: list[int]):
+def _read_sphere(table: Sequence[int], ngens: int, lo: int, hi: int, labels: list[int],
+                 tree: bool):
     """Read the rows of the sphere at indices lo..hi-1 once, given the
     classes ``labels`` of the sphere before it.  A vertex starts in the class
     of its first neighbour there, which every vertex at r >= 1 has.  Returns
     the starts, the class pairs that its other edges back and its inner edges
-    link, and the inner edges (j, j') with j' < j as offsets into the sphere."""
+    link, the inner edges (j, j') with j' < j as offsets into the sphere, and
+    whether this is a tree sphere: one whose rows hold no second edge back,
+    no inner edge and no loop.  Only when ``tree`` says the sphere before
+    was one is this sphere first read as one, in a single pass over its
+    entries; otherwise, or when that read finds it is not, its rows are
+    read one by one."""
     prev = lo - len(labels)
-    # entries in 0..hi-1 lie here or a sphere back: one per row is each row's edge back
-    near = [w for w in table[lo * ngens:hi * ngens] if 0 <= w < hi]
-    if len(near) == hi - lo:
-        return [labels[w - prev] for w in near], [], []
-    start, links, inner = [], [], []
+    if tree:
+        # entries in 0..hi-1 lie here or a sphere back: one per row is each row's edge back
+        near = [w for w in table[lo * ngens:hi * ngens] if 0 <= w < hi]
+        if len(near) == hi - lo:
+            return [labels[w - prev] for w in near], [], [], True
+    start, links, inner, tree = [], [], [], True
     for v in range(lo, hi):
         first = -1
         for w in table[v * ngens:(v + 1) * ngens]:
@@ -134,13 +141,18 @@ def _read_sphere(table: Sequence[int], ngens: int, lo: int, hi: int, labels: lis
                 x = labels[w - prev]
                 if first < 0:
                     first = x
-                elif x != first:
-                    links.append((first, x))
-            elif w < v:
-                inner.append((v - lo, w - lo))
+                else:
+                    tree = False
+                    if x != first:
+                        links.append((first, x))
+            elif w <= v:
+                if w < v:
+                    inner.append((v - lo, w - lo))
+                else:
+                    tree = False  # a loop
         start.append(first)
     links += [(start[j], start[j2]) for j, j2 in inner]
-    return start, links, inner
+    return start, links, inner, tree and not inner
 
 
 def _decide_verdict(k_values: Sequence[int], matrix: Sequence[Sequence[int]]) -> Verdict:
@@ -187,7 +199,7 @@ def profile_from_ball(ball: GraphBall, k_values: Iterable[int]) -> EndsProfile:
     # Before the first k enters, S_r is one class and no row is kept.
     r0 = max(ks[0] - 1, 0)
     lo, hi = bisect_left(dist, r0), bisect_left(dist, r0 + 1)
-    labels, size, inner, groups = [0] * (hi - lo), 1, [], []
+    labels, size, inner, groups, tree = [0] * (hi - lo), 1, [], [], True
     for r in range(r0, ball.radius):
         if r in rows:
             # k enters at r = k with S_k split by its own edges only
@@ -204,7 +216,7 @@ def profile_from_ball(ball: GraphBall, k_values: Iterable[int]) -> EndsProfile:
         lo, hi = hi, bisect_left(dist, r + 2)
         if lo == hi:
             break  # so is every later sphere, and every remaining entry is 0
-        labels, links, inner = _read_sphere(table, ngens, lo, hi, labels)
+        labels, links, inner, tree = _read_sphere(table, ngens, lo, hi, labels, tree)
         if links:
             roots, joined = _merge(size, links)
             live = dict.fromkeys(map(roots.__getitem__, labels))

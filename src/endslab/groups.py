@@ -16,6 +16,14 @@ value: the residue 1 is an element of C(4) and of C(5), and a T(3,3)
 element is also one of Z^2; a plain tuple is no Perm, and a Perm no Z^k
 element.  Wreath products live in :mod:`endslab.wreath`.
 
+The Z^k and torus laws are straight-line code, generated once per shape
+(the rank, or the moduli tuple): for Z^2 the product is
+``(a[0] + b[0], a[1] + b[1])``, and a torus's bakes in its moduli, as in
+``((a[0] + b[0]) % 6, ...)``.  The cache of generated laws is module-level;
+it is a pure memo of equal laws, so it is safe to share across threads.
+The free law tests the seam first: a product whose seam does not cancel
+is one concatenation, and only a cancelling seam runs the loop.
+
 Labels follow two rules.  A base value and a point of a rule action is
 labelled by :func:`point_label`, which tests its type.  Every other value,
 such as a wreath element or a pair point of an imprimitive action, is
@@ -31,7 +39,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 LETTERS = "abcdefghijklmnopqrstuvwxyz"
@@ -133,6 +141,9 @@ def ModVector(moduli: Sequence[int], coords: Iterable[int]) -> tuple[int, ...]:
     if len(moduli) != len(coords):
         raise InvalidParameterError("moduli/coords length mismatch")
     for m, c in zip(moduli, coords):
+        # a torus law bakes its moduli into its code as int literals
+        if type(m) is not int:
+            raise InvalidParameterError(f"torus modulus {m!r} is not an int")
         if m < 1:
             raise InvalidParameterError(f"torus modulus must be >= 1, got {m}")
         if type(c) is not int:
@@ -277,6 +288,36 @@ def verify_gen_set(group: "Group", gens: SymmetricGenSet) -> None:
 
 
 # ---------------------------------------------------------------------------
+# straight-line tuple laws
+
+
+@cache
+def _tuple_laws(moduli: tuple[Optional[int], ...]) -> tuple[Callable, Callable]:
+    """The product and inverse of int tuples of one shape, as straight-line
+    code compiled once per shape: coordinate i adds, or negates, as an int,
+    reduced mod ``moduli[i]`` unless that is None.  For Z^2 the product is
+    ``(a[0] + b[0], a[1] + b[1])``; a torus's bakes in its moduli, as in
+    ``((a[0] + b[0]) % 6, ...)``.  The cache is a pure memo of equal laws,
+    so it is safe to share across threads.  A modulus is an int, checked by
+    the torus's identity, so the text holds nothing but the arithmetic."""
+
+    def coord(expr: str, m: Optional[int]) -> str:
+        return expr if m is None else f"({expr}) % {m}"
+
+    mul = "".join(coord(f"a[{i}] + b[{i}]", m) + ", " for i, m in enumerate(moduli))
+    inv = "".join(coord(f"-a[{i}]", m) + ", " for i, m in enumerate(moduli))
+    return eval(f"lambda a, b: ({mul})"), eval(f"lambda a: ({inv})")
+
+
+def _bind_tuple_laws(group: "Group", moduli: tuple[Optional[int], ...]) -> None:
+    """Bind the law of a tuple family's shape as the instance's ``_mul``
+    and ``_inv``, after its identity has checked its parameters."""
+    mul, inv = _tuple_laws(moduli)
+    object.__setattr__(group, "_mul", mul)
+    object.__setattr__(group, "_inv", inv)
+
+
+# ---------------------------------------------------------------------------
 # group descriptors
 
 
@@ -366,8 +407,11 @@ class FreeGroup(Group):
                 and True not in map(operator.eq, a, a[1:].translate(_INV_TABLE)))
 
     def _mul(self, a, b):
-        # both inputs reduced, so cancellation happens only at the seam
-        i, j, nb = len(a), 0, len(b)
+        # both inputs reduced, so cancellation happens only at the seam, and
+        # a seam that does not cancel is one test
+        if not a or not b or a[-1] ^ b[0] != 1:
+            return a + b
+        i, j, nb = len(a) - 1, 1, len(b)
         while i > 0 and j < nb and a[i - 1] ^ b[j] == 1:
             i -= 1
             j += 1
@@ -407,9 +451,19 @@ class FreeGroup(Group):
 
 @dataclass(frozen=True)
 class FreeAbelian(Group):
-    """Free abelian group Z^rank.  An element is its tuple of ``rank`` ints."""
+    """Free abelian group Z^rank.  An element is its tuple of ``rank`` ints.
+    Its ``_mul`` and ``_inv`` are the straight-line laws of its rank, bound
+    per instance (``_bind_tuple_laws``)."""
 
     rank: int
+
+    def __post_init__(self):
+        super().__post_init__()
+        _bind_tuple_laws(self, (None,) * self.rank)
+
+    def __reduce__(self):
+        # the bound laws are rebuilt from the rank, not pickled
+        return FreeAbelian, (self.rank,)
 
     def identity(self):
         return IntVector((0,) * self.rank)
@@ -417,12 +471,6 @@ class FreeAbelian(Group):
     def contains(self, a):
         return (type(a) is tuple and len(a) == self.rank
                 and all(type(x) is int for x in a))
-
-    def _mul(self, a, b):
-        return tuple(map(operator.add, a, b))
-
-    def _inv(self, a):
-        return tuple([-x for x in a])
 
     def parity(self, a):
         return sum(a) & 1
@@ -534,9 +582,19 @@ class SymmetricGroup(Group):
 @dataclass(frozen=True)
 class Torus(Group):
     """Product of cyclic groups Z/d1 x ... x Z/dk.  An element is its tuple
-    of k ints, coordinate i in [0, di)."""
+    of k ints, coordinate i in [0, di).  Its ``_mul`` and ``_inv`` are the
+    straight-line laws of its moduli, bound per instance
+    (``_bind_tuple_laws``)."""
 
     moduli: tuple[int, ...]
+
+    def __post_init__(self):
+        super().__post_init__()
+        _bind_tuple_laws(self, tuple(self.moduli))
+
+    def __reduce__(self):
+        # the bound laws are rebuilt from the moduli, not pickled
+        return Torus, (self.moduli,)
 
     def identity(self):
         return ModVector(self.moduli, (0,) * len(self.moduli))
@@ -544,12 +602,6 @@ class Torus(Group):
     def contains(self, a):
         return (type(a) is tuple and len(a) == len(self.moduli)
                 and all(type(x) is int and 0 <= x < m for x, m in zip(a, self.moduli)))
-
-    def _mul(self, a, b):
-        return tuple(map(operator.mod, map(operator.add, a, b), self.moduli))
-
-    def _inv(self, a):
-        return tuple([-x % m for x, m in zip(a, self.moduli)])
 
     def unit(self, i: int) -> tuple[int, ...]:
         coords = [0] * len(self.moduli)

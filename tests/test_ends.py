@@ -149,9 +149,9 @@ def test_profile_stops_at_the_last_sphere(monkeypatch):
     ball = build_ball(translation_action(c3), c3.standard_gens(), 300_000)
     spheres = []
 
-    def counting_read(table, ngens, lo, hi, labels):
+    def counting_read(table, ngens, lo, hi, *rest):
         spheres.append(ball.dist[lo])
-        return read(table, ngens, lo, hi, labels)
+        return read(table, ngens, lo, hi, *rest)
 
     read = endslab.ends._read_sphere
     monkeypatch.setattr(endslab.ends, "_read_sphere", counting_read)

@@ -1,8 +1,10 @@
 import copy
 import itertools
+import operator
 import pickle
 import random
 import string
+from functools import reduce
 
 import pytest
 
@@ -251,6 +253,73 @@ def test_group_axioms_random(group):
         assert group.multiply(a, group.inverse(a)) == group.identity()
         assert group.inverse(group.inverse(a)) == a
         assert group.multiply(group.identity(), a) == a
+
+
+def _stack_reduce(codes):
+    """The reduced free word of a sequence of letter codes, by a stack."""
+    out = []
+    for c in codes:
+        if out and out[-1] == c ^ 1:
+            out.pop()
+        else:
+            out.append(c)
+    return bytes(out)
+
+
+def test_laws_match_the_reference_laws():
+    rng = random.Random(30)
+
+    def coordinate(rng):
+        return rng.choice((rng.randrange(-9, 10), rng.randrange(-2 ** 70, 2 ** 70)))
+
+    for rank in range(1, 7):
+        group = FreeAbelian(rank)
+        for _ in range(100):
+            a, b = (tuple(coordinate(rng) for _ in range(rank)) for _ in range(2))
+            assert group._mul(a, b) == group.multiply(a, b) == tuple(map(operator.add, a, b))
+            assert group._inv(a) == group.inverse(a) == tuple(-x for x in a)
+    for factors in range(1, 5):
+        for _ in range(10):
+            moduli = tuple(rng.choice((1, 2, rng.randrange(3, 50), 10 ** 12 + 39))
+                           for _ in range(factors))
+            group = Torus(moduli)
+            for _ in range(20):
+                a, b = (tuple(rng.randrange(m) for m in moduli) for _ in range(2))
+                assert group._mul(a, b) == group.multiply(a, b) == \
+                    tuple((x + y) % m for x, y, m in zip(a, b, moduli))
+                assert group._inv(a) == group.inverse(a) == \
+                    tuple(-x % m for x, m in zip(a, moduli))
+    # free words as products of multi-letter generators, so that a seam can
+    # cancel none, some or all of the letters of either operand
+    f2 = FreeGroup(2)
+    gens = make_gen_set(f2, [f2.word((1,)), f2.word((1, 2))]).elements
+    words = [b""] + [reduce(f2._mul, rng.choices(gens, k=rng.randrange(1, 6)))
+                     for _ in range(60)]
+    words += [f2._inv(w) for w in words] + list(gens)
+    for a in words:
+        assert f2._mul(a, f2._inv(a)) == f2._mul(f2._inv(a), a) == b""
+        for b in words:
+            assert f2._mul(a, b) == f2.multiply(a, b) == _stack_reduce(a + b)
+    for group in (FreeGroup(1), FreeGroup(3)):
+        for _ in range(200):
+            a, b = (sample_element(group, rng) for _ in range(2))
+            assert group._mul(a, b) == _stack_reduce(a + b)
+
+
+def test_tuple_laws_are_built_once_per_shape():
+    # the groups of one shape share one compiled law
+    assert FreeAbelian(3)._mul is FreeAbelian(3)._mul
+    assert Torus((6, 4))._inv is Torus((6, 4))._inv
+    assert Torus((6, 4))._mul((5, 3), (1, 1)) == (0, 0)
+    assert Torus((4, 6))._mul((3, 5), (1, 1)) == (0, 0)
+    # a copy or a pickle round trip rebuilds its law from its parameters
+    for group in (FreeAbelian(2), Torus((6, 4))):
+        for twin in (copy.copy(group), copy.deepcopy(group), pickle.loads(pickle.dumps(group))):
+            assert twin == group and twin._mul((1, 3), (5, 2)) == group._mul((1, 3), (5, 2))
+    # a modulus is baked into the law's code, so only an int is one
+    for moduli in ((6.0,), (2, "3"), (2, True)):
+        with pytest.raises(InvalidParameterError, match="is not an int"):
+            Torus(moduli)
 
 
 def rebuild(group, value):
