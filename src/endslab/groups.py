@@ -295,11 +295,9 @@ def verify_gen_set(group: "Group", gens: SymmetricGenSet) -> None:
 def _tuple_laws(moduli: tuple[Optional[int], ...]) -> tuple[Callable, Callable]:
     """The product and inverse of int tuples of one shape, as straight-line
     code compiled once per shape: coordinate i adds, or negates, as an int,
-    reduced mod ``moduli[i]`` unless that is None.  For Z^2 the product is
-    ``(a[0] + b[0], a[1] + b[1])``; a torus's bakes in its moduli, as in
-    ``((a[0] + b[0]) % 6, ...)``.  The cache is a pure memo of equal laws,
-    so it is safe to share across threads.  A modulus is an int, checked by
-    the torus's identity, so the text holds nothing but the arithmetic."""
+    reduced mod ``moduli[i]`` unless that is None.  A modulus is an int,
+    checked by the torus's identity, so the text holds nothing but the
+    arithmetic."""
 
     def coord(expr: str, m: Optional[int]) -> str:
         return expr if m is None else f"({expr}) % {m}"
