@@ -61,8 +61,8 @@ class GraphBall:
     that point lies outside the ball; ``build_ball`` leaves no -1 in rows at
     distance < R, and ``simplify`` masks the edges it drops to -1.
     ``edges`` is derived from the table in O(n |S|) on every access, so
-    code inside loops reads ``table``.  ``max_vertices`` is the vertex
-    budget the ball was built under.
+    code inside loops reads ``table``; ``witness`` and ``edge_order`` are
+    cached on first read.  ``max_vertices`` is the ball's vertex budget.
     """
 
     action: PointedAction
@@ -94,9 +94,11 @@ class GraphBall:
         whose label is the smaller of its pair, or an involution and u <= v."""
         pairing = self.gens.pairing
         ngens = len(pairing)
-        return [(u, v, i) for u in range(len(self.points))
-                for i, v in enumerate(self.table[u * ngens:(u + 1) * ngens])
-                if v >= 0 and (i < pairing[i] or (i == pairing[i] and u <= v))]
+        table = self.table
+        owners = [i for i, j in enumerate(pairing) if i <= j]
+        return [(u, v, i) for u in range(len(self.points)) for i in owners
+                if (v := table[u * ngens + i]) >= 0
+                and (i < pairing[i] or (i == pairing[i] and u <= v))]
 
     @cached_property
     def witness(self) -> tuple[GroupElement, ...]:
@@ -119,6 +121,19 @@ class GraphBall:
                 u, i = divmod(e, ngens)
                 w[v] = mul(elements[i], w[u])
         return tuple(w)
+
+    @cached_property
+    def edge_order(self) -> tuple[tuple[int, ...], ...]:
+        """``edge_order[u]`` holds row u's labels in the order their edges
+        stand in ``edges``; an involution loop is one entry, any other two."""
+        pairing = self.gens.pairing
+        order = [[] for _ in self.points]
+        for u, v, i in self.edges:
+            order[u].append(i)
+            if u != v or i != pairing[i]:
+                order[v].append(pairing[i])
+        shared = {}  # equal rows share one tuple, so few are kept
+        return tuple([shared.setdefault(row, row) for row in map(tuple, order)])
 
 
 def check_budget(max_vertices: int) -> None:
@@ -342,25 +357,21 @@ def leaf_decomposition(ball: GraphBall) -> dict:
 
 
 def to_json_dict(ball: GraphBall) -> dict:
-    pairing = ball.gens.pairing
-    ngens = len(pairing)
-    table = ball.table
-    # the edges of ``ball.edges``, each built once as its JSON list
-    edges = [[u, v, i] for u in range(len(ball.points))
-             for i, v in enumerate(table[u * ngens:(u + 1) * ngens])
-             if v >= 0 and (i < pairing[i] or (i == pairing[i] and u <= v))]
+    """The ball as a JSON-ready dict whose ``"edges"`` are ``ball.edges`` in that order."""
     return {
         "radius": ball.radius,
         "basepoint": ball.basepoint_index,
         "generators": list(ball.gens.names),
-        "pairing": list(pairing),
+        "pairing": list(ball.gens.pairing),
         "vertices": point_labels(ball.points, ball.action.group.label),
         "dist": list(ball.dist),
-        "edges": edges,
+        "edges": list(map(list, ball.edges)),
     }
 
 
 def to_dot(ball: GraphBall) -> str:
+    """The ball as a Graphviz graph, the basepoint double-circled; its edge
+    lines are ``ball.edges`` in that order, labelled by generator name."""
     lines = ["graph ball {"]
     for v, label in enumerate(point_labels(ball.points, ball.action.group.label)):
         shape = ", shape=doublecircle" if v == ball.basepoint_index else ""

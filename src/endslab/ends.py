@@ -392,36 +392,24 @@ def _with_inverses(ball: GraphBall, gen_indices: Iterable[int]) -> set[int]:
     return {j for i in indices for j in (i, ball.gens.pairing[i])}
 
 
-def _neighbours(ball: GraphBall, u: int, labels: set[int]) -> list[tuple[int, int]]:
-    """(v, i) for each entry (u, i) -> v with i in labels, ordered by where
-    its edge stands in ``ball.edges``: BFS predecessors, and so the paths
-    found, follow that order."""
-    table = ball.table
-    pairing = ball.gens.pairing
-    base = u * len(pairing)
-    keyed = []
-    for i in labels:
-        v = table[base + i]
-        if v >= 0:
-            j = pairing[i]
-            # the edge is listed from row u with label i, or from row v with j
-            key = (u, i) if i < j or (i == j and u <= v) else (v, j)
-            keyed.append((key, v, i))
-    return [(v, i) for _, v, i in sorted(keyed)]
-
-
 def _restricted_bfs(ball: GraphBall, start: int, labels: set[int],
                     cut: frozenset[int]) -> dict[int, tuple[int, int]]:
-    """BFS over allowed labels avoiding the cut: v -> (predecessor, label),
-    in discovery order."""
+    """BFS over allowed labels avoiding the cut, each row walked in
+    ``ball.edge_order``: v -> (predecessor, label), in discovery order."""
+    table = ball.table
+    ngens = len(ball.gens)
+    order = ball.edge_order
     pred = {start: (start, -1)}
     frontier = deque([start])
     while frontier:
         u = frontier.popleft()
-        for v, i in _neighbours(ball, u, labels):
-            if v not in pred and v not in cut:
-                pred[v] = (u, i)
-                frontier.append(v)
+        base = u * ngens
+        for i in order[u]:
+            if i in labels:
+                v = table[base + i]
+                if v not in pred and v not in cut:
+                    pred[v] = (u, i)
+                    frontier.append(v)
     return pred
 
 

@@ -260,6 +260,23 @@ def act_edges(points, gen_elements, pairing, act) -> list:
     return edges
 
 
+def edge_row_order(table, pairing, u: int, labels) -> list:
+    """(v, i) for each entry (u, i) -> v of a flat transition table with i
+    in ``labels``, ordered by the entry that lists its edge: (u, i) itself
+    when i is the smaller of its pair, or an involution and u <= v, and the
+    pair entry (v, pairing[i]) otherwise; the two entries of a loop that is
+    no involution tie, and go by label."""
+    base = u * len(pairing)
+    keyed = []
+    for i in labels:
+        v = table[base + i]
+        if v >= 0:
+            j = pairing[i]
+            key = (u, i) if i < j or (i == j and u <= v) else (v, j)
+            keyed.append((key, v, i))
+    return [(v, i) for _, v, i in sorted(keyed)]
+
+
 def simple_edges(edges) -> list:
     """Edge list without loops and repeated pairs (first label kept)."""
     seen = set()

@@ -1,5 +1,6 @@
 import random
 from dataclasses import FrozenInstanceError
+from itertools import combinations
 
 import pytest
 
@@ -12,6 +13,7 @@ from endslab.actions import (
     PointedAction,
     SignQuotient,
     TrivialSubgroup,
+    coset_action,
     point_labels,
     rule_action,
     translation_action,
@@ -31,7 +33,6 @@ from endslab.ends import (
     three_segment_path,
     wreath_split,
 )
-from endslab.ends import _neighbours
 from endslab.groups import (
     Cyclic,
     CyclicInt,
@@ -53,6 +54,7 @@ from endslab.wreath import (
 
 from oracles import (
     cross_graph,
+    edge_row_order,
     ends_matrix,
     f2_word_adjacency,
     f2_words_up_to,
@@ -444,24 +446,33 @@ def test_three_segment_failure_report():
 
 def test_neighbour_order_follows_edge_list():
     # BFS predecessors, and so the paths three_segment_path returns, follow
-    # the order in which ball.edges lists the edges at each vertex
+    # the order in which ball.edges lists the edges at each vertex; loops
+    # stay in, as one entry for an involution and two for any other label
     w, wgens = lamplighter(2)
     z3 = FreeAbelian(3)
-    doubled = make_gen_set(Cyclic(5), [CyclicInt(5, 1), CyclicInt(5, 1),
-                                       CyclicInt(5, 2)])
+    c5, c6 = Cyclic(5), Cyclic(6)
+    doubled = make_gen_set(c5, [CyclicInt(5, 1), CyclicInt(5, 1), CyclicInt(5, 2)])
+    # the identity generator is an involution looping at every vertex
+    with_identity = make_gen_set(c5, [CyclicInt(5, 1), CyclicInt(5, 0)])
+    # on the two cosets of <2>: 1 and 5 are parallel edges, 2 and 4 a loop
+    # pair, and 0 an involution loop
+    c6_gens = make_gen_set(c6, [CyclicInt(6, 1), CyclicInt(6, 2), CyclicInt(6, 0)])
+    c6_cosets = coset_action(c6, GeneratedSubgroup((CyclicInt(6, 2),)))
     for ball in (build_ball(translation_action(z3), z3.standard_gens(), 3),
                  build_ball(translation_action(w), wgens, 4),
-                 build_ball(translation_action(Cyclic(5)), doubled, 2)):
+                 build_ball(translation_action(c5), doubled, 2),
+                 build_ball(translation_action(c5), with_identity, 2),
+                 build_ball(c6_cosets, c6_gens, 2)):
         pairing = ball.gens.pairing
-        for labels in ({0, pairing[0]}, set(range(len(pairing)))):
-            expected = [[] for _ in range(len(ball))]
-            for u, v, g in ball.edges:
-                if g in labels and u != v:
-                    expected[u].append((v, g))
-                    expected[v].append((u, pairing[g]))
+        ngens = len(pairing)
+        pairs = {frozenset((i, j)) for i, j in enumerate(pairing)}
+        label_sets = [set().union(*chosen) for k in range(1, len(pairs) + 1)
+                      for chosen in combinations(pairs, k)]
+        for labels in label_sets:
             for u in range(len(ball)):
-                got = [(v, i) for v, i in _neighbours(ball, u, labels) if v != u]
-                assert got == expected[u]
+                got = [(ball.table[u * ngens + i], i) for i in ball.edge_order[u]
+                       if i in labels]
+                assert got == edge_row_order(ball.table, pairing, u, labels)
 
 
 def test_wreath_split_partition():

@@ -268,6 +268,15 @@ def test_orbit_reps_in_one_infinite_orbit_are_refused():
         WreathGroup(Cyclic(2), _first_axis_action(), (IntVector((0, 0)), IntVector((7, 0))))
 
 
+def test_orbit_check_budget_refusals_are_pinned():
+    # the largest complete ball of at most ORBIT_CHECK_BUDGET = 1000 points
+    # on a row is radius 499, so (499, 0) is found and (500, 0) is not
+    with pytest.raises(WreathError, match="lie in the same top-orbit"):
+        WreathGroup(Cyclic(2), _first_axis_action(), (IntVector((0, 0)), IntVector((499, 0))))
+    reps = (IntVector((0, 0)), IntVector((500, 0)))
+    assert WreathGroup(Cyclic(2), _first_axis_action(), reps).orbit_reps == reps
+
+
 def test_orbit_reps_in_distinct_infinite_orbits_are_accepted():
     reps = (IntVector((0, 0)), IntVector((0, 1)))
     assert WreathGroup(Cyclic(2), _first_axis_action(), reps).orbit_reps == reps
