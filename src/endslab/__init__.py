@@ -1,8 +1,9 @@
 """Finitely generated groups and their actions as computable objects.
 
 Build finite balls of Cayley, Schreier and orbital graphs, estimate the
-number of ends, and mechanically verify the wreath-product cut and path
-constructions at desk scale.
+number of ends, and check at desk scale the constructions behind them:
+three-segment paths on N x| H splits (Z^2 and the lamplighter), leaf
+disconnection in imprimitive actions, and quotient Schreier-graph pairs.
 """
 
 __version__ = "0.1.0"
@@ -66,17 +67,14 @@ from .balls import (
     to_json_dict,
 )
 from .ends import (
-    AugmentResult,
     EndsError,
     EndsProfile,
     PathFailure,
     SemidirectSplit,
     ThreeSegmentPath,
     Verdict,
-    augment_cut,
     coordinate_split,
     ends_profile,
-    orbit_subgraph,
     profile_from_ball,
     quotient_schreier_pair,
     three_segment_path,

@@ -233,11 +233,6 @@ def lattice_law(hnf: tuple[tuple[int, ...], ...]) -> Callable[[tuple[int, ...]],
     return reduce
 
 
-def lattice_reduce(hnf: tuple[tuple[int, ...], ...], coords: tuple[int, ...]) -> tuple[int, ...]:
-    """Canonical representative of coords modulo the lattice spanned by hnf."""
-    return lattice_law(hnf)(coords)
-
-
 def _mulclose(group: Group, gens: Iterable[GroupElement]) -> list[GroupElement]:
     """All products of the generators (and their inverses) in a finite
     group, in their natural order."""

@@ -136,12 +136,6 @@ class GraphBall:
         return tuple([shared.setdefault(row, row) for row in map(tuple, order)])
 
 
-def check_budget(max_vertices: int) -> None:
-    """Raise ``BallError`` unless a vertex budget is at least 1."""
-    if max_vertices < 1:
-        raise BallError(f"vertex budget must be >= 1, got {max_vertices}")
-
-
 def build_ball(action: PointedAction, gens: SymmetricGenSet, radius: int,
                max_vertices: int = DEFAULT_VERTEX_BUDGET) -> GraphBall:
     """Materialize the exact radius-R ball of the orbital graph.
@@ -162,7 +156,8 @@ def build_ball(action: PointedAction, gens: SymmetricGenSet, radius: int,
     has group parity 1: each edge then changes the distance parity, so no
     edge joins two points of S_R.
     """
-    check_budget(max_vertices)
+    if max_vertices < 1:
+        raise BallError(f"vertex budget must be >= 1, got {max_vertices}")
     if radius < 0:
         raise BallError(f"radius must be >= 0, got {radius}")
     verify_gen_set(action.group, gens)
@@ -244,9 +239,6 @@ class CutResult:
     removed: frozenset[int]
     components: tuple[tuple[int, ...], ...]
     touching: tuple[bool, ...]
-
-    def touching_count(self) -> int:
-        return sum(self.touching)
 
 
 def check_indices(kind: str, indices: Iterable[int], n: int) -> None:

@@ -1,4 +1,4 @@
-"""Ends estimation on finite balls and the cut/path apparatus behind it.
+"""Ends estimation on finite balls, three-segment paths and quotient pairs.
 
 The profile entry e(k, K') counts the connected components of the
 subgraph induced on {v : k <= dist(v) <= K'} that contain a vertex at
@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .actions import (
@@ -32,15 +32,13 @@ from .actions import (
 )
 from .balls import (
     DEFAULT_VERTEX_BUDGET,
-    BallOverflowError,
     GraphBall,
     build_ball,
-    check_budget,
     check_indices,
     pointed_labeled_isomorphic,
     simplify,
 )
-from .groups import FreeAbelian, Group, GroupElement, SymmetricGenSet, make_gen_set
+from .groups import FreeAbelian, Group, GroupElement, SymmetricGenSet
 from .wreath import WreathGroup
 
 
@@ -256,59 +254,6 @@ def ends_profile(action: PointedAction, gens: SymmetricGenSet,
     """Check the inner radii, then build the radius-K ball and compute e(k, K')."""
     ks = _inner_radii(k_values, outer_radius)
     return profile_from_ball(build_ball(action, gens, outer_radius, max_vertices), ks)
-
-
-# ---------------------------------------------------------------------------
-# cut augmentation and orbit subgraphs
-
-
-@dataclass(frozen=True)
-class AugmentResult:
-    """Augmented cut K' plus the finiteness status of each original point."""
-
-    vertices: frozenset[int]
-    status: dict  # vertex index -> "finite" | "undetermined"
-
-
-def augment_cut(ball: GraphBall, cut: Iterable[int], gen_indices: Iterable[int],
-                finiteness_budget: int = 10_000) -> AugmentResult:
-    """Close a cut under the finite orbits of a designated generator subset.
-
-    For each cut vertex whose orbit under the generators ``gen_indices``
-    and their inverses (followed through the action, not just inside the
-    ball) closes within the budget, all ball vertices of that orbit join
-    the cut; orbits that hit the budget are reported as undetermined and
-    contribute nothing.  Each orbit is a ball build at radius = budget.
-    """
-    check_budget(finiteness_budget)
-    cut_set = set(cut)
-    check_indices("vertex", cut_set, len(ball))
-    elements, pairing = ball.gens.elements, ball.gens.pairing
-    orbit_gens = make_gen_set(ball.action.group, [
-        elements[i] for i in sorted(_with_inverses(ball, gen_indices)) if i <= pairing[i]])
-    out = set(cut_set)
-    status: dict[int, str] = {}
-    for v in sorted(cut_set):
-        try:
-            orbit = build_ball(replace(ball.action, basepoint=ball.points[v]), orbit_gens,
-                               finiteness_budget, finiteness_budget)
-        except BallOverflowError:
-            status[v] = "undetermined"
-            continue
-        status[v] = "finite"
-        for p in orbit.points:
-            w = ball.index.get(p)
-            if w is not None:
-                out.add(w)
-    return AugmentResult(frozenset(out), status)
-
-
-def orbit_subgraph(ball: GraphBall, v: int, gen_indices: Iterable[int]) -> frozenset[int]:
-    """Component of v inside the ball using only edges of the given labels,
-    each walked both ways (the labels are closed under the inverse pairing)."""
-    check_indices("vertex", (v,), len(ball))
-    return frozenset(_restricted_bfs(ball, v, _with_inverses(ball, gen_indices),
-                                     frozenset()))
 
 
 # ---------------------------------------------------------------------------

@@ -24,10 +24,8 @@ from endslab.ends import (
     PathFailure,
     SemidirectSplit,
     ThreeSegmentPath,
-    augment_cut,
     coordinate_split,
     ends_profile,
-    orbit_subgraph,
     profile_from_ball,
     quotient_schreier_pair,
     three_segment_path,
@@ -45,12 +43,7 @@ from endslab.groups import (
     make_gen_set,
 )
 from endslab.actions import UnsupportedSubgroupError
-from endslab.wreath import (
-    WreathGroup,
-    head_projection_action,
-    imprimitive_action,
-    lamplighter,
-)
+from endslab.wreath import head_projection_action, lamplighter
 
 from oracles import (
     cross_graph,
@@ -285,76 +278,6 @@ def test_budget_overflow_propagates():
 
 
 # ---------------------------------------------------------------------------
-# augment_cut / orbit_subgraph
-
-
-def lamplighter_imprimitive_ball(radius=8):
-    w, gens = lamplighter(2)
-    action = imprimitive_action(w, w.orbit_reps[0])
-    ball = build_ball(action, gens, radius)
-    return w, gens, ball
-
-
-def test_augment_cut_infinite_orbit_undetermined():
-    w, gens, ball = lamplighter_imprimitive_ball()
-    cut = {ball.basepoint_index}
-    res = augment_cut(ball, cut, wreath_split(w, gens).h_gen_indices,
-                      finiteness_budget=50)
-    assert res.status[ball.basepoint_index] == "undetermined"
-    assert res.vertices == frozenset(cut)
-
-
-def finite_top_imprimitive_ball():
-    # C(3) wr C(2) on its imprimitive ball: every top-generator orbit is finite
-    base, top = Cyclic(3), Cyclic(2)
-    ta = translation_action(top)
-    w = WreathGroup(base, ta, (ta.basepoint,))
-    gens = w.standard_gens()
-    ball = build_ball(imprimitive_action(w, ta.basepoint), gens, 8)
-    return w, gens, ball
-
-
-def test_augment_cut_finite_orbits_closed():
-    w, gens, ball = finite_top_imprimitive_ball()
-    res = augment_cut(ball, {0}, wreath_split(w, gens).h_gen_indices,
-                      finiteness_budget=100)
-    assert res.status[0] == "finite"
-    # the whole H-orbit of the basepoint (its leaf) is swallowed
-    leaf = {v for v in range(len(ball))
-            if ball.points[v].leaf == ball.points[0].leaf}
-    assert res.vertices == frozenset(leaf)
-
-
-@pytest.mark.parametrize("budget", [0, -3])
-def test_augment_cut_refuses_a_budget_below_one(budget):
-    # a budget below 1 is an error, not an orbit reported "undetermined",
-    # and it is refused before any build, so an empty cut refuses it too
-    w, gens, ball = finite_top_imprimitive_ball()
-    for cut in ([0], []):
-        with pytest.raises(BallError, match=f"vertex budget must be >= 1, got {budget}"):
-            augment_cut(ball, cut, wreath_split(w, gens).h_gen_indices, budget)
-
-
-def test_augment_cut_empty():
-    w, gens, ball = lamplighter_imprimitive_ball()
-    res = augment_cut(ball, [], wreath_split(w, gens).h_gen_indices)
-    assert res.vertices == frozenset() and res.status == {}
-
-
-def test_orbit_subgraph_leaf_and_degenerate_cases():
-    w, gens, ball = lamplighter_imprimitive_ball()
-    t_indices = tuple(i for i, g in enumerate(gens.elements) if not g.support)
-    v = ball.basepoint_index
-    within = orbit_subgraph(ball, v, t_indices)
-    leaf = ball.points[v].leaf
-    assert within == frozenset(u for u in range(len(ball))
-                               if ball.points[u].leaf == leaf)
-    everything = orbit_subgraph(ball, v, range(len(gens)))
-    assert everything == frozenset(range(len(ball)))
-    assert orbit_subgraph(ball, v, ()) == frozenset({v})
-
-
-# ---------------------------------------------------------------------------
 # three-segment paths
 
 
@@ -567,8 +490,6 @@ def z2_radius3_analyses():
 
 VERTEX_ANALYSES = {
     "delete_and_split": lambda ball, sd, v: delete_and_split(ball, [v]),
-    "orbit_subgraph": lambda ball, sd, v: orbit_subgraph(ball, v, [0]),
-    "augment_cut": lambda ball, sd, v: augment_cut(ball, [v], [0]),
     "three_segment_path x": lambda ball, sd, v: three_segment_path(ball, v, 5, [], sd),
     "three_segment_path y": lambda ball, sd, v: three_segment_path(ball, 5, v, [], sd),
     "three_segment_path cut": lambda ball, sd, v: three_segment_path(ball, 4, 5, [v], sd),
@@ -587,12 +508,11 @@ def test_ball_analyses_refuse_vertices_outside_the_ball(analysis, past_end):
 def test_ball_analyses_refuse_generator_indices_outside_the_set():
     ball, sd = z2_radius3_analyses()
     for i in (-1, len(ball.gens)):
-        bad_split = SemidirectSplit((i,), sd.n_gen_indices, sd.head)
-        for run in (lambda: orbit_subgraph(ball, 0, [i]),
-                    lambda: augment_cut(ball, [0], [i]),
-                    lambda: three_segment_path(ball, 4, 5, [], bad_split)):
+        # a bad index on either side of the split is refused
+        for bad_split in (SemidirectSplit((i,), sd.n_gen_indices, sd.head),
+                          SemidirectSplit(sd.h_gen_indices, (i,), sd.head)):
             with pytest.raises(BallError, match=f"generator index {i} out of range"):
-                run()
+                three_segment_path(ball, 4, 5, [], bad_split)
 
 
 # ---------------------------------------------------------------------------
