@@ -11,7 +11,7 @@ Surface grammar (LL(1)):
                | "wreath" "(" group "," group "," waction ")"
     waction   := "translation" | "regular" | "rule" "(" IDENT ")"
                | "coset" "(" coset ")"
-    coset     := NAT | "trivial" | "[" vector ("," vector)* "]"
+    coset     := NAT | "trivial" | vector | "[" vector ("," vector)* "]"
                | "{" genitem ("," genitem)* "}"
     gensSpec  := "standard" | "{" genitem ("," genitem)* "}"
     genitem   := INT | vector | IDENT (word, uppercase = inverse letter)
@@ -20,8 +20,11 @@ Surface grammar (LL(1)):
     cycle     := "(" NAT+ ")"
 
 A bare group means its translation (Cayley) action; "G / spec" means the
-coset action.  Each coset spelling, "n", "[v, ...]" or "{items}", names the
-subgroup that its items generate: "Z / 3", "Z / [3]" and "Z / {3}" are 3Z.
+coset action on the subgroup that the clause's items generate.  One AST per
+spec: a coset clause parses to its item tuple, "n" as "{n}", "[v, ...]" as
+"{v, ...}" and "trivial" as (); the regular action parses as "translation",
+and "with gens standard" as no gens clause, ().  The printer writes each AST
+one way.
 """
 
 from __future__ import annotations
@@ -111,17 +114,9 @@ GenItem = Union[IntItem, VecItem, WordItem, PermItem]
 
 
 @dataclass(frozen=True)
-class CosetAst:
-    kind: str  # "byint" | "trivial" | "lattice" | "generated"
-    n: Optional[int] = None
-    basis: Optional[tuple[tuple[int, ...], ...]] = None
-    gens: Optional[tuple[GenItem, ...]] = None
-
-
-@dataclass(frozen=True)
 class ActionAst:
-    kind: str  # "translation" | "regular" | "coset" | "rule" | "imprimitive"
-    coset: Optional[CosetAst] = None
+    kind: str  # "translation" | "coset" | "rule" | "imprimitive"
+    coset: tuple[GenItem, ...] = ()  # subgroup generators; () is trivial
     rule_name: Optional[str] = None
     rep: Optional[GenItem] = None  # imprimitive orbit representative
 
@@ -136,16 +131,10 @@ class GroupAst:
 
 
 @dataclass(frozen=True)
-class GensAst:
-    kind: str  # "standard" | "explicit"
-    items: tuple[GenItem, ...] = ()
-
-
-@dataclass(frozen=True)
 class SpecAst:
     group: Optional[GroupAst]  # None when the source is a bare rule action
     action: ActionAst
-    gens: GensAst
+    gens: tuple[GenItem, ...]  # () is the standard set
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +248,7 @@ class _Parser:
 
     def parse_spec(self) -> SpecAst:
         group, action = self.parse_source()
-        gens = GensAst("standard")
+        gens = ()
         if self.keyword() == "with":
             self.advance()
             if self.keyword() != "gens":
@@ -319,7 +308,7 @@ class _Parser:
         kw = self.keyword()
         if kw in ("translation", "regular"):
             self.advance()
-            return ActionAst(kw)
+            return ActionAst("translation")
         if kw == "rule":
             return self.parse_rule()
         if kw == "coset":
@@ -338,17 +327,17 @@ class _Parser:
         self.expect(")")
         return ActionAst("rule", rule_name=name)
 
-    def parse_coset(self) -> CosetAst:
+    def parse_coset(self) -> tuple[GenItem, ...]:
         t = self.cur
         if t.kind == "INT":
-            return CosetAst("byint", n=self.nat("coset modulus", t))
+            return (IntItem(self.nat("coset modulus", t)),)
         if self.keyword() == "trivial":
             self.advance()
-            return CosetAst("trivial")
+            return ()
         if t.kind == "[":
-            return CosetAst("lattice", basis=self.parse_basis_or_vector())
+            return tuple(map(VecItem, self.parse_basis_or_vector()))
         if t.kind == "{":
-            return CosetAst("generated", gens=self.parse_item_list())
+            return self.parse_item_list()
         self.error(("an integer", "'trivial'", "'['", "'{'"))
 
     def parse_vector(self) -> tuple[int, ...]:
@@ -409,12 +398,12 @@ class _Parser:
             return PermItem(tuple(cycles))
         self.error(("an integer", "a vector '['", "a word", "a cycle '('"))
 
-    def parse_gens_spec(self) -> GensAst:
+    def parse_gens_spec(self) -> tuple[GenItem, ...]:
         if self.keyword() == "standard":
             self.advance()
-            return GensAst("standard")
+            return ()
         if self.cur.kind == "{":
-            return GensAst("explicit", self.parse_item_list())
+            return self.parse_item_list()
         self.error(("'standard'", "'{'"))
 
 
@@ -444,19 +433,8 @@ def _item_text(item: GenItem) -> str:
     raise SpecError(f"unknown item {item!r}")
 
 
-def _coset_text(c: CosetAst) -> str:
-    if c.kind == "byint":
-        return str(c.n)
-    if c.kind == "trivial":
-        return "trivial"
-    if c.kind == "lattice":
-        if len(c.basis) == 1:
-            return "[" + ", ".join(map(str, c.basis[0])) + "]"
-        return "[" + ", ".join("[" + ", ".join(map(str, row)) + "]"
-                               for row in c.basis) + "]"
-    if c.kind == "generated":
-        return "{" + ", ".join(_item_text(i) for i in c.gens) + "}"
-    raise SpecError(f"unknown coset kind {c.kind!r}")
+def _items_text(items: tuple[GenItem, ...]) -> str:
+    return "{" + ", ".join(map(_item_text, items)) + "}" if items else "trivial"
 
 
 def _group_text(g: GroupAst) -> str:
@@ -466,12 +444,12 @@ def _group_text(g: GroupAst) -> str:
         return f"{g.kind}({g.n})"
     if g.kind == "wreath":
         a = g.top_action
-        if a.kind in ("translation", "regular"):
+        if a.kind == "translation":
             inner = a.kind
         elif a.kind == "rule":
             inner = f"rule({a.rule_name})"
         elif a.kind == "coset":
-            inner = f"coset({_coset_text(a.coset)})"
+            inner = f"coset({_items_text(a.coset)})"
         else:
             raise SpecError(f"unprintable wreath action {a.kind!r}")
         return f"wreath({_group_text(g.base)}, {_group_text(g.top)}, {inner})"
@@ -488,11 +466,11 @@ def print_spec(ast: SpecAst) -> str:
         else:
             out = f"imprimitive({_group_text(ast.group)})"
     elif ast.action.kind == "coset":
-        out = f"{_group_text(ast.group)} / {_coset_text(ast.action.coset)}"
+        out = f"{_group_text(ast.group)} / {_items_text(ast.action.coset)}"
     else:
         out = _group_text(ast.group)
-    if ast.gens.kind == "explicit":
-        out += " with gens {" + ", ".join(_item_text(i) for i in ast.gens.items) + "}"
+    if ast.gens:
+        out += " with gens " + _items_text(ast.gens)
     return out
 
 
@@ -518,17 +496,9 @@ def _elaborate_group(g: GroupAst) -> Group:
     raise ElaborationError(f"unknown group kind {g.kind!r}")
 
 
-def _subgroup_spec(group: Group, c: CosetAst):
-    if c.kind == "trivial":
+def _subgroup_spec(group: Group, items: tuple[GenItem, ...]):
+    if not items:
         return TrivialSubgroup()
-    if c.kind == "byint":
-        items = (IntItem(c.n),)
-    elif c.kind == "lattice":
-        items = tuple(map(VecItem, c.basis))
-    elif c.kind == "generated":
-        items = c.gens
-    else:
-        raise ElaborationError(f"unknown coset kind {c.kind!r}")
     return GeneratedSubgroup(tuple(_element_from_item(group, i) for i in items))
 
 
@@ -576,7 +546,7 @@ def _element_from_item(group: Group, item: GenItem) -> GroupElement:
 
 
 def _elaborate_action(group: Group, a: ActionAst) -> PointedAction:
-    if a.kind in ("translation", "regular"):
+    if a.kind == "translation":
         return translation_action(group)
     if a.kind == "coset":
         return coset_action(group, _subgroup_spec(group, a.coset))
@@ -609,10 +579,10 @@ def elaborate(ast: SpecAst) -> tuple[PointedAction, SymmetricGenSet]:
         group = None if ast.action.kind == "rule" else _elaborate_group(ast.group)
         action = _elaborate_action(group, ast.action)
         group = action.group
-        if ast.gens.kind == "standard":
+        if not ast.gens:
             return action, group.standard_gens()
-        items = [_element_from_item(group, i) for i in ast.gens.items]
-        names = [_item_text(i) for i in ast.gens.items]
+        items = [_element_from_item(group, i) for i in ast.gens]
+        names = [_item_text(i) for i in ast.gens]
         return action, make_gen_set(group, items, names=names)
     except (GroupError, ActionError) as exc:
         raise ElaborationError(str(exc)) from exc

@@ -8,9 +8,7 @@ from endslab.balls import build_ball, to_dot, to_json_dict
 from endslab.dsl import (
     ActionAst,
     ArityError,
-    CosetAst,
     ElaborationError,
-    GensAst,
     GroupAst,
     IntItem,
     LexicalError,
@@ -47,14 +45,27 @@ def test_parse_wreath_lamplighter():
 
 def test_parse_coset_and_gens_clauses():
     ast = parse_spec("Z / 4")
-    assert ast.action == ActionAst("coset", coset=CosetAst("byint", n=4))
+    assert ast.action == ActionAst("coset", coset=(IntItem(4),))
     ast = parse_spec("Z with gens {2, 3}")
-    assert ast.gens == GensAst("explicit", (IntItem(2), IntItem(3)))
+    assert ast.gens == (IntItem(2), IntItem(3))
     ast = parse_spec("Z^2 / [[2, 0], [0, 2]]")
-    assert ast.action.coset == CosetAst("lattice", basis=((2, 0), (0, 2)))
+    assert ast.action.coset == (VecItem((2, 0)), VecItem((0, 2)))
     ast = parse_spec("Sym(3) / {(0 1)}")
-    assert ast.action.coset == CosetAst("generated",
-                                        gens=(PermItem(((0, 1),)),))
+    assert ast.action.coset == (PermItem(((0, 1),)),)
+    assert parse_spec("C(4) / trivial").action == ActionAst("coset", coset=())
+    # sugar parses to the AST of its canonical spelling, which prints back;
+    # "[3]" is a one-coordinate vector, so "Z / [3]" is "Z / {[3]}"
+    for spellings in (("Z / 3", "Z / {3}"),
+                      ("Z / [3]", "Z / {[3]}"),
+                      ("Z^2 / [[2, 0], [0, 2]]", "Z^2 / {[2, 0], [0, 2]}"),
+                      ("wreath(C(2), Z, regular)", "wreath(C(2), Z, translation)"),
+                      ("wreath(C(2), Z, coset(3))", "wreath(C(2), Z, coset({3}))"),
+                      ("Z with gens standard", "Z"),
+                      ("C(4) / trivial with gens standard", "C(4) / trivial")):
+        canonical = spellings[-1]
+        for text in spellings:
+            assert parse_spec(text) == parse_spec(canonical), text
+            assert print_spec(parse_spec(text)) == canonical, text
 
 
 def test_parse_rule_and_imprimitive():
@@ -169,7 +180,7 @@ def test_elaborate_imprimitive_with_representative():
     assert ast.action == ActionAst("imprimitive", rep=IntItem(1))
     action, _ = elaborate(ast)
     assert action.basepoint.pos == CyclicInt(2, 1)
-    assert print_spec(ast) == "imprimitive(wreath(C(3), C(2), regular), 1)"
+    assert print_spec(ast) == "imprimitive(wreath(C(3), C(2), translation), 1)"
     assert parse_spec(print_spec(ast)) == ast
 
 
@@ -251,7 +262,7 @@ def test_print_examples():
     assert print_spec(parse_spec("wreath(C(2),Z,translation)")) == \
         "wreath(C(2), Z, translation)"
     assert print_spec(parse_spec("Z/4 with gens {1,-1}")) == \
-        "Z / 4 with gens {1, -1}"
+        "Z / {4} with gens {1, -1}"
     assert print_spec(parse_spec("Z with gens standard")) == "Z"
     assert print_spec(parse_spec("wreath(C(2),F(2),rule(f2_four_ends))")) == \
         "wreath(C(2), F(2), rule(f2_four_ends))"
@@ -290,24 +301,21 @@ def random_item(rng):
 def random_coset(rng):
     choice = rng.randrange(4)
     if choice == 0:
-        return CosetAst("byint", n=rng.randint(1, 9))
+        return (IntItem(rng.randint(1, 9)),)
     if choice == 1:
-        return CosetAst("trivial")
+        return ()
     if choice == 2:
         width = rng.randint(1, 3)
-        rows = tuple(tuple(rng.randint(-4, 4) for _ in range(width))
+        return tuple(VecItem(tuple(rng.randint(-4, 4) for _ in range(width)))
                      for _ in range(rng.randint(1, 3)))
-        return CosetAst("lattice", basis=rows)
-    return CosetAst("generated", gens=tuple(random_item(rng)
-                                            for _ in range(rng.randint(1, 3))))
+    return tuple(random_item(rng) for _ in range(rng.randint(1, 3)))
 
 
 def random_waction(rng, depth):
-    choice = rng.randrange(3)
-    if choice == 0:
+    # a three-way draw, two ways translation, keeps the rng order that the
+    # output manifest's draws were recorded with
+    if rng.randrange(3) < 2:
         return ActionAst("translation")
-    if choice == 1:
-        return ActionAst("regular")
     return ActionAst("coset", coset=random_coset(rng))
 
 
@@ -327,10 +335,9 @@ def random_spec(rng):
     else:
         group, action = random_group(rng), ActionAst("translation")
     if rng.random() < 0.5:
-        gens = GensAst("explicit", tuple(random_item(rng)
-                                         for _ in range(rng.randint(1, 3))))
+        gens = tuple(random_item(rng) for _ in range(rng.randint(1, 3)))
     else:
-        gens = GensAst("standard")
+        gens = ()
     return SpecAst(group, action, gens)
 
 
@@ -362,23 +369,22 @@ def random_typed_item(rng, group):
 
 
 def random_typed_items(rng, group):
+    """One to three items of ``group``'s family, or () for Sym(1)."""
     items = tuple(random_typed_item(rng, group) for _ in range(rng.randint(1, 3)))
-    return None if None in items else items
+    return () if None in items else items
 
 
 def random_typed_coset(rng, group):
     """A coset spec whose items are elements of ``group``'s family."""
     choice = rng.randrange(3)
     if choice == 0:
-        return CosetAst("trivial")
+        return ()
     if choice == 1 and group.kind in ("Z", "C"):
         if group.kind == "C" or group.n == 1:
-            return CosetAst("byint", n=rng.randint(1, 9))
-        rows = tuple(tuple(rng.randint(-4, 4) for _ in range(group.n))
+            return (IntItem(rng.randint(1, 9)),)
+        return tuple(VecItem(tuple(rng.randint(-4, 4) for _ in range(group.n)))
                      for _ in range(rng.randint(1, group.n)))
-        return CosetAst("lattice", basis=rows)
-    items = random_typed_items(rng, group)
-    return CosetAst("trivial") if items is None else CosetAst("generated", gens=items)
+    return random_typed_items(rng, group)
 
 
 def random_typed_wreath(rng):
@@ -389,8 +395,8 @@ def random_typed_wreath(rng):
         action = ActionAst("rule", rule_name="f2_four_ends")
     elif choice >= 2:
         action = ActionAst("coset", coset=random_typed_coset(rng, top))
-    else:
-        action = ActionAst(("translation", "regular")[choice])
+    else:  # two ways translation, for the manifest draws' rng order
+        action = ActionAst("translation")
     return GroupAst("wreath", base=random_typed_group(rng), top=top, top_action=action)
 
 
@@ -405,18 +411,16 @@ def random_typed_spec(rng):
     elif shape == 1:
         group = random_typed_wreath(rng)
         rep = random_typed_item(rng, group.top) if rng.random() < 0.5 else None
-        return SpecAst(group, ActionAst("imprimitive", rep=rep), GensAst("standard"))
+        return SpecAst(group, ActionAst("imprimitive", rep=rep), ())
     elif shape == 2:
-        return SpecAst(random_typed_wreath(rng), ActionAst("translation"),
-                       GensAst("standard"))
+        return SpecAst(random_typed_wreath(rng), ActionAst("translation"), ())
     elif shape == 3:
         group = own = random_typed_group(rng)
         action = ActionAst("coset", coset=random_typed_coset(rng, group))
     else:
         group = own = random_typed_group(rng)
         action = ActionAst("translation")
-    items = random_typed_items(rng, own) if rng.random() < 0.5 else None
-    gens = GensAst("standard") if items is None else GensAst("explicit", items)
+    gens = random_typed_items(rng, own) if rng.random() < 0.5 else ()
     return SpecAst(group, action, gens)
 
 
@@ -437,7 +441,7 @@ def test_round_trip_typed_asts():
 
 
 def test_lattice_single_vector_round_trip():
-    # a one-row basis prints as a flat vector and reparses identically
+    # a one-row basis is one vector item, printed braced, and reparses identically
     ast = parse_spec("Z / [4]")
-    assert ast.action.coset == CosetAst("lattice", basis=((4,),))
+    assert ast.action.coset == (VecItem((4,)),)
     assert parse_spec(print_spec(ast)) == ast
