@@ -188,7 +188,7 @@ def _leaf_ball(args, command: str):
     if not isinstance(action.group, WreathGroup):
         raise UsageError(f"{command} needs a wreath-product spec")
     if not isinstance(action.basepoint, PairPoint):
-        action = imprimitive_action(action.group, action.group.orbit_reps[0])
+        action = imprimitive_action(action.group)
     return build_ball(action, gens, args.radius, args.budget)
 
 
@@ -238,7 +238,7 @@ def _check_quotient(args) -> list[tuple[bool, str]]:
 def _check_leaf_disconnect(args) -> list[tuple[bool, str]]:
     ball = _leaf_ball(args, "leaf-disconnect")
     group = ball.action.group
-    x0 = group.orbit_reps[0]
+    x0 = group.top_action.basepoint
     leaves = leaf_decomposition(ball)
     results = []
     for leaf, vs in leaves.items():

@@ -4,7 +4,7 @@ Surface grammar (LL(1)):
 
     spec      := source ("with" "gens" gensSpec)?
     source    := "rule" "(" IDENT ")"
-               | "imprimitive" "(" group ")"
+               | "imprimitive" "(" group ("," genitem)? ")"
                | group ("/" coset)?
     group     := "Z" ("^" NAT)? | "C" "(" NAT ")" | "F" "(" NAT ")"
                | "Sym" "(" NAT ")"
@@ -29,7 +29,7 @@ one way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 from typing import Optional, Union
 
@@ -118,7 +118,7 @@ class ActionAst:
     kind: str  # "translation" | "coset" | "rule" | "imprimitive"
     coset: tuple[GenItem, ...] = ()  # subgroup generators; () is trivial
     rule_name: Optional[str] = None
-    rep: Optional[GenItem] = None  # imprimitive orbit representative
+    rep: Optional[GenItem] = None  # imprimitive: h, whose h.x0 is the representative
 
 
 @dataclass(frozen=True)
@@ -492,7 +492,7 @@ def _elaborate_group(g: GroupAst) -> Group:
             raise ElaborationError("nested wreath products are not supported")
         base = _elaborate_group(g.base)
         top_action = _elaborate_action(_elaborate_group(g.top), g.top_action)
-        return WreathGroup(base, top_action, (top_action.basepoint,))
+        return WreathGroup(base, top_action)
     raise ElaborationError(f"unknown group kind {g.kind!r}")
 
 
@@ -559,14 +559,13 @@ def _elaborate_action(group: Group, a: ActionAst) -> PointedAction:
     if a.kind == "imprimitive":
         if not isinstance(group, WreathGroup):
             raise ElaborationError("imprimitive(...) needs a wreath group")
-        rep = group.orbit_reps[0]
         if a.rep is not None:
-            # the representative is the point reached from the default one
-            # by the given top-group element
-            mover = _element_from_item(group.top, a.rep)
-            rep = group.top_action.act(mover, rep)
-            group = WreathGroup(group.base, group.top_action, (rep,))
-        return imprimitive_action(group, rep)
+            # the representative h.x0 of the given top-group element h
+            # becomes the top basepoint, where the deltas sit
+            top = group.top_action
+            rep = top.act(_element_from_item(group.top, a.rep), top.basepoint)
+            group = WreathGroup(group.base, replace(top, basepoint=rep))
+        return imprimitive_action(group)
     raise ElaborationError(f"unknown action kind {a.kind!r}")
 
 

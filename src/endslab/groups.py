@@ -253,8 +253,12 @@ def make_gen_set(group: "Group",
     orbital graphs (collapsed by simplify).  An identity item is legal.
     The inverse of an item named ``+x`` is named ``-x``, and that of any
     other name ``n`` ``n^-1``; without ``names`` both are element labels.
+    ``names`` holds one name per item; any other length is a ``GroupError``.
     """
     check_members(group, items)
+    if names is not None and len(names) != len(items):
+        raise GroupError(f"items and names must have equal length, got {len(items)} and "
+                         f"{len(names)}")
     elements: list[GroupElement] = []
     pairing: list[int] = []
     out_names: list[str] = []

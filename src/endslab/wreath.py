@@ -18,9 +18,7 @@ the head projection steps with the top action alone.
 
 from __future__ import annotations
 
-import operator
-from dataclasses import replace
-from functools import partial, reduce
+from functools import partial
 from typing import Iterable, NamedTuple
 
 from .actions import (
@@ -31,7 +29,6 @@ from .actions import (
     coset_action,
     translation_action,
 )
-from .balls import BallOverflowError, build_ball
 from .groups import (
     Cyclic,
     FreeAbelian,
@@ -62,30 +59,19 @@ class WreathElement(NamedTuple):
 _new = tuple.__new__
 
 
-# ball budget per orbit representative when checking that the
-# representatives lie in distinct top-orbits
-ORBIT_CHECK_BUDGET = 1000
-
-
 class WreathGroup(Group):
-    """base wr_X top, where top is the group of ``top_action`` and X its point set.
-
-    ``orbit_reps`` holds one chosen point per top-orbit; distinctness of
-    the orbits is checked by looking for the later representatives in the
-    largest complete ball of at most ``ORBIT_CHECK_BUDGET`` points around
-    each earlier one, under the top group's standard generators (orbit
-    discovery on an infinite X is only semi-decidable, so the check is an
-    upper bound, not a proof).
+    """base wr_X top, where top is the group of ``top_action`` and X its
+    point set; the standard deltas sit at the action's basepoint x0.
 
     ``contains`` checks the head, each support value, each support point
     with the top action's ``is_point``, and that no point appears twice;
     the inherited ``multiply``/``inverse`` check with it once per operand.
-    A non-point rep or ``delta`` point is an ``ActionError``, and a
+    A non-point basepoint or ``delta`` point is an ``ActionError``, and a
     non-member ``delta`` value or ``top_element`` a ``FamilyMismatchError``.
     """
 
-    def __init__(self, base: Group, top_action: PointedAction,
-                 orbit_reps: Iterable[Point]):
+    def __init__(self, base: Group, top_action: PointedAction):
+        check_point(top_action, top_action.basepoint)
         self.base = base
         self.top = top = top_action.group
         self.top_action = top_action
@@ -94,23 +80,8 @@ class WreathGroup(Group):
         self._top_step = top_action.step
         self._states_parity = (base.parity(self._base_identity) is not None
                                and top.parity(self._top_identity) is not None)
-        self.orbit_reps = tuple(orbit_reps)
-        if not self.orbit_reps:
-            raise WreathError("at least one orbit representative is required")
-        for rep in self.orbit_reps:
-            check_point(top_action, rep)
-        gens = top.standard_gens()
-        for i, rep in enumerate(self.orbit_reps[:-1]):
-            at_rep = replace(top_action, basepoint=rep)
-            try:
-                reach = build_ball(at_rep, gens, ORBIT_CHECK_BUDGET, ORBIT_CHECK_BUDGET)
-            except BallOverflowError as exc:
-                reach = build_ball(at_rep, gens, exc.reached_radius, ORBIT_CHECK_BUDGET)
-            for other in self.orbit_reps[i + 1:]:
-                if other in reach.index:
-                    raise WreathError(
-                        f"orbit representatives {rep!r} and {other!r} lie in the "
-                        f"same top-orbit")
+        # (x0,): the bench's leaves requests read the hub position as orbit_reps[0]
+        self.orbit_reps = (top_action.basepoint,)
 
     def identity(self) -> WreathElement:
         return WreathElement(frozenset(), self.top.identity())
@@ -232,30 +203,24 @@ class WreathGroup(Group):
         return "(" + ",".join([f"{p}:{v}" for p, v in items]) + f"; {head})"
 
     def standard_gens(self) -> SymmetricGenSet:
-        """The image of the standard base generators under delta(rep, .) for
-        each orbit rep, followed by the image of the standard top generators."""
-        base_gens, top_gens = self.base.standard_gens(), self.top.standard_gens()
-
-        def at(rep: Point) -> SymmetricGenSet:
-            label = self.top.label(rep, {})
-            return base_gens.image(partial(self.delta, rep), lambda n: f"d({label}:{n})")
-
-        return reduce(operator.add, [*map(at, self.orbit_reps),
-                                     top_gens.image(self.top_element, "h({})".format)])
+        """The image of the standard base generators under delta(x0, .),
+        followed by the image of the standard top generators."""
+        x0 = self.top_action.basepoint
+        label = self.top.label(x0, {})
+        deltas = self.base.standard_gens().image(partial(self.delta, x0),
+                                                 lambda n: f"d({label}:{n})")
+        return deltas + self.top.standard_gens().image(self.top_element, "h({})".format)
 
     def __str__(self):
         return f"{self.base} wr {self.top}"
 
 
-def _imprimitive(w: WreathGroup, orbit_rep: Point, leaf: PointedAction,
-                 label: str) -> PointedAction:
+def _imprimitive(w: WreathGroup, leaf: PointedAction, label: str) -> PointedAction:
     """(f, h).(l, x) = (f(h.x).l, h.x) = (r(x).l, h.x): the step reads r
     at the old position x, moves l with the ``step`` of ``leaf``, an
     action of the base group, and x with the top action's ``step``; a
     point is a ``PairPoint`` of a leaf point and a point of X, and the
-    basepoint is (leaf basepoint, ``orbit_rep``)."""
-    if orbit_rep not in w.orbit_reps:
-        raise WreathError(f"{orbit_rep!r} is not one of the chosen orbit representatives")
+    basepoint is (leaf basepoint, top basepoint x0)."""
     top_step, is_pos = w.top_action.step, w.top_action.is_point
     leaf_step, is_leaf = leaf.step, leaf.is_point
 
@@ -271,21 +236,20 @@ def _imprimitive(w: WreathGroup, orbit_rep: Point, leaf: PointedAction,
     def is_point(p: Point) -> bool:
         return type(p) is PairPoint and is_leaf(p.leaf) and is_pos(p.pos)
 
-    return PointedAction(w, step, PairPoint(leaf.basepoint, orbit_rep), label, is_point)
+    return PointedAction(w, step, PairPoint(leaf.basepoint, w.top_action.basepoint),
+                         label, is_point)
 
 
-def imprimitive_action(w: WreathGroup, orbit_rep: Point) -> PointedAction:
+def imprimitive_action(w: WreathGroup) -> PointedAction:
     """Action on (base element, orbit point) pairs:
     (f, h).(g, x) = (f(h.x) * g, h.x)."""
-    return _imprimitive(w, orbit_rep, translation_action(w.base),
-                        f"{w} imprimitive on {w.base} x orbit")
+    return _imprimitive(w, translation_action(w.base), f"{w} imprimitive on {w.base} x orbit")
 
 
-def imprimitive_coset_action(w: WreathGroup, subgroup_spec,
-                             orbit_rep: Point) -> PointedAction:
+def imprimitive_coset_action(w: WreathGroup, subgroup_spec) -> PointedAction:
     """Imprimitive action with the leaf coordinate replaced by cosets:
     (f, h).(gK, x) = (f(h.x) gK, h.x)."""
-    return _imprimitive(w, orbit_rep, coset_action(w.base, subgroup_spec),
+    return _imprimitive(w, coset_action(w.base, subgroup_spec),
                         f"{w} imprimitive on cosets x orbit")
 
 
@@ -306,5 +270,5 @@ def lamplighter(n: int) -> tuple[WreathGroup, SymmetricGenSet]:
     if n < 2:
         raise WreathError(f"lamplighter base order must be >= 2, got {n}")
     top_action = translation_action(FreeAbelian(1))
-    w = WreathGroup(Cyclic(n), top_action, (top_action.basepoint,))
+    w = WreathGroup(Cyclic(n), top_action)
     return w, w.standard_gens()

@@ -167,7 +167,7 @@ def test_criterion_08_finite_wreath_enumeration():
     for n, expected in ((2, 8), (3, 18)):
         base, top = Cyclic(n), Cyclic(2)
         ta = translation_action(top)
-        w = WreathGroup(base, ta, (ta.basepoint,))
+        w = WreathGroup(base, ta)
         gens = w.standard_gens()
         totals[n] = len(build_ball(translation_action(w), gens, 1000, 1000))
         assert totals[n] == expected
@@ -179,9 +179,9 @@ def test_criterion_09_leaf_disconnection():
     # finite case: each deleted hub isolates a size-1 leaf remainder
     base, top = Cyclic(3), Cyclic(2)
     ta = translation_action(top)
-    w = WreathGroup(base, ta, (ta.basepoint,))
+    w = WreathGroup(base, ta)
     gens = w.standard_gens()
-    ball = build_ball(imprimitive_action(w, ta.basepoint), gens, 8)
+    ball = build_ball(imprimitive_action(w), gens, 8)
     x0 = ta.basepoint
     leaves = {p.leaf for p in ball.points}
     assert len(leaves) == 3
@@ -196,8 +196,8 @@ def test_criterion_09_leaf_disconnection():
 
     # infinite case: the analogous deletion leaves sphere-touching pieces
     w, wgens = lamplighter(2)
-    ball = build_ball(imprimitive_action(w, w.orbit_reps[0]), wgens, 8)
-    x0 = w.orbit_reps[0]
+    ball = build_ball(imprimitive_action(w), wgens, 8)
+    x0 = w.top_action.basepoint
     hub = ball.index[PairPoint(CyclicInt(2, 1), x0)]
     cut = delete_and_split(ball, [hub])
     leaf_comps = [i for i, comp in enumerate(cut.components)

@@ -46,7 +46,6 @@ from endslab.groups import (
 )
 from endslab.wreath import (
     WreathElement,
-    WreathError,
     WreathGroup,
     imprimitive_action,
     lamplighter,
@@ -326,14 +325,14 @@ def test_public_act_rejects_foreign_operands():
         coset.act(Perm((1, 0, 2)), Perm((1, 0, 2)))
 
     w, gens = lamplighter(2)
-    imprimitive = imprimitive_action(w, w.orbit_reps[0])
+    imprimitive = imprimitive_action(w)
     for foreign in (IntVector((1,)), FreeGroup(2).letter(0)):
         with pytest.raises(FamilyMismatchError):
             imprimitive.act(foreign, imprimitive.basepoint)
     # a wreath element with a value outside the base group
     other, _ = lamplighter(3)
     with pytest.raises(FamilyMismatchError):
-        imprimitive.act(other.delta(other.orbit_reps[0], CyclicInt(3, 2)),
+        imprimitive.act(other.delta(other.top_action.basepoint, CyclicInt(3, 2)),
                         imprimitive.basepoint)
     # the leaf is checked even where no support entry lands on the position
     away = IntVector((5,))
@@ -417,8 +416,8 @@ def test_min_product_matches_checked_min(group):
 # family parameter or element value with InvalidParameterError, a broken
 # generating set with GroupError, a Hermite normal form row of the wrong
 # length, even a zero one, and a quotient's K spec without generators with
-# UnsupportedSubgroupError, and a bad ball radius or wreath with no orbit
-# representative with its module's error, each in one wording.
+# UnsupportedSubgroupError, and a bad ball radius with its module's error,
+# each in one wording.
 _C4, _ONE = Cyclic(4), CyclicInt(4, 1)
 _C4_ACTION = translation_action(_C4)
 _LAMP, _ = lamplighter(2)
@@ -428,7 +427,7 @@ _NON_POINT = CyclicInt(5, 4)  # no residue mod 4, and no point of Z
 # 5 + 3Z is a coset of Z/3Z, whose canonical representative is 2
 _Z_MOD_3 = coset_action(FreeAbelian(1), _lattice((3,)))
 _FIVE = IntVector((5,))
-_W_MOD_3 = WreathGroup(Cyclic(2), _Z_MOD_3, (IntVector((0,)),))
+_W_MOD_3 = WreathGroup(Cyclic(2), _Z_MOD_3)
 _NOT_CANONICAL = (ActionError, "(5,) is not a point of Z on cosets")
 _LAMP3, _ = lamplighter(3)
 _ZERO = IntVector((0,))
@@ -449,6 +448,12 @@ BAD_OPERANDS = {
     "multiply": (lambda: _C4.multiply(_ONE, _FOREIGN), *_foreign(_C4)),
     "inverse": (lambda: _C4.inverse(_FOREIGN), *_foreign(_C4)),
     "make_gen_set": (lambda: make_gen_set(_C4, [_ONE, _FOREIGN]), *_foreign(_C4)),
+    "make_gen_set short names": (
+        lambda: make_gen_set(FreeAbelian(2), [(1, 0), (0, 1)], names=["a"]), GroupError,
+        "items and names must have equal length, got 2 and 1"),
+    "make_gen_set long names": (lambda: make_gen_set(_C4, [_ONE], names=["a", "b"]),
+                                GroupError,
+                                "items and names must have equal length, got 1 and 2"),
     "generated subgroup": (lambda: coset_action(_C4, GeneratedSubgroup((_ONE, _FOREIGN))),
                            *_foreign(_C4)),
     "preimage": (lambda: IntModQuotient(4).preimage(FreeAbelian(1),
@@ -469,7 +474,8 @@ BAD_OPERANDS = {
     "ball basepoint": (lambda: build_ball(replace(_C4_ACTION, basepoint=_NON_POINT),
                                           _C4.standard_gens(), 1), *_non_point(_C4_ACTION)),
     "delta point": (lambda: _LAMP.delta(_NON_POINT, CyclicInt(2, 1)), *_non_point(_X)),
-    "wreath rep": (lambda: WreathGroup(_LAMP.base, _X, (_NON_POINT,)), *_non_point(_X)),
+    "wreath rep": (lambda: WreathGroup(_LAMP.base, replace(_X, basepoint=_NON_POINT)),
+                   *_non_point(_X)),
     "act point": (lambda: _C4_ACTION.act(_ONE, _NON_POINT), *_non_point(_C4_ACTION)),
     "two-valued support": (lambda: _LAMP3.multiply(_TWO_VALUED, _LAMP3.identity()),
                            FamilyMismatchError,
@@ -480,13 +486,12 @@ BAD_OPERANDS = {
     "coset ball basepoint": (lambda: build_ball(replace(_Z_MOD_3, basepoint=_FIVE),
                                                 FreeAbelian(1).standard_gens(), 1),
                              *_NOT_CANONICAL),
-    "coset wreath rep": (lambda: WreathGroup(Cyclic(2), _Z_MOD_3, (_FIVE,)), *_NOT_CANONICAL),
+    "coset wreath rep": (lambda: WreathGroup(Cyclic(2), replace(_Z_MOD_3, basepoint=_FIVE)),
+                         *_NOT_CANONICAL),
     "coset delta point": (lambda: _W_MOD_3.delta(_FIVE, CyclicInt(2, 1)), *_NOT_CANONICAL),
     "coset act point": (lambda: _Z_MOD_3.act(IntVector((1,)), _FIVE), *_NOT_CANONICAL),
     "ball radius": (lambda: build_ball(_C4_ACTION, _C4.standard_gens(), -1), BallError,
                     "radius must be >= 0, got -1"),
-    "no wreath rep": (lambda: WreathGroup(Cyclic(2), translation_action(FreeAbelian(1)), ()),
-                      WreathError, "at least one orbit representative is required"),
     "F(0)": (lambda: FreeGroup(0), InvalidParameterError,
              "free group rank must lie in 1..26, got 0"),
     "Z^0": (lambda: FreeAbelian(0), InvalidParameterError,

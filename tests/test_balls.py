@@ -347,12 +347,12 @@ def stepping_balls():
     a Sym(8) coset ball, an imprimitive coset ball and a head projection."""
     w, wgens = lamplighter(2)
     top = w.top_action
-    sym3_wreath = WreathGroup(SymmetricGroup(3), top, (top.basepoint,))
+    sym3_wreath = WreathGroup(SymmetricGroup(3), top)
     sym3_gens = sym3_wreath.standard_gens()
     swap = GeneratedSubgroup((Perm((1, 0, 2)),))
     return [
         spec_ball("Sym(8) / {(0 1 2 3 4 5 6 7)}", 5),
-        build_ball(imprimitive_coset_action(sym3_wreath, swap, top.basepoint),
+        build_ball(imprimitive_coset_action(sym3_wreath, swap),
                    sym3_gens, 7),
         build_ball(head_projection_action(w), wgens, 6),
     ]
@@ -589,9 +589,9 @@ def test_complete_graph_identity(group):
 def regular_wreath_ball(n=3, m=2, radius=8):
     base, top = Cyclic(n), Cyclic(m)
     ta = translation_action(top)
-    w = WreathGroup(base, ta, (ta.basepoint,))
+    w = WreathGroup(base, ta)
     gens = w.standard_gens()
-    action = imprimitive_action(w, ta.basepoint)
+    action = imprimitive_action(w)
     return w, gens, build_ball(action, gens, radius)
 
 

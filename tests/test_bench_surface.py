@@ -10,7 +10,17 @@ import importlib
 import inspect
 from pathlib import Path
 
-from endslab import PointedAction, build_ball, imprimitive_action, lamplighter, to_json_dict
+from endslab import (
+    PairPoint,
+    PointedAction,
+    build_ball,
+    elaborate,
+    imprimitive_action,
+    lamplighter,
+    leaf_decomposition,
+    parse_spec,
+    to_json_dict,
+)
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -100,9 +110,22 @@ def test_the_counting_action_is_built_positionally():
     for call in calls:
         signature.bind(*call.args, **{kw.arg: kw.value for kw in call.keywords})
     w, gens = lamplighter(2)
-    action = imprimitive_action(w, w.orbit_reps[0])
+    action = imprimitive_action(w)
     rebuilt = PointedAction(action.group, action.act, action.basepoint, action.label)
     assert str(rebuilt) == str(action)
     ball, fresh = build_ball(rebuilt, gens, 3), build_ball(action, gens, 3)
     assert (ball.table, ball.dist) == (fresh.table, fresh.dist)
     assert to_json_dict(ball) == to_json_dict(fresh)
+
+
+def test_leaves_requests_find_each_hub_at_the_first_orbit_rep():
+    # bench/execute.py reads the hub position of a leaves request as
+    # group.orbit_reps[0] and looks up (leaf, x0) in the ball's index
+    action, gens = elaborate(parse_spec("imprimitive(wreath(Sym(3), Z^2, translation))"))
+    group = action.group
+    assert group.orbit_reps == (group.top_action.basepoint,)
+    ball = build_ball(action, gens, 3)
+    leaves = leaf_decomposition(ball)
+    assert (len(ball), len(leaves)) == (62, 6)
+    for leaf in leaves:
+        assert PairPoint(leaf, group.orbit_reps[0]) in ball.index

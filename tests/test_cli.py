@@ -358,7 +358,7 @@ def test_wreath_coset_wreath_requests_match_reference_digests(monkeypatch):
 
 
 def test_every_leaf_hub_lies_in_its_ball(monkeypatch):
-    # only a delta step at the orbit representative x0 changes the leaf, so
+    # only a delta step at the top basepoint x0 changes the leaf, so
     # each leaf l of an imprimitive ball holds (l, x0) no farther out than
     # any of its other points: leaf-disconnect reads each hub from the ball
     _, _, workloads = _bench_modules(monkeypatch)
@@ -368,7 +368,7 @@ def test_every_leaf_hub_lies_in_its_ball(monkeypatch):
         ball = _leaf_ball(argparse.Namespace(spec=argv[argv.index("--spec") + 1],
                                              radius=int(argv[argv.index("--radius") + 1]),
                                              budget=DEFAULT_VERTEX_BUDGET), "leaves")
-        x0 = ball.action.group.orbit_reps[0]
+        x0 = ball.action.group.top_action.basepoint
         for leaf, vs in leaf_decomposition(ball).items():
             hub = ball.index.get(PairPoint(leaf, x0))
             assert hub is not None, (argv, leaf)

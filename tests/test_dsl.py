@@ -180,6 +180,10 @@ def test_elaborate_imprimitive_with_representative():
     assert ast.action == ActionAst("imprimitive", rep=IntItem(1))
     action, _ = elaborate(ast)
     assert action.basepoint.pos == CyclicInt(2, 1)
+    # the representative becomes the top basepoint, where the deltas sit
+    assert action.group.top_action.basepoint == CyclicInt(2, 1)
+    _, gens = elaborate(parse_spec("imprimitive(wreath(C(2), Z, translation), 3)"))
+    assert gens.names == ("d(3:+1)", "h(+1)", "h(-1)")
     assert print_spec(ast) == "imprimitive(wreath(C(3), C(2), translation), 1)"
     assert parse_spec(print_spec(ast)) == ast
 
@@ -403,7 +407,7 @@ def random_typed_wreath(rng):
 def random_typed_spec(rng):
     """A spec whose every item spells an element of the group it is read
     in, with no nested wreath: a draw that elaboration can accept, unless a
-    subgroup law or an orbit representative refuses it."""
+    subgroup law refuses it."""
     shape = rng.randrange(5)
     if shape == 0:
         group, action = None, ActionAst("rule", rule_name="f2_four_ends")

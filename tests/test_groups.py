@@ -649,7 +649,7 @@ def test_parity_values():
 
 def _wreath_over_torus():
     top = translation_action(Torus((2, 2)))
-    return WreathGroup(Cyclic(2), top, (top.basepoint,))
+    return WreathGroup(Cyclic(2), top)
 
 
 @pytest.mark.parametrize("make", [

@@ -8,7 +8,6 @@ import pytest
 from endslab.actions import (
     ActionError,
     PairPoint,
-    PointedAction,
     coset_action,
     point_labels,
     translation_action,
@@ -49,7 +48,7 @@ from test_dsl import random_typed_spec
 def regular_wreath(n, m):
     base, top = Cyclic(n), Cyclic(m)
     ta = translation_action(top)
-    w = WreathGroup(base, ta, (ta.basepoint,))
+    w = WreathGroup(base, ta)
     gens = w.standard_gens()
     return w, gens
 
@@ -146,7 +145,7 @@ def test_a_top_generator_step_shares_its_operands_support():
         moves["top action"] += 1
         return w.top_action.step(h, x)
 
-    counted = WreathGroup(w.base, replace(w.top_action, step=counting), w.orbit_reps)
+    counted = WreathGroup(w.base, replace(w.top_action, step=counting))
     law = translation_action(counted).step
 
     def act(a, p):
@@ -234,7 +233,7 @@ def test_standard_gens_pass_gen_set_invariants():
 
 def test_singleton_wreath_is_direct_product():
     base, top = Cyclic(2), Cyclic(3)
-    w = WreathGroup(base, trivial_action(top), (0,))
+    w = WreathGroup(base, trivial_action(top))
     gens = w.standard_gens()
     assert len(build_ball(translation_action(w), gens, 100, 100)) == 6  # |C2 x C3|
 
@@ -245,47 +244,10 @@ def test_finite_wreath_enumeration(n, m, total):
     assert len(build_ball(translation_action(w), gens, 1000, 1000)) == total
 
 
-def test_orbit_reps_distinctness_is_checked():
-    top = Cyclic(4)
-    ta = translation_action(top)
-    with pytest.raises(WreathError):
-        WreathGroup(Cyclic(2), ta, (CyclicInt(4, 0), CyclicInt(4, 2)))
-
-
-def _first_axis_action():
-    """Z acting on Z^2 along the first axis: every orbit is an infinite row."""
-    def step(g, p):
-        return (p[0] + g[0], p[1])
-
-    return PointedAction(FreeAbelian(1), step, IntVector((0, 0)),
-                         "Z on Z^2 along the first axis", FreeAbelian(2).contains)
-
-
-def test_orbit_reps_in_one_infinite_orbit_are_refused():
-    # the first ball overflows, and the check reads the largest complete
-    # ball of at most ORBIT_CHECK_BUDGET points, which holds (7, 0)
-    with pytest.raises(WreathError, match="lie in the same top-orbit"):
-        WreathGroup(Cyclic(2), _first_axis_action(), (IntVector((0, 0)), IntVector((7, 0))))
-
-
-def test_orbit_check_budget_refusals_are_pinned():
-    # the largest complete ball of at most ORBIT_CHECK_BUDGET = 1000 points
-    # on a row is radius 499, so (499, 0) is found and (500, 0) is not
-    with pytest.raises(WreathError, match="lie in the same top-orbit"):
-        WreathGroup(Cyclic(2), _first_axis_action(), (IntVector((0, 0)), IntVector((499, 0))))
-    reps = (IntVector((0, 0)), IntVector((500, 0)))
-    assert WreathGroup(Cyclic(2), _first_axis_action(), reps).orbit_reps == reps
-
-
-def test_orbit_reps_in_distinct_infinite_orbits_are_accepted():
-    reps = (IntVector((0, 0)), IntVector((0, 1)))
-    assert WreathGroup(Cyclic(2), _first_axis_action(), reps).orbit_reps == reps
-
-
 def test_imprimitive_edge_rules_verbatim():
     w, gens = regular_wreath(3, 2)
     x0 = w.top_action.basepoint
-    action = imprimitive_action(w, x0)
+    action = imprimitive_action(w)
     points = [PairPoint(g, x) for g in Cyclic(3).elements()
               for x in Cyclic(2).elements()]
     for t in (CyclicInt(2, 0), CyclicInt(2, 1)):
@@ -305,7 +267,7 @@ def test_imprimitive_edge_rules_verbatim():
 
 def test_imprimitive_transitive_and_axioms():
     w, gens = regular_wreath(3, 2)
-    action = imprimitive_action(w, w.top_action.basepoint)
+    action = imprimitive_action(w)
     ball = build_ball(action, gens, 100, 100)
     assert len(ball) == 6
     rng = random.Random(23)
@@ -320,34 +282,28 @@ def test_delta_and_orbit_reps_must_be_points_of_x():
         with pytest.raises(ActionError, match="is not a point of"):
             w.delta(bad, CyclicInt(2, 1))
         with pytest.raises(ActionError, match="is not a point of"):
-            WreathGroup(w.base, w.top_action, (bad,))
+            WreathGroup(w.base, replace(w.top_action, basepoint=bad))
     d = w.delta(IntVector((3,)), CyclicInt(2, 1))
     assert w.contains(d)
     # a point of Z/3Z is its canonical representative, so t = 3 fixes 2
     z_mod_3 = coset_action(FreeAbelian(1), GeneratedSubgroup((IntVector((3,)),)))
-    w3 = WreathGroup(Cyclic(2), z_mod_3, (IntVector((0,)),))
+    w3 = WreathGroup(Cyclic(2), z_mod_3)
     t, d2 = w3.top_element(IntVector((3,))), w3.delta(IntVector((2,)), CyclicInt(2, 1))
     assert w3.multiply(w3.multiply(t, d2), w3.inverse(t)) == d2
-
-
-def test_imprimitive_bad_rep_rejected():
-    w, _ = regular_wreath(3, 2)
-    with pytest.raises(WreathError):
-        imprimitive_action(w, CyclicInt(2, 1))
 
 
 def test_imprimitive_coset_action_examples():
     # base Z, K = 3Z, H = C(2) regular: orbit has 6 points
     base, top = FreeAbelian(1), Cyclic(2)
     ta = translation_action(top)
-    w = WreathGroup(base, ta, (ta.basepoint,))
+    w = WreathGroup(base, ta)
     gens = w.standard_gens()
-    action = imprimitive_coset_action(w, GeneratedSubgroup((IntVector((3,)),)), ta.basepoint)
+    action = imprimitive_coset_action(w, GeneratedSubgroup((IntVector((3,)),)))
     assert len(build_ball(action, gens, 100, 100)) == 6
 
     # trivial K coincides pointwise with the plain imprimitive action
-    triv = imprimitive_coset_action(w, TrivialSubgroup(), ta.basepoint)
-    plain = imprimitive_action(w, ta.basepoint)
+    triv = imprimitive_coset_action(w, TrivialSubgroup())
+    plain = imprimitive_action(w)
     rng = random.Random(3)
     els = list(gens.elements)
     sample = [plain.basepoint]
@@ -358,7 +314,7 @@ def test_imprimitive_coset_action_examples():
             assert triv.act(g, p) == plain.act(g, p)
 
     # K = full group: the leaf direction collapses to the orbit X'
-    full = imprimitive_coset_action(w, GeneratedSubgroup((IntVector((1,)),)), ta.basepoint)
+    full = imprimitive_coset_action(w, GeneratedSubgroup((IntVector((1,)),)))
     assert len(build_ball(full, gens, 100, 100)) == 2
 
 
@@ -410,7 +366,7 @@ def test_imprimitive_coset_ends_match_the_closed_form(base_text, k_gens, index):
     # with the leaf G replaced by G/K the same argument gives [G:K] * e(Sch(H, X))
     action, gens = elaborate(parse_spec(f"imprimitive(wreath({base_text}, Z, translation))"))
     w = action.group
-    coset_leaves = imprimitive_coset_action(w, GeneratedSubgroup(k_gens), w.orbit_reps[0])
+    coset_leaves = imprimitive_coset_action(w, GeneratedSubgroup(k_gens))
     _closed_form_check(coset_leaves, gens, 12, index, 2)
 
 
@@ -514,7 +470,7 @@ def _perm_image(w, gens):
     xs = build_ball(w.top_action, w.top.standard_gens(), 100, 100).points
     points = [PairPoint(g, x) for g in w.base.elements() for x in xs]
     index = {p: i for i, p in enumerate(points)}
-    step = imprimitive_action(w, w.orbit_reps[0]).step
+    step = imprimitive_action(w).step
     sym = SymmetricGroup(len(points))
     return sym, gens.image(lambda a: Perm(tuple(index[step(a, p)] for p in points)))
 
@@ -557,9 +513,9 @@ def test_nested_wreath_points_label_through_the_factors():
     # of imprimitive points, points of X under the head projection, and
     # heads and support points of the outer elements
     inner, _ = lamplighter(2)
-    outer_base = WreathGroup(inner, translation_action(FreeAbelian(1)), (IntVector((0,)),))
-    imprimitive = imprimitive_action(outer_base, IntVector((0,)))
-    outer_top = WreathGroup(Cyclic(2), translation_action(inner), (inner.identity(),))
+    outer_base = WreathGroup(inner, translation_action(FreeAbelian(1)))
+    imprimitive = imprimitive_action(outer_base)
+    outer_top = WreathGroup(Cyclic(2), translation_action(inner))
     expected = [
         (imprimitive, outer_base, ["((1; 0), 0)", "((0:1; 0), 0)", "((1; 1), 0)"]),
         (head_projection_action(outer_top), outer_top, ["(1; 0)", "(0:1; 0)", "(1; 1)"]),
@@ -576,7 +532,7 @@ def test_labels_keep_two_top_actions_apart():
     # Z/3Z: equal elements whose absolute supports, and so labels, differ
     lamp, _ = lamplighter(2)
     z_mod_3 = coset_action(FreeAbelian(1), GeneratedSubgroup((IntVector((3,)),)))
-    w3 = WreathGroup(Cyclic(2), z_mod_3, (IntVector((0,)),))
+    w3 = WreathGroup(Cyclic(2), z_mod_3)
     head = IntVector((2,))
     a = lamp.element([(IntVector((4,)), CyclicInt(2, 1))], head)
     b = w3.element([(IntVector((1,)), CyclicInt(2, 1))], head)
