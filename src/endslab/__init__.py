@@ -65,6 +65,7 @@ from .balls import (
     simplify,
     to_dot,
     to_json_dict,
+    to_json_text,
 )
 from .ends import (
     EndsError,

@@ -22,6 +22,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import repeat
+from json.encoder import encode_basestring_ascii
 from typing import ClassVar, Iterable
 
 from .actions import PairPoint, Point, PointedAction, check_point, point_labels
@@ -359,6 +360,40 @@ def to_json_dict(ball: GraphBall) -> dict:
         "dist": list(ball.dist),
         "edges": list(map(list, ball.edges)),
     }
+
+
+_JSON_BALL = """{
+  "radius": %d,
+  "basepoint": %d,
+  "generators": %s,
+  "pairing": %s,
+  "vertices": %s,
+  "dist": %s,
+  "edges": %s
+}"""
+_JSON_EDGE = "[\n      %d,\n      %d,\n      %d\n    ]"
+
+
+def _json_list(items: Iterable[str]) -> str:
+    """A list value of the ball's indent-2 JSON dict, from its items' text."""
+    text = ",\n    ".join(items)
+    return f"[\n    {text}\n  ]" if text else "[]"
+
+
+def to_json_text(ball: GraphBall) -> str:
+    """``json.dumps(to_json_dict(ball), indent=2)``, written from the ball
+    itself: one template for the dict, each list joined once, and each
+    edge formatted straight from its ``ball.edges`` tuple."""
+    labels = point_labels(ball.points, ball.action.group.label)
+    return _JSON_BALL % (
+        ball.radius,
+        ball.basepoint_index,
+        _json_list(map(encode_basestring_ascii, ball.gens.names)),
+        _json_list(map(str, ball.gens.pairing)),
+        _json_list(map(encode_basestring_ascii, labels)),
+        _json_list(map(str, ball.dist)),
+        _json_list(map(_JSON_EDGE.__mod__, ball.edges)),
+    )
 
 
 def to_dot(ball: GraphBall) -> str:

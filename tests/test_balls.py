@@ -32,6 +32,7 @@ from endslab.balls import (
     simplify,
     to_dot,
     to_json_dict,
+    to_json_text,
 )
 from endslab.dsl import SpecError, elaborate, parse_spec
 from endslab.ends import profile_from_ball
@@ -649,6 +650,23 @@ def test_exports_are_deterministic_and_wellformed():
     dot = to_dot(ball)
     assert dot.startswith("graph ball {") and "doublecircle" in dot
     assert 'label="+1"' in dot
+
+
+@pytest.mark.parametrize("group, radius, edges", [
+    (SymmetricGroup(1), 2, []),         # no generators
+    (FreeGroup(2), 0, []),              # radius 0
+    (Cyclic(1), 2, [[0, 0, 0]]),        # the identity loop
+    (Cyclic(2), 2, [[0, 1, 0]]),        # an involution, one edge
+])
+def test_json_text_edge_cases(group, radius, edges):
+    ball = ball_of(group, radius)
+    text = to_json_text(ball)
+    assert text == json.dumps(to_json_dict(ball), indent=2)
+    assert json.loads(text)["edges"] == edges
+    if not ball.gens.names:
+        assert '"generators": [],' in text and '"pairing": [],' in text
+    if not edges:
+        assert text.endswith('"edges": []\n}')
 
 
 # ---------------------------------------------------------------------------

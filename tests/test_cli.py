@@ -64,6 +64,16 @@ def test_ball_json_and_dot(capsys, tmp_path):
     assert target.read_text().startswith("graph ball {")
 
 
+@pytest.mark.parametrize("fmt", ["json", "dot"])
+def test_ball_output_file_holds_stdout(capsys, tmp_path, fmt):
+    argv = ["ball", "--spec", "wreath(C(2), Z, translation)", "--radius", "3",
+            "--format", fmt]
+    code, out, _ = run(capsys, *argv)
+    target = tmp_path / f"ball.{fmt}"
+    assert run(capsys, *argv, "--output", str(target)) == (0, "", "")
+    assert code == 0 and target.read_bytes() == out.encode()
+
+
 def test_parse_error_exit_code(capsys):
     code, out, err = run(capsys, "ball", "--spec", "Z^", "--radius", "3")
     assert code == 2

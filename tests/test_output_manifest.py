@@ -4,7 +4,7 @@ import random
 import pytest
 
 from endslab.actions import PairPoint, point_labels
-from endslab.balls import delete_and_split, simplify, to_json_dict
+from endslab.balls import delete_and_split, simplify, to_json_dict, to_json_text
 from endslab.cli import json_text, leaves_report
 from endslab.ends import profile_from_ball
 from endslab.groups import point_label
@@ -33,6 +33,12 @@ def test_json_text_matches_json_dumps_on_the_reports(balls):
             reports.append(leaves_report(ball))
         for report in reports:
             assert json_text(report) == json.dumps(report, indent=2)
+
+
+def test_to_json_text_matches_json_dumps_of_the_dict(balls):
+    for ball in balls:
+        for b in (ball, simplify(ball)):
+            assert to_json_text(b) == json.dumps(to_json_dict(b), indent=2)
 
 
 def test_point_labels_match_point_label(balls):
