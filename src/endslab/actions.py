@@ -21,6 +21,8 @@ their coset laws, quotient specs their image, kernel and lift.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass, field
 from typing import Any, Callable, ClassVar, Iterable, NamedTuple, Optional, Sequence
 
@@ -34,7 +36,6 @@ from .groups import (
     SymmetricGroup,
     Torus,
     check_members,
-    make_gen_set,
     perm_parity,
 )
 
@@ -149,9 +150,12 @@ class TrivialSubgroup:
 
 @dataclass(frozen=True)
 class GeneratedSubgroup:
-    """The subgroup that a generator list spans.  Its coset law is the
-    lattice reduction on Z^k and the least product over its closure on a
-    finite group."""
+    """The subgroup that a generator list spans.  Its coset law never
+    lists the subgroup: on Z^k and on a torus it is the lattice reduction
+    (the torus's lattice holds its moduli's diagonal too), on C(n) the
+    residue mod the gcd of n and the generators, and on Sym(n) the greedy
+    descent of a stabilizer chain (``chain_law``).  Each law gives the
+    least member of the coset in the family's natural order."""
 
     gens: tuple[GroupElement, ...]
 
@@ -159,10 +163,15 @@ class GeneratedSubgroup:
         check_members(group, self.gens)
         if isinstance(group, FreeAbelian):
             return lattice_law(hermite_normal_form(self.gens, group.rank))
-        if group.order() is None:
-            raise UnsupportedSubgroupError(f"GeneratedSubgroup requires Z^k or a finite "
-                                           f"group; supported cases: {SUPPORTED_SUBGROUPS}")
-        return group._min_product(tuple(_mulclose(group, self.gens)))
+        if isinstance(group, Torus):
+            diagonal = DiagonalLatticeQuotient(group.moduli).kernel_gens()
+            return lattice_law(hermite_normal_form((*self.gens, *diagonal), len(group.moduli)))
+        if isinstance(group, Cyclic):
+            return math.gcd(group.modulus, *self.gens).__rmod__
+        if isinstance(group, SymmetricGroup):
+            return chain_law(stabilizer_chain(group, self.gens))
+        raise UnsupportedSubgroupError(f"GeneratedSubgroup requires Z^k or a finite "
+                                       f"group; supported cases: {SUPPORTED_SUBGROUPS}")
 
 
 SUPPORTED_SUBGROUPS = (
@@ -233,16 +242,87 @@ def lattice_law(hnf: tuple[tuple[int, ...], ...]) -> Callable[[tuple[int, ...]],
     return reduce
 
 
-def _mulclose(group: Group, gens: Iterable[GroupElement]) -> list[GroupElement]:
-    """All products of the generators (and their inverses) in a finite
-    group, in their natural order."""
-    # balls imports this module, so build_ball is looked up at call time
-    from .balls import build_ball
-    # the closure has at most order() points, so this build cannot overflow
-    order = group.order()
-    closure = build_ball(translation_action(group), make_gen_set(group, tuple(gens)),
-                         order, order)
-    return sorted(closure.points)
+def stabilizer_chain(group: SymmetricGroup,
+                     gens: Sequence[Perm]) -> tuple[dict[int, Perm], ...]:
+    """The transversals of a stabilizer chain of the subgroup K of Sym(n)
+    that ``gens`` spans, on the base 0, 1, ..., n-1, by a deterministic
+    Schreier-Sims (Sims 1970; Holt, Eick and O'Brien, Handbook of
+    Computational Group Theory, ch. 4) from the generators, with no walk
+    over K.
+
+    Level i holds a map b -> u_b over the orbit of i under K_i, the
+    stabilizer of 0..i-1 in K, with u_b in K_i and u_b(i) = b.  Only the
+    levels whose orbit is not {i} are returned, so the product of the
+    orbit lengths is |K|.
+    """
+    mul, inv, n = group._mul, group._inv, group.degree
+    ident = group.identity()
+    strong: list[list[Perm]] = [[] for _ in range(n)]
+    transversals: list[dict[int, Perm]] = [{i: ident} for i in range(n)]
+    # u_b^-1 for each entry u_b, for the sifts
+    inverses: list[dict[int, Perm]] = [{i: ident} for i in range(n)]
+
+    def sifts(level: int, h: Perm) -> bool:
+        # h fixes 0..level-1; it is a product of transversal entries
+        # exactly when stripping one entry per level leaves the identity
+        for i in range(level, n):
+            b = h[i]
+            if b != i:
+                u_inv = inverses[i].get(b)
+                if u_inv is None:
+                    return False
+                h = mul(u_inv, h)
+        return True
+
+    def add(level: int, h: Perm) -> None:
+        # h fixes 0..level-1: make it a strong generator of its level, close
+        # the orbit of that level under the level's generators, and pass
+        # every Schreier generator u_(s.b)^-1 s u_b one level down
+        if sifts(level, h):
+            return
+        gens_i, trans_i, inv_i = strong[level], transversals[level], inverses[level]
+        gens_i.append(h)
+        todo = [mul(h, u) for u in trans_i.values()]
+        while todo:
+            t = todo.pop()
+            b = t[level]
+            if b in trans_i:
+                add(level + 1, mul(inv_i[b], t))
+            else:
+                trans_i[b] = t
+                inv_i[b] = inv(t)
+                todo.extend(mul(s, t) for s in gens_i)
+
+    for g in gens:
+        add(0, g)
+    return tuple(t for t in transversals if len(t) > 1)
+
+
+def chain_law(chain: Sequence[dict[int, Perm]]) -> Callable[[Perm], Perm]:
+    """The map g -> least member of gK, for K the subgroup of a stabilizer
+    chain (``stabilizer_chain``).  The law descends greedily: at level i
+    it takes the orbit point c with the least g[c] and replaces g by
+    g u_c.  Greedy is exact, because g h is least in coordinate i among
+    the members h that fix g's choices so far exactly when h(i) minimises
+    g[h(i)], and those h with h(i) = c form the coset u_c K_(i+1).  A
+    level's u_c applies as ``itemgetter(*u_c)``, which maps g to g u_c as
+    a plain tuple (a level has two points or more, so n >= 2 and the getter
+    returns a tuple), so a step costs O(n^2) whatever |K| is, and one Perm
+    is built at the end."""
+    levels = tuple((tuple(trans), {c: operator.itemgetter(*u) for c, u in trans.items()})
+                   for trans in chain)
+
+    def reduce(g: Perm) -> Perm:
+        for points, getters in levels:
+            best = points[0]
+            low = g[best]
+            for c in points:
+                if g[c] < low:
+                    best, low = c, g[c]
+            g = getters[best](g)
+        return tuple.__new__(Perm, g)
+
+    return reduce
 
 
 def coset_action(group: Group, subgroup_spec) -> PointedAction:

@@ -39,7 +39,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 LETTERS = "abcdefghijklmnopqrstuvwxyz"
@@ -334,7 +334,8 @@ class Group:
     check: plain ``bytes``, ``int`` and ``tuple`` operations, or
     ``tuple.__new__`` for a ``Perm``.  A finite family's elements are ints
     or tuples, so their natural order is a total order, and the least
-    product of a coset by it is the coset's canonical representative.
+    member of a coset gK by it is the coset's canonical representative
+    (``actions.GeneratedSubgroup`` states each family's law for it).
     """
 
     def label(self, a: GroupElement, memo: dict) -> str:
@@ -374,12 +375,6 @@ class Group:
 
     def standard_gens(self) -> SymmetricGenSet:
         raise NotImplementedError
-
-    def _min_product(self, members: Sequence[GroupElement]):
-        """The map g -> least g*h over h in ``members``, for g and every h
-        members: the canonical representative of gH."""
-        mul = self._mul
-        return lambda g: min(map(partial(mul, g), members))
 
     def order(self) -> Optional[int]:
         """Group order, or None when infinite."""
@@ -551,15 +546,6 @@ class SymmetricGroup(Group):
 
     def parity(self, a):
         return perm_parity(a)
-
-    def _min_product(self, members):
-        # itemgetter(*h) maps g to g*h as a plain tuple, and a Perm orders as
-        # its tuple, so the least such tuple is the least product: one Perm
-        # is built
-        if self.degree == 1:
-            return lambda g: g  # itemgetter of one index returns no tuple
-        getters = [operator.itemgetter(*h) for h in members]
-        return lambda g: tuple.__new__(Perm, min([f(g) for f in getters]))
 
     def transposition(self, i: int, j: int) -> Perm:
         img = list(range(self.degree))

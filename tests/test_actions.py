@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+import endslab.balls
 from endslab.actions import (
     SUPPORTED_SUBGROUPS,
     ActionError,
@@ -18,11 +19,11 @@ from endslab.actions import (
     TrivialSubgroup,
     UnknownRuleActionError,
     UnsupportedSubgroupError,
-    _mulclose,
     coset_action,
     hermite_normal_form,
     lattice_law,
     rule_action,
+    stabilizer_chain,
     translation_action,
 )
 from endslab.balls import BallError, BallOverflowError, build_ball
@@ -226,11 +227,15 @@ def test_orbit_budgets():
 
 def test_subgroup_closure_of_sign_kernel_is_a7():
     sym7 = SymmetricGroup(7)
-    closure = _mulclose(sym7, SignQuotient(7).kernel_gens())
+    kernel_gens = SignQuotient(7).kernel_gens()
+    members = closure(kernel_gens, sym7._mul, sym7.identity())
     even = [g for g in sym7.elements() if perm_parity(g) == 0]
-    assert len(closure) == 2520
-    assert set(closure) == set(even)
-    assert closure == sorted(closure)
+    assert len(members) == 2520
+    assert members == set(even)
+    # the chain's orbit lengths multiply to |A7| = 7 * 6 * 5 * 4 * 3
+    chain = stabilizer_chain(sym7, kernel_gens)
+    assert [len(t) for t in chain] == [7, 6, 5, 4, 3]
+    assert math.prod(map(len, chain)) == 2520
 
 
 def test_orbit_is_generator_order_independent():
@@ -391,22 +396,41 @@ def test_rule_action_act_checks_word_and_point():
     assert action.step(FreeGroup(2).letter(0), (0, 0)) == (1, 1)
 
 
-@pytest.mark.parametrize("group", [SymmetricGroup(n) for n in range(1, 7)]
+@pytest.mark.parametrize("group", [SymmetricGroup(n) for n in range(1, 8)]
                          + [Cyclic(1), Cyclic(6), Cyclic(12), Torus((2, 3)), Torus((4, 4))],
                          ids=str)
 def test_min_product_matches_checked_min(group):
+    # 30 seeded subgroups per group, 210 of Sym(1..7) in all: the coset law
+    # and the action's act give the least g*h over the oracle's closure
     rng = random.Random(str(group))
     elements = sorted(group.elements())
-    for _ in range(4):
+    for _ in range(30):
         gens = rng.sample(elements, min(len(elements), rng.randrange(3)))
-        action = coset_action(group, GeneratedSubgroup(tuple(gens)))
-        members = _mulclose(group, gens)
-        min_product = group._min_product(members)
-        for g in rng.sample(elements, min(len(elements), 40)):
+        subgroup = GeneratedSubgroup(tuple(gens))
+        action = coset_action(group, subgroup)
+        law = subgroup.coset_law(group)
+        members = closure(gens, group._mul, group.identity())
+        if isinstance(group, SymmetricGroup):
+            assert math.prod(map(len, stabilizer_chain(group, gens))) == len(members)
+        for g in rng.sample(elements, min(len(elements), 10)):
             want = min(group.multiply(g, h) for h in members)
-            assert min_product(g) == want
+            assert law(g) == want
             assert action.act(g, action.basepoint) == want
 
+
+def test_coset_laws_never_build_a_ball(monkeypatch):
+    # a coset law reads the generators alone; it never walks the subgroup
+    def refuse(*args, **kwargs):
+        raise AssertionError("a coset law built a ball")
+
+    monkeypatch.setattr(endslab.balls, "build_ball", refuse)
+    sym9 = SymmetricGroup(9)
+    cycle = Perm((*range(1, 9), 0))
+    for group, gens, g, least in ((sym9, (sym9.transposition(0, 1), cycle), cycle,
+                                   sym9.identity()),
+                                  (Cyclic(12), (8, 6), 7, 1),
+                                  (Torus((4, 6)), ((2, 3), (0, 4)), (3, 5), (1, 0))):
+        assert GeneratedSubgroup(gens).coset_law(group)(g) == least
 
 
 # One raiser per kind of bad operand: every entry point refuses a foreign

@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -138,6 +139,22 @@ def test_budget_env_override(capsys, monkeypatch):
     code, out, _ = run(capsys, "ball", "--spec", "F(2)", "--radius", "2",
                        "--budget", "100")
     assert code == 0
+
+
+def test_sym9_coset_ball_never_walks_the_subgroup(capsys):
+    # K is all of Sym(9): its coset law reads the two generators, so a
+    # radius-0 ball takes milliseconds where listing the 362,880 members of K
+    # took seconds
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "ball", "--spec", "Sym(9) / {(0 1), (0 1 2 3 4 5 6 7 8)}",
+                         "--radius", "0", "--budget", "1")
+    elapsed = time.perf_counter() - t0
+    assert (code, err) == (0, "")
+    assert out == json.dumps({"radius": 0, "basepoint": 0,
+                              "generators": [f"({i} {i + 1})" for i in range(8)],
+                              "pairing": list(range(8)), "vertices": ["()"], "dist": [0],
+                              "edges": [[0, 0, i] for i in range(8)]}, indent=2) + "\n"
+    assert elapsed < 2.0, elapsed
 
 
 def test_version_flag(capsys):
