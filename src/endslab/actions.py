@@ -82,7 +82,8 @@ class PointedAction:
     translation action sets it, to ``group.parity``.  With it, every
     edge of a generator of parity 1 joins two colours, so when all
     generators have parity 1 the orbital graph is bipartite by distance
-    parity and ``build_ball`` skips the lookups of the radius-R rows.
+    parity (``balls.bipartite_by_distance``): ``build_ball`` skips the
+    lookups of the radius-R rows, and the ends sweep never reads them.
     ``replace(action, basepoint=...)`` keeps it, which is sound: c is
     stated on every point.
     """

@@ -11,8 +11,10 @@ budget once and then applies the action's law ``step``; it never calls
 the derived ``act``, whose point test ``is_point`` every ball point passes.
 The walk goes sphere by sphere, with -1 as the one mark of an unfilled
 entry, and ends with a lookup-only pass over the radius-R rows for the
-edges inside S_R.  It skips that pass when the action's point parity and
-an odd parity of every generator prove the graph bipartite by distance.
+edges inside S_R.  It skips that pass when ``bipartite_by_distance``, the
+one statement of that rule, holds: the action's point parity and an odd
+parity of every generator then prove that no edge joins two points of
+one sphere.
 """
 
 from __future__ import annotations
@@ -137,6 +139,17 @@ class GraphBall:
         return tuple([shared.setdefault(row, row) for row in map(tuple, order)])
 
 
+def bipartite_by_distance(action: PointedAction, gens: SymmetricGenSet) -> bool:
+    """Whether every ball of the action under these generators is bipartite
+    by distance: the action states a point parity (``PointedAction.parity``)
+    and every generator has group parity 1, so each edge changes the
+    distance parity and joins two adjacent spheres.  ``build_ball`` then
+    skips its radius-R lookups, and the ends sweep reads each sphere from
+    the rows of the sphere before it."""
+    group = action.group
+    return action.parity is not None and all(group.parity(g) == 1 for g in gens.elements)
+
+
 def build_ball(action: PointedAction, gens: SymmetricGenSet, radius: int,
                max_vertices: int = DEFAULT_VERTEX_BUDGET) -> GraphBall:
     """Materialize the exact radius-R ball of the orbital graph.
@@ -152,10 +165,8 @@ def build_ball(action: PointedAction, gens: SymmetricGenSet, radius: int,
     not yet filled, and after the walk every -1 is a target outside the
     ball.  A radius-R row can then only reach S_{R-1}, whose rows already
     filled those entries from their pairs, or S_R, which a lookup pass
-    over the radius-R rows finds.  That pass is skipped when the action
-    states a point parity (``PointedAction.parity``) and every generator
-    has group parity 1: each edge then changes the distance parity, so no
-    edge joins two points of S_R.
+    over the radius-R rows finds.  That pass is skipped when the ball is
+    ``bipartite_by_distance``: no edge then joins two points of S_R.
     """
     if max_vertices < 1:
         raise BallError(f"vertex budget must be >= 1, got {max_vertices}")
@@ -175,11 +186,14 @@ def build_ball(action: PointedAction, gens: SymmetricGenSet, radius: int,
     index_setdefault = index.setdefault
     dist = [0]
     # Each geometric edge is stepped once: the paired reverse transition is
-    # filled in for free.  Each stepped point is hashed once: an inner row
-    # inserts it with setdefault (a result of len(points) means it is new),
-    # and a radius-R row only looks it up, so no outside point enters the
-    # index.
+    # filled in for free, with no read first: an entry (v, j) is only ever
+    # set to s_j.v, which is u here, so it is unset or already u (as on a
+    # self-paired loop, or after a repeated column).  Each stepped point is
+    # hashed once: an inner row inserts it with setdefault (a result of n,
+    # the vertex count, means it is new), and a radius-R row only looks it
+    # up, so no outside point enters the index.
     table = unset_row[:]
+    n = 1
     start, end = 0, 1  # S_r is points[start:end]
     for r in range(radius):
         for u in range(start, end):
@@ -189,24 +203,21 @@ def build_ball(action: PointedAction, gens: SymmetricGenSet, radius: int,
                 if table[row + i] >= 0:
                     continue
                 q = step(g, pu)
-                n = len(points)
                 v = index_setdefault(q, n)
                 if v == n:
                     if n >= max_vertices:
                         raise BallOverflowError(max_vertices, r)
                     points.append(q)
                     table.extend(unset_row)
+                    n += 1
                 table[row + i] = v
-                back = v * ngens + j
-                if table[back] < 0:
-                    table[back] = u
-        dist.extend(repeat(r + 1, len(points) - end))
-        start, end = end, len(points)
+                table[v * ngens + j] = u
+        dist.extend(repeat(r + 1, n - end))
+        start, end = end, n
         if start == end:  # the orbit closed inside the ball
             break
 
-    group = action.group
-    if action.parity is None or any(group.parity(g) != 1 for g in gens.elements):
+    if not bipartite_by_distance(action, gens):
         for u in range(start, end):
             pu = points[u]
             row = u * ngens
@@ -216,9 +227,7 @@ def build_ball(action: PointedAction, gens: SymmetricGenSet, radius: int,
                 v = index_get(step(g, pu))
                 if v is not None:
                     table[row + i] = v
-                    back = v * ngens + j
-                    if table[back] < 0:
-                        table[back] = u
+                    table[v * ngens + j] = u
 
     return GraphBall(action=action, gens=gens, radius=radius,
                      points=tuple(points), dist=tuple(dist), table=tuple(table),

@@ -9,11 +9,17 @@ estimate, never a proof of the exact end count.
 
 The profile comes from one outward sweep.  Every edge joins equal or
 adjacent spheres, so the partition of S_{r+1} by connectivity in the
-annulus k..r+1 follows from that of S_r and the rows of S_{r+1}; its
-class count is e(k, r+1).  For k < k' the annulus k'..r lies inside k..r,
-so the partitions are nested: the sweep labels S_r for the largest k
-entered and maps those classes onto each smaller k's own.  Nested
-partitions with equal counts are equal, so such k share one map.
+annulus k..r+1 follows from that of S_r and the edges of S_{r+1} back and
+within; its class count is e(k, r+1).  On a ball that is bipartite by
+distance (``bipartite_by_distance``, the rule the build also uses) no
+edge lies within a sphere, and every edge back from S_{r+1} stands in an
+S_r row as an entry at or past S_{r+1}'s first index, so the sweep reads
+the rows of S_0 .. S_{K-1} only and never the radius-K rows, which on an
+exponential ball are most of the table.  On every other ball it reads
+those edges from the rows of S_{r+1}.  For k < k' the annulus k'..r
+lies inside k..r, so the partitions are nested: the sweep labels S_r for
+the largest k entered and maps those classes onto each smaller k's own.
+Nested partitions with equal counts are equal, so such k share one map.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ import math
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .actions import (
@@ -33,6 +40,7 @@ from .actions import (
 from .balls import (
     DEFAULT_VERTEX_BUDGET,
     GraphBall,
+    bipartite_by_distance,
     build_ball,
     check_indices,
     pointed_labeled_isomorphic,
@@ -114,9 +122,10 @@ def _merge(size: int, pairs: Iterable[tuple[int, int]]) -> tuple[list[int], list
 def _read_sphere(table: Sequence[int], ngens: int, lo: int, hi: int, labels: list[int],
                  tree: bool):
     """Read the rows of the sphere at indices lo..hi-1 once, given the
-    classes ``labels`` of the sphere before it.  A vertex starts in the class
-    of its first neighbour there, which every vertex at r >= 1 has.  Returns
-    the starts, the class pairs that its other edges back and its inner edges
+    classes ``labels`` of the sphere before it; the reader of every ball
+    that is not bipartite by distance.  A vertex starts in the class of its
+    first neighbour there, which every vertex at r >= 1 has.  Returns the
+    starts, the class pairs that its other edges back and its inner edges
     link, the inner edges (j, j') with j' < j as offsets into the sphere, and
     whether this is a tree sphere: one whose rows hold no second edge back,
     no inner edge and no loop.  Only when ``tree`` says the sphere before
@@ -151,6 +160,44 @@ def _read_sphere(table: Sequence[int], ngens: int, lo: int, hi: int, labels: lis
         start.append(first)
     links += [(start[j], start[j2]) for j, j2 in inner]
     return start, links, inner, tree and not inner
+
+
+def _row_classes(labels: list[int], ngens: int):
+    """The class of each entry of a sphere's rows, entry by entry."""
+    return chain.from_iterable(zip(*(labels,) * ngens))
+
+
+def _read_forward(table: Sequence[int], ngens: int, lo: int, hi: int, labels: list[int],
+                  tree: bool):
+    """``_read_sphere`` for a ball that is bipartite by distance, read from
+    the rows of the sphere before, whose classes are ``labels``, and never
+    from the rows at lo..hi-1.  No edge lies within a sphere, and the edges
+    back from this sphere are exactly the entries w >= lo of those rows, so
+    a vertex starts in the class of the first row that reaches it, and each
+    further entry that reaches it links two classes; a simplified ball masks
+    both ends of an edge, so every vertex here is still reached.  Only when
+    ``tree`` says the sphere before was a tree sphere is this sphere first
+    read as one, in a single pass: if each vertex is reached once, a row's
+    entries w >= lo are the vertices it discovered, and rows discover in
+    index order, so the classes of the rows of those entries, in table
+    order, are the starts.  Returns the values of ``_read_sphere``, with no
+    inner edge."""
+    rows = table[(lo - len(labels)) * ngens:lo * ngens]
+    if tree:
+        start = [x for x, w in zip(_row_classes(labels, ngens), rows) if w >= lo]
+        if len(start) == hi - lo:
+            return start, [], [], True
+    start, links, tree = [-1] * (hi - lo), [], True
+    for w, x in zip(rows, _row_classes(labels, ngens)):
+        if w >= lo:
+            first = start[w - lo]
+            if first < 0:
+                start[w - lo] = x
+            else:
+                tree = False
+                if x != first:
+                    links.append((first, x))
+    return start, links, [], tree
 
 
 def _decide_verdict(k_values: Sequence[int], matrix: Sequence[Sequence[int]]) -> Verdict:
@@ -198,6 +245,7 @@ def profile_from_ball(ball: GraphBall, k_values: Iterable[int]) -> EndsProfile:
     r0 = max(ks[0] - 1, 0)
     lo, hi = bisect_left(dist, r0), bisect_left(dist, r0 + 1)
     labels, size, inner, groups, tree = [0] * (hi - lo), 1, [], [], True
+    read = _read_forward if bipartite_by_distance(ball.action, ball.gens) else _read_sphere
     for r in range(r0, ball.radius):
         if r in rows:
             # k enters at r = k with S_k split by its own edges only
@@ -214,7 +262,7 @@ def profile_from_ball(ball: GraphBall, k_values: Iterable[int]) -> EndsProfile:
         lo, hi = hi, bisect_left(dist, r + 2)
         if lo == hi:
             break  # so is every later sphere, and every remaining entry is 0
-        labels, links, inner, tree = _read_sphere(table, ngens, lo, hi, labels, tree)
+        labels, links, inner, tree = read(table, ngens, lo, hi, labels, tree)
         if links:
             roots, joined = _merge(size, links)
             live = dict.fromkeys(map(roots.__getitem__, labels))

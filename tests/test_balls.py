@@ -25,6 +25,7 @@ from endslab.balls import (
     ArityMismatchError,
     BallError,
     BallOverflowError,
+    bipartite_by_distance,
     build_ball,
     delete_and_split,
     leaf_decomposition,
@@ -266,8 +267,20 @@ def check_table(ball):
         assert abs(ball.dist[u] - ball.dist[v]) <= 1
 
 
+# repeated and self-paired generator columns, where a reverse write meets
+# an entry already set, and an identity loop
+REPEATED_COLUMN_SPECS = (
+    ("Z with gens {1, -1}", 6),
+    ("C(12) with gens {1, 11}", 8),
+    ("Sym(4) with gens {(0 1), (0 1)}", 3),
+    ("F(2) with gens {a, A}", 4),
+    ("Z with gens {0}", 3),
+)
+
+
 def test_table_matches_act_oracle():
-    balls = [*random_fixture_balls(), *generated_spec_balls()]
+    hand_picked = [spec_ball(text, radius) for text, radius in REPEATED_COLUMN_SPECS]
+    balls = [*random_fixture_balls(), *generated_spec_balls(), *hand_picked]
     assert len(balls) > 20
     for ball in balls:
         check_table(ball)
@@ -683,11 +696,6 @@ def _build_outcome(action, gens, radius, max_vertices):
     return ball.points, ball.dist, ball.table, list(ball.index)
 
 
-def _certified(action, gens):
-    group = action.group
-    return action.parity is not None and all(group.parity(g) == 1 for g in gens.elements)
-
-
 def typed_translation_draws():
     """(action, gens, radius 3, budget 5000) of each translation draw of the
     600 seed-12 typed draws that elaborates."""
@@ -715,8 +723,8 @@ def test_builds_without_the_certificate_are_identical():
     certified = 0
     for action, gens, radius, budget in builds:
         plain = replace(action, parity=None)
-        assert not _certified(plain, gens)
-        certified += _certified(action, gens)
+        assert not bipartite_by_distance(plain, gens)
+        certified += bipartite_by_distance(action, gens)
         assert (_build_outcome(action, gens, radius, budget)
                 == _build_outcome(plain, gens, radius, budget)), str(action)
     assert certified == 179  # 31 manifest balls and 148 typed draws
@@ -771,7 +779,7 @@ def _inner_sphere_entries(ball):
 ])
 def test_uncertified_builds_take_the_radius_r_pass(text, radius, entries):
     action, gens = elaborate(parse_spec(text))
-    assert not _certified(action, gens)
+    assert not bipartite_by_distance(action, gens)
     ball, stepped = _stepped_radius_r(action, gens, radius)
     assert stepped
     assert _inner_sphere_entries(ball) == entries
@@ -787,7 +795,7 @@ def test_uncertified_builds_take_the_radius_r_pass(text, radius, entries):
 ])
 def test_certified_builds_skip_the_radius_r_pass(text, radius):
     action, gens = elaborate(parse_spec(text))
-    assert _certified(action, gens)
+    assert bipartite_by_distance(action, gens)
     ball, stepped = _stepped_radius_r(action, gens, radius)
     assert ball.dist[-1] == radius and not stepped
     assert _inner_sphere_entries(ball) == 0

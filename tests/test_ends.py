@@ -18,7 +18,17 @@ from endslab.actions import (
     rule_action,
     translation_action,
 )
-from endslab.balls import BallError, BallOverflowError, build_ball, delete_and_split, simplify
+import endslab.balls as balls_module
+import endslab.ends as ends_module
+from endslab.balls import (
+    BallError,
+    BallOverflowError,
+    bipartite_by_distance,
+    build_ball,
+    delete_and_split,
+    simplify,
+)
+from endslab.dsl import elaborate, parse_spec
 from endslab.ends import (
     EndsError,
     PathFailure,
@@ -53,7 +63,13 @@ from oracles import (
     f2_words_up_to,
     int_line_graph,
 )
-from test_balls import generated_spec_balls, random_fixture_balls, spec_ball
+from test_balls import (
+    REPEATED_COLUMN_SPECS,
+    generated_spec_balls,
+    random_fixture_balls,
+    spec_ball,
+    stepping_balls,
+)
 from test_dsl import random_typed_spec
 
 
@@ -222,6 +238,7 @@ def test_profile_matches_component_oracle():
         ("Z^2 / [5, 0]", 20),
         ("rule(f2_four_ends)", 12),
         ("C(6)", 5),  # empty outer spheres
+        *REPEATED_COLUMN_SPECS,  # parallel edges and loops
     )] + [build_ball(head_projection_action(w), wgens, 10)]
     for ball in [*random_fixture_balls(), *generated_spec_balls(), *hand_picked]:
         ks = range(ball.radius)
@@ -230,6 +247,46 @@ def test_profile_matches_component_oracle():
         # k swept together share partitions; none may leak into another row
         assert matrix == tuple(profile_from_ball(ball, [k]).matrix[0] for k in ks)
         assert profile_from_ball(simplify(ball), ks).matrix == matrix
+
+
+def test_bipartite_fast_paths_match_the_general_paths(monkeypatch):
+    # the rule that lets the build skip its radius-R lookups and the sweep
+    # read each sphere from the rows before it; forcing it false in both
+    # places must give the same ball and the same profiles
+    w, wgens = lamplighter(2)
+    for text in ("F(2)", "Z^2", "Sym(4)", "C(12) with gens {1, 11}"):
+        assert bipartite_by_distance(*elaborate(parse_spec(text))), text
+    assert bipartite_by_distance(translation_action(w), wgens)
+    for text in ("Z with gens {1, 2}", "C(5)", "Z / 5", "rule(f2_four_ends)",
+                 "imprimitive(wreath(C(2), Z, translation))"):
+        assert not bipartite_by_distance(*elaborate(parse_spec(text))), text
+    assert not bipartite_by_distance(head_projection_action(w), wgens)
+
+    balls = [*random_fixture_balls(), *generated_spec_balls(), *stepping_balls(),
+             *generated_spec_balls(140, radius=6, max_draws=200, draw=random_typed_spec,
+                                   seed=12, budget=400),
+             *(spec_ball(text, radius) for text, radius in (
+                 ("F(3)", 5),
+                 ("wreath(C(2), Z, translation)", 8),
+                 ("Sym(4)", 6),
+                 ("wreath(Sym(3), Z, translation)", 6)))]
+    balls = [ball for ball in balls if bipartite_by_distance(ball.action, ball.gens)]
+    assert len(balls) == 68  # 31 manifest balls, 33 typed draws and the four above
+
+    def profiles(ball):
+        r = ball.radius
+        return [profile_from_ball(b, ks).matrix for b in (ball, simplify(ball))
+                for ks in (range(r), [r - 1], range(r // 2, r), range(0, r, 2))]
+
+    fast = [profiles(ball) for ball in balls]
+    monkeypatch.setattr(balls_module, "bipartite_by_distance", lambda action, gens: False)
+    monkeypatch.setattr(ends_module, "bipartite_by_distance", lambda action, gens: False)
+    for ball, matrices in zip(balls, fast):
+        plain = build_ball(ball.action, ball.gens, ball.radius, ball.max_vertices)
+        assert plain.points == ball.points
+        assert plain.dist == ball.dist
+        assert plain.table == ball.table
+        assert profiles(ball) == matrices
 
 
 def test_profile_matches_component_oracle_on_typed_draws():
