@@ -309,19 +309,23 @@ def chain_law(chain: Sequence[dict[int, Perm]]) -> Callable[[Perm], Perm]:
     level's u_c applies as ``itemgetter(*u_c)``, which maps g to g u_c as
     a plain tuple (a level has two points or more, so n >= 2 and the getter
     returns a tuple), so a step costs O(n^2) whatever |K| is, and one Perm
-    is built at the end."""
+    is built at the end.  A level's first point is its base point i, whose
+    u_i is the identity: that step applies nothing, and when no step
+    applies anything, g is its own least member and is returned as it is."""
     levels = tuple((tuple(trans), {c: operator.itemgetter(*u) for c, u in trans.items()})
                    for trans in chain)
 
     def reduce(g: Perm) -> Perm:
+        h = g
         for points, getters in levels:
-            best = points[0]
-            low = g[best]
+            base = best = points[0]
+            low = h[best]
             for c in points:
-                if g[c] < low:
-                    best, low = c, g[c]
-            g = getters[best](g)
-        return tuple.__new__(Perm, g)
+                if h[c] < low:
+                    best, low = c, h[c]
+            if best != base:
+                h = getters[best](h)
+        return g if h is g else tuple.__new__(Perm, h)
 
     return reduce
 

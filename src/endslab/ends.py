@@ -20,6 +20,17 @@ those edges from the rows of S_{r+1}.  For k < k' the annulus k'..r
 lies inside k..r, so the partitions are nested: the sweep labels S_r for
 the largest k entered and maps those classes onto each smaller k's own.
 Nested partitions with equal counts are equal, so such k share one map.
+
+Once the largest k has entered, the sweep stops reading at the first
+sphere S_d that fixes the rest of every row (``_certificates``): when S_d
+is one class, since each vertex of a later sphere has a neighbour in the
+sphere before it, or, on a bipartite ball, when every sphere after S_d
+has |S| - 1 times the points of the one before, since then each vertex
+has one entry back and its forward entries reach distinct new vertices,
+so every class continues and none merge.  The second needs a bipartite
+ball: inner edges of the radius-K sphere could merge classes in the last
+column.  Every remaining entry of a row repeats its entry at d up to the
+last sphere, and 0 follows.
 """
 
 from __future__ import annotations
@@ -234,6 +245,41 @@ def _inner_radii(k_values: Iterable[int], outer_radius: int) -> tuple[int, ...]:
     return ks
 
 
+def _certificates(ball: GraphBall, bipartite: bool) -> tuple[int, int]:
+    """When the sweep may stop early.  Once every k has entered and S_d has
+    its classes, every later entry of every row equals its entry at d, up to
+    the last sphere, when S_d has as many classes for the largest k as the
+    first value returned, 1, or d is at least the second:
+
+    (a) S_d is one class: each vertex of a later sphere has a neighbour in
+        the sphere before it, so each later sphere stays that one class;
+    (b) the ball is bipartite by distance and d is at least the start of its
+        tree tail, the first radius d >= 1 after which every sphere has
+        |S| - 1 times the points of the one before.  A vertex of S_e, e >= 1, has
+        at least one entry back, and S_(e+1) is reached by the forward
+        entries of S_e alone, so those sizes leave each vertex of S_e one
+        entry back and |S| - 1 forward, all to distinct vertices, each
+        reached once: every class continues and none merge.  On a ball
+        that is not bipartite, inner edges of the radius-K sphere, which
+        no count of its points bounds, could merge classes in the last
+        column, so the tail starts past the ball.
+
+    The tail is found once, and only on a bipartite ball, by walking the
+    sphere sizes back from the last sphere, so a ball pays for the length
+    of its tail alone.  Returning (0, ball.radius + 1) switches both off."""
+    if not bipartite:
+        return 1, ball.radius + 1
+    dist, branch = ball.dist, len(ball.gens) - 1
+    tail, hi = dist[-1], len(dist)
+    lo = bisect_left(dist, tail)
+    while tail > 1:
+        before = bisect_left(dist, tail - 1, 0, lo)
+        if hi - lo != branch * (lo - before):
+            break
+        tail, hi, lo = tail - 1, lo, before
+    return 1, tail
+
+
 def profile_from_ball(ball: GraphBall, k_values: Iterable[int]) -> EndsProfile:
     ks = _inner_radii(k_values, ball.radius)
     dist, table, ngens = ball.dist, ball.table, len(ball.gens)
@@ -245,20 +291,26 @@ def profile_from_ball(ball: GraphBall, k_values: Iterable[int]) -> EndsProfile:
     r0 = max(ks[0] - 1, 0)
     lo, hi = bisect_left(dist, r0), bisect_left(dist, r0 + 1)
     labels, size, inner, groups, tree = [0] * (hi - lo), 1, [], [], True
-    read = _read_forward if bipartite_by_distance(ball.action, ball.gens) else _read_sphere
+    bipartite = bipartite_by_distance(ball.action, ball.gens)
+    read = _read_forward if bipartite else _read_sphere
+    one, tail = _certificates(ball, bipartite)
+    stop = max(ks[-1], tail - 1)  # the sweep's r once S_(r+1) is in the tail
     for r in range(r0, ball.radius):
         if r in rows:
             # k enters at r = k with S_k split by its own edges only
-            roots, _ = _merge(hi - lo, inner)
-            number = {x: c for c, x in enumerate(dict.fromkeys(roots))}
-            if groups and len(number) == len(set(labels)):
+            if inner:
+                roots, _ = _merge(hi - lo, inner)
+                number = {x: c for c, x in enumerate(dict.fromkeys(roots))}
+                fine, count = list(map(number.__getitem__, roots)), len(number)
+            else:  # each vertex is its own class
+                fine, count = list(range(hi - lo)), hi - lo
+            if groups and count == len(set(labels)):
                 groups[-1][0].append(r)
             else:
-                fine = list(map(number.__getitem__, roots))
-                to_old = list(dict(zip(fine, labels)).values())
-                groups = [[members, to_old if m is None else [m[x] for x in to_old]]
+                to_old = list(dict(zip(fine, labels)).values()) if inner else labels
+                groups = [[members, to_old if m is None else list(map(m.__getitem__, to_old))]
                           for members, m in groups] + [[[r], None]]
-                labels, size = fine, len(number)
+                labels, size = fine, count
         lo, hi = hi, bisect_left(dist, r + 2)
         if lo == hi:
             break  # so is every later sphere, and every remaining entry is 0
@@ -286,6 +338,11 @@ def profile_from_ball(ball: GraphBall, k_values: Iterable[int]) -> EndsProfile:
             merged.append([members, m])
             last = count
         groups = merged
+        if r >= stop or len(live) == one and r >= ks[-1]:
+            # S_(r+1) fixes the rest: each row repeats its entry to the last sphere
+            for row in rows.values():
+                row += [row[-1]] * (dist[-1] - r - 1)
+            break
     for k, row in rows.items():
         # the zeros that pad a row after an empty sphere cannot break it
         for a, b in zip(row, row[1:]):

@@ -229,7 +229,19 @@ def oracle_profile(ball, k_values):
     return ends_matrix(adj, dict(enumerate(ball.dist)), k_values, ball.radius)
 
 
-def test_profile_matches_component_oracle():
+def small_k_sets(radius):
+    """Few small inner radii: the sweep's certificates can stop it long
+    before the last sphere, so the entries it writes itself get checked."""
+    return [ks for ks in ([0], [1], [1, 2], [0, radius // 2]) if ks[-1] < radius]
+
+
+def assert_small_k_sets_match_oracle(ball):
+    for b in (ball, simplify(ball)):
+        for ks in small_k_sets(ball.radius):
+            assert profile_from_ball(b, ks).matrix == oracle_profile(b, ks), ks
+
+
+def oracle_corpus():
     w, wgens = lamplighter(2)
     hand_picked = [spec_ball(text, radius) for text, radius in (
         ("Z^2", 14),
@@ -240,13 +252,18 @@ def test_profile_matches_component_oracle():
         ("C(6)", 5),  # empty outer spheres
         *REPEATED_COLUMN_SPECS,  # parallel edges and loops
     )] + [build_ball(head_projection_action(w), wgens, 10)]
-    for ball in [*random_fixture_balls(), *generated_spec_balls(), *hand_picked]:
+    return [*random_fixture_balls(), *generated_spec_balls(), *hand_picked]
+
+
+def test_profile_matches_component_oracle():
+    for ball in oracle_corpus():
         ks = range(ball.radius)
         matrix = profile_from_ball(ball, ks).matrix
         assert matrix == oracle_profile(ball, ks)
         # k swept together share partitions; none may leak into another row
         assert matrix == tuple(profile_from_ball(ball, [k]).matrix[0] for k in ks)
         assert profile_from_ball(simplify(ball), ks).matrix == matrix
+        assert_small_k_sets_match_oracle(ball)
 
 
 def test_bipartite_fast_paths_match_the_general_paths(monkeypatch):
@@ -300,6 +317,67 @@ def test_profile_matches_component_oracle_on_typed_draws():
             for _ in range(3)]
         for ks in k_sets:
             assert profile_from_ball(ball, ks).matrix == oracle_profile(ball, ks)
+        assert_small_k_sets_match_oracle(ball)
+
+
+def test_certificates_match_the_full_sweep(monkeypatch):
+    # the sweep stops once one class is left or a bipartite ball's tree
+    # tail begins; switching both certificates off must give the same rows
+    balls = [*oracle_corpus(), *stepping_balls(),
+             *generated_spec_balls(140, radius=6, max_draws=200, draw=random_typed_spec,
+                                   seed=12, budget=400),
+             *(spec_ball(text, radius) for text, radius in (
+                 ("Z^2", 30), ("Z^3", 9), ("F(2)", 7), ("F(3) with gens {a, bc}", 5),
+                 ("Z with gens {1}", 60), ("Z with gens {1, 3}", 30), ("Sym(4)", 9),
+                 ("wreath(C(2), Z, translation)", 9)))]
+    rng = random.Random(41)
+
+    def k_sets(radius):
+        return [*small_k_sets(radius), range(radius), [radius - 1], *(
+            sorted(rng.sample(range(radius), rng.randint(1, radius))) for _ in range(2))]
+
+    cases = [(b, ks) for ball in balls for b in (ball, simplify(ball))
+             for ks in k_sets(ball.radius)]
+    certified = [profile_from_ball(b, ks).matrix for b, ks in cases]
+    monkeypatch.setattr(ends_module, "_certificates",
+                        lambda ball, bipartite: (0, ball.radius + 1))
+    assert [profile_from_ball(b, ks).matrix for b, ks in cases] == certified
+
+
+@pytest.mark.parametrize("text, radius, ks, most, values", [
+    ("Z^2", 80, range(1, 27), 27, [1] * 26),  # one class from S_27 on
+    ("F(2)", 10, range(1, 5), 5, [4, 12, 36, 108]),  # a tree from S_1 on
+    ("Z with gens {1}", 300, [1, 2, 3, 150, 298], 299, [2] * 5),
+    ("Z with gens {1}", 300, range(1, 5), 5, [2] * 4),
+])
+def test_certified_sweep_stops_reading(monkeypatch, text, radius, ks, most, values):
+    ball = spec_ball(text, radius)
+    spheres = []
+
+    def counting_read(table, ngens, lo, hi, *rest):
+        spheres.append(ball.dist[lo])
+        return read(table, ngens, lo, hi, *rest)
+
+    read = ends_module._read_forward
+    monkeypatch.setattr(ends_module, "_read_forward", counting_read)
+    p = profile_from_ball(ball, ks)
+    assert len(spheres) <= most
+    # a row repeats a tree's sphere size, or else the number of ends
+    assert p.matrix == tuple((x,) * (radius - k) for k, x in zip(ks, values))
+
+
+@pytest.mark.parametrize("text", ["Sym(4)", "Sym(4) with gens {(0 1 2), (0 1 2 3)}"])
+def test_finite_one_class_rows_end_in_zeros(text):
+    # one class well before the last sphere: 1 up to it, then 0
+    ball = spec_ball(text, 12)
+    last = ball.dist[-1]
+    assert last < 12
+    for ks in ([0], [2], [0, 1, 2]):
+        p = profile_from_ball(ball, ks)
+        assert p.matrix == oracle_profile(ball, ks)
+        for k, row in zip(ks, p.matrix):
+            assert row[last - k - 1:] == (1,) + (0,) * (12 - last)
+    assert profile_from_ball(ball, [0]).matrix == ((1,) * last + (0,) * (12 - last),)
 
 
 @pytest.mark.parametrize("text, radius, ks", [
