@@ -78,8 +78,9 @@ class PointedAction:
     action.  ``is_point`` tells the points from other values.  ``parity``,
     when set, colours the points by 0 and 1 with
     c(g.p) = c(p) xor ``group.parity(g)`` for every member g and point p,
-    wherever the group states a parity (``Group.parity``); only a
-    translation action sets it, to ``group.parity``.  With it, every
+    wherever the group states a parity (``Group.parity``).  A translation
+    action sets it to ``group.parity``, and so does a coset action whose
+    subgroup lists generators of parity 0 (``coset_action``).  With it, every
     edge of a generator of parity 1 joins two colours, so when all
     generators have parity 1 the orbital graph is bipartite by distance
     parity (``balls.bipartite_by_distance``): ``build_ball`` skips the
@@ -156,7 +157,9 @@ class GeneratedSubgroup:
     (the torus's lattice holds its moduli's diagonal too), on C(n) the
     residue mod the gcd of n and the generators, and on Sym(n) the greedy
     descent of a stabilizer chain (``chain_law``).  Each law gives the
-    least member of the coset in the family's natural order."""
+    least member of the coset in the family's natural order.  ``gens`` is
+    read by ``coset_action`` too: when each has parity 0, the cosets take
+    the group's parity."""
 
     gens: tuple[GroupElement, ...]
 
@@ -337,13 +340,22 @@ def coset_action(group: Group, subgroup_spec) -> PointedAction:
     map, which takes members only.  A coset is its canonical
     representative: a point is a member that the map fixes, so
     ``is_point`` refuses any other member of the coset.
+
+    The action states the group's parity as its point parity when the
+    group states one and the spec lists its generators (``gens``), each
+    of parity 0.  K then lies in the kernel of the parity, so every member
+    of gK, the representative included, has the parity of g, and
+    c(s.gK) = c(gK) xor parity(s).  A spec with no ``gens`` states none.
     """
     if not hasattr(subgroup_spec, "coset_law"):
         raise UnsupportedSubgroupError(
             f"unsupported subgroup spec {subgroup_spec!r}; supported cases: "
             f"{SUPPORTED_SUBGROUPS}")
     reduce = subgroup_spec.coset_law(group)
-    mul, contains = group._mul, group.contains
+    mul, contains, parity = group._mul, group.contains, group.parity
+    k_gens = getattr(subgroup_spec, "gens", None)
+    even = (k_gens is not None and parity(group.identity()) is not None
+            and all(parity(k) == 0 for k in k_gens))
 
     def step(g: GroupElement, p: GroupElement) -> GroupElement:
         return reduce(mul(g, p))
@@ -352,7 +364,7 @@ def coset_action(group: Group, subgroup_spec) -> PointedAction:
         return contains(p) and reduce(p) == p
 
     return PointedAction(group, step, reduce(group.identity()),
-                         f"{group} on cosets", is_point)
+                         f"{group} on cosets", is_point, parity if even else None)
 
 
 # ---------------------------------------------------------------------------

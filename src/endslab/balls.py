@@ -14,7 +14,10 @@ entry, and ends with a lookup-only pass over the radius-R rows for the
 edges inside S_R.  It skips that pass when ``bipartite_by_distance``, the
 one statement of that rule, holds: the action's point parity and an odd
 parity of every generator then prove that no edge joins two points of
-one sphere.
+one sphere.  Translation actions of the families that state a parity
+have a point parity, and so do coset actions of subgroups generated by
+members of parity 0 (Sym(n)/K for even K, C(2m)/<even>, Z^k modulo a
+lattice of even coordinate sums, and G/trivial).
 """
 
 from __future__ import annotations
@@ -141,7 +144,8 @@ class GraphBall:
 
 def bipartite_by_distance(action: PointedAction, gens: SymmetricGenSet) -> bool:
     """Whether every ball of the action under these generators is bipartite
-    by distance: the action states a point parity (``PointedAction.parity``)
+    by distance: the action states a point parity (``PointedAction.parity``,
+    set on translation actions and on coset actions of even subgroups)
     and every generator has group parity 1, so each edge changes the
     distance parity and joins two adjacent spheres.  ``build_ball`` then
     skips its radius-R lookups, and the ends sweep reads each sphere from

@@ -196,13 +196,14 @@ def finite_wreath_multiply(n: int, m: int, a, b):
 # Sym(3) cosets by raw enumeration
 
 
+def compose(p, q):
+    """(p q)(x) = p(q(x)) for permutations in one-line tuples."""
+    return tuple([p[x] for x in q])
+
+
 def sym3_left_cosets(subgroup_perms):
     """Left cosets g*H of Sym(3), each as a frozenset of one-line tuples."""
     perms = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
-
-    def compose(p, q):  # (p q)(x) = p(q(x))
-        return tuple(p[q[x]] for x in range(3))
-
     cosets = set()
     for g in perms:
         cosets.add(frozenset(compose(g, h) for h in subgroup_perms))
@@ -380,3 +381,54 @@ def determinant(rows) -> int:
             f = m[r][c] / m[c][c]
             m[r] = [x - f * y for x, y in zip(m[r], m[c])]
     return int(det)
+
+
+# ---------------------------------------------------------------------------
+# 2-colouring of whole finite Schreier graphs
+
+
+def two_colourable(start, moves, key) -> tuple[bool, int]:
+    """(whether the graph has a proper 2-colouring, its vertex count) for
+    the finite graph reached from ``start`` by the maps in ``moves``, where
+    two values are one vertex when their ``key``s agree.  The BFS colours every
+    vertex it reaches, so one edge between equal colours, a loop included,
+    makes it fail."""
+    colour = {key(start): 0}
+    frontier = deque([start])
+    ok = True
+    while frontier:
+        x = frontier.popleft()
+        c = colour[key(x)]
+        for move in moves:
+            y = move(x)
+            k = key(y)
+            if k not in colour:
+                colour[k] = 1 - c
+                frontier.append(y)
+            elif colour[k] == c:
+                ok = False
+    return ok, len(colour)
+
+
+def perm_coset_key(k_gens):
+    """The key of the left coset gK of a permutation g in one-line tuples,
+    K spanned by ``k_gens``: the set gK itself, with K listed by closure."""
+    n = len(k_gens[0])
+    members = closure([tuple(g) for g in k_gens], compose, tuple(range(n)))
+    return lambda g: frozenset(compose(g, h) for h in members)
+
+
+def residue_coset_key(n: int, d: int):
+    """The key of the coset x + <d> of C(n): the set of its residues."""
+    members = closure([d % n], lambda a, b: (a + b) % n, 0)
+    return lambda x: frozenset((x + h) % n for h in members)
+
+
+def lattice_coset_key(basis):
+    """The key of the coset v + L of Z^2, L of finite index spanned by the
+    two rows of ``basis``: v lies in L exactly when adj(M) v is 0 mod
+    det M, M having the rows as columns, so adj(M) v mod |det M| tells
+    the cosets apart."""
+    (a, b), (c, d) = basis
+    det = abs(a * d - b * c)
+    return lambda v: ((d * v[0] - c * v[1]) % det, (-b * v[0] + a * v[1]) % det)

@@ -67,7 +67,11 @@ from oracles import (
     bfs_witnesses,
     diamond_count,
     f2_words_up_to,
+    lattice_coset_key,
+    perm_coset_key,
+    residue_coset_key,
     simple_edges,
+    two_colourable,
 )
 from test_dsl import random_spec, random_typed_spec
 
@@ -696,14 +700,14 @@ def _build_outcome(action, gens, radius, max_vertices):
     return ball.points, ball.dist, ball.table, list(ball.index)
 
 
-def typed_translation_draws():
-    """(action, gens, radius 3, budget 5000) of each translation draw of the
-    600 seed-12 typed draws that elaborates."""
+def typed_draws():
+    """(action, gens, radius 3, budget 5000) of each translation or coset
+    draw of the 600 seed-12 typed draws that elaborates."""
     rng = random.Random(12)
     builds = []
     for _ in range(600):
         spec = random_typed_spec(rng)
-        if spec.action.kind != "translation":
+        if spec.action.kind not in ("translation", "coset"):
             continue
         try:
             action, gens = elaborate(spec)
@@ -716,10 +720,11 @@ def typed_translation_draws():
 def test_builds_without_the_certificate_are_identical():
     # the radius-R lookups that the certificate skips find nothing: a build
     # with the action's parity dropped gives the same points, dist, table
-    # and index order, on the manifest balls and the typed translation draws
+    # and index order, on the manifest balls and the typed translation and
+    # coset draws
     builds = [(b.action, b.gens, b.radius, b.max_vertices) for b in
               [*random_fixture_balls(), *generated_spec_balls(), *stepping_balls()]]
-    builds += typed_translation_draws()
+    builds += typed_draws()
     certified = 0
     for action, gens, radius, budget in builds:
         plain = replace(action, parity=None)
@@ -727,14 +732,18 @@ def test_builds_without_the_certificate_are_identical():
         certified += bipartite_by_distance(action, gens)
         assert (_build_outcome(action, gens, radius, budget)
                 == _build_outcome(plain, gens, radius, budget)), str(action)
-    assert certified == 179  # 31 manifest balls and 148 typed draws
+    # 37 manifest balls (31 translation, 6 coset), 148 typed translation
+    # draws and 34 typed coset draws
+    assert certified == 219
 
 
-def test_translation_parity_colours_every_edge():
-    # c(s.p) = c(p) xor parity(s) on every edge of a translation ball whose
-    # group states a parity
-    checked = 0
-    for ball in [*random_fixture_balls(), *generated_spec_balls(), *stepping_balls()]:
+def test_point_parity_colours_every_edge():
+    # c(s.p) = c(p) xor parity(s) on every edge of a translation or coset
+    # ball whose action states a point parity, odd generators or not
+    checked = cosets = 0
+    for ball in [*random_fixture_balls(), *generated_spec_balls(), *stepping_balls(),
+                 *generated_spec_balls(140, radius=6, max_draws=200, draw=random_typed_spec,
+                                       seed=12, budget=400)]:
         action, elements = ball.action, ball.gens.elements
         if action.parity is None or action.group.parity(action.basepoint) is None:
             continue
@@ -742,7 +751,52 @@ def test_translation_parity_colours_every_edge():
         for u, v, i in ball.edges:
             assert colour[v] == colour[u] ^ action.group.parity(elements[i])
         checked += 1
-    assert checked >= 20
+        cosets += action.label.endswith("on cosets")
+    assert checked >= 20 and cosets >= 10
+
+
+def _finite_schreier_cases():
+    """(group, K generators, oracle key of a coset, start, moves) on the
+    standard generators: Sym(4) and Sym(5) with K spanned by one or two
+    seeded permutations, C(n) / d for n <= 30, and Z^2 modulo seeded
+    lattices of finite index."""
+    def moves(group):
+        return [functools.partial(group._mul, s) for s in group.standard_gens().elements]
+
+    rng = random.Random(53)
+    cases = []
+    for n in (4, 5):
+        sym = SymmetricGroup(n)
+        for _ in range(24):
+            k_gens = tuple(Perm(rng.sample(range(n), n)) for _ in range(rng.randint(1, 2)))
+            cases.append((sym, k_gens, perm_coset_key(k_gens), sym.identity(), moves(sym)))
+    for n in range(1, 31):
+        cyclic = Cyclic(n)
+        cases += [(cyclic, (d,), residue_coset_key(n, d), 0, moves(cyclic)) for d in range(n)]
+    z2 = FreeAbelian(2)
+    lattices = 0
+    while lattices < 40:
+        basis = tuple((rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(2))
+        (a, b), (c, d) = basis
+        if a * d != b * c:
+            cases.append((z2, basis, lattice_coset_key(basis), (0, 0), moves(z2)))
+            lattices += 1
+    return cases
+
+
+def test_certificate_is_exact_on_finite_schreier_graphs():
+    # bipartite_by_distance holds exactly when a BFS 2-colouring of the
+    # whole finite Schreier graph, keyed with no coset law, succeeds
+    outcomes = set()
+    for group, k_gens, key, start, moves in _finite_schreier_cases():
+        action = coset_action(group, GeneratedSubgroup(k_gens))
+        gens = group.standard_gens()
+        ok, size = two_colourable(start, moves, key)
+        assert len(build_ball(action, gens, size, size)) == size
+        certified = bipartite_by_distance(action, gens)
+        assert certified == ok, (group, k_gens)
+        outcomes.add((type(group), certified))
+    assert len(outcomes) == 6  # both verdicts on each family
 
 
 def _stepped_radius_r(action, gens, radius):
@@ -774,7 +828,10 @@ def _inner_sphere_entries(ball):
     ("Z with gens {0, 1}", 2, 2),  # an identity generator is a loop
     ("Z with gens {1, 2}", 3, 4),
     ("C(4) with gens {1, 2}", 1, 6),
-    ("Z / [3]", 1, 2),  # a coset action states no point parity
+    ("Z / [3]", 1, 2),  # the lattice vector [3] is odd
+    ("Sym(4) / {(0 1)}", 2, 1),  # (1 2) fixes a coset of S_2: a loop
+    ("Z^2 / [5, 0]", 3, 4),
+    ("C(6) / 3", 1, 2),
     ("imprimitive(wreath(C(2), Z, translation))", 2, 4),
 ])
 def test_uncertified_builds_take_the_radius_r_pass(text, radius, entries):
@@ -792,6 +849,8 @@ def test_uncertified_builds_take_the_radius_r_pass(text, radius, entries):
     ("Z^3 with gens {[1, 1, 1], [0, 1, 0], [0, 0, 1]}", 3), ("C(6)", 2),
     ("Sym(4)", 5), ("wreath(C(2), Z, translation)", 6),
     ("wreath(Sym(3), Z^2, translation)", 2),
+    ("Sym(4) / {(0 1 2)}", 2), ("Z^2 / [2, 0]", 4), ("C(12) / 4", 2),
+    ("F(2) / trivial", 5),
 ])
 def test_certified_builds_skip_the_radius_r_pass(text, radius):
     action, gens = elaborate(parse_spec(text))
@@ -801,6 +860,20 @@ def test_certified_builds_skip_the_radius_r_pass(text, radius):
     assert _inner_sphere_entries(ball) == 0
     assert _build_outcome(action, gens, radius, 5000) == \
         _build_outcome(replace(action, parity=None), gens, radius, 5000)
+
+
+def test_a_subgroup_spec_without_gens_states_no_parity():
+    class EvenFirstCoordinate:
+        """Z^2 modulo [2, 0], stated by its coset law alone."""
+
+        def coset_law(self, group):
+            return lambda v: (v[0] % 2, v[1])
+
+    z2 = FreeAbelian(2)
+    action = coset_action(z2, EvenFirstCoordinate())
+    assert action.parity is None
+    assert not bipartite_by_distance(action, z2.standard_gens())
+    assert coset_action(z2, GeneratedSubgroup(((2, 0),))).parity == z2.parity
 
 
 @pytest.mark.parametrize("n, radius", [(1, 8), (2, 6), (3, 4)])

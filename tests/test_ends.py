@@ -271,11 +271,13 @@ def test_bipartite_fast_paths_match_the_general_paths(monkeypatch):
     # read each sphere from the rows before it; forcing it false in both
     # places must give the same ball and the same profiles
     w, wgens = lamplighter(2)
-    for text in ("F(2)", "Z^2", "Sym(4)", "C(12) with gens {1, 11}"):
+    for text in ("F(2)", "Z^2", "Sym(4)", "C(12) with gens {1, 11}",
+                 "Sym(4) / {(0 1 2)}", "F(2) / trivial", "Z^2 / [1, 1]"):
         assert bipartite_by_distance(*elaborate(parse_spec(text))), text
     assert bipartite_by_distance(translation_action(w), wgens)
     for text in ("Z with gens {1, 2}", "C(5)", "Z / 5", "rule(f2_four_ends)",
-                 "imprimitive(wreath(C(2), Z, translation))"):
+                 "imprimitive(wreath(C(2), Z, translation))", "Sym(4) / {(0 1)}",
+                 "C(12) / 3"):
         assert not bipartite_by_distance(*elaborate(parse_spec(text))), text
     assert not bipartite_by_distance(head_projection_action(w), wgens)
 
@@ -286,9 +288,15 @@ def test_bipartite_fast_paths_match_the_general_paths(monkeypatch):
                  ("F(3)", 5),
                  ("wreath(C(2), Z, translation)", 8),
                  ("Sym(4)", 6),
-                 ("wreath(Sym(3), Z, translation)", 6)))]
+                 ("wreath(Sym(3), Z, translation)", 6),
+                 ("Sym(7) / {(0 1 2)}", 8),
+                 ("Z^2 / [6, 0]", 30),
+                 ("F(2) / trivial", 6),
+                 ("C(12) / 4", 4)))]
     balls = [ball for ball in balls if bipartite_by_distance(ball.action, ball.gens)]
-    assert len(balls) == 68  # 31 manifest balls, 33 typed draws and the four above
+    # 37 manifest balls (6 of them coset balls), 46 typed draws (13 coset
+    # balls) and the eight above
+    assert len(balls) == 91
 
     def profiles(ball):
         r = ball.radius
@@ -329,7 +337,8 @@ def test_certificates_match_the_full_sweep(monkeypatch):
              *(spec_ball(text, radius) for text, radius in (
                  ("Z^2", 30), ("Z^3", 9), ("F(2)", 7), ("F(3) with gens {a, bc}", 5),
                  ("Z with gens {1}", 60), ("Z with gens {1, 3}", 30), ("Sym(4)", 9),
-                 ("wreath(C(2), Z, translation)", 9)))]
+                 ("wreath(C(2), Z, translation)", 9), ("Sym(7) / {(0 1 2)}", 8),
+                 ("Z^2 / [6, 0]", 30), ("F(2) / trivial", 6), ("C(12) / 4", 4)))]
     rng = random.Random(41)
 
     def k_sets(radius):
@@ -349,6 +358,7 @@ def test_certificates_match_the_full_sweep(monkeypatch):
     ("F(2)", 10, range(1, 5), 5, [4, 12, 36, 108]),  # a tree from S_1 on
     ("Z with gens {1}", 300, [1, 2, 3, 150, 298], 299, [2] * 5),
     ("Z with gens {1}", 300, range(1, 5), 5, [2] * 4),
+    ("F(2) / trivial", 10, range(1, 5), 5, [4, 12, 36, 108]),  # F(2)'s tree
 ])
 def test_certified_sweep_stops_reading(monkeypatch, text, radius, ks, most, values):
     ball = spec_ball(text, radius)
@@ -361,7 +371,7 @@ def test_certified_sweep_stops_reading(monkeypatch, text, radius, ks, most, valu
     read = ends_module._read_forward
     monkeypatch.setattr(ends_module, "_read_forward", counting_read)
     p = profile_from_ball(ball, ks)
-    assert len(spheres) <= most
+    assert 0 < len(spheres) <= most
     # a row repeats a tree's sphere size, or else the number of ends
     assert p.matrix == tuple((x,) * (radius - k) for k, x in zip(ks, values))
 
